@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import CatalogError, DomainError
+from .errors import CatalogError, ConventionError, DomainError
 
 Weight = tuple  # integer coordinates in the fundamental-weight basis
 Root = tuple    # integer coordinates in the simple-root basis
@@ -288,6 +288,85 @@ def weyl_dim(lie: LieType, lam: Weight) -> int:
     if num.denominator != 1:
         raise DomainError("Weyl dimension came out non-integral")
     return int(num)
+
+
+def weight_multiplicities(lie: LieType, lam: Weight) -> dict:
+    """Multiplicities of the weights of V_lam (lam dominant) by Freudenthal.
+
+    Pure integer arithmetic in root-depth coordinates c, where the weight is
+    nu = lam - sum_j c_j alpha_j.  With (alpha_i, alpha_j) = d_i a_ij and
+    (lam + rho, alpha_j) = d_j (lam_j + 1), the formula reads
+
+        (2 sum_j c_j d_j (lam_j + 1) - sum_ij c_i c_j d_i a_ij) m(nu)
+            = 2 sum_{alpha > 0, k >= 1} (nu + k alpha, alpha) m(nu + k alpha)
+
+    with (nu, alpha) = sum_j alpha_j d_j nu_j.  Depths are visited level by
+    level from the highest weight through one simple-root step below a
+    weight, so only the weights of V_lam and their neighbours are touched.
+    The left factor is positive at every weight other than lam, so a
+    non-positive factor means multiplicity 0.  Returns {nu: m(nu)} for the
+    weights with m(nu) > 0; a non-integral quotient raises ConventionError.
+    """
+    if len(lam) != lie.rank or any(x < 0 for x in lam):
+        raise DomainError(f"{lam} is not a dominant weight for {lie}")
+    n = lie.rank
+    a = cartan_matrix(lie)
+    d = symmetrizers(lie)
+    form = [[d[i] * a[i][j] for j in range(n)] for i in range(n)]
+    top = [d[j] * (lam[j] + 1) for j in range(n)]
+    dvec = weight_to_root_int(
+        lie, tuple(x - y for x, y in zip(lam, w0_on_weight(lie, lam))))
+    # depth vectors are keyed by one integer in mixed radix (dvec_j + 1)
+    radix = [1] * n
+    for j in range(1, n):
+        radix[j] = radix[j - 1] * (dvec[j - 1] + 1)
+    # per positive root: support, key step, (lam, alpha), (alpha_i, alpha)
+    # for each i, and (alpha, alpha)
+    roots = []
+    for alpha in positive_roots(lie):
+        cols = [sum(form[i][j] * alpha[j] for j in range(n)) for i in range(n)]
+        roots.append(([(i, x) for i, x in enumerate(alpha) if x],
+                      sum(x * r for x, r in zip(alpha, radix)),
+                      sum(alpha[j] * d[j] * lam[j] for j in range(n)),
+                      cols, sum(alpha[i] * cols[i] for i in range(n))))
+    zero = tuple([0] * n)
+    mult = {0: 1}
+    found = {zero: 1}
+    level = [zero]
+    while level:
+        targets = set()
+        for c in level:
+            for j in range(n):
+                if c[j] < dvec[j]:
+                    targets.add(c[:j] + (c[j] + 1,) + c[j + 1:])
+        level = []
+        for c in sorted(targets):
+            denom = 2 * sum(c[j] * top[j] for j in range(n)) - sum(
+                c[i] * c[j] * form[i][j] for i in range(n) for j in range(n))
+            if denom <= 0:
+                continue
+            key = sum(x * r for x, r in zip(c, radix))
+            acc = 0
+            for supp, step, lam_pair, cols, norm in roots:
+                kmax = min(c[i] // x for i, x in supp)
+                pair = None
+                for k in range(1, kmax + 1):
+                    m_up = mult.get(key - k * step)
+                    if m_up:
+                        if pair is None:     # (nu, alpha)
+                            pair = lam_pair - sum(
+                                c[i] * cols[i] for i in range(n))
+                        acc += m_up * (pair + k * norm)
+            m, rem = divmod(2 * acc, denom)
+            if rem or m < 0:
+                raise ConventionError(
+                    f"Freudenthal: non-integral multiplicity at depth {c}")
+            if m:
+                mult[key] = m
+                found[c] = m
+                level.append(c)
+    return {tuple(lam[k] - sum(c[j] * a[k][j] for j in range(n))
+                  for k in range(n)): m for c, m in found.items()}
 
 
 def dominant_weights_up_to(lie: LieType, depth: int):

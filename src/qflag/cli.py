@@ -170,15 +170,12 @@ def cmd_liouville(args) -> int:
 
 
 def _bw_task(payload):
-    flagname, k, depth, qmode, opposite, cache = payload
-    flag = FlagSpec.parse(flagname)
-    L = cartan.lattice_denominator(flag.lie)
-    ctx = QContext(L) if qmode == "symbolic" else \
-        QContext(L, s0=exact_root(Fraction(qmode), L))
-    alg = PWAlgebra(flag.lie, ctx=ctx, cache_dir=cache)
-    rep = verify.borel_weil_report(alg, flag, kmax=k, depth=depth,
-                                   kmin=k, opposite=opposite)
-    return rep["rows"][0]
+    """One k-row of borel-weil in a worker, with every option of the run."""
+    args, k, depth = payload
+    flag = FlagSpec.parse(args.flag)
+    return verify.borel_weil_report(_algebra(args, flag.lie), flag, kmax=k,
+                                    depth=depth, kmin=k,
+                                    opposite=args.opposite)
 
 
 def cmd_borel_weil(args) -> int:
@@ -186,17 +183,14 @@ def cmd_borel_weil(args) -> int:
     depth = args.depth if args.depth is not None else verify.default_depth(flag)
     kmin, kmax = _parse_krange(args.k)
     if args.jobs > 1:
-        payloads = [(args.flag, k, depth, args.q, args.opposite, args.cache)
-                    for k in range(kmin, kmax + 1)]
+        payloads = [(args, k, depth) for k in range(kmin, kmax + 1)]
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bw_task, payloads))
-        rows.sort(key=lambda r: r["k"])
-        alg = _algebra(args, flag.lie)
-        rep = verify._meta(alg, flag, cartan.longest_word(flag.lie))
-        rep.update({"kind": "borel_weil", "opposite": args.opposite,
-                    "depth": depth, "rows": rows,
-                    "ok": all(r["ok"] for r in rows), "jobs": args.jobs})
+            parts = list(pool.map(_bw_task, payloads))
+        # every part carries the same header; the rows come in k order
+        rep = parts[0]
+        rep["rows"] = [part["rows"][0] for part in parts]
+        rep["ok"] = all(r["ok"] for r in rep["rows"])
     else:
         alg = _algebra(args, flag.lie)
         _progress(f"borel-weil {flag} depth {depth} k {kmin}..{kmax}")

@@ -14,6 +14,10 @@ Three views of a linear object are used:
 
 All pivot choices are deterministic: leftmost column, then cheapest entry
 (term-count proxy), then lowest row index.
+
+:func:`mod_column_rank_profile` also needs an image in Z/p: a
+``mod_image(p, s)`` method (Scalar) or ``numerator``/``denominator``
+(Fraction, int).
 """
 
 from __future__ import annotations
@@ -21,6 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConventionError
+
+# Prime and evaluation point of the modular rank profile.
+MOD_PRIME = (1 << 61) - 1
+MOD_POINT = 1000003
 
 
 def _cost(v) -> int:
@@ -84,6 +92,61 @@ def rank(rows, ncols) -> int:
 
 def column_rank_profile(rows, ncols):
     pivots, _ = echelon(rows, ncols, reduce_up=False)
+    return pivots
+
+
+def mod_image(v):
+    """Image of v in Z/MOD_PRIME at s = MOD_POINT.
+
+    None when the denominator of v vanishes there.  Values with a
+    ``mod_image(p, s)`` method use it; ints and Fractions have no s.
+    """
+    image = getattr(v, "mod_image", None)
+    if image is not None:
+        return image(MOD_PRIME, MOD_POINT)
+    den = v.denominator % MOD_PRIME
+    if not den:
+        return None
+    return v.numerator * pow(den, -1, MOD_PRIME) % MOD_PRIME
+
+
+def mod_column_rank_profile(rows, ncols):
+    """Column rank profile of the image of ``rows`` in Z/p, p = MOD_PRIME.
+
+    Returns None when an entry has no image (see :func:`mod_image`).
+    Columns independent mod p are independent over the field, so the
+    profile's size is a lower bound of the exact rank.
+    """
+    p = MOD_PRIME
+    work = []
+    for row in rows:
+        out = []
+        for v in row:
+            x = mod_image(v)
+            if x is None:
+                return None
+            out.append(x)
+        work.append(out)
+    pivots = []
+    r0 = 0
+    for col in range(ncols):
+        best = next((r for r in range(r0, len(work)) if work[r][col]), None)
+        if best is None:
+            continue
+        work[r0], work[best] = work[best], work[r0]
+        row = work[r0]
+        inv = pow(row[col], -1, p)
+        for r in range(r0 + 1, len(work)):
+            other = work[r]
+            f = other[col] * inv % p
+            if f:
+                for j in range(col, ncols):
+                    if row[j]:
+                        other[j] = (other[j] - f * row[j]) % p
+        pivots.append(col)
+        r0 += 1
+        if r0 == len(work):
+            break
     return pivots
 
 

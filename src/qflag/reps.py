@@ -6,8 +6,21 @@ root lattice; the E-action on a candidate F_j.u is computed recursively from
 the defining commutation relation, the Gram matrix of the contravariant form
 <F_j u, x> = <u, E_j x> is assembled from the previous level, and each weight
 space keeps the candidates on the Gram's column rank profile (the radical
-drops out).  The total dimension is checked against the Weyl dimension
-formula, which doubles as the degeneration guard in specialized mode.
+drops out).
+
+The target rank of each weight space is its multiplicity, from Freudenthal's
+formula in integers (:func:`qflag.cartan.weight_multiplicities`); weights of
+multiplicity 0 are skipped.  The profile is first found mod a fixed prime at
+a fixed point of s: when it has exactly the target size, those columns are
+independent over Q(s) and the rank cannot exceed the multiplicity, so one
+exact reduced row echelon form of the Gram rows at the profile confirms it
+(its pivots must be the profile) and gives every expansion of a dropped
+candidate in the kept ones.  Otherwise, or when an entry has no image mod
+the prime, the exact profile is computed; the module comes out the same
+either way.  In symbolic mode a rank other than the multiplicity raises
+ConventionError at that weight space; the total dimension is also checked
+against the Weyl dimension formula, which doubles as the degeneration guard
+in specialized mode.
 
 Every basis vector remembers the F-word that produced it; braid operators and
 Clebsch-Gordan embeddings both ride on that: an intertwiner from V_lam into
@@ -24,7 +37,8 @@ from .cartan import LieType, Weight
 from .errors import (ConventionError, DimensionGuardError, DomainError,
                      ReducibleModuleError, SpecializationError)
 from .linalg import (SparseMatrix, column_rank_profile, dv_add_scaled,
-                     invert_dense, nullspace)
+                     echelon, invert_dense, mod_column_rank_profile,
+                     nullspace)
 from .scalars import QContext
 
 DEFAULT_GUARD = 64
@@ -75,6 +89,35 @@ class ModuleData:
         return out
 
 
+def _select_candidates(gram, want: int):
+    """Column rank profile of a weight space's Gram matrix, with the RREF.
+
+    Returns the profile and the reduced row echelon form of the Gram rows
+    at the profile (None when every column is kept); column t of the RREF
+    expands candidate t in the kept ones.  The profile is first taken in
+    Z/p at a fixed point: when it has ``want`` columns (the weight's
+    multiplicity, an upper bound of the rank over Q(s)), those columns are
+    independent over Q(s), the chosen rows span the row space, and the
+    RREF's pivots are the exact profile, which is checked.  Otherwise, or
+    when an entry has no image mod p, the exact profile is computed.
+    """
+    m = len(gram)
+    profile = mod_column_rank_profile(gram, m)
+    if profile is not None and len(profile) == want:
+        if want == m:
+            return profile, None
+        pivots, red = echelon([gram[s] for s in profile], m)
+        if pivots == profile:
+            return profile, red
+    profile = column_rank_profile(gram, m)
+    if not profile or len(profile) == m:
+        return profile, None
+    pivots, red = echelon([gram[s] for s in profile], m)
+    if pivots != profile:
+        raise ConventionError("kept block of the Gram matrix is singular")
+    return profile, red
+
+
 def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
                       guard: int = DEFAULT_GUARD, allow_e: bool = False) -> ModuleData:
     """The irreducible module with highest weight lam (dominant)."""
@@ -97,6 +140,7 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
     alpha_fw = [tuple(amat[k][j] for k in range(n)) for j in range(n)]
     dvec = cartan.weight_to_root_int(
         lie, tuple(a - b for a, b in zip(lam, cartan.w0_on_weight(lie, lam))))
+    mults = cartan.weight_multiplicities(lie, lam)
 
     weights = [tuple(lam)]
     fwords = [()]
@@ -116,6 +160,11 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
                     targets.add(tuple(t))
         level_now = set()
         for c in sorted(targets):
+            nu = tuple(lam[k] - sum(c[j] * alpha_fw[j][k] for j in range(n))
+                       for k in range(n))
+            want = mults.get(nu, 0)
+            if not want:
+                continue
             cands = []
             for j in range(n):
                 if c[j] == 0:
@@ -127,10 +176,6 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
                     continue
                 for u in sp["idx"]:
                     cands.append((j, u))
-            if not cands:
-                continue
-            nu = tuple(lam[k] - sum(c[j] * alpha_fw[j][k] for j in range(n))
-                       for k in range(n))
             # E-action on candidates: E_i(F_j u) = F_j(E_i u) + d_ij [mu_i] u
             cand_eimg = []
             for (j, u) in cands:
@@ -167,7 +212,12 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
                         term = grow[lmap[g]] * cf
                         acc = term if acc is None else acc + term
                     gram[s][t] = acc if acc is not None else ctx.zero
-            profile = column_rank_profile(gram, m)
+            profile, red = (_select_candidates(gram, want) if cands
+                            else ([], None))
+            if ctx.symbolic and len(profile) != want:
+                raise ConventionError(
+                    f"weight {nu}: Gram rank {len(profile)}, "
+                    f"multiplicity {want}")
             if not profile:
                 continue
             base = len(weights)
@@ -179,25 +229,15 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
                 parents.append((j + 1, u))
                 eimg.append(cand_eimg[t])
                 fimg.append([None] * n)
-            sel_gram = [[gram[s][t] for t in profile] for s in profile]
-            inv = invert_dense(sel_gram, one) if len(profile) < m else None
             for t, (j, u) in enumerate(cands):
                 if t in sel:
-                    exp = {sel[t]: one}
+                    fimg[u][j] = {sel[t]: one}
                 else:
-                    rhs = [gram[s][t] for s in profile]
-                    exp = {}
-                    for k in range(len(profile)):
-                        acc = None
-                        for l, r in enumerate(rhs):
-                            if r:
-                                term = inv[k][l] * r
-                                acc = term if acc is None else acc + term
-                        if acc:
-                            exp[base + k] = acc
-                fimg[u][j] = exp
+                    fimg[u][j] = {base + k: row[t] for k, row in enumerate(red)
+                                  if row[t]}
             spaces[c] = {"idx": [base + k for k in range(len(profile))],
-                         "gram": sel_gram}
+                         "gram": [[gram[s][t] for t in profile]
+                                  for s in profile]}
             level_now.add(c)
         level_prev = level_now
 

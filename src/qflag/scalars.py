@@ -15,6 +15,7 @@ truthiness as a zero test), so both modes run through identical code paths.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from . import _kernel as K
 from .errors import DomainError, SpecializationError
@@ -157,6 +158,13 @@ class Scalar:
             raise SpecializationError(f"denominator vanishes at s = {s0}")
         return num / den
 
+    def mod_image(self, p: int, s0: int):
+        """Image in Z/p at s = s0, or None when the denominator vanishes."""
+        den = _poly_mod(self._f[1], p, s0)
+        if not den:
+            return None
+        return _poly_mod(self._f[0], p, s0) * pow(den, -1, p) % p
+
     def __str__(self):
         num, den = self._f
         if den == K.P_ONE:
@@ -180,6 +188,15 @@ def _poly_eval(p, s0: Fraction) -> Fraction:
     for c in reversed(coeffs):
         acc = acc * t + c
     return acc * s0 ** off
+
+
+def _poly_mod(poly, p: int, s0: int) -> int:
+    off, step, coeffs = poly
+    acc = 0
+    t = pow(s0, step, p)
+    for c in reversed(coeffs):
+        acc = (acc * t + c) % p
+    return acc * pow(s0, off, p) % p
 
 
 def _poly_str(p) -> str:
@@ -280,6 +297,21 @@ def qbinom(n: int, k: int, L: int = 1) -> Scalar:
     return qfact(n, L) / (qfact(k, L) * qfact(n - k, L))
 
 
+def _iroot(a: int, n: int) -> int:
+    """Floor of the n-th root of an integer a >= 0, in integers only."""
+    if n == 2:
+        return isqrt(a)
+    if a < 2:
+        return a
+    # Newton iteration from above: 2**ceil(bits/n) >= a**(1/n)
+    r = 1 << -(-a.bit_length() // n)
+    while True:
+        nxt = ((n - 1) * r + a // r ** (n - 1)) // n
+        if nxt >= r:
+            return r
+        r = nxt
+
+
 def exact_root(x: Fraction, n: int) -> Fraction:
     """Exact n-th root of a rational, or raise SpecializationError."""
     x = Fraction(x)
@@ -291,11 +323,10 @@ def exact_root(x: Fraction, n: int) -> Fraction:
         raise SpecializationError(f"{x} has no rational {n}-th root")
 
     def iroot(a: int) -> int:
-        r = round(a ** (1.0 / n))
-        for c in (r - 1, r, r + 1):
-            if c >= 0 and c ** n == a:
-                return c
-        raise SpecializationError(f"{a} is not an exact {n}-th power")
+        r = _iroot(a, n)
+        if r ** n != a:
+            raise SpecializationError(f"{a} is not an exact {n}-th power")
+        return r
 
     sign = -1 if x < 0 else 1
     return Fraction(sign * iroot(abs(x.numerator)), iroot(x.denominator))

@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dim_by_weights
+from oracles import dim_by_weights, freudenthal_multiplicities
 from qflag.cartan import (FlagSpec, LieType, bilinear_form, cartan_matrix,
                           catalog, dominant_weights_up_to, is_reduced_for_w0,
                           lattice_denominator, longest_word, minus_w0,
                           monoid_truncation, positive_roots, root_sequence,
                           spherical_weights, symmetrizers, w0_on_weight,
-                          weyl_dim)
+                          weight_multiplicities, weyl_dim)
 from qflag.errors import CatalogError, DomainError
 
 A1, A2, A3, B2, B3, C2, C3, D4 = (LieType.parse(t) for t in
@@ -122,6 +122,31 @@ def test_weyl_dim_against_weight_oracle():
     assert weyl_dim(A3, (0, 1, 0)) == 6
     with pytest.raises(DomainError):
         weyl_dim(A2, (-1, 0))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "C2",
+                                  "C3", "D4"])
+def test_weight_multiplicities_sum_to_weyl_dim(name):
+    lie = LieType.parse(name)
+    for lam in dominant_weights_up_to(lie, 3):
+        mults = weight_multiplicities(lie, lam)
+        assert sum(mults.values()) == weyl_dim(lie, lam), lam
+        assert mults[tuple(lam)] == 1
+        # multiplicities are Weyl-invariant: the lowest weight is simple
+        assert mults[w0_on_weight(lie, lam)] == 1
+
+
+def test_weight_multiplicities_values():
+    assert weight_multiplicities(A2, (1, 1))[(0, 0)] == 2
+    assert weight_multiplicities(A3, (1, 0, 1))[(0, 0, 0)] == 3
+    assert weight_multiplicities(A1, (3,)) == {(3,): 1, (1,): 1, (-1,): 1,
+                                               (-3,): 1}
+    for lie, lam in ((B2, (1, 1)), (C3, (0, 1, 0)), (A3, (1, 1, 0)),
+                     (D4, (0, 1, 0, 0))):
+        assert weight_multiplicities(lie, lam) == \
+            freudenthal_multiplicities(lie, lam)
+    with pytest.raises(DomainError):
+        weight_multiplicities(A2, (-1, 0))
 
 
 def test_weyl_dim_dual_symmetry():

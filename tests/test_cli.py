@@ -121,8 +121,22 @@ def test_jobs_parallel_rows_match(capsys):
                            "A1/1", "--k", "-1:2", "--depth", "3")
     assert code == 0
     par = json.loads(out)
-    assert [r["dim"] for r in par["rows"]] == [r["dim"] for r in seq["rows"]]
+    validate(par)
+    assert par == seq
     assert par["ok"]
+
+
+def test_jobs_parallel_passes_every_option(capsys):
+    # depth 4 on B2/1 builds V_(2,2) (dim 81): workers must get --guard too
+    args = ["--guard", "100", "borel-weil", "--flag", "B2/1", "--k", "0:1",
+            "--depth", "4"]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    seq = json.loads(out)
+    code, out, _ = run_cli(capsys, "--jobs", "2", *args)
+    assert code == 0
+    assert json.loads(out) == seq
+    assert seq["ok"]
 
 
 def test_verify_cli_and_exit_codes(capsys):

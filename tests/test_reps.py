@@ -1,12 +1,17 @@
+import hashlib
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from oracles import freudenthal_multiplicities
 from qflag.cartan import (LieType, bilinear_form, dominant_weights_up_to,
                           longest_word, minus_w0, root_sequence, weyl_dim)
-from qflag.errors import DimensionGuardError, DomainError
-from qflag.linalg import SpanBasis, SparseMatrix
+from qflag import cartan, linalg, reps
+from qflag.errors import ConventionError, DimensionGuardError, DomainError
+from qflag.linalg import (MOD_POINT, SpanBasis, SparseMatrix,
+                          column_rank_profile, mod_column_rank_profile)
 from qflag.reps import (LusztigOperators, build_irreducible,
                         check_defining_relations, check_intertwines,
                         context_for, decompose, dual_module, dual_pairing,
@@ -14,6 +19,7 @@ from qflag.reps import (LusztigOperators, build_irreducible,
                         trivial_module)
 
 A1, A2, A3, B2, C2 = (LieType.parse(t) for t in ("A1", "A2", "A3", "B2", "C2"))
+C3 = LieType.parse("C3")
 
 
 def store_for(lie, ctx, guard=64, cache={}):
@@ -297,3 +303,103 @@ def test_specialized_construction_matches_dims():
             m = build_irreducible(ctx, lie, lam)
             check_defining_relations(m)
             assert m.dim == weyl_dim(lie, lam)
+
+
+# -- module construction by multiplicities -----------------------------------
+
+
+def module_digest(m) -> str:
+    """sha256 of the canonical JSON of a canonical build."""
+    def entries(mat):
+        return [[r, c, str(v)] for (r, c), v in mat.entries_sorted()]
+    doc = {"dim": m.dim, "highest": list(m.highest),
+           "weights": [list(w) for w in m.weights],
+           "e": [entries(x) for x in m.e_mats],
+           "f": [entries(x) for x in m.f_mats],
+           "k_exps": [list(k) for k in m.k_exps],
+           "fwords": [list(w) for w in m.fwords],
+           "parents": [list(p) if p else None for p in m.parents]}
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("lie,lam,digest", [
+    (B2, (2, 2),
+     "e39732ecc6aec6b2c74e0988cc5780332bf962ef47aef03bae2df10cbdb91285"),
+    (C3, (0, 0, 2),
+     "fce8e55e06d5c8770dc68020a3144abb2f269a8890fc854ad0cddea3723004cd"),
+])
+def test_build_digest_pinned(lie, lam, digest):
+    # digests of the construction by exact rank profile and inverse
+    m = build_irreducible(context_for(lie), lie, lam, guard=100)
+    assert module_digest(m) == digest
+
+
+def test_modular_profile_matches_exact_on_real_grams(monkeypatch):
+    grams = []
+
+    def record(rows, ncols):
+        grams.append(rows)
+        return mod_column_rank_profile(rows, ncols)
+
+    monkeypatch.setattr(reps, "mod_column_rank_profile", record)
+    build_irreducible(context_for(B2), B2, (2, 2), guard=100)
+    assert len(grams) > 30 and any(len(g) > 4 for g in grams)
+    for gram in grams:
+        assert mod_column_rank_profile(gram, len(gram)) == \
+            column_rank_profile(gram, len(gram))
+
+
+def counting(monkeypatch, name):
+    calls = []
+    original = getattr(reps, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(reps, name, wrapper)
+    return calls
+
+
+def test_modular_path_needs_no_exact_profile(monkeypatch):
+    calls = counting(monkeypatch, "column_rank_profile")
+    inverses = counting(monkeypatch, "invert_dense")
+    build_irreducible(context_for(C2), C2, (2, 1))
+    # specialized mode: Fractions take the same path
+    build_irreducible(context_for(C2, s0=Fraction(3, 2)), C2, (2, 1))
+    assert calls == [] and inverses == []
+
+
+def test_fallback_on_vanishing_denominator(monkeypatch):
+    ctx = context_for(A1)
+    pole = ctx.one / (ctx.s_power(1) - MOD_POINT)
+    zero, one, two = ctx.zero, ctx.one, ctx.one + ctx.one
+    assert linalg.mod_image(pole) is None
+    gram = [[pole, pole, one], [pole, pole, one], [one, one, two]]
+    assert mod_column_rank_profile(gram, 3) is None
+    calls = counting(monkeypatch, "column_rank_profile")
+    profile, red = reps._select_candidates(gram, 2)
+    assert len(calls) == 1
+    assert profile == [0, 2]
+    # column 1 equals column 0
+    assert [row[1] for row in red] == [one, zero]
+
+
+@pytest.mark.parametrize("lie,lam", [(B2, (1, 1)), (A3, (1, 0, 1))])
+def test_exact_fallback_builds_the_same_module(monkeypatch, lie, lam):
+    ctx = context_for(lie)
+    want = module_digest(build_irreducible(ctx, lie, lam))
+    monkeypatch.setattr(reps, "mod_column_rank_profile", lambda rows, n: None)
+    calls = counting(monkeypatch, "column_rank_profile")
+    assert module_digest(build_irreducible(ctx, lie, lam)) == want
+    assert calls
+
+
+def test_rank_against_multiplicity_checked_per_weight(monkeypatch):
+    wrong = dict(cartan.weight_multiplicities(A2, (1, 1)))
+    wrong[(0, 0)] = 1
+    monkeypatch.setattr(cartan, "weight_multiplicities",
+                        lambda lie, lam: wrong)
+    with pytest.raises(ConventionError, match="multiplicity"):
+        build_irreducible(context_for(A2), A2, (1, 1))

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from qflag.errors import DomainError, SpecializationError
-from qflag.scalars import (QContext, Scalar, eval_at, qbinom, qfact, qint,
-                           scalar_from_str)
+from qflag.scalars import (QContext, Scalar, eval_at, exact_root, qbinom,
+                           qfact, qint, scalar_from_str)
 
 
 def test_qint_values():
@@ -131,3 +131,26 @@ def test_mixed_coercion():
     assert 2 * x == x + x
     assert x - Fraction(1, 2) == x - Scalar.from_fraction(Fraction(1, 2))
     assert (1 / Scalar.from_int(2)) == Scalar.from_fraction(Fraction(1, 2))
+
+
+def test_exact_root_large_integers():
+    # far beyond float range, and exact powers that float roots round away
+    assert exact_root(Fraction(10 ** 400), 2) == 10 ** 200
+    assert exact_root(Fraction(3 ** 300), 3) == 3 ** 100
+    assert exact_root(Fraction(-(7 ** 155), 2 ** 155), 5) == \
+        Fraction(-(7 ** 31), 2 ** 31)
+    assert exact_root(Fraction(81, 16), 4) == Fraction(3, 2)
+    with pytest.raises(SpecializationError):
+        exact_root(Fraction(10 ** 401), 2)
+    with pytest.raises(SpecializationError):
+        exact_root(Fraction(3 ** 300 + 1), 3)
+
+
+def test_mod_image_is_evaluation_mod_p():
+    p, s0 = 1000003, 7
+    x = (qint(3) + Scalar.s_power(-2) * 5) / (Scalar.s_power(1) - 2)
+    val = eval_at(x, s0=Fraction(s0))
+    want = val.numerator * pow(val.denominator, -1, p) % p
+    assert x.mod_image(p, s0) == want
+    # a pole at the point has no image
+    assert (Scalar.one() / (Scalar.s_power(1) - s0)).mod_image(p, s0) is None
