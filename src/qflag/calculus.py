@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from . import cartan
 from .cartan import FlagSpec
 from .errors import DomainError, TruncationError
-from .linalg import SpanBasis, SparseMatrix, dv_add_scaled, nullspace
+from .linalg import (SpanBasis, SparseMatrix, dv_add_scaled, nullspace, rank,
+                     rows_from_columns)
 from .peterweyl import PWAlgebra, PWElement
 from .rmatrix import Braiding, braiding
 
@@ -109,30 +110,14 @@ class Calculus:
         blocks = []
         dims = []
         for (lam, cols), d in zip(sl.blocks, sl.dims):
-            ops = self.tangent_operators(lam, chirality)
-            images = [[op.matvec(col) for op in ops] for col in cols]
             rows = []
-            targets = [
-                sorted({r for im in images for r in im[p]})
-                for p in range(len(ops))
-            ]
-            zero = alg.ctx.zero
-            for p, targ in enumerate(targets):
-                for r in targ:
-                    rows.append([images[b][p].get(r, zero)
-                                 for b in range(len(cols))])
-            if rows:
-                kernel = nullspace(rows, len(cols), alg.ctx.one)
-            else:
-                kernel = [tuple(alg.ctx.one if t == b else zero
-                                for t in range(len(cols)))
-                          for b in range(len(cols))]
+            for op in self.tangent_operators(lam, chirality):
+                rows.extend(rows_from_columns([op.matvec(col) for col in cols]))
             kcols = []
-            for vec in kernel:
+            for vec in nullspace(rows, len(cols), alg.ctx.one):
                 acc = {}
-                for b, c in enumerate(vec):
-                    if c:
-                        dv_add_scaled(acc, cols[b], c)
+                for b, c in vec.items():
+                    dv_add_scaled(acc, cols[b], c)
                 kcols.append(acc)
             if kcols:
                 blocks.append((lam, tuple(kcols)))
@@ -234,9 +219,7 @@ def gamma_relation_operator(algebra: PWAlgebra, flag: FlagSpec,
     c0 = ctx.q_power(2 * ww - axax)
     n2 = v.dim * v.dim
     op = r.mul(r).add(r.scale(c1)).add(SparseMatrix.identity(n2, ctx.one).scale(c0))
-    dense = [[op.entry(i, j) or ctx.zero for j in range(n2)] for i in range(n2)]
-    from .linalg import rank as _rank
-    rk = _rank(dense, n2)
+    rk = rank(op.row_dicts(), n2)
     cg = algebra.cg(lam, lam)
     blocks = []
     for s in cg.summands:
@@ -315,14 +298,10 @@ def gamma_crosscheck(algebra: PWAlgebra, flag: FlagSpec, trunc: int = 2,
         if not words:
             continue
         # realization kernel on this slice
-        coords = sorted({key for w in words for key in realized[w].coeffs})
-        rows = [[realized[w].coeffs.get(key, ctx.zero) for w in words]
-                for key in coords]
+        rows = rows_from_columns([realized[w].coeffs for w in words])
         rel_kernel = nullspace(rows, len(words), ctx.one) if rows else []
         # formal one-form images
         formal = {w: _formal_dbar(w) for w in words}
-        symbols = sorted({sym for fm in formal.values() for sym in fm})
-        symidx = {s: t for t, s in enumerate(symbols)}
         # relation submodule: Leibniz images of the realization kernel,
         # assembled from the formal images of ALL words (not only this slice's)
         nwords = {w: _formal_dbar(w) for w in all_words}
@@ -331,59 +310,35 @@ def gamma_crosscheck(algebra: PWAlgebra, flag: FlagSpec, trunc: int = 2,
         relation_vectors = []
         for vec in rel_kernel:
             acc = {}
-            for t, cw in enumerate(vec):
-                if cw:
-                    for sym, mult in formal[words[t]].items():
-                        key = nsymidx[sym]
-                        acc[key] = acc.get(key, ctx.zero) + cw * mult
+            for t, cw in vec.items():
+                for sym, mult in formal[words[t]].items():
+                    key = nsymidx[sym]
+                    acc[key] = acc.get(key, ctx.zero) + cw * mult
             relation_vectors.append({k2: v for k2, v in acc.items() if v})
         # kernel of the quotient-route dbar: coefficient vectors c with
         # sum_w c_w dbar(w) in span(relations)
         nun = len(words)
         nrel = len(relation_vectors)
-        sym_rows = {}
-        for t, w in enumerate(words):
-            for sym, mult in formal[w].items():
-                sym_rows.setdefault(nsymidx[sym], {})[t] = \
-                    sym_rows.get(nsymidx[sym], {}).get(t, ctx.zero) + mult
-        eq_rows = []
-        for symkey in sorted(set(sym_rows) |
-                             {kk for rv in relation_vectors for kk in rv}):
-            row = [ctx.zero] * (nun + nrel)
-            for t, cf in sym_rows.get(symkey, {}).items():
-                row[t] = row[t] + cf * ctx.one
-            for g, rv in enumerate(relation_vectors):
-                cf = rv.get(symkey)
-                if cf:
-                    row[nun + g] = row[nun + g] - cf
-            eq_rows.append(row)
-        if eq_rows:
-            combined = nullspace(eq_rows, nun + nrel, ctx.one)
-        else:
-            combined = [tuple(ctx.one if a == b else ctx.zero
-                              for a in range(nun + nrel))
-                        for b in range(nun)]
+        eq_rows = rows_from_columns(
+            [{nsymidx[sym]: ctx.one * mult for sym, mult in formal[w].items()}
+             for w in words] +
+            [{key: -cf for key, cf in rv.items()} for rv in relation_vectors])
+        combined = nullspace(eq_rows, nun + nrel, ctx.one)
         quotient_kernel = SpanBasis()
         for vec in combined:
             acc = {}
-            for t in range(nun):
-                if vec[t]:
-                    dv_add_scaled(acc, realized[words[t]].coeffs, vec[t])
+            for t, cw in vec.items():
+                if t < nun:
+                    dv_add_scaled(acc, realized[words[t]].coeffs, cw)
             if acc:
                 quotient_kernel.insert(acc)
         # tangent-route kernel on the same realized span
         tangent_kernel = SpanBasis()
-        timg = {w: calc.dbar(realized[w]) for w in words}
-        tcoords = sorted({key for im in timg.values() for key in im})
-        trows = [[timg[w].get(key, ctx.zero) for w in words] for key in tcoords]
-        tk = nullspace(trows, len(words), ctx.one) if trows else \
-            [tuple(ctx.one if a == b else ctx.zero for a in range(len(words)))
-             for b in range(len(words))]
-        for vec in tk:
+        trows = rows_from_columns([calc.dbar(realized[w]) for w in words])
+        for vec in nullspace(trows, len(words), ctx.one):
             acc = {}
-            for t, cw in enumerate(vec):
-                if cw:
-                    dv_add_scaled(acc, realized[words[t]].coeffs, cw)
+            for t, cw in vec.items():
+                dv_add_scaled(acc, realized[words[t]].coeffs, cw)
             if acc:
                 tangent_kernel.insert(acc)
         agree = quotient_kernel.equals(tangent_kernel)

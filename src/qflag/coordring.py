@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import cartan
 from .cartan import FlagSpec
 from .errors import ConventionError
-from .linalg import SpanBasis, invert_dense, rank
+from .linalg import SpanBasis, invert_dense, nullspace, rows_from_columns
 from .peterweyl import PWAlgebra, PWElement
 from .rmatrix import Braiding, braiding
 
@@ -77,17 +77,15 @@ def relations_annihilate_realized(algebra: PWAlgebra, flag: FlagSpec,
 
 def realized_degree2_kernel(algebra: PWAlgebra, flag: FlagSpec) -> SpanBasis:
     """Exact kernel of the realization map on degree-2 monomials."""
-    from .linalg import nullspace
     ctx = algebra.ctx
     gens = algebra.generators(flag)
     n = len(gens.z)
     pairs = [(k, l) for k in range(n) for l in range(n)]
-    prods = [algebra.multiply(gens.z[k], gens.z[l]) for k, l in pairs]
-    coords = sorted({key for p in prods for key in p.coeffs})
-    rows = [[p.coeffs.get(key, ctx.zero) for p in prods] for key in coords]
+    rows = rows_from_columns([algebra.multiply(gens.z[k], gens.z[l]).coeffs
+                              for k, l in pairs])
     span = SpanBasis()
     for vec in nullspace(rows, len(pairs), ctx.one):
-        span.insert({pairs[t]: v for t, v in enumerate(vec) if v})
+        span.insert({pairs[t]: v for t, v in vec.items()})
     return span
 
 
@@ -96,20 +94,17 @@ def realized_graded_dimension(algebra: PWAlgebra, flag: FlagSpec, d: int) -> int
     if d == 0:
         return 1
     gens = algebra.generators(flag)
-    n = len(gens.z)
     span = SpanBasis()
-    count = 0
-
-    def rec(prefix_elem, depth):
-        nonlocal count
+    # depth-first over the monomials, with an explicit stack: a recursive
+    # closure would hold the algebra in a reference cycle after returning
+    stack = [(algebra.one(), 0)]
+    while stack:
+        elem, depth = stack.pop()
         if depth == d:
-            if span.insert(dict(prefix_elem.coeffs)):
-                count += 1
-            return
-        for i in range(n):
-            rec(algebra.multiply(prefix_elem, gens.z[i]), depth + 1)
-
-    rec(algebra.one(), 0)
+            span.insert(dict(elem.coeffs))
+            continue
+        stack.extend((algebra.multiply(elem, z), depth + 1)
+                     for z in reversed(gens.z))
     return span.dim
 
 
@@ -146,8 +141,8 @@ def mixed_commutation_check(algebra: PWAlgebra, flag: FlagSpec) -> dict:
     v = algebra.module(gens.lam)
     w = algebra.module(gens.lam_bar)
     pair = algebra.pairing(gens.lam)
-    dense = [[pair.entry(r, c) or ctx.zero for c in range(n)] for r in range(n)]
-    pinv = invert_dense(dense, ctx.one)
+    prows = pair.row_dicts()
+    pinv = invert_dense(prows, ctx.one)
     br = braiding(v, w)
     qll = ctx.q_power(cartan.bilinear(algebra.lie, gens.lam, gens.lam))
     prods = {(k, l): algebra.multiply(gens.z[k], gens.zbar[l])
@@ -160,13 +155,10 @@ def mixed_commutation_check(algebra: PWAlgebra, flag: FlagSpec) -> dict:
             for k in range(n):
                 for l in range(n):
                     coeff = ctx.zero
-                    for u in range(n):
-                        piu = dense[i][u]
-                        if not piu:
-                            continue
+                    for u, piu in prows[i].items():
                         for t in range(n):
                             val = br.matrix.entry(u * v.dim + j, k * w.dim + t)
-                            if val:
+                            if val and l in pinv[t]:
                                 coeff = coeff + piu * val * pinv[t][l]
                     if coeff:
                         acc = acc + prods[(k, l)].scale(qll * coeff)

@@ -4,20 +4,24 @@ Values only need +, -, *, /, equality, and truthiness as the zero test; both
 :class:`qflag.scalars.Scalar` and :class:`fractions.Fraction` qualify, so the
 same elimination code serves the symbolic and the specialized mode.
 
-Three views of a linear object are used:
+Two views of a linear object are used:
 
-* dense rows (lists of lists) for small weight-block systems,
-* dict-vectors ``{key: value}`` with sortable keys for spans of algebra
-  elements, echelonized incrementally by :class:`SpanBasis`,
+* dict-vectors ``{key: value}`` (no explicit zeros): the rows of every linear
+  system handed to :func:`eliminate` and its wrappers, and spans of algebra
+  elements with sortable keys, echelonized incrementally by
+  :class:`SpanBasis`;
 * :class:`SparseMatrix` for generator matrices (band-sparse) and their
   products.
 
-All pivot choices are deterministic: leftmost column, then cheapest entry
-(term-count proxy), then lowest row index.
+:func:`eliminate` is the one exact elimination engine.  It keeps each row as
+a dict and a column -> rows index, so it touches nonzero entries only.  All
+pivot choices are deterministic: leftmost column, then cheapest entry
+(term-count proxy), then lowest current row position, the pivot row being
+swapped into place.
 
-:func:`mod_column_rank_profile` also needs an image in Z/p: a
-``mod_image(p, s)`` method (Scalar) or ``numerator``/``denominator``
-(Fraction, int).
+:func:`mod_row_profile` chooses independent rows in Z/p at a fixed point of
+s; it needs an image in Z/p: a ``mod_image(p, s)`` method (Scalar) or
+``numerator``/``denominator`` (Fraction, int).
 """
 
 from __future__ import annotations
@@ -40,59 +44,73 @@ def _cost(v) -> int:
     return 1
 
 
-def echelon(rows, ncols, reduce_up=True):
-    """Row-reduce a copy of ``rows``; returns (pivot column list, rows).
+def eliminate(rows, ncols, reduce_up=True):
+    """Row-reduce copies of the dict rows; returns (pivot columns, rows).
 
     Pivots are sought in columns 0..ncols-1 (scanned left to right, so the
-    pivot list is the column rank profile); row operations run over the full
-    row width, so trailing augmented columns are transformed along.  With
-    ``reduce_up`` the result is the RREF.
+    pivot list is the column rank profile); row operations act on every key,
+    so augmented columns (keys >= ncols) are transformed along.  The returned
+    rows are in their final positions: row r carries pivot r.  With
+    ``reduce_up`` the pivot rows are the RREF.
     """
-    work = [list(r) for r in rows]
-    width = len(work[0]) if work else ncols
+    work = [{c: v for c, v in row.items() if v} for row in rows]
+    nrows = len(work)
+    order = list(range(nrows))    # position -> row id
+    where = list(range(nrows))    # row id -> position
+    at = {}                       # column -> ids of the rows with an entry
+    for rid, row in enumerate(work):
+        for c in row:
+            at.setdefault(c, set()).add(rid)
     pivots = []
     r0 = 0
     for col in range(ncols):
-        best = -1
-        best_cost = None
-        for r in range(r0, len(work)):
-            v = work[r][col]
-            if v:
-                c = _cost(v)
-                if best < 0 or c < best_cost:
-                    best, best_cost = r, c
-        if best < 0:
+        best = None
+        for rid in at.get(col, ()):
+            pos = where[rid]
+            if pos >= r0:
+                key = (_cost(work[rid][col]), pos)
+                if best is None or key < best_key:
+                    best, best_key = rid, key
+        if best is None:
             continue
-        work[r0], work[best] = work[best], work[r0]
-        row = work[r0]
+        moved = order[r0]
+        order[r0], order[best_key[1]] = best, moved
+        where[best], where[moved] = r0, best_key[1]
+        row = work[best]
         inv = row[col]
         if not (inv == 1):
-            row[col:] = [x / inv for x in row[col:]]
-        rng = range(0, len(work)) if reduce_up else range(r0 + 1, len(work))
-        for r in rng:
-            if r == r0:
-                continue
-            f = work[r][col]
-            if f:
-                other = work[r]
-                for j in range(col, width):
-                    if row[j]:
-                        other[j] = other[j] - f * row[j]
+            for c, x in row.items():
+                row[c] = x / inv
+        items = list(row.items())
+        for rid in [rid for rid in at[col]
+                    if rid != best and (reduce_up or where[rid] > r0)]:
+            other = work[rid]
+            f = other[col]
+            for c, x in items:
+                y = other.get(c)
+                if y is None:
+                    other[c] = -(f * x)
+                    at.setdefault(c, set()).add(rid)
+                else:
+                    y = y - f * x
+                    if y:
+                        other[c] = y
+                    else:
+                        del other[c]
+                        at[c].discard(rid)
         pivots.append(col)
         r0 += 1
-        if r0 == len(work):
+        if r0 == nrows:
             break
-    return pivots, work
+    return pivots, [work[rid] for rid in order]
 
 
 def rank(rows, ncols) -> int:
-    pivots, _ = echelon(rows, ncols, reduce_up=False)
-    return len(pivots)
+    return len(eliminate(rows, ncols, reduce_up=False)[0])
 
 
 def column_rank_profile(rows, ncols):
-    pivots, _ = echelon(rows, ncols, reduce_up=False)
-    return pivots
+    return eliminate(rows, ncols, reduce_up=False)[0]
 
 
 def mod_image(v):
@@ -110,99 +128,123 @@ def mod_image(v):
     return v.numerator * pow(den, -1, MOD_PRIME) % MOD_PRIME
 
 
-def mod_column_rank_profile(rows, ncols):
-    """Column rank profile of the image of ``rows`` in Z/p, p = MOD_PRIME.
+def mod_row_profile(rows, limit=None):
+    """Indices of the lowest-index dict rows independent in Z/p, p = MOD_PRIME.
 
-    Returns None when an entry has no image (see :func:`mod_image`).
-    Columns independent mod p are independent over the field, so the
-    profile's size is a lower bound of the exact rank.
+    Rows are taken in order and kept when independent of the kept ones, so
+    on the transpose this is the column rank profile.  Stops once ``limit``
+    rows are kept.  Returns None when an entry of a row it reads has no
+    image (see :func:`mod_image`).  Rows independent mod p are independent
+    over the field, so the count is a lower bound of the exact rank.
     """
     p = MOD_PRIME
-    work = []
-    for row in rows:
-        out = []
-        for v in row:
-            x = mod_image(v)
-            if x is None:
-                return None
-            out.append(x)
-        work.append(out)
-    pivots = []
-    r0 = 0
-    for col in range(ncols):
-        best = next((r for r in range(r0, len(work)) if work[r][col]), None)
-        if best is None:
-            continue
-        work[r0], work[best] = work[best], work[r0]
-        row = work[r0]
-        inv = pow(row[col], -1, p)
-        for r in range(r0 + 1, len(work)):
-            other = work[r]
-            f = other[col] * inv % p
-            if f:
-                for j in range(col, ncols):
-                    if row[j]:
-                        other[j] = (other[j] - f * row[j]) % p
-        pivots.append(col)
-        r0 += 1
-        if r0 == len(work):
+    basis = {}   # leading column -> kept row reduced mod p, leading entry 1
+    kept = []
+    for idx, row in enumerate(rows):
+        if len(kept) == limit:
             break
-    return pivots
+        vec = {}
+        for c, x in row.items():
+            y = mod_image(x)
+            if y is None:
+                return None
+            if y:
+                vec[c] = y
+        while vec:
+            lead = min(vec)
+            base = basis.get(lead)
+            if base is None:
+                inv = pow(vec[lead], -1, p)
+                basis[lead] = {c: y * inv % p for c, y in vec.items()}
+                kept.append(idx)
+                break
+            f = vec[lead]
+            for c, y in base.items():
+                z = (vec.get(c, 0) - f * y) % p
+                if z:
+                    vec[c] = z
+                else:
+                    del vec[c]
+    return kept
 
 
 def nullspace(rows, ncols, one):
-    """Deterministic basis of {x : rows @ x = 0}, as tuples of length ncols."""
-    pivots, red = echelon(rows, ncols)
+    """Deterministic basis of {x : rows @ x = 0}, as dict-vectors.
+
+    One vector per free column f, in increasing f: x_f = 1, and each pivot
+    column takes minus the RREF entry of its row at f.  Keys ascend.
+    """
+    pivots, red = eliminate(rows, ncols)
     pivset = set(pivots)
-    basis = []
-    zero = one - one
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        x = [zero] * ncols
-        x[free] = one
-        for r, p in enumerate(pivots):
-            v = red[r][free]
-            if v:
-                x[p] = -v
-        basis.append(tuple(x))
-    return basis
+    basis = {f: {} for f in range(ncols) if f not in pivset}
+    for p, row in zip(pivots, red):
+        for c, v in row.items():
+            vec = basis.get(c)
+            if vec is not None:
+                vec[p] = -v
+    for f, vec in basis.items():
+        vec[f] = one
+    return list(basis.values())
 
 
 def solve_unique(rows, rhs, ncols, one):
-    """Solve rows @ x = rhs demanding a unique solution.
+    """Solve rows @ x = rhs (dict rows) demanding a unique solution.
 
+    The lowest-index rows independent mod p are chosen first; when there are
+    ncols of them they are independent over the field, one square exact
+    solve gives x, and every other row is checked exactly.  Otherwise (or
+    when an entry has no image mod p) the whole system is eliminated.
     Raises ConventionError when the system is inconsistent or the solution
     space has positive dimension.
     """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots, red = echelon(aug, ncols)
+    zero = one - one
+    chosen = mod_row_profile(rows, ncols)
+    if chosen is not None and len(chosen) == ncols:
+        _, red = eliminate([{**rows[i], ncols: rhs[i]} for i in chosen], ncols)
+        x = [row.get(ncols, zero) for row in red]
+        chosen = set(chosen)
+        for i, (row, b) in enumerate(zip(rows, rhs)):
+            if i not in chosen:
+                acc = zero
+                for c, v in row.items():
+                    acc = acc + v * x[c]
+                if acc != b:
+                    raise ConventionError("inconsistent linear system")
+        return x
+    pivots, red = eliminate(
+        [{**row, ncols: b} for row, b in zip(rows, rhs)], ncols)
     for row in red[len(pivots):]:
-        if row[ncols]:
+        if row:
             raise ConventionError("inconsistent linear system")
     if len(pivots) < ncols:
         raise ConventionError(
             f"solution space has dimension {ncols - len(pivots)}, expected 0")
-    zero = one - one
-    x = [zero] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][ncols]
-    return x
+    return [row.get(ncols, zero) for row in red[:ncols]]
 
 
 def invert_dense(rows, one):
-    """Inverse of a square dense matrix (list of lists)."""
+    """Inverse of a square matrix given by n dict rows, as n dict rows."""
     n = len(rows)
-    zero = one - one
-    aug = [list(r) + [one if i == j else zero for j in range(n)]
-           for i, r in enumerate(rows)]
-    pivots, red = echelon(aug, n)
+    pivots, red = eliminate([{**row, n + i: one} for i, row in enumerate(rows)],
+                            n)
     if len(pivots) != n:
         raise ConventionError("singular matrix")
-    return [row[n:] for row in red]
+    return [{c - n: v for c, v in row.items() if c >= n} for row in red]
 
 
 # -- dict-vectors ------------------------------------------------------------
+
+
+def rows_from_columns(columns):
+    """Dict rows of the matrix whose column t is the dict-vector columns[t].
+
+    One row per key that some column has, in sorted key order.
+    """
+    rows = {}
+    for t, col in enumerate(columns):
+        for key, v in col.items():
+            rows.setdefault(key, {})[t] = v
+    return [rows[key] for key in sorted(rows)]
 
 
 def dv_scale(v, c):
@@ -312,6 +354,13 @@ class SparseMatrix:
                 lst.sort(key=lambda t: t[0])
             self._cols = cols
         return self._cols
+
+    def row_dicts(self):
+        """Rows as dict-vectors {col: value}, one per row."""
+        rows = [{} for _ in range(self.nrows)]
+        for (i, j), v in self.data.items():
+            rows[i][j] = v
+        return rows
 
     def is_zero(self) -> bool:
         return not self.data

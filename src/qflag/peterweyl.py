@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from . import cartan
 from .cartan import FlagSpec, LieType
 from .errors import ConventionError, DomainError
-from .linalg import SparseMatrix, dv_add_scaled, nullspace
+from .linalg import (SparseMatrix, dv_add_scaled, nullspace,
+                     rows_from_columns, solve_unique)
 from .reps import (CGDecomposition, CGSummand, LusztigOperators, ModuleData,
                    build_irreducible, context_for, decompose, dual_pairing,
                    tensor)
@@ -229,6 +230,13 @@ class PWAlgebra:
             raise
 
     def _load_cg(self, lam, mu):
+        """The cached decomposition, or None on a miss.
+
+        A file that is unreadable, foreign, or malformed counts as a miss:
+        wrong or mistyped keys, unparsable scalars, indices outside the
+        matrix shapes, a summand weight that is not dominant and below
+        lam + mu, or summand dims not adding up to dim V_lam * dim V_mu.
+        """
         if self.cache_dir is None or not self.ctx.symbolic:
             return None
         path = self._cache_path(lam, mu)
@@ -237,23 +245,58 @@ class PWAlgebra:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
             return None
-        if (doc.get("format") != CACHE_FORMAT or doc.get("kind") != "cg"
-                or doc.get("type") != str(self.lie) or doc.get("L") != self.ctx.L
-                or doc.get("lambda") != list(lam) or doc.get("mu") != list(mu)):
+        if (not isinstance(doc, dict) or doc.get("format") != CACHE_FORMAT
+                or doc.get("kind") != "cg" or doc.get("type") != str(self.lie)
+                or doc.get("L") != self.ctx.L or doc.get("lambda") != list(lam)
+                or doc.get("mu") != list(mu)
+                or not isinstance(doc.get("summands"), list)):
             return None
+        top = tuple(a + b for a, b in zip(lam, mu))
         t_dim = self.module(lam).dim * self.module(mu).dim
         summands = []
+        total = 0
         for s in doc["summands"]:
-            nu = tuple(s["nu"])
+            nu = s.get("nu") if isinstance(s, dict) else None
+            if not (isinstance(nu, list) and len(nu) == self.lie.rank
+                    and all(type(x) is int and x >= 0 for x in nu)):
+                return None
+            try:
+                depth = cartan.weight_to_root_int(
+                    self.lie, tuple(a - b for a, b in zip(top, nu)))
+            except DomainError:
+                return None
+            if any(x < 0 for x in depth):
+                return None
+            nu = tuple(nu)
             d = self.module(nu).dim
-            emb = SparseMatrix(t_dim, d, {
-                (r, c): self.ctx.parse(v) for r, c, v in s["emb"]})
-            proj = SparseMatrix(d, t_dim, {
-                (r, c): self.ctx.parse(v) for r, c, v in s["proj"]})
+            emb = self._parse_entries(s.get("emb"), t_dim, d)
+            proj = self._parse_entries(s.get("proj"), d, t_dim)
+            if emb is None or proj is None:
+                return None
             summands.append(CGSummand(nu, emb, proj))
+            total += d
+        if total != t_dim:
+            return None
         return CGDecomposition(tuple(summands))
+
+    def _parse_entries(self, entries, nrows, ncols):
+        """SparseMatrix from cached [row, col, scalar text] triples, or None."""
+        if not isinstance(entries, list):
+            return None
+        data = {}
+        parse = self.ctx.parse
+        try:
+            for r, c, text in entries:
+                if not (type(r) is int and type(c) is int
+                        and 0 <= r < nrows and 0 <= c < ncols
+                        and isinstance(text, str)):
+                    return None
+                data[(r, c)] = parse(text)
+        except (TypeError, ValueError, ZeroDivisionError):
+            return None
+        return SparseMatrix(nrows, ncols, data)
 
     # -- Hopf-algebra operations ----------------------------------------------
 
@@ -393,14 +436,11 @@ class PWAlgebra:
         rows = []
         for j in snodes:
             for mat in (m.e_mats[j - 1], m.f_mats[j - 1]):
-                targets = sorted({r for c in idxs
-                                  for r, _ in mat.by_col().get(c, ())})
-                for r in targets:
-                    rows.append([mat.entry(r, c) or self.ctx.zero for c in idxs])
-        if not rows:
-            return [{t: self.ctx.one} for t in idxs]
+                cols = mat.by_col()
+                rows.extend(rows_from_columns([dict(cols.get(c, ()))
+                                               for c in idxs]))
         basis = nullspace(rows, len(idxs), self.ctx.one)
-        return [{idxs[t]: v for t, v in enumerate(vec) if v} for vec in basis]
+        return [{idxs[t]: v for t, v in vec.items()} for vec in basis]
 
     def generators(self, flag: FlagSpec) -> Generators:
         got = self._gens.get(flag)
@@ -416,11 +456,8 @@ class PWAlgebra:
         z = tuple(self.basis_element(lam, i, hw) for i in range(v.dim))
         # w_low solves pairing . w_low = delta_{hw}: the vector of V_{lam_bar}
         # carried to the functional dual to the highest weight vector of V_lam
-        from .linalg import solve_unique
-        dense = [[pair.entry(r, c) or self.ctx.zero for c in range(v.dim)]
-                 for r in range(v.dim)]
         rhs = [self.ctx.one if r == hw else self.ctx.zero for r in range(v.dim)]
-        w_low = solve_unique(dense, rhs, v.dim, self.ctx.one)
+        w_low = solve_unique(pair.row_dicts(), rhs, v.dim, self.ctx.one)
         zbar = []
         for j in range(v.dim):
             coeffs = {}

@@ -37,8 +37,8 @@ from .cartan import LieType, Weight
 from .errors import (ConventionError, DimensionGuardError, DomainError,
                      ReducibleModuleError, SpecializationError)
 from .linalg import (SparseMatrix, column_rank_profile, dv_add_scaled,
-                     echelon, invert_dense, mod_column_rank_profile,
-                     nullspace)
+                     eliminate, invert_dense, mod_row_profile, nullspace,
+                     rows_from_columns)
 from .scalars import QContext
 
 DEFAULT_GUARD = 64
@@ -93,26 +93,29 @@ def _select_candidates(gram, want: int):
     """Column rank profile of a weight space's Gram matrix, with the RREF.
 
     Returns the profile and the reduced row echelon form of the Gram rows
-    at the profile (None when every column is kept); column t of the RREF
-    expands candidate t in the kept ones.  The profile is first taken in
-    Z/p at a fixed point: when it has ``want`` columns (the weight's
-    multiplicity, an upper bound of the rank over Q(s)), those columns are
-    independent over Q(s), the chosen rows span the row space, and the
-    RREF's pivots are the exact profile, which is checked.  Otherwise, or
-    when an entry has no image mod p, the exact profile is computed.
+    at the profile as dict rows (None when every column is kept); column t
+    of the RREF expands candidate t in the kept ones.  The profile is first
+    taken in Z/p at a fixed point, as the modular row profile of the Gram's
+    columns: when it has ``want`` columns (the weight's multiplicity, an
+    upper bound of the rank over Q(s)), those columns are independent over
+    Q(s), the chosen rows span the row space, and the RREF's pivots are the
+    exact profile, which is checked.  Otherwise, or when an entry has no
+    image mod p, the exact profile is computed.
     """
     m = len(gram)
-    profile = mod_column_rank_profile(gram, m)
+    rows = [{t: v for t, v in enumerate(row) if v} for row in gram]
+    profile = mod_row_profile(
+        [{s: gram[s][t] for s in range(m) if t in rows[s]} for t in range(m)])
     if profile is not None and len(profile) == want:
         if want == m:
             return profile, None
-        pivots, red = echelon([gram[s] for s in profile], m)
+        pivots, red = eliminate([rows[s] for s in profile], m)
         if pivots == profile:
             return profile, red
-    profile = column_rank_profile(gram, m)
+    profile = column_rank_profile(rows, m)
     if not profile or len(profile) == m:
         return profile, None
-    pivots, red = echelon([gram[s] for s in profile], m)
+    pivots, red = eliminate([rows[s] for s in profile], m)
     if pivots != profile:
         raise ConventionError("kept block of the Gram matrix is singular")
     return profile, red
@@ -234,7 +237,7 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
                     fimg[u][j] = {sel[t]: one}
                 else:
                     fimg[u][j] = {base + k: row[t] for k, row in enumerate(red)
-                                  if row[t]}
+                                  if t in row}
             spaces[c] = {"idx": [base + k for k in range(len(profile))],
                          "gram": [[gram[s][t] for t in profile]
                                   for s in profile]}
@@ -420,7 +423,6 @@ def decompose(t_mod: ModuleData, module_store) -> CGDecomposition:
     lie, ctx = t_mod.lie, t_mod.ctx
     n = lie.rank
     one = ctx.one
-    zero = ctx.zero
     by_weight = t_mod.weight_indices()
     summands = []
     cols = []  # (weight of column, dict-vec) in global column order
@@ -429,15 +431,11 @@ def decompose(t_mod: ModuleData, module_store) -> CGDecomposition:
         idxs = by_weight[nu]
         rows = []
         for i in range(n):
-            targets = sorted({r for c in idxs
-                              for r, _ in t_mod.e_mats[i].by_col().get(c, ())})
-            for r in targets:
-                rows.append([t_mod.e_mats[i].entry(r, c) or zero for c in idxs])
-        kernel = nullspace(rows, len(idxs), one) if rows else \
-            [tuple(one if k == j else zero for k in range(len(idxs)))
-             for j in range(len(idxs))]
-        for vec in kernel:
-            u = {idxs[k]: v for k, v in enumerate(vec) if v}
+            ecols = t_mod.e_mats[i].by_col()
+            rows.extend(rows_from_columns([dict(ecols.get(c, ()))
+                                           for c in idxs]))
+        for vec in nullspace(rows, len(idxs), one):
+            u = {idxs[k]: v for k, v in vec.items()}
             v_nu = module_store(nu)
             emb_cols = [None] * v_nu.dim
             emb_cols[0] = u
@@ -468,14 +466,14 @@ def decompose(t_mod: ModuleData, module_store) -> CGDecomposition:
         ridx = by_weight[w]
         if len(ridx) != len(gcols):
             raise ConventionError("weight block is not square")
-        block = [[gcols[c][1].get(r, zero) for c in range(len(gcols))]
-                 for r in ridx]
-        inv = invert_dense(block, one)
-        for a in range(len(gcols)):
-            for b, r in enumerate(ridx):
-                v = inv[a][b]
-                if v:
-                    uinv[(gcols[a][0], r)] = v
+        block = [{} for _ in ridx]
+        pos = {r: b for b, r in enumerate(ridx)}
+        for c, (_, col) in enumerate(gcols):
+            for r, v in col.items():
+                block[pos[r]][c] = v
+        for (gc, _), row in zip(gcols, invert_dense(block, one)):
+            for b, v in row.items():
+                uinv[(gc, ridx[b])] = v
     for k, s in enumerate(summands):
         v_nu = module_store(s[0])
         off = col_offsets[k]
@@ -626,13 +624,11 @@ class LusztigOperators:
             rows = by_weight.get(target)
             if rows is None or len(rows) != len(cols):
                 raise ConventionError("braid operator weight blocks mismatched")
-            block = [[th.entry(r, c) or m.ctx.zero for c in cols] for r in rows]
-            binv = invert_dense(block, m.ctx.one)
-            for a, c in enumerate(cols):
-                for b, r in enumerate(rows):
-                    v = binv[a][b]
-                    if v:
-                        data[(c, r)] = v
+            block = [{a: v for a, c in enumerate(cols)
+                      if (v := th.entry(r, c)) is not None} for r in rows]
+            for c, row in zip(cols, invert_dense(block, m.ctx.one)):
+                for b, v in row.items():
+                    data[(c, rows[b])] = v
         inv = SparseMatrix(m.dim, m.dim, data)
         self._theta_inv[i] = inv
         return inv
@@ -663,7 +659,7 @@ class LusztigOperators:
 
 
 def nullspace_of_conjugation(m: ModuleData, i: int):
-    """Solve the braid conjugation system directly (test oracle; dense)."""
+    """Solve the braid conjugation system directly (test oracle)."""
     lie, ctx = m.lie, m.ctx
     n = m.dim
     unknowns = [(r, c) for r in range(n) for c in range(n)]
@@ -684,10 +680,7 @@ def nullspace_of_conjugation(m: ModuleData, i: int):
                         if a == r:
                             row[uidx[(b, c)]] = row.get(uidx[(b, c)], ctx.zero) - v
                     if row:
-                        dense = [ctx.zero] * len(unknowns)
-                        for k, v in row.items():
-                            dense[k] = v
-                        rows.append(dense)
+                        rows.append(row)
     return nullspace(rows, len(unknowns), ctx.one)
 
 

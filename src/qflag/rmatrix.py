@@ -5,7 +5,9 @@ must intertwine the generator action through the coproduct, send the highest
 leading position (j, i) of each input (i, j) to q^((wt e_i, wt f_j)) exactly,
 and otherwise produce only terms f_k (x) e_l whose first-slot weight drops
 strictly below wt(f_j) in the dominance order (weight preservation then
-forces the second slot up).  The solver refuses non-unique or inconsistent
+forces the second slot up).  The generator actions are the matrices of the
+tensor modules V (x) W and W (x) V; the equations are sparse rows, solved by
+:func:`qflag.linalg.solve_unique`, which refuses non-unique or inconsistent
 systems instead of picking a representative.
 """
 
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 
 from . import cartan
 from .errors import ConventionError
-from .linalg import SparseMatrix, solve_unique
-from .reps import ModuleData
+from .linalg import SparseMatrix, invert_dense, solve_unique
+from .reps import ModuleData, tensor
 
 
 def _strictly_below(lie, mu, nu):
@@ -29,31 +31,6 @@ def _strictly_below(lie, mu, nu):
     except Exception:
         return False
     return all(x >= 0 for x in c)
-
-
-def _tensor_action(v: ModuleData, w: ModuleData, kind: str, a: int, i: int, j: int):
-    """Action of a generator on e_i (x) f_j, as {(i', j'): coeff}."""
-    ctx = v.ctx
-    out = {}
-    if kind == "E":
-        # E (x) K + 1 (x) E
-        kw = ctx.q_power(w.k_exps[a - 1][j])
-        for r, val in v.e_mats[a - 1].by_col().get(i, ()):
-            out[(r, j)] = val * kw
-        for s, val in w.e_mats[a - 1].by_col().get(j, ()):
-            key = (i, s)
-            out[key] = out.get(key, ctx.zero) + val
-    elif kind == "F":
-        # F (x) 1 + K^{-1} (x) F
-        for r, val in v.f_mats[a - 1].by_col().get(i, ()):
-            out[(r, j)] = val
-        kv = ctx.q_power(-v.k_exps[a - 1][i])
-        for s, val in w.f_mats[a - 1].by_col().get(j, ()):
-            key = (i, s)
-            out[key] = out.get(key, ctx.zero) + kv * val
-    else:
-        raise ConventionError(f"unsupported generator kind {kind}")
-    return {k: c for k, c in out.items() if c}
 
 
 @dataclass
@@ -75,7 +52,6 @@ class Braiding:
     def inverse(self) -> SparseMatrix:
         """Blockwise (per weight) inverse, W (x) V -> V (x) W."""
         v, w = self.v, self.w
-        ctx = v.ctx
         rows_by = {}
         for k in range(w.dim):
             for l in range(v.dim):
@@ -87,19 +63,16 @@ class Braiding:
                 mu = tuple(a + b for a, b in zip(v.weights[i], w.weights[j]))
                 cols_by.setdefault(mu, []).append(i * w.dim + j)
         data = {}
-        from .linalg import invert_dense
         for mu, rows in rows_by.items():
             cols = cols_by.get(mu, [])
             if len(rows) != len(cols):
                 raise ConventionError("braiding weight blocks are not square")
-            block = [[self.matrix.entry(r, c) or ctx.zero for c in cols]
+            block = [{a: x for a, c in enumerate(cols)
+                      if (x := self.matrix.entry(r, c)) is not None}
                      for r in rows]
-            binv = invert_dense(block, ctx.one)
-            for a, c in enumerate(cols):
-                for b, r in enumerate(rows):
-                    val = binv[a][b]
-                    if val:
-                        data[(c, r)] = val
+            for c, row in zip(cols, invert_dense(block, v.ctx.one)):
+                for b, x in row.items():
+                    data[(c, rows[b])] = x
         return SparseMatrix(self.matrix.ncols, self.matrix.nrows, data)
 
 
@@ -108,94 +81,63 @@ def braiding(v: ModuleData, w: ModuleData) -> Braiding:
     if v.lie != w.lie:
         raise ConventionError("braiding of modules over different types")
     lie, ctx = v.lie, v.ctx
-    fixed = {}     # (row, col) -> scalar
-    unknown_at = {}  # (row, col) -> unknown index
-    unknowns = []
-    cols_support = {}
-    for i in range(v.dim):
-        for j in range(w.dim):
-            col = i * w.dim + j
+    dv, dw = v.dim, w.dim
+    below = [[k for k in range(dw)
+              if _strictly_below(lie, w.weights[k], w.weights[j])]
+             for j in range(dw)]
+    v_at = v.weight_indices()
+    fixed = {}      # (row, col) -> the leading coefficient
+    support = []    # per col: (row, unknown index, or None at the lead)
+    unknowns = []   # (row, col) per unknown
+    for i in range(dv):
+        for j in range(dw):
+            col = i * dw + j
             total = tuple(a + b for a, b in zip(v.weights[i], w.weights[j]))
-            support = []
-            lead = (j, i)
-            fixed[(j * v.dim + i, col)] = ctx.q_power(
+            fixed[(j * dv + i, col)] = ctx.q_power(
                 cartan.bilinear(lie, v.weights[i], w.weights[j]))
-            support.append(lead)
-            for k in range(w.dim):
-                if not _strictly_below(lie, w.weights[k], w.weights[j]):
-                    continue
-                for l in range(v.dim):
-                    tw = tuple(a + b for a, b in zip(w.weights[k], v.weights[l]))
-                    if tw == total:
-                        unknown_at[(k * v.dim + l, col)] = len(unknowns)
-                        unknowns.append((k * v.dim + l, col))
-                        support.append((k, l))
-            cols_support[col] = support
-    nun = len(unknowns)
+            sup = [(j * dv + i, None)]
+            for k in below[j]:
+                rest = tuple(a - b for a, b in zip(total, w.weights[k]))
+                for l in v_at.get(rest, ()):
+                    sup.append((k * dv + l, len(unknowns)))
+                    unknowns.append((k * dv + l, col))
+            support.append(sup)
+    vw = tensor(v, w)
+    wv = vw if v is w else tensor(w, v)
     rows = []
     rhs = []
     zero = ctx.zero
     for kind in ("E", "F"):
         for a in range(1, lie.rank + 1):
-            for i in range(v.dim):
-                for j in range(w.dim):
-                    col = i * w.dim + j
-                    # LHS: R(g . (e_i (x) f_j)); RHS: g . R(e_i (x) f_j)
-                    lhs = {}
-                    for (i2, j2), cf in _tensor_action(v, w, kind, a, i, j).items():
-                        c2 = i2 * w.dim + j2
-                        for (k, l) in cols_support[c2]:
-                            r2 = k * v.dim + l
-                            u = unknown_at.get((r2, c2))
-                            if u is not None:
-                                lhs.setdefault(r2, {}).setdefault(u, zero)
-                                lhs[r2][u] = lhs[r2][u] + cf
-                            else:
-                                lhs.setdefault(r2, {}).setdefault(-1, zero)
-                                lhs[r2][-1] = lhs[r2][-1] + cf * fixed[(r2, c2)]
-                    rhs_map = {}
-                    for (k, l) in cols_support[col]:
-                        r0 = k * v.dim + l
-                        u = unknown_at.get((r0, col))
-                        for (k2, l2), cf in _tensor_action(w, v, kind, a, k, l).items():
-                            r2 = k2 * v.dim + l2
-                            if u is not None:
-                                rhs_map.setdefault(r2, {}).setdefault(u, zero)
-                                rhs_map[r2][u] = rhs_map[r2][u] + cf
-                            else:
-                                rhs_map.setdefault(r2, {}).setdefault(-1, zero)
-                                rhs_map[r2][-1] = rhs_map[r2][-1] + \
-                                    cf * fixed[(r0, col)]
-                    for r2 in sorted(set(lhs) | set(rhs_map)):
-                        row = [zero] * nun
-                        const = zero
-                        for uu, cf in lhs.get(r2, {}).items():
-                            if uu < 0:
-                                const = const + cf
-                            else:
-                                row[uu] = row[uu] + cf
-                        for uu, cf in rhs_map.get(r2, {}).items():
-                            if uu < 0:
-                                const = const - cf
-                            else:
-                                row[uu] = row[uu] - cf
-                        if any(row) or const:
-                            rows.append(row)
-                            rhs.append(-const)
-    if nun:
-        sol = solve_unique(rows, rhs, nun, ctx.one)
-    else:
-        sol = []
-        for row, b in zip(rows, rhs):
-            if b:
-                raise ConventionError("inconsistent braiding system")
+            act_in = vw.gen_matrix(kind, a).by_col()
+            act_out = wv.gen_matrix(kind, a).by_col()
+            for col in range(dv * dw):
+                # R(g . (e_i (x) f_j)) - g . R(e_i (x) f_j), per output row;
+                # the key None collects the leading (known) terms
+                eqs = {}
+                for c2, cf in act_in.get(col, ()):
+                    for r2, u in support[c2]:
+                        eq = eqs.setdefault(r2, {})
+                        term = cf if u is not None else cf * fixed[(r2, c2)]
+                        eq[u] = eq[u] + term if u in eq else term
+                for r0, u in support[col]:
+                    for r2, cf in act_out.get(r0, ()):
+                        eq = eqs.setdefault(r2, {})
+                        term = cf if u is not None else cf * fixed[(r0, col)]
+                        eq[u] = eq[u] - term if u in eq else -term
+                for r2 in sorted(eqs):
+                    eq = eqs[r2]
+                    const = eq.pop(None, zero)
+                    row = {u: x for u, x in eq.items() if x}
+                    if row or const:
+                        rows.append(row)
+                        rhs.append(-const)
+    sol = solve_unique(rows, rhs, len(unknowns), ctx.one)
     data = dict(fixed)
-    for u, (r, c) in enumerate(unknowns):
-        val = sol[u]
-        if val:
-            data[(r, c)] = val
-    dim = v.dim * w.dim
-    return Braiding(v, w, SparseMatrix(dim, dim, data))
+    for (r, c), x in zip(unknowns, sol):
+        if x:
+            data[(r, c)] = x
+    return Braiding(v, w, SparseMatrix(dv * dw, dv * dw, data))
 
 
 def kron_with_identity(mat: SparseMatrix, dim_id: int, side: str) -> SparseMatrix:
@@ -227,37 +169,11 @@ def ybe_check(v: ModuleData, br: Braiding | None = None) -> bool:
 
 def intertwines(br: Braiding) -> bool:
     """Check R rho_{V(x)W}(x) = rho_{W(x)V}(x) R for all generators."""
-    v, w = br.v, br.w
-    lie, ctx = v.lie, v.ctx
-
-    def tensor_matrix(m1, m2, kind, a):
-        d2 = m2.dim
-        dim = m1.dim * d2
-        data = {}
-        if kind == "E":
-            for (r, c), val in m1.e_mats[a - 1].data.items():
-                for b in range(d2):
-                    data[(r * d2 + b, c * d2 + b)] = val * \
-                        ctx.q_power(m2.k_exps[a - 1][b])
-            for t in range(m1.dim):
-                for (r, c), val in m2.e_mats[a - 1].data.items():
-                    key = (t * d2 + r, t * d2 + c)
-                    data[key] = data.get(key, ctx.zero) + val
-        else:
-            for (r, c), val in m1.f_mats[a - 1].data.items():
-                for b in range(d2):
-                    data[(r * d2 + b, c * d2 + b)] = val
-            for t in range(m1.dim):
-                tw = ctx.q_power(-m1.k_exps[a - 1][t])
-                for (r, c), val in m2.f_mats[a - 1].data.items():
-                    key = (t * d2 + r, t * d2 + c)
-                    data[key] = data.get(key, ctx.zero) + tw * val
-        return SparseMatrix(dim, dim, data)
-
+    vw, wv = tensor(br.v, br.w), tensor(br.w, br.v)
     for kind in ("E", "F"):
-        for a in range(1, lie.rank + 1):
-            lhs = br.matrix.mul(tensor_matrix(v, w, kind, a))
-            rhs = tensor_matrix(w, v, kind, a).mul(br.matrix)
+        for a in range(1, br.v.lie.rank + 1):
+            lhs = br.matrix.mul(vw.gen_matrix(kind, a))
+            rhs = wv.gen_matrix(kind, a).mul(br.matrix)
             if lhs != rhs:
                 return False
     return True

@@ -2,9 +2,10 @@
 
 These deliberately avoid the code paths they check: weight multiplicities
 come from Freudenthal's recursion (not the basis construction), dimensions
-from summing them (not the Weyl product formula), and graded-slice sizes
+from summing them (not the Weyl product formula), graded-slice sizes
 from counting weights with the invariance conditions (not from kernels of
-generator matrices).
+generator matrices), and reduced row echelon forms from plain dense
+Gauss-Jordan elimination on lists (not the sparse engine).
 """
 
 from fractions import Fraction
@@ -95,3 +96,52 @@ def slice_dim_by_weights(lie, flag, k, depth) -> int:
                 inv += m
         total += dim * inv
     return total
+
+
+def dense_rref(rows, ncols):
+    """Dense Gauss-Jordan elimination: (pivot columns, RREF rows).
+
+    Pivots are the first nonzero entry of each column, so the pivot rule
+    differs from the engine's; the RREF is unique either way.  Columns
+    from ncols on are carried along (augmented columns).
+    """
+    work = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        r0 = len(pivots)
+        best = next((r for r in range(r0, len(work)) if work[r][col]), None)
+        if best is None:
+            continue
+        work[r0], work[best] = work[best], work[r0]
+        inv = work[r0][col]
+        work[r0] = [x / inv for x in work[r0]]
+        for r in range(len(work)):
+            f = work[r][col]
+            if r != r0 and f:
+                work[r] = [a - f * b for a, b in zip(work[r], work[r0])]
+        pivots.append(col)
+    return pivots, work
+
+
+def dense_nullspace(rows, ncols, one):
+    """Basis of the kernel, one vector per free column, as dense tuples."""
+    pivots, red = dense_rref(rows, ncols)
+    zero = one - one
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        x = [zero] * ncols
+        x[free] = one
+        for r, p in enumerate(pivots):
+            x[p] = -red[r][free]
+        basis.append(tuple(x))
+    return basis
+
+
+def dense_solve(rows, rhs, ncols):
+    """The unique solution of rows @ x = rhs, or None."""
+    pivots, red = dense_rref([list(r) + [b] for r, b in zip(rows, rhs)], ncols)
+    if len(pivots) < ncols or any(row[ncols] for row in red[ncols:]):
+        return None
+    return [red[r][ncols] for r in range(ncols)]

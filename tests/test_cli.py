@@ -219,6 +219,24 @@ def test_cache_cold_vs_warm_byte_identical(tmp_path, capsys):
     assert open(out1).read() == open(out2).read() == stdout1
 
 
+def test_cache_file_without_summands_is_recomputed(tmp_path, capsys):
+    cache = str(tmp_path / "cg")
+    argv = ("--cache", cache, "borel-weil", "--flag", "A1/1", "--k", "1:2",
+            "--depth", "3")
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = os.path.join(cache, "cg_A1_L2_v1_1_1.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    del doc["summands"]
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == want
+    with open(path) as fh:
+        assert "summands" in json.load(fh)
+
+
 def test_cache_subcommand(tmp_path, capsys):
     cache = str(tmp_path / "cg")
     run_cli(capsys, "--cache", cache, "coordring", "--flag", "A1/1",

@@ -1,5 +1,9 @@
 import itertools
+import json
+import os
 import random
+
+import pytest
 
 from oracles import slice_dim_by_weights
 from qflag.cartan import LieType, weyl_dim
@@ -242,3 +246,55 @@ def test_specialized_mode_products(flag_of):
     for zb, z in zip(gens.zbar, gens.z):
         s = s + alg.multiply(zb, z)
     assert s == alg.one()
+
+
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+    return edit
+
+
+def _set_summand(key, value):
+    def edit(doc):
+        doc["summands"][0][key] = value
+    return edit
+
+
+def _set_entry(field, pos, value):
+    def edit(doc):
+        doc["summands"][0][field][0][pos] = value
+    return edit
+
+
+def _drop_last_summand(doc):
+    doc["summands"].pop()
+
+
+@pytest.mark.parametrize("edit", [
+    _drop("summands"),
+    lambda doc: doc.update(summands="x"),
+    _set_summand("nu", "2"),
+    _set_summand("nu", [4]),
+    _set_summand("emb", None),
+    _set_entry("emb", 2, "s^^2"),
+    _set_entry("proj", 2, "(1)/(0)"),
+    _set_entry("emb", 0, 99),
+    _set_entry("proj", 1, -1),
+    _drop_last_summand,
+], ids=["no-summands", "summands-str", "nu-str", "nu-above-top", "emb-null",
+        "unparsable", "zero-denominator", "row-out-of-range",
+        "col-out-of-range", "dims-short"])
+def test_malformed_cache_file_is_a_miss_and_rewritten(tmp_path, edit):
+    cache = str(tmp_path / "cg")
+    ref = PWAlgebra(A1, cache_dir=cache).cg((1,), (1,))
+    path = os.path.join(cache, "cg_A1_L2_v1_1_1.json")
+    with open(path) as fh:
+        text = fh.read()
+    doc = json.loads(text)
+    edit(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    got = PWAlgebra(A1, cache_dir=cache).cg((1,), (1,))
+    assert got == ref
+    with open(path) as fh:
+        assert fh.read() == text

@@ -11,7 +11,7 @@ from qflag.cartan import (LieType, bilinear_form, dominant_weights_up_to,
 from qflag import cartan, linalg, reps
 from qflag.errors import ConventionError, DimensionGuardError, DomainError
 from qflag.linalg import (MOD_POINT, SpanBasis, SparseMatrix,
-                          column_rank_profile, mod_column_rank_profile)
+                          column_rank_profile, mod_row_profile)
 from qflag.reps import (LusztigOperators, build_irreducible,
                         check_defining_relations, check_intertwines,
                         context_for, decompose, dual_module, dual_pairing,
@@ -336,18 +336,22 @@ def test_build_digest_pinned(lie, lam, digest):
 
 
 def test_modular_profile_matches_exact_on_real_grams(monkeypatch):
+    # reps takes the Gram's column rank profile as the modular row profile
+    # of its columns
     grams = []
 
-    def record(rows, ncols):
-        grams.append(rows)
-        return mod_column_rank_profile(rows, ncols)
+    def record(cols, limit=None):
+        grams.append(cols)
+        return mod_row_profile(cols, limit)
 
-    monkeypatch.setattr(reps, "mod_column_rank_profile", record)
+    monkeypatch.setattr(reps, "mod_row_profile", record)
     build_irreducible(context_for(B2), B2, (2, 2), guard=100)
     assert len(grams) > 30 and any(len(g) > 4 for g in grams)
-    for gram in grams:
-        assert mod_column_rank_profile(gram, len(gram)) == \
-            column_rank_profile(gram, len(gram))
+    for cols in grams:
+        m = len(cols)
+        rows = [{t: col[s] for t, col in enumerate(cols) if s in col}
+                for s in range(m)]
+        assert mod_row_profile(cols) == column_rank_profile(rows, m)
 
 
 def counting(monkeypatch, name):
@@ -377,20 +381,20 @@ def test_fallback_on_vanishing_denominator(monkeypatch):
     zero, one, two = ctx.zero, ctx.one, ctx.one + ctx.one
     assert linalg.mod_image(pole) is None
     gram = [[pole, pole, one], [pole, pole, one], [one, one, two]]
-    assert mod_column_rank_profile(gram, 3) is None
+    assert mod_row_profile([dict(enumerate(col)) for col in zip(*gram)]) is None
     calls = counting(monkeypatch, "column_rank_profile")
     profile, red = reps._select_candidates(gram, 2)
     assert len(calls) == 1
     assert profile == [0, 2]
     # column 1 equals column 0
-    assert [row[1] for row in red] == [one, zero]
+    assert [row.get(1, zero) for row in red] == [one, zero]
 
 
 @pytest.mark.parametrize("lie,lam", [(B2, (1, 1)), (A3, (1, 0, 1))])
 def test_exact_fallback_builds_the_same_module(monkeypatch, lie, lam):
     ctx = context_for(lie)
     want = module_digest(build_irreducible(ctx, lie, lam))
-    monkeypatch.setattr(reps, "mod_column_rank_profile", lambda rows, n: None)
+    monkeypatch.setattr(reps, "mod_row_profile", lambda rows, limit=None: None)
     calls = counting(monkeypatch, "column_rank_profile")
     assert module_digest(build_irreducible(ctx, lie, lam)) == want
     assert calls

@@ -1,9 +1,13 @@
+import hashlib
+import json
+
 import pytest
 
 from qflag.cartan import LieType, bilinear
 from qflag.errors import ConventionError
 from qflag.linalg import SparseMatrix
-from qflag.reps import build_irreducible, context_for, trivial_module
+from qflag.reps import (build_irreducible, context_for, decompose, tensor,
+                        trivial_module)
 from qflag.rmatrix import braiding, intertwines, ybe_check
 from qflag.scalars import Scalar
 
@@ -116,3 +120,76 @@ def test_inconsistent_system_detected():
                      f_mats=v.f_mats, k_exps=v.k_exps, highest_index=0)
     with pytest.raises(ConventionError):
         braiding(bad, v)
+
+
+def test_intertwines_detects_one_changed_entry():
+    ctx = context_for(A2)
+    v = build_irreducible(ctx, A2, (1, 0))
+    w = build_irreducible(ctx, A2, (0, 1))
+    br = braiding(v, w)
+    assert intertwines(br)
+    data = dict(br.matrix.data)
+    key = min(data)
+    data[key] = data[key] + ctx.one
+    bad = type(br)(v, w, SparseMatrix(br.matrix.nrows, br.matrix.ncols, data))
+    assert not intertwines(bad)
+
+
+def casimir(lie, mu):
+    """c(mu) = (mu, mu + 2 rho), rho = (1, ..., 1) in fundamental weights."""
+    return bilinear(lie, mu, tuple(a + 2 for a in mu))
+
+
+@pytest.mark.parametrize("name,lam,signs", [
+    ("A1", (1,), {(2,): 1, (0,): -1}),
+    ("A2", (1, 0), {(2, 0): 1, (0, 1): -1}),
+    ("B2", (1, 0), {(2, 0): 1, (0, 2): -1, (0, 0): 1}),
+    ("B2", (0, 1), {(0, 2): 1, (1, 0): -1, (0, 0): -1}),
+    ("C2", (0, 1), {(0, 2): 1, (2, 0): -1, (0, 0): 1}),
+])
+def test_braiding_scalar_on_each_summand(name, lam, signs):
+    # Drinfeld; Reshetikhin: the braided flip acts on V_nu in V (x) V as
+    # eps_nu q^((c(nu) - 2 c(lam)) / 2); nu = 2 lam gets +q^((lam, lam))
+    lie = LieType.parse(name)
+    ctx = context_for(lie)
+    store = {}
+
+    def module(nu):
+        if nu not in store:
+            store[nu] = build_irreducible(ctx, lie, nu)
+        return store[nu]
+
+    v = module(lam)
+    r = braiding(v, v).matrix
+    summands = decompose(tensor(v, v), module).summands
+    assert sorted(s.nu for s in summands) == sorted(signs)
+    top = tuple(2 * a for a in lam)
+    assert signs[top] == 1
+    assert (casimir(lie, top) - 2 * casimir(lie, lam)) / 2 == \
+        bilinear(lie, lam, lam)
+    for s in summands:
+        exp = (casimir(lie, s.nu) - 2 * casimir(lie, lam)) / 2
+        assert r.mul(s.emb) == s.emb.scale(ctx.q_power(exp) * signs[s.nu])
+
+
+def braiding_digest(mat) -> str:
+    doc = [[r, c, str(x)] for (r, c), x in mat.entries_sorted()]
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,lam,mu,digest", [
+    ("A2", (1, 0), (0, 1),
+     "0bd1c2e08ae709c72fbc0ad31418f2baf31c3242d4b6da2ba00ddb925cb82b6e"),
+    ("A4", (0, 1, 0, 0), (0, 1, 0, 0),
+     "165933fe310473317923103bf12c80e7c5075e048c05fc0beffaf656650d6a43"),
+    ("C3", (0, 0, 1), (0, 0, 1),
+     "f46f8a757c2590e0df6935c23ffdcb16f1b7dbb6af14fe3d69ecae236ff0749a"),
+])
+def test_braiding_digest_pinned(name, lam, mu, digest):
+    # digests of the braidings solved by dense elimination
+    lie = LieType.parse(name)
+    ctx = context_for(lie)
+    v = build_irreducible(ctx, lie, lam)
+    w = v if mu == lam else build_irreducible(ctx, lie, mu)
+    assert braiding_digest(braiding(v, w).matrix) == digest
