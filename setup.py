@@ -7,7 +7,9 @@ try:
         language_level="3",
     )
 except ImportError:
-    # pure-Python fallback is selected at import when the extension is absent
-    extensions = []
+    # without Cython, compile the shipped generated C; optional, so a failed
+    # compile leaves the pure-Python twin, which is selected at import
+    extensions = [Extension("qflag._poly_cy", ["src/qflag/_poly_cy.c"],
+                            optional=True)]
 
 setup(ext_modules=extensions)

@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized property samples")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for independent blocks/k-values")
+                   help="worker processes for the k-values of borel-weil")
     p.add_argument("--word-check", action="store_true",
                    help="recompute span results with a second reduced word")
     p.add_argument("--guard", type=int, default=64,
@@ -417,6 +417,11 @@ def main(argv=None) -> int:
             break
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise QflagError(f"--jobs must be at least 1, got {args.jobs}")
+        if args.jobs > 1 and args.func is not cmd_borel_weil:
+            raise QflagError(
+                f"--jobs applies to borel-weil only, not to {args.command}")
         return args.func(args)
     except QflagError as exc:
         print(f"qflag: error: {exc}", file=sys.stderr)

@@ -232,6 +232,33 @@ def invert_dense(rows, one):
     return [{c - n: v for c, v in row.items() if c >= n} for row in red]
 
 
+def invert_blocks(mat, blocks, one):
+    """Inverse of a block-diagonal SparseMatrix, one invert_dense per block.
+
+    ``blocks`` lists (row indices, column indices) pairs; each block is read
+    from ``mat`` in that row and column order (entries outside the blocks
+    are not read).  The result has shape mat.ncols x mat.nrows, and block
+    (rows, cols) of mat inverts to block (cols, rows) of it.  Raises
+    ConventionError when a block is not square or is singular.
+    """
+    by_col = mat.by_col()
+    data = {}
+    for rows, cols in blocks:
+        if len(rows) != len(cols):
+            raise ConventionError("weight block is not square")
+        pos = {r: b for b, r in enumerate(rows)}
+        block = [{} for _ in rows]
+        for a, c in enumerate(cols):
+            for r, v in by_col.get(c, ()):
+                b = pos.get(r)
+                if b is not None:
+                    block[b][a] = v
+        for c, row in zip(cols, invert_dense(block, one)):
+            for b, v in row.items():
+                data[(c, rows[b])] = v
+    return SparseMatrix(mat.ncols, mat.nrows, data)
+
+
 # -- dict-vectors ------------------------------------------------------------
 
 
@@ -245,12 +272,6 @@ def rows_from_columns(columns):
         for key, v in col.items():
             rows.setdefault(key, {})[t] = v
     return [rows[key] for key in sorted(rows)]
-
-
-def dv_scale(v, c):
-    if not c:
-        return {}
-    return {k: c * x for k, x in v.items()}
 
 
 def dv_add_scaled(acc, v, c):

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 from . import cartan
 from .cartan import FlagSpec, LieType
 from .errors import ConventionError, DomainError
-from .linalg import (SparseMatrix, dv_add_scaled, nullspace,
-                     rows_from_columns, solve_unique)
+from .linalg import (MOD_PRIME, SparseMatrix, dv_add_scaled, mod_image,
+                     solve_unique)
 from .reps import (CGDecomposition, CGSummand, LusztigOperators, ModuleData,
                    build_irreducible, context_for, decompose, dual_pairing,
-                   tensor)
+                   joint_kernel, tensor)
 
 CACHE_FORMAT = 1
 
@@ -235,7 +235,9 @@ class PWAlgebra:
         A file that is unreadable, foreign, or malformed counts as a miss:
         wrong or mistyped keys, unparsable scalars, indices outside the
         matrix shapes, a summand weight that is not dominant and below
-        lam + mu, or summand dims not adding up to dim V_lam * dim V_mu.
+        lam + mu, summand dims not adding up to dim V_lam * dim V_mu, or
+        projections that do not invert the embeddings (checked in Z/p at a
+        fixed point of s, see :func:`_inverts_mod_p`).
         """
         if self.cache_dir is None or not self.ctx.symbolic:
             return None
@@ -277,7 +279,7 @@ class PWAlgebra:
                 return None
             summands.append(CGSummand(nu, emb, proj))
             total += d
-        if total != t_dim:
+        if total != t_dim or not _inverts_mod_p(summands, t_dim):
             return None
         return CGDecomposition(tuple(summands))
 
@@ -428,19 +430,7 @@ class PWAlgebra:
         else:
             idxs = [t for t, w in enumerate(m.weights)
                     if all(x == 0 for x in w)]
-        return self._levi_kernel(m, snodes, idxs)
-
-    def _levi_kernel(self, m: ModuleData, snodes, idxs):
-        if not idxs:
-            return []
-        rows = []
-        for j in snodes:
-            for mat in (m.e_mats[j - 1], m.f_mats[j - 1]):
-                cols = mat.by_col()
-                rows.extend(rows_from_columns([dict(cols.get(c, ()))
-                                               for c in idxs]))
-        basis = nullspace(rows, len(idxs), self.ctx.one)
-        return [{idxs[t]: v for t, v in vec.items()} for vec in basis]
+        return joint_kernel(_levi_mats(m, snodes), idxs, self.ctx.one)
 
     def generators(self, flag: FlagSpec) -> Generators:
         got = self._gens.get(flag)
@@ -502,7 +492,7 @@ class PWAlgebra:
             m = self.module(lam)
             idxs = [t for t, w in enumerate(m.weights)
                     if w[x - 1] == k and all(w[j - 1] == 0 for j in snodes)]
-            cols = self._levi_kernel(m, snodes, idxs)
+            cols = joint_kernel(_levi_mats(m, snodes), idxs, self.ctx.one)
             if cols:
                 blocks.append((tuple(lam), tuple(cols)))
                 dims.append(m.dim)
@@ -517,3 +507,30 @@ class PWAlgebra:
                 for col in cols:
                     out.append(PWElement({(lam, r, c): v for c, v in col.items()}))
         return out
+
+
+def _inverts_mod_p(summands, t_dim) -> bool:
+    """Whether the stacked proj times the stacked emb is 1 in Z/p.
+
+    Entries are taken mod p = MOD_PRIME at s = MOD_POINT; an entry with no
+    image there fails the check.  Equivalently proj_a . emb_b = delta_ab,
+    so a wrong entry of a well-formed cache file shows up here.
+    """
+    emb, proj = {}, {}
+    off = 0
+    for s in summands:
+        for (r, c), v in s.emb.data.items():
+            emb[(r, off + c)] = mod_image(v)
+        for (r, c), v in s.proj.data.items():
+            proj[(off + r, c)] = mod_image(v)
+        off += s.emb.ncols
+    if None in emb.values() or None in proj.values():
+        return False
+    prod = SparseMatrix(t_dim, t_dim, proj).mul(SparseMatrix(t_dim, t_dim, emb))
+    return ({k: z for k, v in prod.data.items() if (z := v % MOD_PRIME)}
+            == {(r, r): 1 for r in range(t_dim)})
+
+
+def _levi_mats(m, snodes):
+    """E_j and F_j on m for the uncrossed nodes j: the Levi conditions."""
+    return [mat for j in snodes for mat in (m.e_mats[j - 1], m.f_mats[j - 1])]

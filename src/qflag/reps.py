@@ -37,7 +37,7 @@ from .cartan import LieType, Weight
 from .errors import (ConventionError, DimensionGuardError, DomainError,
                      ReducibleModuleError, SpecializationError)
 from .linalg import (SparseMatrix, column_rank_profile, dv_add_scaled,
-                     eliminate, invert_dense, mod_row_profile, nullspace,
+                     eliminate, invert_blocks, mod_row_profile, nullspace,
                      rows_from_columns)
 from .scalars import QContext
 
@@ -349,25 +349,26 @@ def dual_module(m: ModuleData) -> ModuleData:
                       f_mats=tuple(f_mats), k_exps=k_exps, highest_index=hi)
 
 
-def intertwiner(src: ModuleData, dst: ModuleData, seed: dict) -> SparseMatrix:
-    """The module map src -> dst sending the highest weight vector to seed.
+def transport(src: ModuleData, f_mats, seed: dict) -> SparseMatrix:
+    """Carry seed along the F-words of src: column t is F_w . seed.
 
-    src must be a canonical build (it carries F-words); seed must be a highest
-    weight vector of dst of the same weight.  Columns are transported along
-    src's F-words; the result is exact by irreducibility of src.
+    src must be a canonical build (it carries F-words); basis vector t of src
+    is F_w applied to its highest weight vector, and column t of the result
+    is the same word of ``f_mats`` applied to seed.  With the F-matrices of
+    a module dst and a highest weight vector seed of dst of src's highest
+    weight, this is the module map src -> dst sending the highest weight
+    vector to seed, exact by irreducibility of src.
     """
-    if src.fwords is None:
+    if src.parents is None:
         raise ReducibleModuleError("source module carries no F-word data")
-    cols = [None] * src.dim
-    cols[0] = dict(seed)
-    for t in range(1, src.dim):
-        j, p = src.parents[t]
-        cols[t] = dst.f_mats[j - 1].matvec(cols[p])
+    cols = [dict(seed)]
+    for j, p in src.parents[1:]:
+        cols.append(f_mats[j - 1].matvec(cols[p]))
     data = {}
     for t, col in enumerate(cols):
         for r, v in col.items():
             data[(r, t)] = v
-    return SparseMatrix(dst.dim, src.dim, data)
+    return SparseMatrix(f_mats[0].nrows, src.dim, data)
 
 
 def check_intertwines(phi: SparseMatrix, src: ModuleData, dst: ModuleData) -> bool:
@@ -391,7 +392,7 @@ def dual_pairing(vminus: ModuleData, v: ModuleData) -> SparseMatrix:
     if dual.highest_index is None:
         raise ConventionError("lowest weight space of the source is not simple")
     seed = {dual.highest_index: v.ctx.one}
-    phi = intertwiner(vminus, dual, seed)
+    phi = transport(vminus, dual.f_mats, seed)
     if not check_intertwines(phi, vminus, dual):
         raise ConventionError("dual pairing failed to intertwine")
     return phi
@@ -412,6 +413,22 @@ class CGDecomposition:
     summands: tuple
 
 
+def joint_kernel(mats, idxs, one):
+    """Basis of the common kernel of mats restricted to the basis vectors idxs.
+
+    The vectors are dict-vectors over the whole basis (keys in idxs), in the
+    order of :func:`qflag.linalg.nullspace` on the stacked restrictions.
+    """
+    if not idxs:
+        return []
+    rows = []
+    for mat in mats:
+        cols = mat.by_col()
+        rows.extend(rows_from_columns([dict(cols.get(c, ())) for c in idxs]))
+    return [{idxs[t]: v for t, v in vec.items()}
+            for vec in nullspace(rows, len(idxs), one)]
+
+
 def decompose(t_mod: ModuleData, module_store) -> CGDecomposition:
     """Split a type-1 module into irreducibles via highest weight vectors.
 
@@ -420,70 +437,40 @@ def decompose(t_mod: ModuleData, module_store) -> CGDecomposition:
     weight space yields the summand embeddings; projections come from the
     blockwise (per weight) inverse of the change-of-basis matrix.
     """
-    lie, ctx = t_mod.lie, t_mod.ctx
-    n = lie.rank
-    one = ctx.one
+    one = t_mod.ctx.one
     by_weight = t_mod.weight_indices()
-    summands = []
-    cols = []  # (weight of column, dict-vec) in global column order
+    summands = []   # (nu, V_nu, embedding)
     for nu in sorted((w for w in by_weight if all(x >= 0 for x in w)),
                      key=lambda w: (sum(w), w)):
-        idxs = by_weight[nu]
-        rows = []
-        for i in range(n):
-            ecols = t_mod.e_mats[i].by_col()
-            rows.extend(rows_from_columns([dict(ecols.get(c, ()))
-                                           for c in idxs]))
-        for vec in nullspace(rows, len(idxs), one):
-            u = {idxs[k]: v for k, v in vec.items()}
+        for u in joint_kernel(t_mod.e_mats, by_weight[nu], one):
             v_nu = module_store(nu)
-            emb_cols = [None] * v_nu.dim
-            emb_cols[0] = u
-            for s in range(1, v_nu.dim):
-                j, p = v_nu.parents[s]
-                emb_cols[s] = t_mod.f_mats[j - 1].matvec(emb_cols[p])
-            data = {}
-            for s, col in enumerate(emb_cols):
-                for r, v in col.items():
-                    data[(r, s)] = v
-                cols.append((v_nu.weights[s], emb_cols[s]))
-            summands.append([nu, SparseMatrix(t_mod.dim, v_nu.dim, data), None])
-    total = sum(module_store(s[0]).dim for s in summands)
+            summands.append((nu, v_nu, transport(v_nu, t_mod.f_mats, u)))
+    total = sum(v_nu.dim for _, v_nu, _ in summands)
     if total != t_mod.dim:
         raise ConventionError(
             f"summand dimensions {total} do not add up to {t_mod.dim}")
-    # blockwise inverse of the change-of-basis matrix
-    uinv = {}
-    col_offsets = []
-    off = 0
-    for s in summands:
-        col_offsets.append(off)
-        off += module_store(s[0]).dim
+    # the change-of-basis matrix: the embeddings side by side
+    data = {}
     cols_by_weight = {}
-    for gc, (w, col) in enumerate(cols):
-        cols_by_weight.setdefault(w, []).append((gc, col))
-    for w, gcols in cols_by_weight.items():
-        ridx = by_weight[w]
-        if len(ridx) != len(gcols):
-            raise ConventionError("weight block is not square")
-        block = [{} for _ in ridx]
-        pos = {r: b for b, r in enumerate(ridx)}
-        for c, (_, col) in enumerate(gcols):
-            for r, v in col.items():
-                block[pos[r]][c] = v
-        for (gc, _), row in zip(gcols, invert_dense(block, one)):
-            for b, v in row.items():
-                uinv[(gc, ridx[b])] = v
-    for k, s in enumerate(summands):
-        v_nu = module_store(s[0])
-        off = col_offsets[k]
-        data = {}
-        for (gc, r), v in uinv.items():
-            if off <= gc < off + v_nu.dim:
-                data[(gc - off, r)] = v
-        s[2] = SparseMatrix(v_nu.dim, t_mod.dim, data)
-    return CGDecomposition(tuple(CGSummand(tuple(s[0]), s[1], s[2])
-                                 for s in summands))
+    owner = []      # global column -> (summand, its column)
+    for k, (_, v_nu, emb) in enumerate(summands):
+        off = len(owner)
+        for (r, c), v in emb.data.items():
+            data[(r, off + c)] = v
+        for c, w in enumerate(v_nu.weights):
+            cols_by_weight.setdefault(w, []).append(off + c)
+            owner.append((k, c))
+    uinv = invert_blocks(
+        SparseMatrix(t_mod.dim, t_mod.dim, data),
+        [(by_weight.get(w, ()), gcols) for w, gcols in cols_by_weight.items()],
+        one)
+    projs = [{} for _ in summands]
+    for (gc, r), v in uinv.data.items():
+        k, c = owner[gc]
+        projs[k][(c, r)] = v
+    return CGDecomposition(tuple(
+        CGSummand(tuple(nu), emb, SparseMatrix(v_nu.dim, t_mod.dim, proj))
+        for (nu, v_nu, emb), proj in zip(summands, projs)))
 
 
 # -- Lusztig braid operators and quantum root vectors -------------------------
@@ -575,25 +562,12 @@ class LusztigOperators:
         if len(seeds) != 1:
             raise ConventionError("extreme weight space is not 1-dimensional")
         twisted = [braid_image(m, i, "F", j) for j in range(1, lie.rank + 1)]
-        cols = [None] * m.dim
-        cols[0] = {seeds[0]: ctx.one}
-        for t in range(1, m.dim):
-            j, p = m.parents[t]
-            cols[t] = twisted[j - 1].matvec(cols[p])
-        data = {}
-        for t, col in enumerate(cols):
-            for r, v in col.items():
-                data[(r, t)] = v
-        th = SparseMatrix(m.dim, m.dim, data)
+        th = transport(m, twisted, {seeds[0]: ctx.one})
         # normalize: first nonzero entry in column order becomes 1
-        norm = None
-        for t in range(m.dim):
-            col = [(r, v) for (r, c), v in th.data.items() if c == t]
-            if col:
-                norm = min(col)[1]
-                break
-        if norm is None:
+        cols = th.by_col()
+        if not cols:
             raise ConventionError("braid operator came out zero")
+        norm = cols[min(cols)][0][1]
         if not (norm == 1):
             th = th.scale(ctx.one / norm)
         self._check(i, th)
@@ -616,20 +590,11 @@ class LusztigOperators:
         if inv is not None:
             return inv
         m = self.m
-        th = self.theta(i)
         by_weight = m.weight_indices()
-        data = {}
-        for mu, cols in by_weight.items():
-            target = cartan.reflect_weight(m.lie, i, mu)
-            rows = by_weight.get(target)
-            if rows is None or len(rows) != len(cols):
-                raise ConventionError("braid operator weight blocks mismatched")
-            block = [{a: v for a, c in enumerate(cols)
-                      if (v := th.entry(r, c)) is not None} for r in rows]
-            for c, row in zip(cols, invert_dense(block, m.ctx.one)):
-                for b, v in row.items():
-                    data[(c, rows[b])] = v
-        inv = SparseMatrix(m.dim, m.dim, data)
+        inv = invert_blocks(
+            self.theta(i),
+            [(by_weight.get(cartan.reflect_weight(m.lie, i, mu), ()), cols)
+             for mu, cols in by_weight.items()], m.ctx.one)
         self._theta_inv[i] = inv
         return inv
 

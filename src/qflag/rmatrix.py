@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import cartan
 from .errors import ConventionError
-from .linalg import SparseMatrix, invert_dense, solve_unique
+from .linalg import SparseMatrix, invert_blocks, solve_unique
 from .reps import ModuleData, tensor
 
 
@@ -43,37 +43,23 @@ class Braiding:
     def coeff(self, k: int, l: int, i: int, j: int):
         return self.matrix.entry(k * self.v.dim + l, i * self.w.dim + j)
 
-    def row_index(self, k, l):
-        return k * self.v.dim + l
-
-    def col_index(self, i, j):
-        return i * self.w.dim + j
-
     def inverse(self) -> SparseMatrix:
         """Blockwise (per weight) inverse, W (x) V -> V (x) W."""
-        v, w = self.v, self.w
-        rows_by = {}
-        for k in range(w.dim):
-            for l in range(v.dim):
-                mu = tuple(a + b for a, b in zip(w.weights[k], v.weights[l]))
-                rows_by.setdefault(mu, []).append(k * v.dim + l)
-        cols_by = {}
-        for i in range(v.dim):
-            for j in range(w.dim):
-                mu = tuple(a + b for a, b in zip(v.weights[i], w.weights[j]))
-                cols_by.setdefault(mu, []).append(i * w.dim + j)
-        data = {}
-        for mu, rows in rows_by.items():
-            cols = cols_by.get(mu, [])
-            if len(rows) != len(cols):
-                raise ConventionError("braiding weight blocks are not square")
-            block = [{a: x for a, c in enumerate(cols)
-                      if (x := self.matrix.entry(r, c)) is not None}
-                     for r in rows]
-            for c, row in zip(cols, invert_dense(block, v.ctx.one)):
-                for b, x in row.items():
-                    data[(c, rows[b])] = x
-        return SparseMatrix(self.matrix.ncols, self.matrix.nrows, data)
+        rows = _indices_by_weight(self.w, self.v)
+        cols = _indices_by_weight(self.v, self.w)
+        return invert_blocks(
+            self.matrix, [(r, cols.get(mu, ())) for mu, r in rows.items()],
+            self.v.ctx.one)
+
+
+def _indices_by_weight(a: ModuleData, b: ModuleData) -> dict:
+    """Basis indices i*dim(b)+j of a (x) b grouped by weight, ascending."""
+    out = {}
+    for i, wa in enumerate(a.weights):
+        for j, wb in enumerate(b.weights):
+            mu = tuple(x + y for x, y in zip(wa, wb))
+            out.setdefault(mu, []).append(i * b.dim + j)
+    return out
 
 
 def braiding(v: ModuleData, w: ModuleData) -> Braiding:

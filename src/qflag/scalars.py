@@ -413,9 +413,6 @@ class QContext:
         x = Fraction(x)
         return x if self.s0 is not None else Scalar.from_fraction(x)
 
-    def to_string(self, v) -> str:
-        return str(v)
-
     def parse(self, text: str):
         if self.s0 is not None:
             return Fraction(text)

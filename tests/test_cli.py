@@ -237,6 +237,44 @@ def test_cache_file_without_summands_is_recomputed(tmp_path, capsys):
         assert "summands" in json.load(fh)
 
 
+def test_cache_file_with_a_wrong_entry_is_recomputed(tmp_path, capsys):
+    # a well-formed file with one wrong value must not reach the report
+    cache = str(tmp_path / "cg")
+    argv = ("--cache", cache, "borel-weil", "--flag", "A1/1", "--k", "1:2",
+            "--depth", "3")
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = os.path.join(cache, "cg_A1_L2_v1_1_1.json")
+    with open(path) as fh:
+        text = fh.read()
+    doc = json.loads(text)
+    doc["summands"][0]["emb"][0][2] = "17"
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == want
+    assert json.loads(out)["zbar_normalization"] == "1"
+    with open(path) as fh:
+        assert fh.read() == text
+
+
+def test_jobs_below_one_is_usage_error(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(capsys, "--jobs", jobs, "borel-weil",
+                                 "--flag", "A1/1", "--k", "0:1", "--depth",
+                                 "2")
+        assert code == 2 and "--jobs" in err and out == ""
+
+
+def test_jobs_outside_borel_weil_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "--jobs", "2", "liouville", "--flag",
+                             "A1/1", "--depth", "2")
+    assert code == 2 and "borel-weil" in err and out == ""
+    code, _, _ = run_cli(capsys, "--jobs", "1", "liouville", "--flag",
+                         "A1/1", "--depth", "2")
+    assert code == 0
+
+
 def test_cache_subcommand(tmp_path, capsys):
     cache = str(tmp_path / "cg")
     run_cli(capsys, "--cache", cache, "coordring", "--flag", "A1/1",

@@ -9,9 +9,9 @@ from oracles import dense_nullspace, dense_rref, dense_solve
 from qflag import linalg
 from qflag.cartan import LieType
 from qflag.errors import ConventionError
-from qflag.linalg import (MOD_POINT, column_rank_profile, eliminate,
-                          invert_dense, mod_row_profile, nullspace,
-                          solve_unique)
+from qflag.linalg import (MOD_POINT, SparseMatrix, column_rank_profile,
+                          eliminate, invert_blocks, invert_dense,
+                          mod_row_profile, nullspace, solve_unique)
 from qflag.reps import context_for
 
 CTX = context_for(LieType.parse("A1"))
@@ -118,6 +118,65 @@ def test_invert_dense_matches_dense_reference():
         got = invert_dense(sparse(dense), CTX.one)
         assert [to_dense(r, n, CTX.zero) for r in got] == \
             [tuple(r[n:]) for r in red]
+
+
+def random_blocks(rng, n):
+    """(rows, cols) pairs partitioning 0..n-1 twice, shuffled, equal sizes."""
+    rows, cols = list(range(n)), list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    blocks = []
+    while rows:
+        k = rng.randint(1, min(3, len(rows)))
+        blocks.append((rows[:k], cols[:k]))
+        rows, cols = rows[k:], cols[k:]
+    return blocks
+
+
+@pytest.mark.parametrize("one,entry", FIELDS, ids=["fraction", "scalar"])
+def test_invert_blocks_matches_dense_reference(one, entry):
+    zero = one - one
+    rng = random.Random(5)
+    inverted = singular = 0
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        blocks = random_blocks(rng, n)
+        dense = [[zero] * n for _ in range(n)]
+        for rows, cols in blocks:
+            for r in rows:
+                for c in cols:
+                    if rng.random() < 0.8:
+                        dense[r][c] = entry(rng)
+        mat = SparseMatrix(n, n, {(r, c): v for r, row in enumerate(dense)
+                                  for c, v in enumerate(row)})
+        aug = [row + [one if i == j else zero for j in range(n)]
+               for i, row in enumerate(dense)]
+        pivots, red = dense_rref(aug, n)
+        if len(pivots) < n:
+            with pytest.raises(ConventionError, match="singular"):
+                invert_blocks(mat, blocks, one)
+            singular += 1
+            continue
+        got = invert_blocks(mat, blocks, one)
+        assert (got.nrows, got.ncols) == (n, n)
+        assert [[got.entry(i, j) or zero for j in range(n)]
+                for i in range(n)] == [r[n:] for r in red]
+        inverted += 1
+    assert inverted > 10 and singular
+
+
+def test_invert_blocks_rejects_bad_blocks():
+    one = Fraction(1)
+    mat = SparseMatrix(3, 3, {(0, 0): one, (1, 1): one, (1, 2): one,
+                              (2, 1): one, (2, 2): one})
+    with pytest.raises(ConventionError, match="not square"):
+        invert_blocks(mat, [([0], [0]), ([1, 2], [1])], one)
+    with pytest.raises(ConventionError, match="singular"):
+        invert_blocks(mat, [([0], [0]), ([1, 2], [1, 2])], one)
+    # a rectangular matrix with square blocks: the shape is transposed
+    wide = SparseMatrix(1, 2, {(0, 1): Fraction(2)})
+    inv = invert_blocks(wide, [([0], [1])], one)
+    assert (inv.nrows, inv.ncols, inv.data) == (2, 1, {(1, 0): Fraction(1, 2)})
 
 
 def tall_system():

@@ -281,9 +281,13 @@ def _drop_last_summand(doc):
     _set_entry("emb", 0, 99),
     _set_entry("proj", 1, -1),
     _drop_last_summand,
+    _set_entry("emb", 2, "17"),
+    _set_entry("proj", 2, "17"),
+    _set_entry("emb", 2, "(1)/(s - 1000003)"),
 ], ids=["no-summands", "summands-str", "nu-str", "nu-above-top", "emb-null",
         "unparsable", "zero-denominator", "row-out-of-range",
-        "col-out-of-range", "dims-short"])
+        "col-out-of-range", "dims-short", "emb-wrong-entry",
+        "proj-wrong-entry", "no-image-mod-p"])
 def test_malformed_cache_file_is_a_miss_and_rewritten(tmp_path, edit):
     cache = str(tmp_path / "cg")
     ref = PWAlgebra(A1, cache_dir=cache).cg((1,), (1,))

@@ -9,13 +9,14 @@ from oracles import freudenthal_multiplicities
 from qflag.cartan import (LieType, bilinear_form, dominant_weights_up_to,
                           longest_word, minus_w0, root_sequence, weyl_dim)
 from qflag import cartan, linalg, reps
-from qflag.errors import ConventionError, DimensionGuardError, DomainError
+from qflag.errors import (ConventionError, DimensionGuardError, DomainError,
+                          ReducibleModuleError)
 from qflag.linalg import (MOD_POINT, SpanBasis, SparseMatrix,
                           column_rank_profile, mod_row_profile)
 from qflag.reps import (LusztigOperators, build_irreducible,
                         check_defining_relations, check_intertwines,
                         context_for, decompose, dual_module, dual_pairing,
-                        intertwiner, nullspace_of_conjugation, tensor,
+                        nullspace_of_conjugation, tensor, transport,
                         trivial_module)
 
 A1, A2, A3, B2, C2 = (LieType.parse(t) for t in ("A1", "A2", "A3", "B2", "C2"))
@@ -119,6 +120,17 @@ def test_dual_module():
     p2 = dual_pairing(build_irreducible(ctx, A2, (0, 1)), v)
     assert check_intertwines(p2, build_irreducible(ctx, A2, (0, 1)),
                              dual_module(v))
+
+
+def test_transport_along_own_f_words_is_identity():
+    # each canonical basis vector is F_j applied to its parent, exactly
+    for lie, lam in [(A2, (1, 1)), (B2, (1, 1))]:
+        m = build_irreducible(context_for(lie), lie, lam)
+        assert transport(m, m.f_mats, {0: m.ctx.one}) == \
+            SparseMatrix.identity(m.dim, m.ctx.one)
+    v = build_irreducible(context_for(A1), A1, (1,))
+    with pytest.raises(ReducibleModuleError):
+        transport(tensor(v, v), v.f_mats, {0: v.ctx.one})
 
 
 def test_decompose_a1():
@@ -368,7 +380,7 @@ def counting(monkeypatch, name):
 
 def test_modular_path_needs_no_exact_profile(monkeypatch):
     calls = counting(monkeypatch, "column_rank_profile")
-    inverses = counting(monkeypatch, "invert_dense")
+    inverses = counting(monkeypatch, "invert_blocks")
     build_irreducible(context_for(C2), C2, (2, 1))
     # specialized mode: Fractions take the same path
     build_irreducible(context_for(C2, s0=Fraction(3, 2)), C2, (2, 1))
