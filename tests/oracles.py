@@ -4,8 +4,10 @@ These deliberately avoid the code paths they check: weight multiplicities
 come from Freudenthal's recursion (not the basis construction), dimensions
 from summing them (not the Weyl product formula), graded-slice sizes
 from counting weights with the invariance conditions (not from kernels of
-generator matrices), and reduced row echelon forms from plain dense
-Gauss-Jordan elimination on lists (not the sparse engine).
+generator matrices), reduced row echelon forms from plain dense
+Gauss-Jordan elimination on lists (not the sparse engine), and the
+Yang-Baxter identity from full products of Kronecker matrices on
+V (x) V (x) V (not the reduced set of columns).
 """
 
 from fractions import Fraction
@@ -13,6 +15,7 @@ from itertools import product
 
 from qflag.cartan import (bilinear_form, cartan_matrix, positive_roots,
                           root_to_weight, w0_on_weight, weight_to_root_int)
+from qflag.linalg import SparseMatrix
 
 
 def freudenthal_multiplicities(lie, lam):
@@ -145,3 +148,23 @@ def dense_solve(rows, rhs, ncols):
     if len(pivots) < ncols or any(row[ncols] for row in red[ncols:]):
         return None
     return [red[r][ncols] for r in range(ncols)]
+
+
+def kron_with_identity(mat, dim_id, side):
+    """mat (x) 1 (side "left") or 1 (x) mat on a tensor-cube factor."""
+    n = mat.nrows
+    data = {}
+    for (r, c), val in mat.data.items():
+        for t in range(dim_id):
+            if side == "left":
+                data[(r * dim_id + t, c * dim_id + t)] = val
+            else:
+                data[(t * n + r, t * n + c)] = val
+    return SparseMatrix(n * dim_id, n * dim_id, data)
+
+
+def ybe_full(v, br):
+    """R12 R23 R12 == R23 R12 R23 as full sparse products on V (x) V (x) V."""
+    r12 = kron_with_identity(br.matrix, v.dim, "left")
+    r23 = kron_with_identity(br.matrix, v.dim, "right")
+    return r12.mul(r23).mul(r12) == r23.mul(r12).mul(r23)

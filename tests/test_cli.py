@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -82,6 +83,18 @@ def test_rmatrix(capsys):
     validate(doc)
     assert doc["ybe"] is True
     assert len(doc["entries"]) == 5
+
+
+def test_rmatrix_c3_document_pinned(capsys):
+    # sha256 of the document from full Kronecker products on V (x) V (x) V;
+    # the check on the columns h (x) V (x) V must give the same bytes
+    code, out, _ = run_cli(capsys, "rmatrix", "--flag", "C3/3")
+    assert code == 0
+    doc = json.loads(out)
+    validate(doc)
+    assert doc["ybe"] is True and doc["dim"] == 14
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d1a752af10d16e738676439a5a09384438efddceae72bf53e227d09be1aa180f"
 
 
 def test_borel_weil_cli(capsys):

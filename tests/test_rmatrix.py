@@ -1,15 +1,20 @@
 import hashlib
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+from qflag import cartan, rmatrix
 from qflag.cartan import LieType, bilinear
 from qflag.errors import ConventionError
 from qflag.linalg import SparseMatrix
 from qflag.reps import (build_irreducible, context_for, decompose, tensor,
                         trivial_module)
-from qflag.rmatrix import braiding, intertwines, ybe_check
+from qflag.rmatrix import Braiding, braiding, intertwines, ybe_check
 from qflag.scalars import Scalar
+
+from oracles import ybe_full
 
 A1, A2, B2 = (LieType.parse(t) for t in ("A1", "A2", "B2"))
 
@@ -68,6 +73,7 @@ def test_braiding_with_trivial_is_flip():
     # V (x) C -> C (x) V with factor q^0 = 1: the identity reshuffle
     assert br.matrix == SparseMatrix.identity(v.dim, ctx.one)
     assert ybe_check(t)
+    assert ybe_full(t, braiding(t, t))
 
 
 @pytest.mark.parametrize("name,lam", [
@@ -81,6 +87,89 @@ def test_ybe(name, lam):
     br = braiding(v, v)
     assert intertwines(br)
     assert ybe_check(v, br)
+    assert ybe_full(v, br)
+
+
+def _module(name, lam):
+    lie = LieType.parse(name)
+    return build_irreducible(context_for(lie), lie, lam)
+
+
+@pytest.mark.parametrize("name,lam", [("A2", (1, 0)), ("B2", (0, 1))])
+def test_ybe_rejects_r_plus_identity(name, lam):
+    # R + 1 commutes with the action and keeps weight, so it takes the
+    # reduced columns, yet it breaks the Yang-Baxter identity
+    v = _module(name, lam)
+    r = braiding(v, v).matrix
+    bad = Braiding(v, v, r.add(SparseMatrix.identity(r.nrows, v.ctx.one)))
+    assert intertwines(bad)
+    assert not ybe_check(v, bad)
+    assert not ybe_full(v, bad)
+
+
+def test_ybe_rejects_weight_breaking_entry():
+    v = _module("A2", (1, 0))
+    r = braiding(v, v).matrix
+    data = dict(r.data)
+    lowest = v.dim * v.dim - 1
+    assert (lowest, 0) not in data
+    data[(lowest, 0)] = v.ctx.one
+    bad = Braiding(v, v, SparseMatrix(r.nrows, r.ncols, data))
+    assert not ybe_check(v, bad)
+    assert not ybe_full(v, bad)
+
+
+def _flip(v):
+    d = v.dim
+    return Braiding(v, v, SparseMatrix(d * d, d * d, {
+        (j * d + i, i * d + j): v.ctx.one for i in range(d) for j in range(d)}))
+
+
+def test_flip_satisfies_ybe_on_all_columns():
+    # the plain flip P does not commute with the q-deformed action, so the
+    # check runs on every basis vector of V (x) V (x) V
+    v = _module("A2", (1, 0))
+    p = _flip(v)
+    assert not intertwines(p)
+    assert ybe_check(v, p)
+    assert ybe_full(v, p)
+
+
+def test_ybe_applies_dim_squared_columns(monkeypatch):
+    # each column costs six applications of R12 or R23 (three per side)
+    v = _module("A2", (1, 0))
+    calls = []
+    apply_r = rmatrix._apply_r
+
+    def counting(*args):
+        calls.append(args[3])
+        return apply_r(*args)
+
+    monkeypatch.setattr(rmatrix, "_apply_r", counting)
+    assert ybe_check(v, braiding(v, v))
+    assert len(calls) == 6 * v.dim ** 2
+    calls.clear()
+    assert ybe_check(v, _flip(v))
+    assert len(calls) == 6 * v.dim ** 3
+    # F -> 2F, E -> E/2 is an isomorphic module, but its basis vectors are no
+    # longer exactly F-words of the highest weight vector: all columns
+    ctx = v.ctx
+    w = replace(v, e_mats=tuple(m.scale(ctx.from_fraction(Fraction(1, 2)))
+                                for m in v.e_mats),
+                f_mats=tuple(m.scale(ctx.from_fraction(2)) for m in v.f_mats))
+    calls.clear()
+    assert ybe_check(w, braiding(w, w))
+    assert len(calls) == 6 * w.dim ** 3
+
+
+def test_strictly_below_lets_unexpected_errors_through(monkeypatch):
+    # only "not in the root lattice" (DomainError) reads as "not below"
+    def boom(lie, lam):
+        raise TypeError("bug in weight_to_root_int")
+
+    monkeypatch.setattr(cartan, "weight_to_root_int", boom)
+    with pytest.raises(TypeError):
+        rmatrix._strictly_below(A2, (0, 1), (1, 0))
 
 
 def test_inverse_blockwise():
