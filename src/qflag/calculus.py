@@ -166,13 +166,13 @@ def act_f_orbit_rows(algebra: PWAlgebra, lam, row_vec: dict) -> SpanBasis:
     span = SpanBasis()
     span.insert(row_vec)
     frontier = [row_vec]
-    gens = [m.e_mats[i] for i in range(m.lie.rank)] + \
-           [m.f_mats[i] for i in range(m.lie.rank)]
+    # row vectors transform by the transposed generators
+    gens = [g.transpose() for g in m.e_mats + m.f_mats]
     while frontier:
         new = []
         for vec in frontier:
             for g in gens:
-                img = g.vecmat(vec)
+                img = g.matvec(vec)
                 if img and span.insert(img):
                     new.append(img)
         frontier = new
@@ -223,7 +223,7 @@ def gamma_relation_operator(algebra: PWAlgebra, flag: FlagSpec,
     cg = algebra.cg(lam, lam)
     blocks = []
     for s in cg.summands:
-        col0 = {rr: val for (rr, cc), val in s.emb.data.items() if cc == 0}
+        col0 = s.emb.cols[0]
         img = op.matvec(col0)
         pivot = min(col0)
         scalar = img.get(pivot, ctx.zero) / col0[pivot]
@@ -291,6 +291,10 @@ def gamma_crosscheck(algebra: PWAlgebra, flag: FlagSpec, trunc: int = 2,
     degree = {w: sum(1 if kind == "z" else -1 for kind, _ in w)
               for w in all_words}
     realized = {w: realize(w) for w in all_words}
+    # one-form symbols of every word: relation modules are assembled from
+    # the formal images of ALL words, not only one slice's
+    nsyms = sorted({sym for w in all_words for sym in _formal_dbar(w)})
+    nsymidx = {s: t for t, s in enumerate(nsyms)}
     report = {"kind": "gamma_crosscheck", "flag": str(flag), "trunc": trunc,
               "slices": [], "ok": True}
     for k in ks:
@@ -302,11 +306,7 @@ def gamma_crosscheck(algebra: PWAlgebra, flag: FlagSpec, trunc: int = 2,
         rel_kernel = nullspace(rows, len(words), ctx.one) if rows else []
         # formal one-form images
         formal = {w: _formal_dbar(w) for w in words}
-        # relation submodule: Leibniz images of the realization kernel,
-        # assembled from the formal images of ALL words (not only this slice's)
-        nwords = {w: _formal_dbar(w) for w in all_words}
-        nsyms = sorted({sym for fm in nwords.values() for sym in fm})
-        nsymidx = {s: t for t, s in enumerate(nsyms)}
+        # relation submodule: Leibniz images of the realization kernel
         relation_vectors = []
         for vec in rel_kernel:
             acc = {}

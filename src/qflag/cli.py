@@ -21,6 +21,7 @@ from fractions import Fraction
 from . import cartan, verify
 from .calculus import gamma_crosscheck, gamma_relation_operator
 from .cartan import FlagSpec, LieType
+from .coordring import quadratic_relations
 from .errors import QflagError
 from .peterweyl import PWAlgebra
 from .reps import build_irreducible
@@ -70,6 +71,26 @@ def _parse_weight(text: str, rank: int):
     if len(parts) != rank or not all(p.lstrip("-").isdigit() for p in parts):
         raise QflagError(f"weight {text!r} does not match rank {rank}")
     return tuple(int(p) for p in parts)
+
+
+def _row_dims(rep) -> list:
+    return [r["dim"] for r in rep["rows"]]
+
+
+def _word_check(rep, flag: FlagSpec, dims, rerun, key=None) -> None:
+    """Record whether the reversed longest word gives the same dimensions.
+
+    ``dims`` are the dimensions found with the default word and
+    ``rerun(word)`` returns those found with another reduced word; with
+    ``key`` the latter are reported under that key.
+    """
+    alt = tuple(reversed(cartan.longest_word(flag.lie)))
+    got = rerun(alt)
+    check = {"word": list(alt), "agree": got == dims}
+    if key is not None:
+        check[key] = got
+    rep["word_check"] = check
+    rep["ok"] = rep["ok"] and check["agree"]
 
 
 def cmd_catalog(args) -> int:
@@ -143,9 +164,8 @@ def cmd_rmatrix(args) -> int:
 def cmd_relations(args) -> int:
     flag = FlagSpec.parse(args.flag)
     alg = _algebra(args, flag.lie)
-    rep = verify.quadratic_flatness(alg, flag, dmax=args.maxdeg)
-    from .coordring import quadratic_relations
     spec = quadratic_relations(alg, flag)
+    rep = verify.flatness_report(alg, flag, spec, args.maxdeg)
     rep["relation_vectors"] = [
         sorted([[k, l, str(v)] for (k, l), v in rel.items()])
         for rel in spec.relations
@@ -160,11 +180,8 @@ def cmd_liouville(args) -> int:
     depth = args.depth if args.depth is not None else verify.default_depth(flag)
     rep = verify.liouville_report(alg, flag, depth)
     if args.word_check:
-        alt = tuple(reversed(cartan.longest_word(flag.lie)))
-        rep2 = verify.liouville_report(alg, flag, depth, word=alt)
-        rep["word_check"] = {"word": list(alt), "dim": rep2["dim"],
-                             "agree": rep2["dim"] == rep["dim"]}
-        rep["ok"] = rep["ok"] and rep["word_check"]["agree"]
+        _word_check(rep, flag, rep["dim"], lambda word: verify.liouville_report(
+            alg, flag, depth, word=word)["dim"], key="dim")
     _emit(rep, args)
     return 0 if rep["ok"] else 1
 
@@ -182,6 +199,7 @@ def cmd_borel_weil(args) -> int:
     flag = FlagSpec.parse(args.flag)
     depth = args.depth if args.depth is not None else verify.default_depth(flag)
     kmin, kmax = _parse_krange(args.k)
+    alg = _algebra(args, flag.lie)
     if args.jobs > 1:
         payloads = [(args, k, depth) for k in range(kmin, kmax + 1)]
         from concurrent.futures import ProcessPoolExecutor
@@ -192,24 +210,17 @@ def cmd_borel_weil(args) -> int:
         rep["rows"] = [part["rows"][0] for part in parts]
         rep["ok"] = all(r["ok"] for r in rep["rows"])
     else:
-        alg = _algebra(args, flag.lie)
         _progress(f"borel-weil {flag} depth {depth} k {kmin}..{kmax}")
         rep = verify.borel_weil_report(alg, flag, kmax=kmax, depth=depth,
                                        kmin=kmin, opposite=args.opposite)
     if args.word_check:
-        alt = tuple(reversed(cartan.longest_word(flag.lie)))
-        alg2 = _algebra(args, flag.lie)
-        rep2 = verify.borel_weil_report(alg2, flag, kmax=kmax, depth=depth,
-                                        kmin=kmin, opposite=args.opposite,
-                                        word=alt)
-        dims = [r["dim"] for r in rep["rows"]]
-        dims2 = [r["dim"] for r in rep2["rows"]]
-        rep["word_check"] = {"word": list(alt), "dims": dims2,
-                             "agree": dims == dims2}
-        rep["ok"] = rep["ok"] and rep["word_check"]["agree"]
+        _word_check(rep, flag, _row_dims(rep), lambda word: _row_dims(
+            verify.borel_weil_report(alg, flag, kmax=kmax, depth=depth,
+                                     kmin=kmin, opposite=args.opposite,
+                                     word=word)),
+                    key="dims")
     if args.crosscheck:
-        alg3 = _algebra(args, flag.lie)
-        rep["gamma_crosscheck"] = gamma_crosscheck(alg3, flag)
+        rep["gamma_crosscheck"] = gamma_crosscheck(alg, flag)
         rep["ok"] = rep["ok"] and rep["gamma_crosscheck"]["ok"]
     _emit(rep, args)
     return 0 if rep["ok"] else 1
@@ -285,19 +296,13 @@ def cmd_verify(args) -> int:
     rep["ok"] = rep["ok"] and all(r.get("ok") for r in extra)
     rep["seed"] = args.seed
     if args.word_check:
-        alt = tuple(reversed(cartan.longest_word(flag.lie)))
-        base = verify.borel_weil_report(
-            alg, flag, verify.DEFAULT_KMAX.get(str(flag), 1),
-            depth or verify.default_depth(flag),
-            kmin=verify.DEFAULT_KMIN.get(str(flag), -1))
-        alt_rep = verify.borel_weil_report(
-            alg, flag, verify.DEFAULT_KMAX.get(str(flag), 1),
-            depth or verify.default_depth(flag),
-            kmin=verify.DEFAULT_KMIN.get(str(flag), -1), word=alt)
-        agree = [r["dim"] for r in base["rows"]] == \
-            [r["dim"] for r in alt_rep["rows"]]
-        rep["word_check"] = {"word": list(alt), "agree": agree}
-        rep["ok"] = rep["ok"] and agree
+        def borel_weil(word=None):
+            return verify.verify_suite(flag, ["borel-weil"], depth=depth,
+                                       algebra=alg, word=word)["reports"][0]
+        base = next((r for r in rep["reports"] if r["kind"] == "borel_weil"),
+                    None) or borel_weil()
+        _word_check(rep, flag, _row_dims(base),
+                    lambda word: _row_dims(borel_weil(word)))
     _emit(rep, args)
     return 0 if rep["ok"] else 1
 

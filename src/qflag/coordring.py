@@ -42,15 +42,13 @@ def quadratic_relations(algebra: PWAlgebra, flag: FlagSpec,
     if br is None:
         br = braiding(v, v)
     qll = ctx.q_power(cartan.bilinear(algebra.lie, gens.lam, gens.lam))
-    rows = {}
-    for (r, c), val in br.matrix.data.items():
-        rows.setdefault(r, {})[c] = val
+    rows = br.matrix.row_dicts()
     span = SpanBasis()
     for i in range(n):
         for j in range(n):
             # coefficient R^{ij}_{kl}: output (i,j), input (k,l) - a matrix row
             vec = {}
-            for c, val in rows.get(i * n + j, {}).items():
+            for c, val in rows[i * n + j].items():
                 vec[divmod(c, n)] = val
             vec[(i, j)] = vec.get((i, j), ctx.zero) - qll
             vec = {kk: vv for kk, vv in vec.items() if vv}

@@ -4,14 +4,13 @@ Values only need +, -, *, /, equality, and truthiness as the zero test; both
 :class:`qflag.scalars.Scalar` and :class:`fractions.Fraction` qualify, so the
 same elimination code serves the symbolic and the specialized mode.
 
-Two views of a linear object are used:
-
-* dict-vectors ``{key: value}`` (no explicit zeros): the rows of every linear
-  system handed to :func:`eliminate` and its wrappers, and spans of algebra
-  elements with sortable keys, echelonized incrementally by
-  :class:`SpanBasis`;
-* :class:`SparseMatrix` for generator matrices (band-sparse) and their
-  products.
+The one linear format is the dict-vector ``{key: value}`` (no explicit
+zeros): the rows of every linear system handed to :func:`eliminate` and its
+wrappers, spans of algebra elements with sortable keys, echelonized
+incrementally by :class:`SpanBasis`, and the columns of a
+:class:`SparseMatrix`, which stores a matrix as ``{col: column}``.  Every
+matrix-vector and matrix-matrix product folds :func:`dv_add_scaled` over
+columns.
 
 :func:`eliminate` is the one exact elimination engine.  It keeps each row as
 a dict and a column -> rows index, so it touches nonzero entries only.  All
@@ -241,22 +240,21 @@ def invert_blocks(mat, blocks, one):
     (rows, cols) of mat inverts to block (cols, rows) of it.  Raises
     ConventionError when a block is not square or is singular.
     """
-    by_col = mat.by_col()
-    data = {}
+    out = {}
     for rows, cols in blocks:
         if len(rows) != len(cols):
             raise ConventionError("weight block is not square")
         pos = {r: b for b, r in enumerate(rows)}
         block = [{} for _ in rows]
         for a, c in enumerate(cols):
-            for r, v in by_col.get(c, ()):
+            for r, v in mat.cols.get(c, {}).items():
                 b = pos.get(r)
                 if b is not None:
                     block[b][a] = v
         for c, row in zip(cols, invert_dense(block, one)):
             for b, v in row.items():
-                data[(c, rows[b])] = v
-    return SparseMatrix(mat.ncols, mat.nrows, data)
+                out.setdefault(rows[b], {})[c] = v
+    return SparseMatrix(mat.ncols, mat.nrows, out)
 
 
 # -- dict-vectors ------------------------------------------------------------
@@ -343,15 +341,27 @@ class SpanBasis:
 
 
 class SparseMatrix:
-    """Immutable sparse matrix with exact entries (no explicit zeros)."""
+    """Immutable sparse matrix with exact entries, stored by column.
 
-    __slots__ = ("nrows", "ncols", "data", "_cols")
+    ``cols`` maps a column index to that column as a dict-vector
+    {row: value}; no entry is zero and no column is empty.
+    """
 
-    def __init__(self, nrows, ncols, data):
+    __slots__ = ("nrows", "ncols", "cols")
+
+    def __init__(self, nrows, ncols, cols):
         self.nrows = nrows
         self.ncols = ncols
-        self.data = {k: v for k, v in data.items() if v}
-        self._cols = None
+        self.cols = {j: col for j, c in cols.items()
+                     if (col := {i: v for i, v in c.items() if v})}
+
+    @staticmethod
+    def from_entries(nrows, ncols, entries) -> "SparseMatrix":
+        """The matrix of ((row, col), value) pairs, as entries_sorted gives."""
+        cols = {}
+        for (i, j), v in entries:
+            cols.setdefault(j, {})[i] = v
+        return SparseMatrix(nrows, ncols, cols)
 
     @staticmethod
     def zero(nrows, ncols) -> "SparseMatrix":
@@ -359,64 +369,48 @@ class SparseMatrix:
 
     @staticmethod
     def identity(n, one) -> "SparseMatrix":
-        return SparseMatrix(n, n, {(i, i): one for i in range(n)})
+        return SparseMatrix.diagonal([one] * n)
 
     @staticmethod
     def diagonal(values) -> "SparseMatrix":
         n = len(values)
-        return SparseMatrix(n, n, {(i, i): v for i, v in enumerate(values) if v})
-
-    def by_col(self):
-        if self._cols is None:
-            cols = {}
-            for (i, j), v in self.data.items():
-                cols.setdefault(j, []).append((i, v))
-            for lst in cols.values():
-                lst.sort(key=lambda t: t[0])
-            self._cols = cols
-        return self._cols
+        return SparseMatrix(n, n, {i: {i: v} for i, v in enumerate(values)})
 
     def row_dicts(self):
         """Rows as dict-vectors {col: value}, one per row."""
-        rows = [{} for _ in range(self.nrows)]
-        for (i, j), v in self.data.items():
-            rows[i][j] = v
-        return rows
+        rows = self.transpose().cols
+        return [rows.get(i, {}) for i in range(self.nrows)]
 
     def is_zero(self) -> bool:
-        return not self.data
+        return not self.cols
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.data == other.data)
+                and self.ncols == other.ncols and self.cols == other.cols)
 
     def __hash__(self):
         raise TypeError("unhashable")
 
     def entry(self, i, j):
-        return self.data.get((i, j))
+        return self.cols.get(j, {}).get(i)
 
     def entries_sorted(self):
-        return sorted(self.data.items())
+        return sorted(((i, j), v) for j, col in self.cols.items()
+                      for i, v in col.items())
 
     def scale(self, c) -> "SparseMatrix":
-        if not c:
-            return SparseMatrix.zero(self.nrows, self.ncols)
-        return SparseMatrix(self.nrows, self.ncols,
-                            {k: c * v for k, v in self.data.items()})
+        return SparseMatrix(self.nrows, self.ncols, {
+            j: {i: c * v for i, v in col.items()}
+            for j, col in self.cols.items()} if c else {})
 
     def add(self, other) -> "SparseMatrix":
-        out = dict(self.data)
-        for k, v in other.data.items():
-            w = out.get(k)
-            if w is None:
-                out[k] = v
-            else:
-                w = w + v
-                if w:
-                    out[k] = w
-                else:
-                    del out[k]
+        out = dict(self.cols)
+        for j, col in other.cols.items():
+            acc = dict(out.get(j, {}))
+            for i, v in col.items():
+                w = acc.get(i)
+                acc[i] = v if w is None else w + v
+            out[j] = acc
         return SparseMatrix(self.nrows, self.ncols, out)
 
     def sub(self, other) -> "SparseMatrix":
@@ -425,63 +419,25 @@ class SparseMatrix:
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        ocols = other.by_col()
-        out = {}
-        scols = self.by_col()
-        for j, col in ocols.items():
-            acc = {}
-            for k, v in col:
-                for i, u in scols.get(k, ()):
-                    w = acc.get(i)
-                    if w is None:
-                        acc[i] = u * v
-                    else:
-                        w = w + u * v
-                        if w:
-                            acc[i] = w
-                        else:
-                            del acc[i]
-            for i, v in acc.items():
-                out[(i, j)] = v
-        return SparseMatrix(self.nrows, other.ncols, out)
+        return SparseMatrix(self.nrows, other.ncols, {
+            j: self.matvec(col) for j, col in other.cols.items()})
 
     def matvec(self, vec: dict) -> dict:
         """Apply to a column dict-vector {col index: value}."""
-        cols = self.by_col()
+        cols = self.cols
         acc = {}
         for j, c in vec.items():
-            for i, v in cols.get(j, ()):
-                w = acc.get(i)
-                if w is None:
-                    acc[i] = v * c
-                else:
-                    w = w + v * c
-                    if w:
-                        acc[i] = w
-                    else:
-                        del acc[i]
-        return acc
-
-    def vecmat(self, vec: dict) -> dict:
-        """Apply on the left to a row dict-vector: returns vec @ self."""
-        acc = {}
-        for (i, j), v in self.data.items():
-            c = vec.get(i)
-            if c is not None:
-                w = acc.get(j)
-                if w is None:
-                    acc[j] = c * v
-                else:
-                    w = w + c * v
-                    if w:
-                        acc[j] = w
-                    else:
-                        del acc[j]
+            col = cols.get(j)
+            if col is not None:
+                dv_add_scaled(acc, col, c)
         return acc
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.ncols, self.nrows,
-                            {(j, i): v for (i, j), v in self.data.items()})
+        rows = {}
+        for j, col in self.cols.items():
+            for i, v in col.items():
+                rows.setdefault(i, {})[j] = v
+        return SparseMatrix(self.ncols, self.nrows, rows)
 
     def power(self, n: int, one) -> "SparseMatrix":
         if n < 0:

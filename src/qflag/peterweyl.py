@@ -174,15 +174,9 @@ class PWAlgebra:
             t_mod = tensor(self.module(lam), self.module(mu))
             cg = decompose(t_mod, self.module)
             self._store_cg(key[0], key[1], cg)
-        maps = []
-        for s in cg.summands:
-            row_map = {}
-            for (tr, rr), v in s.emb.data.items():
-                row_map.setdefault(tr, []).append((rr, v))
-            col_map = {}
-            for (rr, tc), v in s.proj.data.items():
-                col_map.setdefault(tc, []).append((rr, v))
-            maps.append((s.nu, row_map, col_map))
+        # per summand: the rows of emb and the columns of proj
+        maps = [(s.nu, s.emb.transpose().cols, s.proj.cols)
+                for s in cg.summands]
         self._cg[key] = (cg, maps)
         return cg
 
@@ -287,7 +281,7 @@ class PWAlgebra:
         """SparseMatrix from cached [row, col, scalar text] triples, or None."""
         if not isinstance(entries, list):
             return None
-        data = {}
+        pairs = []
         parse = self.ctx.parse
         try:
             for r, c, text in entries:
@@ -295,10 +289,10 @@ class PWAlgebra:
                         and 0 <= r < nrows and 0 <= c < ncols
                         and isinstance(text, str)):
                     return None
-                data[(r, c)] = parse(text)
+                pairs.append(((r, c), parse(text)))
         except (TypeError, ValueError, ZeroDivisionError):
             return None
-        return SparseMatrix(nrows, ncols, data)
+        return SparseMatrix.from_entries(nrows, ncols, pairs)
 
     # -- Hopf-algebra operations ----------------------------------------------
 
@@ -338,9 +332,9 @@ class PWAlgebra:
                     cls = col_map.get(tc)
                     if not cls:
                         continue
-                    for rr, ev in rws:
+                    for rr, ev in rws.items():
                         vv = v12 * ev
-                        for ss, pv in cls:
+                        for ss, pv in cls.items():
                             key = (nu, rr, ss)
                             out[key] = out.get(key, self.ctx.zero) + vv * pv
         return PWElement(out)
@@ -362,8 +356,8 @@ class PWAlgebra:
         """Left action on the vector slot.
 
         gen is a single generator tag ("E"|"F"|"K"|"Kinv", i), a sequence of
-        such tags (a word, applied rightmost first), a per-block matrix map,
-        or a callable lam -> matrix (used for root-vector operators).
+        such tags (a word, applied rightmost first), or a callable
+        lam -> matrix (used for root-vector operators).
         """
         if isinstance(gen, (list, tuple)) and gen and \
                 isinstance(gen[0], (list, tuple)):
@@ -373,7 +367,7 @@ class PWAlgebra:
         out = {}
         for (lam, r, c), v in a.coeffs.items():
             mat = self._resolve(gen, lam)
-            for r2, mv in mat.by_col().get(c, ()):
+            for r2, mv in mat.cols.get(c, {}).items():
                 key = (lam, r, r2)
                 out[key] = out.get(key, self.ctx.zero) + v * mv
         return PWElement(out)
@@ -392,14 +386,11 @@ class PWAlgebra:
         out = {}
         rows_cache = {}
         for (lam, r, c), v in a.coeffs.items():
-            mat = self._resolve(gen, lam)
             rows = rows_cache.get(lam)
             if rows is None:
-                rows = {}
-                for (rr, cc), mv in mat.data.items():
-                    rows.setdefault(rr, []).append((cc, mv))
+                rows = self._resolve(gen, lam).transpose().cols
                 rows_cache[lam] = rows
-            for s, mv in rows.get(r, ()):
+            for s, mv in rows.get(r, {}).items():
                 key = (lam, s, c)
                 out[key] = out.get(key, self.ctx.zero) + v * mv
         return PWElement(out)
@@ -408,9 +399,7 @@ class PWAlgebra:
         if isinstance(gen, tuple):
             kind, i = gen
             return self.module(lam).gen_matrix(kind, i)
-        if callable(gen):
-            return gen(lam)
-        return gen[lam]
+        return gen(lam)
 
     # -- invariants, generators, grading ---------------------------------------
 
@@ -519,16 +508,18 @@ def _inverts_mod_p(summands, t_dim) -> bool:
     emb, proj = {}, {}
     off = 0
     for s in summands:
-        for (r, c), v in s.emb.data.items():
-            emb[(r, off + c)] = mod_image(v)
-        for (r, c), v in s.proj.data.items():
-            proj[(off + r, c)] = mod_image(v)
+        for c, col in s.emb.cols.items():
+            emb[off + c] = {r: mod_image(v) for r, v in col.items()}
+        for c, col in s.proj.cols.items():
+            proj.setdefault(c, {}).update(
+                (off + r, mod_image(v)) for r, v in col.items())
         off += s.emb.ncols
-    if None in emb.values() or None in proj.values():
+    if any(None in col.values() for col in (*emb.values(), *proj.values())):
         return False
     prod = SparseMatrix(t_dim, t_dim, proj).mul(SparseMatrix(t_dim, t_dim, emb))
-    return ({k: z for k, v in prod.data.items() if (z := v % MOD_PRIME)}
-            == {(r, r): 1 for r in range(t_dim)})
+    return SparseMatrix(t_dim, t_dim, {
+        j: {i: v % MOD_PRIME for i, v in col.items()}
+        for j, col in prod.cols.items()}) == SparseMatrix.identity(t_dim, 1)
 
 
 def _levi_mats(m, snodes):

@@ -252,21 +252,14 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
         raise ConventionError(
             f"construction produced dim {total}, Weyl dimension is {dim}")
 
-    e_entries = [{} for _ in range(n)]
-    f_entries = [{} for _ in range(n)]
-    for g in range(total):
-        for i in range(n):
-            for r, v in eimg[g][i].items():
-                e_entries[i][(r, g)] = v
-            fg = fimg[g][i]
-            if fg:
-                for r, v in fg.items():
-                    f_entries[i][(r, g)] = v
+    def gen_mats(imgs):    # column g of node i's matrix is imgs[g][i]
+        return tuple(SparseMatrix(total, total, {
+            g: img[i] or {} for g, img in enumerate(imgs)}) for i in range(n))
+
     k_exps = tuple(tuple(d[i] * w[i] for w in weights) for i in range(n))
     return ModuleData(
         lie=lie, ctx=ctx, highest=tuple(lam), dim=total, weights=tuple(weights),
-        e_mats=tuple(SparseMatrix(total, total, e_entries[i]) for i in range(n)),
-        f_mats=tuple(SparseMatrix(total, total, f_entries[i]) for i in range(n)),
+        e_mats=gen_mats(eimg), f_mats=gen_mats(fimg),
         k_exps=k_exps, highest_index=0, fwords=tuple(fwords),
         parents=tuple(parents))
 
@@ -289,29 +282,23 @@ def tensor(m1: ModuleData, m2: ModuleData) -> ModuleData:
     e_mats = []
     f_mats = []
     for i in range(n):
-        ee = {}
-        for (r, c), v in m1.e_mats[i].data.items():
-            for b in range(d2):
-                tw = v * ctx.q_power(m2.k_exps[i][b])
-                if tw:
-                    ee[(r * d2 + b, c * d2 + b)] = tw
+        kq = [ctx.q_power(e) for e in m2.k_exps[i]]
+        e1, e2 = m1.e_mats[i].cols, m2.e_mats[i].cols
+        f1, f2 = m1.f_mats[i].cols, m2.f_mats[i].cols
+        ee, ff = {}, {}
         for a in range(m1.dim):
-            for (r, c), v in m2.e_mats[i].data.items():
-                key = (a * d2 + r, a * d2 + c)
-                w = ee.get(key)
-                ee[key] = v if w is None else w + v
+            kinv = ctx.q_power(-m1.k_exps[i][a])
+            for b in range(d2):
+                # Delta(E) = E (x) K + 1 (x) E, Delta(F) = F (x) 1 + K^-1 (x) F
+                e_col = {a * d2 + r: v for r, v in e2.get(b, {}).items()}
+                dv_add_scaled(e_col, {r * d2 + b: v for r, v in
+                                      e1.get(a, {}).items()}, kq[b])
+                ee[a * d2 + b] = e_col
+                f_col = {r * d2 + b: v for r, v in f1.get(a, {}).items()}
+                dv_add_scaled(f_col, {a * d2 + r: v for r, v in
+                                      f2.get(b, {}).items()}, kinv)
+                ff[a * d2 + b] = f_col
         e_mats.append(SparseMatrix(dim, dim, ee))
-        ff = {}
-        for (r, c), v in m1.f_mats[i].data.items():
-            for b in range(d2):
-                ff[(r * d2 + b, c * d2 + b)] = v
-        for a in range(m1.dim):
-            tw = ctx.q_power(-m1.k_exps[i][a])
-            for (r, c), v in m2.f_mats[i].data.items():
-                key = (a * d2 + r, a * d2 + c)
-                val = tw * v
-                w = ff.get(key)
-                ff[key] = val if w is None else w + val
         f_mats.append(SparseMatrix(dim, dim, ff))
     k_exps = tuple(tuple(m1.k_exps[i][t // d2] + m2.k_exps[i][t % d2]
                          for t in range(dim)) for i in range(n))
@@ -326,14 +313,13 @@ def dual_module(m: ModuleData) -> ModuleData:
     e_mats = []
     f_mats = []
     for i in range(n):
-        ee = {}
-        for (r, c), v in m.e_mats[i].data.items():
-            ee[(c, r)] = -(v * ctx.q_power(-m.k_exps[i][c]))
-        e_mats.append(SparseMatrix(m.dim, m.dim, ee))
-        ff = {}
-        for (r, c), v in m.f_mats[i].data.items():
-            ff[(c, r)] = -(ctx.q_power(m.k_exps[i][r]) * v)
-        f_mats.append(SparseMatrix(m.dim, m.dim, ff))
+        k = m.k_exps[i]
+        e_mats.append(SparseMatrix(m.dim, m.dim, {
+            r: {c: -(v * ctx.q_power(-k[c])) for c, v in col.items()}
+            for r, col in m.e_mats[i].transpose().cols.items()}))
+        f_mats.append(SparseMatrix(m.dim, m.dim, {
+            r: {c: -(ctx.q_power(k[r]) * v) for c, v in col.items()}
+            for r, col in m.f_mats[i].transpose().cols.items()}))
     weights = tuple(tuple(-x for x in w) for w in m.weights)
     k_exps = tuple(tuple(-e for e in m.k_exps[i]) for i in range(n))
     hw = None
@@ -361,14 +347,10 @@ def transport(src: ModuleData, f_mats, seed: dict) -> SparseMatrix:
     """
     if src.parents is None:
         raise ReducibleModuleError("source module carries no F-word data")
-    cols = [dict(seed)]
+    cols = [seed]
     for j, p in src.parents[1:]:
         cols.append(f_mats[j - 1].matvec(cols[p]))
-    data = {}
-    for t, col in enumerate(cols):
-        for r, v in col.items():
-            data[(r, t)] = v
-    return SparseMatrix(f_mats[0].nrows, src.dim, data)
+    return SparseMatrix(f_mats[0].nrows, src.dim, dict(enumerate(cols)))
 
 
 def check_intertwines(phi: SparseMatrix, src: ModuleData, dst: ModuleData) -> bool:
@@ -423,8 +405,7 @@ def joint_kernel(mats, idxs, one):
         return []
     rows = []
     for mat in mats:
-        cols = mat.by_col()
-        rows.extend(rows_from_columns([dict(cols.get(c, ())) for c in idxs]))
+        rows.extend(rows_from_columns([mat.cols.get(c, {}) for c in idxs]))
     return [{idxs[t]: v for t, v in vec.items()}
             for vec in nullspace(rows, len(idxs), one)]
 
@@ -450,24 +431,25 @@ def decompose(t_mod: ModuleData, module_store) -> CGDecomposition:
         raise ConventionError(
             f"summand dimensions {total} do not add up to {t_mod.dim}")
     # the change-of-basis matrix: the embeddings side by side
-    data = {}
+    columns = {}
     cols_by_weight = {}
     owner = []      # global column -> (summand, its column)
     for k, (_, v_nu, emb) in enumerate(summands):
         off = len(owner)
-        for (r, c), v in emb.data.items():
-            data[(r, off + c)] = v
+        for c, col in emb.cols.items():
+            columns[off + c] = col
         for c, w in enumerate(v_nu.weights):
             cols_by_weight.setdefault(w, []).append(off + c)
             owner.append((k, c))
     uinv = invert_blocks(
-        SparseMatrix(t_mod.dim, t_mod.dim, data),
+        SparseMatrix(t_mod.dim, t_mod.dim, columns),
         [(by_weight.get(w, ()), gcols) for w, gcols in cols_by_weight.items()],
         one)
     projs = [{} for _ in summands]
-    for (gc, r), v in uinv.data.items():
-        k, c = owner[gc]
-        projs[k][(c, r)] = v
+    for r, col in uinv.cols.items():
+        for gc, v in col.items():
+            k, c = owner[gc]
+            projs[k].setdefault(r, {})[c] = v
     return CGDecomposition(tuple(
         CGSummand(tuple(nu), emb, SparseMatrix(v_nu.dim, t_mod.dim, proj))
         for (nu, v_nu, emb), proj in zip(summands, projs)))
@@ -564,10 +546,10 @@ class LusztigOperators:
         twisted = [braid_image(m, i, "F", j) for j in range(1, lie.rank + 1)]
         th = transport(m, twisted, {seeds[0]: ctx.one})
         # normalize: first nonzero entry in column order becomes 1
-        cols = th.by_col()
-        if not cols:
+        if th.is_zero():
             raise ConventionError("braid operator came out zero")
-        norm = cols[min(cols)][0][1]
+        first = th.cols[min(th.cols)]
+        norm = first[min(first)]
         if not (norm == 1):
             th = th.scale(ctx.one / norm)
         self._check(i, th)
@@ -634,16 +616,15 @@ def nullspace_of_conjugation(m: ModuleData, i: int):
         for j in range(1, lie.rank + 1):
             g = m.gen_matrix(kind, j)
             tg = braid_image(m, i, kind, j)
+            tg_rows = tg.row_dicts()
             # Theta g - tg Theta = 0, entry (r, c)
             for r in range(n):
                 for c in range(n):
                     row = {}
-                    for (a, b), v in g.data.items():
-                        if b == c:
-                            row[uidx[(r, a)]] = row.get(uidx[(r, a)], ctx.zero) + v
-                    for (a, b), v in tg.data.items():
-                        if a == r:
-                            row[uidx[(b, c)]] = row.get(uidx[(b, c)], ctx.zero) - v
+                    for a, v in g.cols.get(c, {}).items():
+                        row[uidx[(r, a)]] = row.get(uidx[(r, a)], ctx.zero) + v
+                    for b, v in tg_rows[r].items():
+                        row[uidx[(b, c)]] = row.get(uidx[(b, c)], ctx.zero) - v
                     if row:
                         rows.append(row)
     return nullspace(rows, len(unknowns), ctx.one)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import cartan
 from .errors import ConventionError, DomainError
-from .linalg import SparseMatrix, invert_blocks, solve_unique
+from .linalg import SparseMatrix, dv_add_scaled, solve_unique
 from .reps import ModuleData, tensor
 
 
@@ -43,24 +43,6 @@ class Braiding:
     def coeff(self, k: int, l: int, i: int, j: int):
         return self.matrix.entry(k * self.v.dim + l, i * self.w.dim + j)
 
-    def inverse(self) -> SparseMatrix:
-        """Blockwise (per weight) inverse, W (x) V -> V (x) W."""
-        rows = _indices_by_weight(self.w, self.v)
-        cols = _indices_by_weight(self.v, self.w)
-        return invert_blocks(
-            self.matrix, [(r, cols.get(mu, ())) for mu, r in rows.items()],
-            self.v.ctx.one)
-
-
-def _indices_by_weight(a: ModuleData, b: ModuleData) -> dict:
-    """Basis indices i*dim(b)+j of a (x) b grouped by weight, ascending."""
-    out = {}
-    for i, wa in enumerate(a.weights):
-        for j, wb in enumerate(b.weights):
-            mu = tuple(x + y for x, y in zip(wa, wb))
-            out.setdefault(mu, []).append(i * b.dim + j)
-    return out
-
 
 def braiding(v: ModuleData, w: ModuleData) -> Braiding:
     """Solve for R_{V,W}; raises ConventionError unless the solution is unique."""
@@ -72,15 +54,15 @@ def braiding(v: ModuleData, w: ModuleData) -> Braiding:
               if _strictly_below(lie, w.weights[k], w.weights[j])]
              for j in range(dw)]
     v_at = v.weight_indices()
-    fixed = {}      # (row, col) -> the leading coefficient
+    lead = []       # per col: the leading coefficient, at row support[col][0]
     support = []    # per col: (row, unknown index, or None at the lead)
     unknowns = []   # (row, col) per unknown
     for i in range(dv):
         for j in range(dw):
             col = i * dw + j
             total = tuple(a + b for a, b in zip(v.weights[i], w.weights[j]))
-            fixed[(j * dv + i, col)] = ctx.q_power(
-                cartan.bilinear(lie, v.weights[i], w.weights[j]))
+            lead.append(ctx.q_power(
+                cartan.bilinear(lie, v.weights[i], w.weights[j])))
             sup = [(j * dv + i, None)]
             for k in below[j]:
                 rest = tuple(a - b for a, b in zip(total, w.weights[k]))
@@ -95,21 +77,21 @@ def braiding(v: ModuleData, w: ModuleData) -> Braiding:
     zero = ctx.zero
     for kind in ("E", "F"):
         for a in range(1, lie.rank + 1):
-            act_in = vw.gen_matrix(kind, a).by_col()
-            act_out = wv.gen_matrix(kind, a).by_col()
+            act_in = vw.gen_matrix(kind, a).cols
+            act_out = wv.gen_matrix(kind, a).cols
             for col in range(dv * dw):
                 # R(g . (e_i (x) f_j)) - g . R(e_i (x) f_j), per output row;
                 # the key None collects the leading (known) terms
                 eqs = {}
-                for c2, cf in act_in.get(col, ()):
+                for c2, cf in act_in.get(col, {}).items():
                     for r2, u in support[c2]:
                         eq = eqs.setdefault(r2, {})
-                        term = cf if u is not None else cf * fixed[(r2, c2)]
+                        term = cf if u is not None else cf * lead[c2]
                         eq[u] = eq[u] + term if u in eq else term
                 for r0, u in support[col]:
-                    for r2, cf in act_out.get(r0, ()):
+                    for r2, cf in act_out.get(r0, {}).items():
                         eq = eqs.setdefault(r2, {})
-                        term = cf if u is not None else cf * fixed[(r0, col)]
+                        term = cf if u is not None else cf * lead[col]
                         eq[u] = eq[u] - term if u in eq else -term
                 for r2 in sorted(eqs):
                     eq = eqs[r2]
@@ -119,39 +101,27 @@ def braiding(v: ModuleData, w: ModuleData) -> Braiding:
                         rows.append(row)
                         rhs.append(-const)
     sol = solve_unique(rows, rhs, len(unknowns), ctx.one)
-    data = dict(fixed)
+    cols = [{sup[0][0]: x} for sup, x in zip(support, lead)]
     for (r, c), x in zip(unknowns, sol):
-        if x:
-            data[(r, c)] = x
-    return Braiding(v, w, SparseMatrix(dv * dw, dv * dw, data))
+        cols[c][r] = x
+    return Braiding(v, w, SparseMatrix(dv * dw, dv * dw, dict(enumerate(cols))))
 
 
-def _apply_r(r_cols: dict, vec: dict, d: int, slot: int) -> dict:
+def _apply_r(r: SparseMatrix, vec: dict, d: int, slot: int) -> dict:
     """R (x) 1 (slot 12) or 1 (x) R (slot 23) on a dict-vector of V (x) V (x) V.
 
-    ``r_cols`` is R_{V,V} by column (``SparseMatrix.by_col``); index
-    a*d*d + b*d + c stands for e_a (x) e_b (x) e_c, with d = dim V.
+    r is R_{V,V}; index a*d*d + b*d + c stands for e_a (x) e_b (x) e_c, with
+    d = dim V.
     """
     out = {}
     for x, c in vec.items():
         if slot == 12:
-            pair, shift = divmod(x, d)
-            step = d
+            pair, low = divmod(x, d)
+            col = {i * d + low: u for i, u in r.cols.get(pair, {}).items()}
         else:
-            shift, pair = divmod(x, d * d)
-            shift *= d * d
-            step = 1
-        for r, u in r_cols.get(pair, ()):
-            y = r * step + shift
-            w = out.get(y)
-            if w is None:
-                out[y] = u * c
-            else:
-                w = w + u * c
-                if w:
-                    out[y] = w
-                else:
-                    del out[y]
+            high, pair = divmod(x, d * d)
+            col = {high * d * d + i: u for i, u in r.cols.get(pair, {}).items()}
+        dv_add_scaled(out, col, c)
     return out
 
 
@@ -164,7 +134,7 @@ def _generated_by_highest(v: ModuleData) -> bool:
     if v.parents is None or v.highest_index != 0:
         return False
     one = v.ctx.one
-    return all(v.f_mats[j - 1].by_col().get(u) == [(t, one)]
+    return all(v.f_mats[j - 1].cols.get(u) == {t: one}
                for t, (j, u) in enumerate(v.parents[1:], 1))
 
 
@@ -172,11 +142,13 @@ def _preserves_weight(br: Braiding) -> bool:
     """Every entry of R maps e_i (x) e_j to terms of the same K-exponents."""
     v, d = br.v, br.v.dim
     kw = list(zip(*v.k_exps))
-    for r, c in br.matrix.data:
-        (k, l), (i, j) = divmod(r, d), divmod(c, d)
-        if any(a + b != x + y
-               for a, b, x, y in zip(kw[k], kw[l], kw[i], kw[j])):
-            return False
+    for c, col in br.matrix.cols.items():
+        i, j = divmod(c, d)
+        for r in col:
+            k, l = divmod(r, d)
+            if any(a + b != x + y
+                   for a, b, x, y in zip(kw[k], kw[l], kw[i], kw[j])):
+                return False
     return True
 
 
@@ -199,7 +171,6 @@ def ybe_check(v: ModuleData, br: Braiding | None = None) -> bool:
     if br is None:
         br = braiding(v, v)
     d = v.dim
-    r_cols = br.matrix.by_col()
     if (br.v is v and br.w is v and _generated_by_highest(v)
             and _preserves_weight(br) and intertwines(br)):
         h = v.highest_index
@@ -210,8 +181,8 @@ def ybe_check(v: ModuleData, br: Braiding | None = None) -> bool:
     for x in cols:
         lhs = rhs = {x: one}
         for a, b in ((12, 23), (23, 12), (12, 23)):
-            lhs = _apply_r(r_cols, lhs, d, a)
-            rhs = _apply_r(r_cols, rhs, d, b)
+            lhs = _apply_r(br.matrix, lhs, d, a)
+            rhs = _apply_r(br.matrix, rhs, d, b)
         if lhs != rhs:
             return False
     return True

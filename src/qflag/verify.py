@@ -17,9 +17,11 @@ from __future__ import annotations
 from . import cartan
 from .calculus import Calculus, act_f_orbit_rows, gamma_crosscheck, z_power
 from .cartan import FlagSpec
-from .coordring import (abstract_graded_dimension, central_element_checks,
-                        mixed_commutation_check, quadratic_relations,
-                        realized_degree2_kernel, relations_annihilate_realized)
+from .coordring import (QuadraticAlgebraSpec, abstract_graded_dimension,
+                        central_element_checks, mixed_commutation_check,
+                        quadratic_relations, realized_degree2_kernel,
+                        realized_graded_dimension,
+                        relations_annihilate_realized)
 from .errors import TruncationError
 from .linalg import SpanBasis
 from .peterweyl import PWAlgebra, PWElement
@@ -221,8 +223,13 @@ def spherical_report(algebra: PWAlgebra, flag: FlagSpec, depth: int) -> dict:
 def quadratic_flatness(algebra: PWAlgebra, flag: FlagSpec,
                        dmax: int = 3) -> dict:
     """Abstract vs realized vs Weyl graded dimensions through degree dmax."""
-    from .coordring import realized_graded_dimension
-    spec = quadratic_relations(algebra, flag)
+    return flatness_report(algebra, flag, quadratic_relations(algebra, flag),
+                           dmax)
+
+
+def flatness_report(algebra: PWAlgebra, flag: FlagSpec,
+                    spec: QuadraticAlgebraSpec, dmax: int) -> dict:
+    """The quadratic_flatness report for the flag's relation space spec."""
     lam = crossed_weight(flag)
     annihilates = relations_annihilate_realized(algebra, flag, spec)
     kernel_match = False

@@ -154,13 +154,13 @@ def kron_with_identity(mat, dim_id, side):
     """mat (x) 1 (side "left") or 1 (x) mat on a tensor-cube factor."""
     n = mat.nrows
     data = {}
-    for (r, c), val in mat.data.items():
+    for (r, c), val in mat.entries_sorted():
         for t in range(dim_id):
             if side == "left":
                 data[(r * dim_id + t, c * dim_id + t)] = val
             else:
                 data[(t * n + r, t * n + c)] = val
-    return SparseMatrix(n * dim_id, n * dim_id, data)
+    return SparseMatrix.from_entries(n * dim_id, n * dim_id, data.items())
 
 
 def ybe_full(v, br):

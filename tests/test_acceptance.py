@@ -177,7 +177,7 @@ def test_criterion_11_lusztig_suite(algebras):
                         ei = tuple(1 if t == i - 1 else 0
                                    for t in range(lie.rank))
                         ab = bilinear_form(lie, ei, beta, ("root", "root"))
-                        for (rr, cc) in op.data:
+                        for (rr, cc), _ in op.entries_sorted():
                             assert m.k_exps[i - 1][rr] - \
                                 m.k_exps[i - 1][cc] == sgn * ab
             total += 1

@@ -107,7 +107,9 @@ def test_borel_weil_cli(capsys):
     assert dims == [0, 0, 1, 2, 3, 4]
 
 
-def test_borel_weil_word_check_and_crosscheck(capsys):
+def test_borel_weil_word_check_and_crosscheck(capsys, monkeypatch):
+    from qflag import peterweyl
+    builds = _count_calls(monkeypatch, peterweyl, "build_irreducible")
     code, out, _ = run_cli(capsys, "--word-check", "borel-weil", "--flag",
                            "A1/1", "--k", "0:1", "--depth", "3",
                            "--crosscheck")
@@ -115,6 +117,9 @@ def test_borel_weil_word_check_and_crosscheck(capsys):
     doc = json.loads(out)
     assert doc["word_check"]["agree"]
     assert doc["gamma_crosscheck"]["ok"]
+    # the second word and the cross-check reuse the algebra's modules
+    lams = [args[2] for args in builds]
+    assert len(lams) == len(set(lams))
 
 
 def test_borel_weil_opposite(capsys):
@@ -322,3 +327,38 @@ def test_spherical_cli(capsys):
     validate(doc)
     assert doc["ok"]
     assert doc["monoid"] == [[0, 0], [0, 2], [2, 0]]
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_relations_solves_the_braiding_once(capsys, monkeypatch):
+    from qflag import coordring
+    calls = _count_calls(monkeypatch, coordring, "braiding")
+    code, out, _ = run_cli(capsys, "relations", "--flag", "A1/1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ok"] and doc["relation_vectors"]
+    assert len(calls) == 1
+
+
+def test_verify_word_check_reuses_the_suite_report(capsys, monkeypatch):
+    from qflag import verify
+    calls = _count_calls(monkeypatch, verify, "borel_weil_report")
+    code, out, _ = run_cli(capsys, "--word-check", "verify", "--flag", "A1/1",
+                           "--suite", "borel-weil", "--depth", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ok"] and doc["word_check"]["agree"]
+    # the suite's own report and the one with the second word, both with
+    # the suite's kmax = min(DEFAULT_KMAX, depth) = 3 at depth 3
+    assert [c[2:4] for c in calls] == [(3, 3), (3, 3)]

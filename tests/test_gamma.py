@@ -34,24 +34,24 @@ def test_bracket_commutes_with_action(algebras, flag_of):
             d2 = v.dim
             data = {}
             if kind == "E":
-                for (r, c), val in v.e_mats[i - 1].data.items():
+                for (r, c), val in v.e_mats[i - 1].entries_sorted():
                     for b in range(d2):
                         data[(r * d2 + b, c * d2 + b)] = val * \
                             ctx.q_power(v.k_exps[i - 1][b])
                 for a in range(v.dim):
-                    for (r, c), val in v.e_mats[i - 1].data.items():
+                    for (r, c), val in v.e_mats[i - 1].entries_sorted():
                         key = (a * d2 + r, a * d2 + c)
                         data[key] = data.get(key, ctx.zero) + val
             else:
-                for (r, c), val in v.f_mats[i - 1].data.items():
+                for (r, c), val in v.f_mats[i - 1].entries_sorted():
                     for b in range(d2):
                         data[(r * d2 + b, c * d2 + b)] = val
                 for a in range(v.dim):
                     tw = ctx.q_power(-v.k_exps[i - 1][a])
-                    for (r, c), val in v.f_mats[i - 1].data.items():
+                    for (r, c), val in v.f_mats[i - 1].entries_sorted():
                         key = (a * d2 + r, a * d2 + c)
                         data[key] = data.get(key, ctx.zero) + tw * val
-            g = SparseMatrix(v.dim * d2, v.dim * d2, data)
+            g = SparseMatrix.from_entries(v.dim * d2, v.dim * d2, data.items())
             assert op.mul(g) == g.mul(op)
 
 

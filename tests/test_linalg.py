@@ -147,8 +147,8 @@ def test_invert_blocks_matches_dense_reference(one, entry):
                 for c in cols:
                     if rng.random() < 0.8:
                         dense[r][c] = entry(rng)
-        mat = SparseMatrix(n, n, {(r, c): v for r, row in enumerate(dense)
-                                  for c, v in enumerate(row)})
+        mat = SparseMatrix.from_entries(n, n, (
+            ((r, c), v) for r, row in enumerate(dense) for c, v in enumerate(row)))
         aug = [row + [one if i == j else zero for j in range(n)]
                for i, row in enumerate(dense)]
         pivots, red = dense_rref(aug, n)
@@ -167,16 +167,90 @@ def test_invert_blocks_matches_dense_reference(one, entry):
 
 def test_invert_blocks_rejects_bad_blocks():
     one = Fraction(1)
-    mat = SparseMatrix(3, 3, {(0, 0): one, (1, 1): one, (1, 2): one,
-                              (2, 1): one, (2, 2): one})
+    mat = SparseMatrix.from_entries(3, 3, {
+        (0, 0): one, (1, 1): one, (1, 2): one, (2, 1): one, (2, 2): one}.items())
     with pytest.raises(ConventionError, match="not square"):
         invert_blocks(mat, [([0], [0]), ([1, 2], [1])], one)
     with pytest.raises(ConventionError, match="singular"):
         invert_blocks(mat, [([0], [0]), ([1, 2], [1, 2])], one)
     # a rectangular matrix with square blocks: the shape is transposed
-    wide = SparseMatrix(1, 2, {(0, 1): Fraction(2)})
+    wide = SparseMatrix.from_entries(1, 2, [((0, 1), Fraction(2))])
     inv = invert_blocks(wide, [([0], [1])], one)
-    assert (inv.nrows, inv.ncols, inv.data) == (2, 1, {(1, 0): Fraction(1, 2)})
+    assert ((inv.nrows, inv.ncols, inv.entries_sorted())
+            == (2, 1, [((1, 0), Fraction(1, 2))]))
+
+
+def from_dense(dense, ncols):
+    return SparseMatrix.from_entries(len(dense), ncols, (
+        ((i, j), v) for i, row in enumerate(dense) for j, v in enumerate(row)))
+
+
+def as_dense(mat, zero):
+    assert all(col and all(col.values()) for col in mat.cols.values()), \
+        "an explicit zero or an empty column survived"
+    assert all(0 <= j < mat.ncols and all(0 <= i < mat.nrows for i in col)
+               for j, col in mat.cols.items())
+    return [[mat.entry(i, j) or zero for j in range(mat.ncols)]
+            for i in range(mat.nrows)]
+
+
+def dense_mul(a, b, ncols, zero):
+    out = [[zero] * ncols for _ in a]
+    for i, row in enumerate(a):
+        for k, x in enumerate(row):
+            for j in range(ncols):
+                out[i][j] = out[i][j] + x * b[k][j]
+    return out
+
+
+@pytest.mark.parametrize("one,entry", FIELDS, ids=["fraction", "scalar"])
+def test_sparse_matrix_matches_dense_reference(one, entry):
+    zero = one - one
+    rng = random.Random(11)
+    for _ in range(25):
+        m, k, n = rng.randint(1, 5), rng.randint(2, 5), rng.randint(1, 5)
+        a = random_dense(rng, m, k, entry, zero, density=0.5)
+        b = random_dense(rng, k, n, entry, zero, density=0.5)
+        # entries and whole columns that cancel: a's columns 0 and 1 agree
+        # and b's column 0 is x e_0 - x e_1, so a.b has a zero column 0;
+        # c is -a on column 0 and on about half of the other entries
+        for row in a:
+            row[1] = row[0]
+        x = entry(rng) or one
+        for t, row in enumerate(b):
+            row[0] = x if t == 0 else -x if t == 1 else zero
+        c = [[-v if j == 0 or rng.random() < 0.5 else entry(rng)
+              for j, v in enumerate(row)] for row in a]
+        sa, sb, sc = from_dense(a, k), from_dense(b, n), from_dense(c, k)
+        assert as_dense(sa, zero) == a
+        prod = sa.mul(sb)
+        assert (prod.nrows, prod.ncols) == (m, n)
+        assert as_dense(prod, zero) == dense_mul(a, b, n, zero)
+        assert 0 not in prod.cols
+        total = sa.add(sc)
+        assert as_dense(total, zero) == [[x + y for x, y in zip(r, s)]
+                                         for r, s in zip(a, c)]
+        assert 0 not in total.cols
+        assert as_dense(sa.sub(sc), zero) == [[x - y for x, y in zip(r, s)]
+                                              for r, s in zip(a, c)]
+        assert sa.sub(sa).is_zero() and sa.sub(sa).cols == {}
+        f = entry(rng)
+        assert as_dense(sa.scale(f), zero) == [[f * x for x in r] for r in a]
+        assert sa.scale(zero).cols == {}
+        tr = sa.transpose()
+        assert (tr.nrows, tr.ncols) == (k, m)
+        assert as_dense(tr, zero) == [list(col) for col in zip(*a)]
+        vec = {j: entry(rng) for j in range(k) if rng.random() < 0.6}
+        vec.update({0: x, 1: -x})
+        want = [sum((r[j] * v for j, v in vec.items()), zero) for r in a]
+        assert sa.matvec(vec) == {i: v for i, v in enumerate(want) if v}
+        assert sa.matvec({0: x, 1: -x}) == {}
+        assert sa.row_dicts() == sparse(a)
+        assert sa.entries_sorted() == [
+            ((i, j), v) for i, row in enumerate(a) for j, v in enumerate(row)
+            if v]
+        assert SparseMatrix.from_entries(m, k, sa.entries_sorted()) == sa
+        assert SparseMatrix(m, k, {0: {0: zero}, 1: {}}).cols == {}
 
 
 def tall_system():

@@ -35,7 +35,7 @@ def test_a1_frozen_values():
     assert br.coeff(1, 0, 0, 1) == s(-1)
     assert br.coeff(0, 1, 1, 0) == s(-1)
     assert br.coeff(1, 0, 1, 0) == s(1) - s(-3)
-    assert len(br.matrix.data) == 5
+    assert len(br.matrix.entries_sorted()) == 5
 
 
 def test_leading_term_highest_highest():
@@ -46,7 +46,7 @@ def test_leading_term_highest_highest():
         w = build_irreducible(ctx, lie, mu)
         br = braiding(v, w)
         hv, hw = v.highest_index, w.highest_index
-        col = [(r, val) for (r, c), val in br.matrix.data.items()
+        col = [(r, val) for (r, c), val in br.matrix.entries_sorted()
                if c == hv * w.dim + hw]
         assert col == [(hw * v.dim + hv, ctx.q_power(bilinear(lie, lam, mu)))]
 
@@ -57,7 +57,7 @@ def test_intertwining_and_weight_preservation():
     w = build_irreducible(ctx, A2, (0, 1))
     br = braiding(v, w)
     assert intertwines(br)
-    for (r, c) in br.matrix.data:
+    for (r, c), _ in br.matrix.entries_sorted():
         k, l = divmod(r, v.dim)
         i, j = divmod(c, w.dim)
         in_wt = tuple(a + b for a, b in zip(v.weights[i], w.weights[j]))
@@ -110,19 +110,19 @@ def test_ybe_rejects_r_plus_identity(name, lam):
 def test_ybe_rejects_weight_breaking_entry():
     v = _module("A2", (1, 0))
     r = braiding(v, v).matrix
-    data = dict(r.data)
+    data = dict(r.entries_sorted())
     lowest = v.dim * v.dim - 1
     assert (lowest, 0) not in data
     data[(lowest, 0)] = v.ctx.one
-    bad = Braiding(v, v, SparseMatrix(r.nrows, r.ncols, data))
+    bad = Braiding(v, v, SparseMatrix.from_entries(r.nrows, r.ncols, data.items()))
     assert not ybe_check(v, bad)
     assert not ybe_full(v, bad)
 
 
 def _flip(v):
     d = v.dim
-    return Braiding(v, v, SparseMatrix(d * d, d * d, {
-        (j * d + i, i * d + j): v.ctx.one for i in range(d) for j in range(d)}))
+    return Braiding(v, v, SparseMatrix.from_entries(d * d, d * d, [
+        ((j * d + i, i * d + j), v.ctx.one) for i in range(d) for j in range(d)]))
 
 
 def test_flip_satisfies_ybe_on_all_columns():
@@ -172,17 +172,6 @@ def test_strictly_below_lets_unexpected_errors_through(monkeypatch):
         rmatrix._strictly_below(A2, (0, 1), (1, 0))
 
 
-def test_inverse_blockwise():
-    ctx = context_for(A2)
-    v = build_irreducible(ctx, A2, (1, 0))
-    w = build_irreducible(ctx, A2, (0, 1))
-    br = braiding(v, w)
-    inv = br.inverse()
-    n = v.dim * w.dim
-    assert inv.mul(br.matrix) == SparseMatrix.identity(n, ctx.one)
-    assert br.matrix.mul(inv) == SparseMatrix.identity(n, ctx.one)
-
-
 def test_naturality_spot_check():
     # for the intertwiner phi: V -> V twisting by a scalar, naturality
     # (1 (x) phi) R_{V,V} = R_{V,V} (phi (x) 1) holds trivially; exercise the
@@ -217,10 +206,11 @@ def test_intertwines_detects_one_changed_entry():
     w = build_irreducible(ctx, A2, (0, 1))
     br = braiding(v, w)
     assert intertwines(br)
-    data = dict(br.matrix.data)
+    data = dict(br.matrix.entries_sorted())
     key = min(data)
     data[key] = data[key] + ctx.one
-    bad = type(br)(v, w, SparseMatrix(br.matrix.nrows, br.matrix.ncols, data))
+    bad = type(br)(v, w, SparseMatrix.from_entries(
+        br.matrix.nrows, br.matrix.ncols, data.items()))
     assert not intertwines(bad)
 
 
