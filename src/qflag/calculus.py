@@ -67,11 +67,6 @@ class Calculus:
                                if beta[x - 1] != 0)
         self._tangent = {}
 
-    def restricted_roots(self, sign: str = "+"):
-        if sign == "+":
-            return tuple(beta for _, beta in self.positions)
-        return tuple(tuple(-c for c in beta) for _, beta in self.positions)
-
     def tangent_operators(self, lam, chirality: str = "01"):
         """Root-vector operator matrices on V_lam for one chirality."""
         key = (tuple(lam), chirality)

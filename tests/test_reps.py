@@ -13,7 +13,7 @@ from qflag.errors import (ConventionError, DimensionGuardError, DomainError,
                           ReducibleModuleError)
 from qflag.linalg import (MOD_POINT, SpanBasis, SparseMatrix,
                           column_rank_profile, mod_row_profile)
-from qflag.reps import (LusztigOperators, build_irreducible,
+from qflag.reps import (LusztigOperators, braid_image, build_irreducible,
                         check_defining_relations, check_intertwines,
                         context_for, decompose, dual_module, dual_pairing,
                         nullspace_of_conjugation, tensor, transport,
@@ -193,21 +193,21 @@ def test_decompose_random_pairs_bookkeeping():
 def test_braid_operator_a1():
     ctx = context_for(A1)
     m = build_irreducible(ctx, A1, (1,))
-    ops = LusztigOperators(m, verify="full")
+    ops = LusztigOperators(m)
     th = ops.theta(1)
     # antidiagonal: swaps the two weight spaces up to scalars
     assert {k for k, _ in th.entries_sorted()} == {(0, 1), (1, 0)}
     # uniqueness: the conjugation system has a 1-dimensional solution space
     assert len(nullspace_of_conjugation(m, 1)) == 1
     triv = trivial_module(ctx, A1)
-    opst = LusztigOperators(triv, verify="full")
+    opst = LusztigOperators(triv)
     assert opst.theta(1) == SparseMatrix.identity(1, ctx.one)
 
 
 def test_braid_weight_permutation():
     ctx = context_for(A2)
     m = build_irreducible(ctx, A2, (1, 1))
-    ops = LusztigOperators(m, verify="full")
+    ops = LusztigOperators(m)
     from qflag.cartan import reflect_weight
     for i in (1, 2):
         th = ops.theta(i)
@@ -226,7 +226,7 @@ def test_conjugation_nullspace_is_one_dimensional():
 def test_braid_relation_a2_up_to_scalar():
     ctx = context_for(A2)
     m = build_irreducible(ctx, A2, (1, 0))
-    ops = LusztigOperators(m, verify="full")
+    ops = LusztigOperators(m)
     lhs = ops.theta(1).mul(ops.theta(2)).mul(ops.theta(1))
     rhs = ops.theta(2).mul(ops.theta(1)).mul(ops.theta(2))
     (k0, v0) = lhs.entries_sorted()[0]
@@ -235,20 +235,24 @@ def test_braid_relation_a2_up_to_scalar():
     assert lhs == rhs.scale(v0 / v1)
 
 
-def test_braid_light_verify_matches_full():
+def test_braid_identities_hold_above_full_verify_limit():
+    # above the limit theta checks only the K-family itself
     ctx = context_for(A2)
-    m = build_irreducible(ctx, A2, (1, 1))
-    full = LusztigOperators(m, verify="full")
-    light = LusztigOperators(m, verify="light")
+    m = build_irreducible(ctx, A2, (2, 2))
+    assert m.dim == 27 > LusztigOperators.FULL_VERIFY_LIMIT
+    ops = LusztigOperators(m)
     for i in (1, 2):
-        assert full.theta(i) == light.theta(i)
-        assert full.theta_inv(i) == light.theta_inv(i)
+        th = ops.theta(i)
+        for kind in ("K", "E", "F"):
+            for j in (1, 2):
+                assert th.mul(m.gen_matrix(kind, j)) == \
+                    braid_image(m, i, kind, j).mul(th)
 
 
 def test_root_operator_basics():
     ctx = context_for(A1)
     m = build_irreducible(ctx, A1, (1,))
-    ops = LusztigOperators(m, verify="full")
+    ops = LusztigOperators(m)
     # r = 1 is the plain generator
     assert ops.root_operator((1,), 1, "E") == m.e_mats[0]
     assert ops.root_operator((1,), 1, "F") == m.f_mats[0]
@@ -261,7 +265,7 @@ def test_root_operator_weights(name):
     word = longest_word(lie)
     seq = root_sequence(lie, word)
     m = build_irreducible(ctx, lie, (1, 1))
-    ops = LusztigOperators(m, verify="full")
+    ops = LusztigOperators(m)
     for r, beta in enumerate(seq, start=1):
         for kind, sgn in (("E", 1), ("F", -1)):
             op = ops.root_operator(word, r, kind)
@@ -280,7 +284,7 @@ def test_root_operators_linearly_independent():
         ctx = context_for(lie)
         word = longest_word(lie)
         m = build_irreducible(ctx, lie, (1, 1))
-        ops = LusztigOperators(m, verify="full")
+        ops = LusztigOperators(m)
         span = SpanBasis()
         for r in range(1, len(word) + 1):
             op = ops.root_operator(word, r, "E")
@@ -294,7 +298,7 @@ def test_root_operators_word_independence_of_spans():
     lie = A2
     ctx = context_for(lie)
     m = build_irreducible(ctx, lie, (1, 1))
-    ops = LusztigOperators(m, verify="full")
+    ops = LusztigOperators(m)
     w1 = longest_word(lie)
     w2 = tuple(reversed(w1))
     ops1 = [ops.root_operator(w1, r, "E") for r in range(1, 4)]
@@ -347,6 +351,14 @@ def test_build_digest_pinned(lie, lam, digest):
     assert module_digest(m) == digest
 
 
+@pytest.mark.parametrize("lie,lam", [(B2, (2, 2)), (C3, (0, 0, 2)),
+                                     (A3, (1, 0, 1))])
+def test_basis_follows_weight_multiplicities_order(lie, lam):
+    m = build_irreducible(context_for(lie), lie, lam, guard=100)
+    assert list(cartan.weight_multiplicities(lie, lam)) == \
+        list(dict.fromkeys(m.weights))
+
+
 def test_modular_profile_matches_exact_on_real_grams(monkeypatch):
     # reps takes the Gram's column rank profile as the modular row profile
     # of its columns
@@ -392,10 +404,11 @@ def test_fallback_on_vanishing_denominator(monkeypatch):
     pole = ctx.one / (ctx.s_power(1) - MOD_POINT)
     zero, one, two = ctx.zero, ctx.one, ctx.one + ctx.one
     assert linalg.mod_image(pole) is None
-    gram = [[pole, pole, one], [pole, pole, one], [one, one, two]]
-    assert mod_row_profile([dict(enumerate(col)) for col in zip(*gram)]) is None
+    rows = [{0: pole, 1: pole, 2: one}, {0: pole, 1: pole, 2: one},
+            {0: one, 1: one, 2: two}]
+    assert mod_row_profile(rows) is None      # the Gram is symmetric
     calls = counting(monkeypatch, "column_rank_profile")
-    profile, red = reps._select_candidates(gram, 2)
+    profile, red = reps._select_candidates(rows, 2)
     assert len(calls) == 1
     assert profile == [0, 2]
     # column 1 equals column 0
