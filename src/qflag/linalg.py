@@ -244,17 +244,27 @@ def invert_blocks(mat, blocks, one):
     for rows, cols in blocks:
         if len(rows) != len(cols):
             raise ConventionError("weight block is not square")
-        pos = {r: b for b, r in enumerate(rows)}
-        block = [{} for _ in rows]
-        for a, c in enumerate(cols):
-            for r, v in mat.cols.get(c, {}).items():
-                b = pos.get(r)
-                if b is not None:
-                    block[b][a] = v
+        block = block_rows([mat.cols.get(c, {}) for c in cols], rows)
         for c, row in zip(cols, invert_dense(block, one)):
             for b, v in row.items():
                 out.setdefault(rows[b], {})[c] = v
     return SparseMatrix(mat.ncols, mat.nrows, out)
+
+
+def block_rows(columns, rows):
+    """The dict-vector ``columns`` restricted to the keys ``rows``, as rows.
+
+    Row b holds the entries at key rows[b], keyed by column position;
+    entries at other keys are not read.
+    """
+    pos = {r: b for b, r in enumerate(rows)}
+    block = [{} for _ in rows]
+    for a, col in enumerate(columns):
+        for r, v in col.items():
+            b = pos.get(r)
+            if b is not None:
+                block[b][a] = v
+    return block
 
 
 # -- dict-vectors ------------------------------------------------------------

@@ -5,9 +5,12 @@ over dominant weights, col indexes the canonical basis of V_lam (the vector
 slot) and row indexes the dual basis (the functional slot).  The product of
 two basis elements is a matrix coefficient of the tensor module, re-expanded
 through the Clebsch-Gordan embeddings on the functional slot and projections
-on the vector slot.  Structure constants per weight pair are cached in memory
-and, in symbolic mode, persisted one JSON file per pair (atomic write,
-self-describing header; a stale or foreign file is treated as a miss).
+on the vector slot.  A product reads the projections one tensor column at a
+time, so only the weight blocks of the columns it reads are ever inverted
+(see :class:`qflag.reps.CGDecomposition`).  Structure constants per weight
+pair are cached in memory and, in symbolic mode, persisted one JSON file per
+pair with every block inverted (atomic write, self-describing header; a
+stale, foreign or malformed file is treated as a miss).
 
 Action conventions: act_v lets a generator word act on the vector slot
 through the module matrices (the natural left action); act_f is the right
@@ -174,15 +177,15 @@ class PWAlgebra:
             t_mod = tensor(self.module(lam), self.module(mu))
             cg = decompose(t_mod, self.module)
             self._store_cg(key[0], key[1], cg)
-        # per summand: the rows of emb and the columns of proj
-        maps = [(s.nu, s.emb.transpose().cols, s.proj.cols)
-                for s in cg.summands]
-        self._cg[key] = (cg, maps)
+        # per summand: its weight and the rows of its embedding
+        rows = [(s.nu, s.emb.transpose().cols) for s in cg.summands]
+        self._cg[key] = (cg, rows)
         return cg
 
     def _cg_maps(self, lam, mu):
+        """The decomposition of V_lam (x) V_mu and its embeddings' rows."""
         self.cg(lam, mu)
-        return self._cg[(tuple(lam), tuple(mu))][1]
+        return self._cg[(tuple(lam), tuple(mu))]
 
     def _cache_path(self, lam, mu):
         name = "cg_{}_L{}_v{}_{}_{}.json".format(
@@ -205,9 +208,10 @@ class PWAlgebra:
                 {
                     "nu": list(s.nu),
                     "emb": [[r, c, str(v)] for (r, c), v in s.emb.entries_sorted()],
-                    "proj": [[r, c, str(v)] for (r, c), v in s.proj.entries_sorted()],
+                    "proj": [[r, c, str(v)]
+                             for (r, c), v in cg.proj(k).entries_sorted()],
                 }
-                for s in cg.summands
+                for k, s in enumerate(cg.summands)
             ],
         }
         os.makedirs(self.cache_dir, exist_ok=True)
@@ -251,7 +255,7 @@ class PWAlgebra:
             return None
         top = tuple(a + b for a, b in zip(lam, mu))
         t_dim = self.module(lam).dim * self.module(mu).dim
-        summands = []
+        summands, projs = [], []
         total = 0
         for s in doc["summands"]:
             nu = s.get("nu") if isinstance(s, dict) else None
@@ -271,11 +275,13 @@ class PWAlgebra:
             proj = self._parse_entries(s.get("proj"), d, t_dim)
             if emb is None or proj is None:
                 return None
-            summands.append(CGSummand(nu, emb, proj))
+            summands.append(CGSummand(nu, emb))
+            projs.append(proj)
             total += d
-        if total != t_dim or not _inverts_mod_p(summands, t_dim):
+        if total != t_dim:
             return None
-        return CGDecomposition(tuple(summands))
+        cg = CGDecomposition.from_projections(summands, projs)
+        return cg if _inverts_mod_p(cg) else None
 
     def _parse_entries(self, entries, nrows, ncols):
         """SparseMatrix from cached [row, col, scalar text] triples, or None."""
@@ -325,12 +331,11 @@ class PWAlgebra:
                 d2 = self.module(l2).dim
                 tr = r1 * d2 + r2
                 tc = c1 * d2 + c2
-                for nu, row_map, col_map in self._cg_maps(l1, l2):
+                cg, rows = self._cg_maps(l1, l2)
+                for k, cls in cg.proj_columns(tc).items():
+                    nu, row_map = rows[k]
                     rws = row_map.get(tr)
                     if not rws:
-                        continue
-                    cls = col_map.get(tc)
-                    if not cls:
                         continue
                     for rr, ev in rws.items():
                         vv = v12 * ev
@@ -498,19 +503,20 @@ class PWAlgebra:
         return out
 
 
-def _inverts_mod_p(summands, t_dim) -> bool:
+def _inverts_mod_p(cg: CGDecomposition) -> bool:
     """Whether the stacked proj times the stacked emb is 1 in Z/p.
 
     Entries are taken mod p = MOD_PRIME at s = MOD_POINT; an entry with no
     image there fails the check.  Equivalently proj_a . emb_b = delta_ab,
     so a wrong entry of a well-formed cache file shows up here.
     """
+    t_dim = cg.t_dim
     emb, proj = {}, {}
     off = 0
-    for s in summands:
+    for k, s in enumerate(cg.summands):
         for c, col in s.emb.cols.items():
             emb[off + c] = {r: mod_image(v) for r, v in col.items()}
-        for c, col in s.proj.cols.items():
+        for c, col in cg.proj(k).cols.items():
             proj.setdefault(c, {}).update(
                 (off + r, mod_image(v)) for r, v in col.items())
         off += s.emb.ncols

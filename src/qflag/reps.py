@@ -37,9 +37,9 @@ from . import cartan
 from .cartan import LieType, Weight
 from .errors import (ConventionError, DimensionGuardError, DomainError,
                      ReducibleModuleError, SpecializationError)
-from .linalg import (SparseMatrix, column_rank_profile, dv_add_scaled,
-                     eliminate, invert_blocks, mod_row_profile, nullspace,
-                     rows_from_columns)
+from .linalg import (SparseMatrix, block_rows, column_rank_profile,
+                     dv_add_scaled, eliminate, invert_blocks, invert_dense,
+                     mod_row_profile, nullspace, rows_from_columns)
 from .scalars import QContext
 
 DEFAULT_GUARD = 64
@@ -357,12 +357,90 @@ def dual_pairing(vminus: ModuleData, v: ModuleData) -> SparseMatrix:
 class CGSummand:
     nu: Weight
     emb: SparseMatrix    # V_nu -> T
-    proj: SparseMatrix   # T -> V_nu
 
 
-@dataclass(frozen=True)
 class CGDecomposition:
-    summands: tuple
+    """A tensor module T split into summands V_nu, with their projections.
+
+    The projections T -> V_nu are the rows of U^-1, where U, the change of
+    basis, is the embeddings side by side in summand order.  U is block
+    diagonal by weight: ``blocks`` lists, per weight, its tensor indices and
+    its columns as (summand, column) pairs.  A block is inverted when a
+    projection column of its weight is first asked for
+    (:meth:`proj_columns`), with one :func:`qflag.linalg.invert_dense` on the
+    block in that row and column order, and kept.
+
+    Every block is checked on construction: one that is not square raises
+    ConventionError; one whose rank mod a fixed prime at a fixed point of s
+    (:func:`qflag.linalg.mod_row_profile`) is not full is inverted exactly
+    at once, which raises ConventionError when it is singular.
+    """
+
+    def __init__(self, summands, t_dim, one, blocks=()):
+        self.summands = tuple(summands)
+        self.t_dim = t_dim
+        self._one = one
+        self._pending = {r: block for block in blocks for r in block[0]}
+        self._cols = {}     # tensor index -> {summand: projection column}
+        for block in blocks:
+            if len(block[0]) != len(block[1]):
+                raise ConventionError("weight block is not square")
+            profile = mod_row_profile(self._block_rows(block))
+            if profile is None or len(profile) < len(block[0]):
+                self._invert(block)
+
+    @classmethod
+    def from_projections(cls, summands, projs):
+        """A decomposition whose projections are given whole."""
+        t_dim = projs[0].ncols
+        cg = cls(summands, t_dim, None)
+        cg._cols = {tc: {} for tc in range(t_dim)}
+        for k, proj in enumerate(projs):
+            for tc, col in proj.cols.items():
+                cg._cols[tc][k] = col
+        return cg
+
+    def proj_columns(self, tc) -> dict:
+        """Column tc of the projections, {summand index: dict-vector}.
+
+        Summands whose projection column tc is zero are left out; the others
+        come in summand order.
+        """
+        got = self._cols.get(tc)
+        if got is None:
+            self._invert(self._pending[tc])
+            got = self._cols[tc]
+        return got
+
+    def proj(self, k) -> SparseMatrix:
+        """The whole projection T -> V_nu of summand k (every block inverted)."""
+        while self._pending:
+            self._invert(next(iter(self._pending.values())))
+        return SparseMatrix(self.summands[k].emb.ncols, self.t_dim,
+                            {tc: cols[k] for tc, cols in self._cols.items()
+                             if k in cols})
+
+    def _block_rows(self, block):
+        rows, cols = block
+        return block_rows([self.summands[k].emb.cols.get(c, {})
+                           for k, c in cols], rows)
+
+    def _invert(self, block):
+        rows, cols = block
+        out = {r: {} for r in rows}
+        inv = invert_dense(self._block_rows(block), self._one)
+        for (k, c), row in zip(cols, inv):
+            for b, v in row.items():
+                out[rows[b]].setdefault(k, {})[c] = v
+        for r in rows:
+            del self._pending[r]
+        self._cols.update(out)
+
+    def __eq__(self, other):
+        return (isinstance(other, CGDecomposition)
+                and self.summands == other.summands
+                and all(self.proj(k) == other.proj(k)
+                        for k in range(len(self.summands))))
 
 
 def joint_kernel(mats, idxs, one):
@@ -385,44 +463,31 @@ def decompose(t_mod: ModuleData, module_store) -> CGDecomposition:
 
     ``module_store(nu)`` must return the canonical irreducible V_nu.  For
     each dominant weight, the joint kernel of the raising operators on that
-    weight space yields the summand embeddings; projections come from the
-    blockwise (per weight) inverse of the change-of-basis matrix.
+    weight space yields the summand embeddings.  The projections are the
+    blockwise (per weight) inverse of the change-of-basis matrix; each block
+    is checked square and invertible mod p here and inverted on first use
+    (see :class:`CGDecomposition`).
     """
     one = t_mod.ctx.one
     by_weight = t_mod.weight_indices()
-    summands = []   # (nu, V_nu, embedding)
+    summands = []
+    cols_by_weight = {}     # weight -> [(summand, its column)]
+    total = 0
     for nu in sorted((w for w in by_weight if all(x >= 0 for x in w)),
                      key=lambda w: (sum(w), w)):
         for u in joint_kernel(t_mod.e_mats, by_weight[nu], one):
             v_nu = module_store(nu)
-            summands.append((nu, v_nu, transport(v_nu, t_mod.f_mats, u)))
-    total = sum(v_nu.dim for _, v_nu, _ in summands)
+            for c, w in enumerate(v_nu.weights):
+                cols_by_weight.setdefault(w, []).append((len(summands), c))
+            summands.append(CGSummand(tuple(nu),
+                                      transport(v_nu, t_mod.f_mats, u)))
+            total += v_nu.dim
     if total != t_mod.dim:
         raise ConventionError(
             f"summand dimensions {total} do not add up to {t_mod.dim}")
-    # the change-of-basis matrix: the embeddings side by side
-    columns = {}
-    cols_by_weight = {}
-    owner = []      # global column -> (summand, its column)
-    for k, (_, v_nu, emb) in enumerate(summands):
-        off = len(owner)
-        for c, col in emb.cols.items():
-            columns[off + c] = col
-        for c, w in enumerate(v_nu.weights):
-            cols_by_weight.setdefault(w, []).append(off + c)
-            owner.append((k, c))
-    uinv = invert_blocks(
-        SparseMatrix(t_mod.dim, t_mod.dim, columns),
-        [(by_weight.get(w, ()), gcols) for w, gcols in cols_by_weight.items()],
-        one)
-    projs = [{} for _ in summands]
-    for r, col in uinv.cols.items():
-        for gc, v in col.items():
-            k, c = owner[gc]
-            projs[k].setdefault(r, {})[c] = v
-    return CGDecomposition(tuple(
-        CGSummand(tuple(nu), emb, SparseMatrix(v_nu.dim, t_mod.dim, proj))
-        for (nu, v_nu, emb), proj in zip(summands, projs)))
+    return CGDecomposition(
+        summands, t_mod.dim, one,
+        [(by_weight.get(w, ()), gcols) for w, gcols in cols_by_weight.items()])
 
 
 # -- Lusztig braid operators and quantum root vectors -------------------------

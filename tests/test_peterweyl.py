@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -7,6 +8,7 @@ import pytest
 
 from oracles import slice_dim_by_weights
 from qflag.cartan import LieType, weyl_dim
+from qflag.cli import main
 from qflag.peterweyl import PWAlgebra, PWElement
 
 A1 = LieType.parse("A1")
@@ -220,6 +222,24 @@ def test_structure_cache_roundtrip(tmp_path, flag_of):
     alg3.multiply(gens3.z[0], gens3.zbar[1])
     after = {f: open(os.path.join(cache, f)).read() for f in sorted(os.listdir(cache))}
     assert before == after
+
+
+def test_cold_cache_files_are_pinned(tmp_path, capsys):
+    # each file holds every projection entry, whichever blocks were read
+    cache = str(tmp_path / "cg")
+    assert main(["--cache", cache, "verify", "--flag", "A2/1",
+                 "--suite", "borel-weil", "--depth", "2"]) == 0
+    capsys.readouterr()
+    digests = {}
+    for name in os.listdir(cache):
+        with open(os.path.join(cache, name), "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    assert digests == {
+        "cg_A2_L3_v1_0-1_1-0.json":
+            "9b04f9844b108f32907340170307cbf8faf9f1fac52990a823c54b7b9739ec4c",
+        "cg_A2_L3_v1_1-0_1-0.json":
+            "b427b8ec9e6153d5ecad73bbfa2d8f9054ef174adf5688b6470f8770317bb10f",
+    }
 
 
 def test_corrupt_cache_is_a_miss(tmp_path, flag_of):

@@ -13,6 +13,7 @@ from qflag.errors import (ConventionError, DimensionGuardError, DomainError,
                           ReducibleModuleError)
 from qflag.linalg import (MOD_POINT, SpanBasis, SparseMatrix,
                           column_rank_profile, mod_row_profile)
+from qflag.peterweyl import PWAlgebra
 from qflag.reps import (LusztigOperators, braid_image, build_irreducible,
                         check_defining_relations, check_intertwines,
                         context_for, decompose, dual_module, dual_pairing,
@@ -140,10 +141,10 @@ def test_decompose_a1():
     cg = decompose(t, get)
     assert sorted(s.nu for s in cg.summands) == [(0,), (2,)]
     total = SparseMatrix.zero(t.dim, t.dim)
-    for s in cg.summands:
+    for k, s in enumerate(cg.summands):
         v = get(s.nu)
-        assert s.proj.mul(s.emb) == SparseMatrix.identity(v.dim, ctx.one)
-        total = total.add(s.emb.mul(s.proj))
+        assert cg.proj(k).mul(s.emb) == SparseMatrix.identity(v.dim, ctx.one)
+        total = total.add(s.emb.mul(cg.proj(k)))
         for i in (1,):
             for kind in ("E", "F", "K"):
                 assert t.gen_matrix(kind, i).mul(s.emb) == \
@@ -161,6 +162,108 @@ def test_decompose_a2_dims():
     cg = decompose(t, get)
     assert sorted(s.nu for s in cg.summands) == [(0, 0), (1, 1)]
     assert sum(weyl_dim(A2, s.nu) for s in cg.summands) == 9
+
+
+def eager_projections(t, cg, get):
+    """The projections as one invert_blocks of the whole change of basis.
+
+    The change-of-basis matrix is the embeddings side by side, its blocks
+    are per weight; the inverse's rows are split back into the summands.
+    """
+    by_weight = t.weight_indices()
+    columns, cols_by_weight, owner = {}, {}, []
+    for k, s in enumerate(cg.summands):
+        off = len(owner)
+        for c, col in s.emb.cols.items():
+            columns[off + c] = col
+        for c, w in enumerate(get(s.nu).weights):
+            cols_by_weight.setdefault(w, []).append(off + c)
+            owner.append((k, c))
+    uinv = linalg.invert_blocks(
+        SparseMatrix(t.dim, t.dim, columns),
+        [(by_weight.get(w, ()), g) for w, g in cols_by_weight.items()],
+        t.ctx.one)
+    projs = [{} for _ in cg.summands]
+    for r, col in uinv.cols.items():
+        for gc, v in col.items():
+            k, c = owner[gc]
+            projs[k].setdefault(r, {})[c] = v
+    return [SparseMatrix(get(s.nu).dim, t.dim, p)
+            for s, p in zip(cg.summands, projs)]
+
+
+@pytest.mark.parametrize("lie,lam,mu", [
+    (A2, (1, 0), (1, 1)), (B2, (1, 0), (0, 1)), (C2, (1, 1), (0, 1)),
+    (LieType.parse("A4"), (0, 1, 0, 0), (0, 1, 0, 0))])
+def test_lazy_projections_equal_eager_inverse(lie, lam, mu):
+    ctx = context_for(lie)
+    get = store_for(lie, ctx)
+    t = tensor(get(lam), get(mu))
+    cg = decompose(t, get)
+    # a few columns first, so that the whole projection mixes blocks
+    # inverted on demand with blocks inverted by proj()
+    for tc in (0, t.dim // 2, t.dim - 1):
+        cg.proj_columns(tc)
+    for k, want in enumerate(eager_projections(t, cg, get)):
+        assert cg.proj(k).entries_sorted() == want.entries_sorted()
+
+
+def test_multiply_inverts_only_the_blocks_it_reads(monkeypatch):
+    alg = PWAlgebra(A2)
+    lam, mu = (1, 0), (0, 1)
+    v, w = alg.module(lam), alg.module(mu)
+    t = tensor(v, w)
+    mult = {wt: len(idx) for wt, idx in t.weight_indices().items()}
+    # c1 (x) c2 and c1b (x) c2b both have weight 0, multiplicity 3
+    c1, c2 = 0, w.weights.index(tuple(-x for x in v.weights[0]))
+    c1b, c2b = 1, w.weights.index(tuple(-x for x in v.weights[1]))
+    assert mult[(0, 0)] == 3
+    calls = []
+    original = reps.invert_dense
+
+    def counted(rows, one):
+        calls.append(len(rows))
+        return original(rows, one)
+
+    monkeypatch.setattr(reps, "invert_dense", counted)
+    p = alg.multiply(alg.basis_element(lam, 0, c1),
+                     alg.basis_element(mu, 1, c2))
+    assert not p.is_zero()
+    assert calls == [3]
+    # another row, another column of the same weight: the block is kept
+    alg.multiply(alg.basis_element(lam, 2, c1b), alg.basis_element(mu, 0, c2b))
+    assert calls == [3]
+    # a column of another weight inverts its own block, once
+    alg.multiply(alg.basis_element(lam, 0, 0), alg.basis_element(mu, 0, 0))
+    assert calls == [3, mult[tuple(a + b for a, b in zip(v.weights[0],
+                                                           w.weights[0]))]]
+    # the whole projection inverts the remaining blocks only
+    cg = alg.cg(lam, mu)
+    for k in range(len(cg.summands)):
+        cg.proj(k)
+    assert sorted(calls) == sorted(mult.values())
+
+
+def test_decompose_rejects_a_singular_block_no_product_reads(monkeypatch):
+    ctx = context_for(A2)
+    get = store_for(A2, ctx)
+    lam, mu = (1, 0), (0, 1)
+    t = tensor(get(lam), get(mu))
+    adjoint = get((1, 1))
+    # a non-highest column of weight 0 in the adjoint summand's embedding
+    dropped = adjoint.weights.index((0, 0))
+    original = reps.transport
+
+    def spoiled(src, f_mats, seed):
+        emb = original(src, f_mats, seed)
+        if src is adjoint and f_mats is t.f_mats:
+            emb = SparseMatrix(emb.nrows, emb.ncols, {
+                c: col for c, col in emb.cols.items() if c != dropped})
+        return emb
+
+    monkeypatch.setattr(reps, "transport", spoiled)
+    with pytest.raises(ConventionError):
+        decompose(t, get)
 
 
 def test_decompose_random_pairs_bookkeeping():
@@ -185,9 +288,10 @@ def test_decompose_random_pairs_bookkeeping():
         twts = sorted(t.weights)
         swts = sorted(w for s in cg.summands for w in get(s.nu).weights)
         assert twts == swts
-        for s in cg.summands:
+        for k, s in enumerate(cg.summands):
             v = get(s.nu)
-            assert s.proj.mul(s.emb) == SparseMatrix.identity(v.dim, ctx.one)
+            assert cg.proj(k).mul(s.emb) == \
+                SparseMatrix.identity(v.dim, ctx.one)
 
 
 def test_braid_operator_a1():
