@@ -319,11 +319,13 @@ def cmd_cache(args) -> int:
     if not args.cache:
         raise QflagError("cache command requires --cache DIR")
     if os.path.isdir(args.cache):
-        names = sorted(n for n in os.listdir(args.cache)
-                       if n.startswith("cg_") and n.endswith(".json"))
+        found = sorted(n for n in os.listdir(args.cache) if n.startswith("cg_"))
+        names = [n for n in found if n.endswith(".json")]
         if args.action == "clear":
-            for n in names:
-                os.unlink(os.path.join(args.cache, n))
+            # a cg_*.tmp is a write killed before its rename
+            for n in found:
+                if n.endswith((".json", ".tmp")):
+                    os.unlink(os.path.join(args.cache, n))
             doc["cleared"] = len(names)
         else:
             doc["files"] = names

@@ -9,8 +9,10 @@ on the vector slot.  A product reads the projections one tensor column at a
 time, so only the weight blocks of the columns it reads are ever inverted
 (see :class:`qflag.reps.CGDecomposition`).  Structure constants per weight
 pair are cached in memory and, in symbolic mode, persisted one JSON file per
-pair with every block inverted (atomic write, self-describing header; a
-stale, foreign or malformed file is treated as a miss).
+pair holding each summand's highest weight vector, from which a load rebuilds
+the decomposition as :func:`qflag.reps.decompose` does (atomic write,
+self-describing header; a stale, foreign or malformed file, or one whose
+vectors are not exactly those ``decompose`` finds, is treated as a miss).
 
 Action conventions: act_v lets a generator word act on the vector slot
 through the module matrices (the natural left action); act_f is the right
@@ -29,13 +31,12 @@ from dataclasses import dataclass
 from . import cartan
 from .cartan import FlagSpec, LieType
 from .errors import ConventionError, DomainError
-from .linalg import (MOD_PRIME, SparseMatrix, dv_add_scaled, mod_image,
-                     solve_unique)
-from .reps import (CGDecomposition, CGSummand, LusztigOperators, ModuleData,
+from .linalg import SparseMatrix, dv_add_scaled, solve_unique
+from .reps import (CGDecomposition, LusztigOperators, ModuleData,
                    build_irreducible, context_for, decompose, dual_pairing,
                    joint_kernel, tensor)
 
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 
 class PWElement:
@@ -172,9 +173,9 @@ class PWAlgebra:
         got = self._cg.get(key)
         if got is not None:
             return got[0]
-        cg = self._load_cg(*key)
+        t_mod = tensor(self.module(lam), self.module(mu))
+        cg = self._load_cg(*key, t_mod)
         if cg is None:
-            t_mod = tensor(self.module(lam), self.module(mu))
             cg = decompose(t_mod, self.module)
             self._store_cg(key[0], key[1], cg)
         # per summand: its weight and the rows of its embedding
@@ -205,18 +206,15 @@ class PWAlgebra:
             "lambda": list(lam),
             "mu": list(mu),
             "summands": [
-                {
-                    "nu": list(s.nu),
-                    "emb": [[r, c, str(v)] for (r, c), v in s.emb.entries_sorted()],
-                    "proj": [[r, c, str(v)]
-                             for (r, c), v in cg.proj(k).entries_sorted()],
-                }
-                for k, s in enumerate(cg.summands)
+                {"nu": list(s.nu),
+                 "hw": [[t, str(v)] for t, v in sorted(s.emb.cols[0].items())]}
+                for s in cg.summands
             ],
         }
         os.makedirs(self.cache_dir, exist_ok=True)
         path = self._cache_path(lam, mu)
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, prefix="cg_",
+                                   suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
                 json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
@@ -227,15 +225,21 @@ class PWAlgebra:
                 os.unlink(tmp)
             raise
 
-    def _load_cg(self, lam, mu):
-        """The cached decomposition, or None on a miss.
+    def _load_cg(self, lam, mu, t_mod):
+        """The cached decomposition of t_mod = V_lam (x) V_mu, or None on a miss.
 
-        A file that is unreadable, foreign, or malformed counts as a miss:
-        wrong or mistyped keys, unparsable scalars, indices outside the
-        matrix shapes, a summand weight that is not dominant and below
-        lam + mu, summand dims not adding up to dim V_lam * dim V_mu, or
-        projections that do not invert the embeddings (checked in Z/p at a
-        fixed point of s, see :func:`_inverts_mod_p`).
+        A file holds each summand's weight nu and seed (its highest weight
+        vector in t_mod) as :func:`qflag.reps.decompose` finds them, and is
+        rebuilt by the same constructor.  A file that is unreadable, foreign
+        or malformed counts as a miss: wrong or mistyped keys, a nu that is
+        not a dominant weight of t_mod, an empty seed, an index outside
+        t_mod or at a weight other than nu, a scalar that does not parse or
+        is zero, a seed not killed by every E_i (checked exactly), summands
+        out of (|nu|, nu) order, the seeds of a weight not in the reduced
+        echelon form of :func:`qflag.reps.joint_kernel` (largest keys
+        increasing, entry 1 there and 0 at the other seeds' largest keys),
+        or a ConventionError from the constructor.  The joint kernel has
+        only one such basis, so a hit equals the computed decomposition.
         """
         if self.cache_dir is None or not self.ctx.symbolic:
             return None
@@ -253,52 +257,53 @@ class PWAlgebra:
                 or doc.get("mu") != list(mu)
                 or not isinstance(doc.get("summands"), list)):
             return None
-        top = tuple(a + b for a, b in zip(lam, mu))
-        t_dim = self.module(lam).dim * self.module(mu).dim
-        summands, projs = [], []
-        total = 0
+        one = self.ctx.one
+        seeds, key, leads = [], None, []
         for s in doc["summands"]:
             nu = s.get("nu") if isinstance(s, dict) else None
-            if not (isinstance(nu, list) and len(nu) == self.lie.rank
+            if not (isinstance(nu, list)
                     and all(type(x) is int and x >= 0 for x in nu)):
                 return None
-            try:
-                depth = cartan.weight_to_root_int(
-                    self.lie, tuple(a - b for a, b in zip(top, nu)))
-            except DomainError:
-                return None
-            if any(x < 0 for x in depth):
-                return None
             nu = tuple(nu)
-            d = self.module(nu).dim
-            emb = self._parse_entries(s.get("emb"), t_dim, d)
-            proj = self._parse_entries(s.get("proj"), d, t_dim)
-            if emb is None or proj is None:
+            u = self._parse_seed(s.get("hw"), t_mod, nu)
+            if u is None:
                 return None
-            summands.append(CGSummand(nu, emb))
-            projs.append(proj)
-            total += d
-        if total != t_dim:
+            lead = max(u)
+            if key is not None and (sum(nu), nu, lead) <= key:
+                return None
+            if key is None or key[1] != nu:
+                leads = []
+            key = (sum(nu), nu, lead)
+            # the later seeds' leads exceed lead, so u has no entry there
+            if (u[lead] != one or any(k in u for k in leads)
+                    or any(e.matvec(u) for e in t_mod.e_mats)):
+                return None
+            leads.append(lead)
+            seeds.append((nu, u))
+        try:
+            return CGDecomposition(t_mod, self.module, seeds)
+        except ConventionError:
             return None
-        cg = CGDecomposition.from_projections(summands, projs)
-        return cg if _inverts_mod_p(cg) else None
 
-    def _parse_entries(self, entries, nrows, ncols):
-        """SparseMatrix from cached [row, col, scalar text] triples, or None."""
-        if not isinstance(entries, list):
+    def _parse_seed(self, entries, t_mod, nu):
+        """Dict-vector from cached [tensor index, scalar text] pairs, or None.
+
+        None unless the list is not empty, each index is a distinct basis
+        vector of t_mod of weight nu and each scalar parses to a nonzero value.
+        """
+        if not (isinstance(entries, list) and entries):
             return None
-        pairs = []
+        u = {}
         parse = self.ctx.parse
         try:
-            for r, c, text in entries:
-                if not (type(r) is int and type(c) is int
-                        and 0 <= r < nrows and 0 <= c < ncols
-                        and isinstance(text, str)):
+            for t, text in entries:
+                if not (type(t) is int and 0 <= t < t_mod.dim and t not in u
+                        and t_mod.weights[t] == nu and isinstance(text, str)):
                     return None
-                pairs.append(((r, c), parse(text)))
+                u[t] = parse(text)
         except (TypeError, ValueError, ZeroDivisionError):
             return None
-        return SparseMatrix.from_entries(nrows, ncols, pairs)
+        return u if all(u.values()) else None
 
     # -- Hopf-algebra operations ----------------------------------------------
 
@@ -501,31 +506,6 @@ class PWAlgebra:
                 for col in cols:
                     out.append(PWElement({(lam, r, c): v for c, v in col.items()}))
         return out
-
-
-def _inverts_mod_p(cg: CGDecomposition) -> bool:
-    """Whether the stacked proj times the stacked emb is 1 in Z/p.
-
-    Entries are taken mod p = MOD_PRIME at s = MOD_POINT; an entry with no
-    image there fails the check.  Equivalently proj_a . emb_b = delta_ab,
-    so a wrong entry of a well-formed cache file shows up here.
-    """
-    t_dim = cg.t_dim
-    emb, proj = {}, {}
-    off = 0
-    for k, s in enumerate(cg.summands):
-        for c, col in s.emb.cols.items():
-            emb[off + c] = {r: mod_image(v) for r, v in col.items()}
-        for c, col in cg.proj(k).cols.items():
-            proj.setdefault(c, {}).update(
-                (off + r, mod_image(v)) for r, v in col.items())
-        off += s.emb.ncols
-    if any(None in col.values() for col in (*emb.values(), *proj.values())):
-        return False
-    prod = SparseMatrix(t_dim, t_dim, proj).mul(SparseMatrix(t_dim, t_dim, emb))
-    return SparseMatrix(t_dim, t_dim, {
-        j: {i: v % MOD_PRIME for i, v in col.items()}
-        for j, col in prod.cols.items()}) == SparseMatrix.identity(t_dim, 1)
 
 
 def _levi_mats(m, snodes):

@@ -360,45 +360,52 @@ class CGSummand:
 
 
 class CGDecomposition:
-    """A tensor module T split into summands V_nu, with their projections.
+    """A tensor module T split into summands V_nu, from their seeds.
 
-    The projections T -> V_nu are the rows of U^-1, where U, the change of
-    basis, is the embeddings side by side in summand order.  U is block
-    diagonal by weight: ``blocks`` lists, per weight, its tensor indices and
-    its columns as (summand, column) pairs.  A block is inverted when a
-    projection column of its weight is first asked for
-    (:meth:`proj_columns`), with one :func:`qflag.linalg.invert_dense` on the
-    block in that row and column order, and kept.
+    ``seeds`` is the ordered list of (nu, u), u a highest weight vector of T
+    of weight nu (a dict-vector); summand k embeds V_nu by carrying its u
+    along V_nu's F-words (:func:`transport`), with ``module_store(nu)`` the
+    canonical V_nu.  The projections T -> V_nu are the rows of U^-1, where U,
+    the change of basis, is the embeddings side by side in summand order.  U
+    is block diagonal by weight; a block is inverted when a projection
+    column of its weight is first asked for (:meth:`proj_columns`), with one
+    :func:`qflag.linalg.invert_dense` on the block in a fixed row and column
+    order, and kept.
 
-    Every block is checked on construction: one that is not square raises
-    ConventionError; one whose rank mod a fixed prime at a fixed point of s
-    (:func:`qflag.linalg.mod_row_profile`) is not full is inverted exactly
-    at once, which raises ConventionError when it is singular.
+    Construction checks that the summand dims add up to dim T and every
+    block: one that is not square raises ConventionError; one whose rank mod
+    a fixed prime at a fixed point of s
+    (:func:`qflag.linalg.mod_row_profile`) is not full is inverted exactly at
+    once, which raises ConventionError when it is singular.
     """
 
-    def __init__(self, summands, t_dim, one, blocks=()):
+    def __init__(self, t_mod: ModuleData, module_store, seeds):
+        by_weight = t_mod.weight_indices()
+        summands = []
+        cols_by_weight = {}     # weight -> [(summand, its column)]
+        for nu, u in seeds:
+            v_nu = module_store(nu)
+            for c, w in enumerate(v_nu.weights):
+                cols_by_weight.setdefault(w, []).append((len(summands), c))
+            summands.append(CGSummand(tuple(nu),
+                                      transport(v_nu, t_mod.f_mats, u)))
+        total = sum(s.emb.ncols for s in summands)
+        if total != t_mod.dim:
+            raise ConventionError(
+                f"summand dimensions {total} do not add up to {t_mod.dim}")
         self.summands = tuple(summands)
-        self.t_dim = t_dim
-        self._one = one
-        self._pending = {r: block for block in blocks for r in block[0]}
-        self._cols = {}     # tensor index -> {summand: projection column}
-        for block in blocks:
-            if len(block[0]) != len(block[1]):
+        self.t_dim = t_mod.dim
+        self._one = t_mod.ctx.one
+        self._pending = {}      # tensor index -> its weight block
+        self._cols = {}         # tensor index -> {summand: projection column}
+        for w, gcols in cols_by_weight.items():
+            block = (by_weight.get(w, ()), gcols)
+            if len(block[0]) != len(gcols):
                 raise ConventionError("weight block is not square")
+            self._pending.update((r, block) for r in block[0])
             profile = mod_row_profile(self._block_rows(block))
-            if profile is None or len(profile) < len(block[0]):
+            if profile is None or len(profile) < len(gcols):
                 self._invert(block)
-
-    @classmethod
-    def from_projections(cls, summands, projs):
-        """A decomposition whose projections are given whole."""
-        t_dim = projs[0].ncols
-        cg = cls(summands, t_dim, None)
-        cg._cols = {tc: {} for tc in range(t_dim)}
-        for k, proj in enumerate(projs):
-            for tc, col in proj.cols.items():
-                cg._cols[tc][k] = col
-        return cg
 
     def proj_columns(self, tc) -> dict:
         """Column tc of the projections, {summand index: dict-vector}.
@@ -437,10 +444,9 @@ class CGDecomposition:
         self._cols.update(out)
 
     def __eq__(self, other):
+        # the embeddings determine the projections
         return (isinstance(other, CGDecomposition)
-                and self.summands == other.summands
-                and all(self.proj(k) == other.proj(k)
-                        for k in range(len(self.summands))))
+                and self.summands == other.summands)
 
 
 def joint_kernel(mats, idxs, one):
@@ -461,33 +467,19 @@ def joint_kernel(mats, idxs, one):
 def decompose(t_mod: ModuleData, module_store) -> CGDecomposition:
     """Split a type-1 module into irreducibles via highest weight vectors.
 
-    ``module_store(nu)`` must return the canonical irreducible V_nu.  For
-    each dominant weight, the joint kernel of the raising operators on that
-    weight space yields the summand embeddings.  The projections are the
-    blockwise (per weight) inverse of the change-of-basis matrix; each block
-    is checked square and invertible mod p here and inverted on first use
-    (see :class:`CGDecomposition`).
+    ``module_store(nu)`` must return the canonical irreducible V_nu.  The
+    seeds are the joint kernels of the raising operators on the dominant
+    weight spaces, by (|nu|, nu) and then in :func:`joint_kernel` order (the
+    reduced echelon basis: each seed's largest key carries 1, which is 0 in
+    the other seeds of its weight, and those keys increase); see
+    :class:`CGDecomposition` for the embeddings and projections.
     """
-    one = t_mod.ctx.one
     by_weight = t_mod.weight_indices()
-    summands = []
-    cols_by_weight = {}     # weight -> [(summand, its column)]
-    total = 0
-    for nu in sorted((w for w in by_weight if all(x >= 0 for x in w)),
-                     key=lambda w: (sum(w), w)):
-        for u in joint_kernel(t_mod.e_mats, by_weight[nu], one):
-            v_nu = module_store(nu)
-            for c, w in enumerate(v_nu.weights):
-                cols_by_weight.setdefault(w, []).append((len(summands), c))
-            summands.append(CGSummand(tuple(nu),
-                                      transport(v_nu, t_mod.f_mats, u)))
-            total += v_nu.dim
-    if total != t_mod.dim:
-        raise ConventionError(
-            f"summand dimensions {total} do not add up to {t_mod.dim}")
-    return CGDecomposition(
-        summands, t_mod.dim, one,
-        [(by_weight.get(w, ()), gcols) for w, gcols in cols_by_weight.items()])
+    seeds = [(nu, u)
+             for nu in sorted((w for w in by_weight if all(x >= 0 for x in w)),
+                              key=lambda w: (sum(w), w))
+             for u in joint_kernel(t_mod.e_mats, by_weight[nu], t_mod.ctx.one)]
+    return CGDecomposition(t_mod, module_store, seeds)
 
 
 # -- Lusztig braid operators and quantum root vectors -------------------------

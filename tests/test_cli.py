@@ -243,7 +243,7 @@ def test_cache_file_without_summands_is_recomputed(tmp_path, capsys):
             "--depth", "3")
     code, want, _ = run_cli(capsys, *argv)
     assert code == 0
-    path = os.path.join(cache, "cg_A1_L2_v1_1_1.json")
+    path = os.path.join(cache, "cg_A1_L2_v2_1_1.json")
     with open(path) as fh:
         doc = json.load(fh)
     del doc["summands"]
@@ -262,11 +262,11 @@ def test_cache_file_with_a_wrong_entry_is_recomputed(tmp_path, capsys):
             "--depth", "3")
     code, want, _ = run_cli(capsys, *argv)
     assert code == 0
-    path = os.path.join(cache, "cg_A1_L2_v1_1_1.json")
+    path = os.path.join(cache, "cg_A1_L2_v2_1_1.json")
     with open(path) as fh:
         text = fh.read()
     doc = json.loads(text)
-    doc["summands"][0]["emb"][0][2] = "17"
+    doc["summands"][0]["hw"][-1][1] = "17"    # the seed's leading entry
     with open(path, "w") as fh:
         json.dump(doc, fh)
     code, out, _ = run_cli(capsys, *argv)
@@ -306,6 +306,21 @@ def test_cache_subcommand(tmp_path, capsys):
     assert json.loads(out)["cleared"] >= 1
     code, out, _ = run_cli(capsys, "--cache", cache, "cache", "info")
     assert json.loads(out)["files"] == []
+
+
+def test_cache_clear_removes_a_stray_temp_file(tmp_path, capsys):
+    # a write killed before its rename leaves cg_*.tmp behind
+    cache = tmp_path / "cg"
+    run_cli(capsys, "--cache", str(cache), "coordring", "--flag", "A1/1",
+            "--maxdeg", "2", "--depth", "3")
+    (cache / "cg_k1l2m3.tmp").write_text("{")
+    (cache / "notes.tmp").write_text("")
+    code, out, _ = run_cli(capsys, "--cache", str(cache), "cache", "info")
+    files = json.loads(out)["files"]
+    assert code == 0 and files and all(f.endswith(".json") for f in files)
+    code, out, _ = run_cli(capsys, "--cache", str(cache), "cache", "clear")
+    assert code == 0 and json.loads(out)["cleared"] == len(files)
+    assert os.listdir(cache) == ["notes.tmp"]
 
 
 def test_relations_cli(capsys):

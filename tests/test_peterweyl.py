@@ -3,13 +3,16 @@ import itertools
 import json
 import os
 import random
+import tempfile
 
 import pytest
 
 from oracles import slice_dim_by_weights
+from qflag import linalg, peterweyl, reps
 from qflag.cartan import LieType, weyl_dim
 from qflag.cli import main
 from qflag.peterweyl import PWAlgebra, PWElement
+from qflag.scalars import scalar_from_str
 
 A1 = LieType.parse("A1")
 A2 = LieType.parse("A2")
@@ -225,7 +228,7 @@ def test_structure_cache_roundtrip(tmp_path, flag_of):
 
 
 def test_cold_cache_files_are_pinned(tmp_path, capsys):
-    # each file holds every projection entry, whichever blocks were read
+    # each file holds the seeds decompose finds, whichever blocks were read
     cache = str(tmp_path / "cg")
     assert main(["--cache", cache, "verify", "--flag", "A2/1",
                  "--suite", "borel-weil", "--depth", "2"]) == 0
@@ -235,11 +238,70 @@ def test_cold_cache_files_are_pinned(tmp_path, capsys):
         with open(os.path.join(cache, name), "rb") as fh:
             digests[name] = hashlib.sha256(fh.read()).hexdigest()
     assert digests == {
-        "cg_A2_L3_v1_0-1_1-0.json":
-            "9b04f9844b108f32907340170307cbf8faf9f1fac52990a823c54b7b9739ec4c",
-        "cg_A2_L3_v1_1-0_1-0.json":
-            "b427b8ec9e6153d5ecad73bbfa2d8f9054ef174adf5688b6470f8770317bb10f",
+        "cg_A2_L3_v2_0-1_1-0.json":
+            "ebb5b258a3afc6c84075ca66286bce6ffab256458f4126861e38f36a4aeb0eb0",
+        "cg_A2_L3_v2_1-0_1-0.json":
+            "335add77e8aecc8d48f55c78961f7e8c1a7dba061b3df934ed78421c16392235",
     }
+
+
+def test_cold_cache_run_inverts_no_more_than_an_uncached_one(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    original = linalg.invert_dense
+
+    def counted(rows, one):
+        calls.append(len(rows))
+        return original(rows, one)
+
+    # reps inverts CG blocks by its own name, invert_blocks by linalg's
+    monkeypatch.setattr(linalg, "invert_dense", counted)
+    monkeypatch.setattr(reps, "invert_dense", counted)
+    argv = ["verify", "--flag", "A2/1", "--suite", "borel-weil",
+            "--depth", "2"]
+    assert main(argv) == 0
+    uncached = sorted(calls)
+    calls.clear()
+    assert main(["--cache", str(tmp_path / "cg")] + argv) == 0
+    capsys.readouterr()
+    assert sorted(calls) == uncached
+
+
+@pytest.mark.parametrize("lie,lam,mu", [
+    (A1, (1,), (2,)), (A2, (1, 0), (0, 1)), (A2, (1, 1), (1, 1)),
+    (LieType.parse("B2"), (1, 0), (0, 1)),
+    (LieType.parse("C2"), (1, 1), (0, 1))])
+def test_warm_hit_equals_computed_without_decomposing(
+        tmp_path, monkeypatch, lie, lam, mu):
+    cache = str(tmp_path / "cg")
+    ref = PWAlgebra(lie, cache_dir=cache).cg(lam, mu)
+    if lam == mu == (1, 1):
+        # (1,1) (x) (1,1) holds the adjoint summand twice
+        assert [s.nu for s in ref.summands].count((1, 1)) == 2
+
+    def refuse(*args):
+        raise AssertionError("a cache hit must not recompute")
+
+    monkeypatch.setattr(peterweyl, "decompose", refuse)
+    monkeypatch.setattr(reps, "decompose", refuse)
+    monkeypatch.setattr(reps, "joint_kernel", refuse)
+    assert PWAlgebra(lie, cache_dir=cache).cg(lam, mu) == ref
+
+
+def test_cache_write_goes_through_a_cg_temp_file(tmp_path, monkeypatch):
+    # so that `cache clear` finds the one a killed write leaves behind
+    names = []
+    original = tempfile.mkstemp
+
+    def recorded(*args, **kwargs):
+        fd, path = original(*args, **kwargs)
+        names.append(os.path.basename(path))
+        return fd, path
+
+    monkeypatch.setattr(tempfile, "mkstemp", recorded)
+    PWAlgebra(A1, cache_dir=str(tmp_path / "cg")).cg((1,), (1,))
+    assert names and all(n.startswith("cg_") and n.endswith(".tmp")
+                         for n in names)
 
 
 def test_corrupt_cache_is_a_miss(tmp_path, flag_of):
@@ -280,9 +342,9 @@ def _set_summand(key, value):
     return edit
 
 
-def _set_entry(field, pos, value):
+def _set_entry(pos, value):
     def edit(doc):
-        doc["summands"][0][field][0][pos] = value
+        doc["summands"][0]["hw"][0][pos] = value
     return edit
 
 
@@ -290,28 +352,40 @@ def _drop_last_summand(doc):
     doc["summands"].pop()
 
 
+def _scale_seed(doc):
+    hw = doc["summands"][0]["hw"]
+    hw[:] = [[t, str(scalar_from_str(text) * 17)] for t, text in hw]
+
+
+# A1 (1) (x) (1): summand 0 is V_0, seed [[1, "-s^2"], [2, "1"]] (leading
+# key 2); index 0, of weight 2, is killed by E, so only the weight check
+# rejects an entry there.
 @pytest.mark.parametrize("edit", [
     _drop("summands"),
     lambda doc: doc.update(summands="x"),
     _set_summand("nu", "2"),
     _set_summand("nu", [4]),
-    _set_summand("emb", None),
-    _set_entry("emb", 2, "s^^2"),
-    _set_entry("proj", 2, "(1)/(0)"),
-    _set_entry("emb", 0, 99),
-    _set_entry("proj", 1, -1),
+    _set_summand("hw", None),
+    _set_summand("hw", []),
+    _set_entry(1, "s^^2"),
+    _set_entry(1, "(1)/(0)"),
+    _set_entry(1, "0"),
+    _set_entry(0, 99),
+    lambda doc: doc["summands"][0]["hw"].insert(0, [0, "1"]),
     _drop_last_summand,
-    _set_entry("emb", 2, "17"),
-    _set_entry("proj", 2, "17"),
-    _set_entry("emb", 2, "(1)/(s - 1000003)"),
-], ids=["no-summands", "summands-str", "nu-str", "nu-above-top", "emb-null",
-        "unparsable", "zero-denominator", "row-out-of-range",
-        "col-out-of-range", "dims-short", "emb-wrong-entry",
-        "proj-wrong-entry", "no-image-mod-p"])
+    _set_entry(1, "17"),
+    _set_entry(1, "(1)/(s - 1000003)"),
+    _scale_seed,
+    lambda doc: doc["summands"].reverse(),
+], ids=["no-summands", "summands-str", "nu-str", "nu-above-top", "hw-null",
+        "hw-empty", "unparsable", "zero-denominator", "zero-entry",
+        "row-out-of-range", "index-at-another-weight", "dims-short",
+        "emb-wrong-entry", "no-image-mod-p", "seed-scaled",
+        "summands-swapped"])
 def test_malformed_cache_file_is_a_miss_and_rewritten(tmp_path, edit):
     cache = str(tmp_path / "cg")
     ref = PWAlgebra(A1, cache_dir=cache).cg((1,), (1,))
-    path = os.path.join(cache, "cg_A1_L2_v1_1_1.json")
+    path = os.path.join(cache, "cg_A1_L2_v2_1_1.json")
     with open(path) as fh:
         text = fh.read()
     doc = json.loads(text)
@@ -320,5 +394,27 @@ def test_malformed_cache_file_is_a_miss_and_rewritten(tmp_path, edit):
         json.dump(doc, fh)
     got = PWAlgebra(A1, cache_dir=cache).cg((1,), (1,))
     assert got == ref
+    with open(path) as fh:
+        assert fh.read() == text
+
+
+def test_seeds_off_the_echelon_basis_are_a_miss(tmp_path):
+    # (1,1) (x) (1,1) has two seeds of weight (1,1); adding the first to the
+    # second keeps a valid decomposition, with the same leading keys and
+    # entries, that is not the one decompose finds
+    cache = str(tmp_path / "cg")
+    ref = PWAlgebra(A2, cache_dir=cache).cg((1, 1), (1, 1))
+    path = os.path.join(cache, "cg_A2_L3_v2_1-1_1-1.json")
+    with open(path) as fh:
+        text = fh.read()
+    doc = json.loads(text)
+    first, second = (s["hw"] for s in doc["summands"] if s["nu"] == [1, 1])
+    mixed = {t: scalar_from_str(v) for t, v in second}
+    for t, v in first:
+        mixed[t] = mixed.get(t, 0) + scalar_from_str(v)
+    second[:] = [[t, str(v)] for t, v in sorted(mixed.items()) if v]
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert PWAlgebra(A2, cache_dir=cache).cg((1, 1), (1, 1)) == ref
     with open(path) as fh:
         assert fh.read() == text
