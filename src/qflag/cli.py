@@ -24,7 +24,7 @@ from .cartan import FlagSpec, LieType
 from .coordring import quadratic_relations
 from .errors import QflagError
 from .peterweyl import PWAlgebra
-from .reps import build_irreducible
+from .reps import DEFAULT_GUARD, build_irreducible
 from .rmatrix import braiding, ybe_check
 from .scalars import QContext, exact_root
 
@@ -186,33 +186,14 @@ def cmd_liouville(args) -> int:
     return 0 if rep["ok"] else 1
 
 
-def _bw_task(payload):
-    """One k-row of borel-weil in a worker, with every option of the run."""
-    args, k, depth = payload
-    flag = FlagSpec.parse(args.flag)
-    return verify.borel_weil_report(_algebra(args, flag.lie), flag, kmax=k,
-                                    depth=depth, kmin=k,
-                                    opposite=args.opposite)
-
-
 def cmd_borel_weil(args) -> int:
     flag = FlagSpec.parse(args.flag)
     depth = args.depth if args.depth is not None else verify.default_depth(flag)
     kmin, kmax = _parse_krange(args.k)
     alg = _algebra(args, flag.lie)
-    if args.jobs > 1:
-        payloads = [(args, k, depth) for k in range(kmin, kmax + 1)]
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            parts = list(pool.map(_bw_task, payloads))
-        # every part carries the same header; the rows come in k order
-        rep = parts[0]
-        rep["rows"] = [part["rows"][0] for part in parts]
-        rep["ok"] = all(r["ok"] for r in rep["rows"])
-    else:
-        _progress(f"borel-weil {flag} depth {depth} k {kmin}..{kmax}")
-        rep = verify.borel_weil_report(alg, flag, kmax=kmax, depth=depth,
-                                       kmin=kmin, opposite=args.opposite)
+    _progress(f"borel-weil {flag} depth {depth} k {kmin}..{kmax}")
+    rep = verify.borel_weil_report(alg, flag, kmax=kmax, depth=depth,
+                                   kmin=kmin, opposite=args.opposite)
     if args.word_check:
         _word_check(rep, flag, _row_dims(rep), lambda word: _row_dims(
             verify.borel_weil_report(alg, flag, kmax=kmax, depth=depth,
@@ -348,11 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the JSON report to PATH")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized property samples")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the k-values of borel-weil")
     p.add_argument("--word-check", action="store_true",
                    help="recompute span results with a second reduced word")
-    p.add_argument("--guard", type=int, default=64,
+    p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
                    help="module dimension guard")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -424,11 +403,6 @@ def main(argv=None) -> int:
             break
     args = parser.parse_args(argv)
     try:
-        if args.jobs < 1:
-            raise QflagError(f"--jobs must be at least 1, got {args.jobs}")
-        if args.jobs > 1 and args.func is not cmd_borel_weil:
-            raise QflagError(
-                f"--jobs applies to borel-weil only, not to {args.command}")
         return args.func(args)
     except QflagError as exc:
         print(f"qflag: error: {exc}", file=sys.stderr)

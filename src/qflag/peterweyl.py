@@ -32,9 +32,9 @@ from . import cartan
 from .cartan import FlagSpec, LieType
 from .errors import ConventionError, DomainError
 from .linalg import SparseMatrix, dv_add_scaled, solve_unique
-from .reps import (CGDecomposition, LusztigOperators, ModuleData,
-                   build_irreducible, context_for, decompose, dual_pairing,
-                   joint_kernel, tensor)
+from .reps import (DEFAULT_GUARD, CGDecomposition, LusztigOperators,
+                   ModuleData, build_irreducible, context_for, decompose,
+                   dual_pairing, joint_kernel, tensor)
 
 CACHE_FORMAT = 2
 
@@ -121,15 +121,14 @@ class GradedSlice:
 class PWAlgebra:
     """Workspace for one quantized coordinate algebra O_q(G)."""
 
-    def __init__(self, lie: LieType, ctx=None, cache_dir=None, guard=64,
-                 allow_e=False):
+    def __init__(self, lie: LieType, ctx=None, cache_dir=None,
+                 guard=DEFAULT_GUARD):
         self.lie = lie
         self.ctx = ctx if ctx is not None else context_for(lie)
         if self.ctx.L != cartan.lattice_denominator(lie):
             raise DomainError("context does not match the type's exponent lattice")
         self.cache_dir = cache_dir
         self.guard = guard
-        self.allow_e = allow_e
         self._modules = {}
         self._ops = {}
         self._cg = {}
@@ -143,8 +142,7 @@ class PWAlgebra:
         lam = tuple(lam)
         m = self._modules.get(lam)
         if m is None:
-            m = build_irreducible(self.ctx, self.lie, lam, guard=self.guard,
-                                  allow_e=self.allow_e)
+            m = build_irreducible(self.ctx, self.lie, lam, guard=self.guard)
             self._modules[lam] = m
         return m
 

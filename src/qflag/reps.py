@@ -575,18 +575,21 @@ class LusztigOperators:
         norm = first[min(first)]
         if not (norm == 1):
             th = th.scale(ctx.one / norm)
-        self._check(i, th)
+        self._check(i, th, twisted)
         self._theta[i] = th
         return th
 
-    def _check(self, i, th):
+    def _check(self, i, th, twisted):
+        """Check the conjugation identities; twisted[j-1] is T_i(F_j)."""
         m = self.m
         kinds = (("K", "E", "F") if m.dim <= self.FULL_VERIFY_LIMIT
                  else ("K",))
         for kind in kinds:
             for j in range(1, m.lie.rank + 1):
+                image = (twisted[j - 1] if kind == "F"
+                         else braid_image(m, i, kind, j))
                 lhs = th.mul(m.gen_matrix(kind, j))
-                rhs = braid_image(m, i, kind, j).mul(th)
+                rhs = image.mul(th)
                 if lhs != rhs:
                     raise ConventionError(
                         f"braid conjugation identity failed for T_{i}({kind}_{j})")

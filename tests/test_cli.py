@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 
-from qflag.cli import main
+from qflag.cli import build_parser, main
 
 try:
     import jsonschema
@@ -11,10 +13,14 @@ except ImportError:       # pragma: no cover
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "qflag",
                            "schemas", "qflag-report.schema.json")
+README_PATH = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:     # argparse's usage errors
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -130,31 +136,22 @@ def test_borel_weil_opposite(capsys):
     assert [r["dim"] for r in doc["rows"]] == [3, 2, 1, 0]
 
 
-def test_jobs_parallel_rows_match(capsys):
-    code, out, _ = run_cli(capsys, "borel-weil", "--flag", "A1/1",
-                           "--k", "-1:2", "--depth", "3")
+def test_guard_reaches_module_construction(capsys):
+    # depth 4 on B2/1 builds V_(2,2) (dim 81), which the default guard refuses
+    args = ["borel-weil", "--flag", "B2/1", "--k", "0:1", "--depth", "4"]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and "guard" in err and out == ""
+    code, out, _ = run_cli(capsys, "--guard", "100", *args)
     assert code == 0
-    seq = json.loads(out)
-    code, out, _ = run_cli(capsys, "--jobs", "2", "borel-weil", "--flag",
-                           "A1/1", "--k", "-1:2", "--depth", "3")
-    assert code == 0
-    par = json.loads(out)
-    validate(par)
-    assert par == seq
-    assert par["ok"]
+    doc = json.loads(out)
+    validate(doc)
+    assert doc["ok"] and [r["k"] for r in doc["rows"]] == [0, 1]
 
 
-def test_jobs_parallel_passes_every_option(capsys):
-    # depth 4 on B2/1 builds V_(2,2) (dim 81): workers must get --guard too
-    args = ["--guard", "100", "borel-weil", "--flag", "B2/1", "--k", "0:1",
-            "--depth", "4"]
-    code, out, _ = run_cli(capsys, *args)
-    assert code == 0
-    seq = json.loads(out)
-    code, out, _ = run_cli(capsys, "--jobs", "2", *args)
-    assert code == 0
-    assert json.loads(out) == seq
-    assert seq["ok"]
+def test_jobs_is_not_an_option(capsys):
+    code, out, err = run_cli(capsys, "--jobs", "2", "borel-weil", "--flag",
+                             "A1/1", "--k", "0:1", "--depth", "2")
+    assert code == 2 and err.startswith("usage:") and out == ""
 
 
 def test_verify_cli_and_exit_codes(capsys):
@@ -276,23 +273,6 @@ def test_cache_file_with_a_wrong_entry_is_recomputed(tmp_path, capsys):
         assert fh.read() == text
 
 
-def test_jobs_below_one_is_usage_error(capsys):
-    for jobs in ("0", "-3"):
-        code, out, err = run_cli(capsys, "--jobs", jobs, "borel-weil",
-                                 "--flag", "A1/1", "--k", "0:1", "--depth",
-                                 "2")
-        assert code == 2 and "--jobs" in err and out == ""
-
-
-def test_jobs_outside_borel_weil_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "--jobs", "2", "liouville", "--flag",
-                             "A1/1", "--depth", "2")
-    assert code == 2 and "borel-weil" in err and out == ""
-    code, _, _ = run_cli(capsys, "--jobs", "1", "liouville", "--flag",
-                         "A1/1", "--depth", "2")
-    assert code == 0
-
-
 def test_cache_subcommand(tmp_path, capsys):
     cache = str(tmp_path / "cg")
     run_cli(capsys, "--cache", cache, "coordring", "--flag", "A1/1",
@@ -377,3 +357,42 @@ def test_verify_word_check_reuses_the_suite_report(capsys, monkeypatch):
     # the suite's own report and the one with the second word, both with
     # the suite's kmax = min(DEFAULT_KMAX, depth) = 3 at depth 3
     assert [c[2:4] for c in calls] == [(3, 3), (3, 3)]
+
+
+def _readme_section(heading):
+    with open(README_PATH) as fh:
+        text = fh.read()
+    return text.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_commands():
+    """Every command of README's "Command line" block, one argv each."""
+    block = _readme_section("Command line").split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line.split("#", 1)[0]) for line in block.splitlines()
+            if line.strip()]
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    commands = _readme_commands()
+    assert len(commands) == 10
+    for argv in commands:
+        assert argv[0] == "qflag"
+        argv = [a.strip("[]") for a in argv[1:]]
+        argv = [str(tmp_path / "cg") if a == "DIR" else
+                str(tmp_path / "out.json") if a == "out.json" else a
+                for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert json.loads(out)["schema"] == "qflag-report"
+    assert json.loads((tmp_path / "out.json").read_text())["kind"] == "verify"
+
+
+def test_readme_names_every_global_option():
+    section = _readme_section("Command line")
+    paragraph = section[section.index("Global flags"):].split("\n\n", 1)[0]
+    named = {m.split()[0] for m in re.findall(r"`(--[^`]*)`", paragraph)}
+    parser = build_parser()
+    options = {o for a in parser._actions for o in a.option_strings
+               if o.startswith("--") and o != "--help"}
+    assert named == options

@@ -353,6 +353,17 @@ def test_braid_identities_hold_above_full_verify_limit():
                     braid_image(m, i, kind, j).mul(th)
 
 
+def test_theta_check_reuses_the_twisted_f_images(monkeypatch):
+    # T_1(F_j) is built once for the transport and read again by the check;
+    # only the K- and E-images are built for the check itself
+    m = build_irreducible(context_for(A2), A2, (1, 0))
+    assert m.dim <= LusztigOperators.FULL_VERIFY_LIMIT
+    calls = counting(monkeypatch, "braid_image")
+    LusztigOperators(m).theta(1)
+    assert sorted(c[2:] for c in calls) == \
+        [("E", 1), ("E", 2), ("F", 1), ("F", 2), ("K", 1), ("K", 2)]
+
+
 def test_root_operator_basics():
     ctx = context_for(A1)
     m = build_irreducible(ctx, A1, (1,))
