@@ -4,9 +4,12 @@ the exterior derivative, truncated holomorphic sections, and the quotient
 
 The (0,1) side uses quantum root vectors E_beta for the positive roots with
 nonzero crossed-node coefficient; the (1,0) side uses the F_beta for their
-negatives.  A truncated line-module element is holomorphic when every tangent
-operator kills its vector slot; since the operators act on the vector slot
-only and blocks are independent, kernels are computed per weight block.
+negatives; each is read from the algebra's LusztigOperators of V_lam, which
+conjugates it once and keeps it with the module.  A truncated line-module
+element is holomorphic when every tangent operator kills its vector slot;
+since the operators act on the vector slot only and blocks are independent,
+kernels are computed per weight block, and ``h0`` returns them as a
+:class:`qflag.peterweyl.GradedSlice`.
 
 The quotient route realizes forms as spans of formal symbols u . d(zbar_l) . v
 with word coefficients, modulo the Leibniz images of every relation that the
@@ -20,33 +23,13 @@ routes is the acceptance arbiter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import cartan
 from .cartan import FlagSpec
 from .errors import DomainError, TruncationError
 from .linalg import (SpanBasis, SparseMatrix, dv_add_scaled, nullspace, rank,
                      rows_from_columns)
-from .peterweyl import PWAlgebra, PWElement
+from .peterweyl import GradedSlice, PWAlgebra, PWElement
 from .rmatrix import Braiding, braiding
-
-
-@dataclass(frozen=True)
-class H0Result:
-    flag: FlagSpec
-    k: int
-    depth: int
-    chirality: str
-    blocks: tuple          # ((lam, (kernel col dict-vec, ...)), ...)
-    dims: tuple            # dim V_lam per block
-    word: tuple
-
-    @property
-    def dim(self) -> int:
-        return sum(d * len(cols) for (_, cols), d in zip(self.blocks, self.dims))
-
-    def block_weights(self):
-        return tuple(lam for lam, _ in self.blocks)
 
 
 class Calculus:
@@ -65,19 +48,13 @@ class Calculus:
         x = flag.crossed
         self.positions = tuple((r + 1, beta) for r, beta in enumerate(seq)
                                if beta[x - 1] != 0)
-        self._tangent = {}
 
     def tangent_operators(self, lam, chirality: str = "01"):
         """Root-vector operator matrices on V_lam for one chirality."""
-        key = (tuple(lam), chirality)
-        ops = self._tangent.get(key)
-        if ops is None:
-            kind = "E" if chirality == "01" else "F"
-            lops = self.algebra.ops(lam)
-            ops = tuple(lops.root_operator(self.word, r, kind)
-                        for r, _ in self.positions)
-            self._tangent[key] = ops
-        return ops
+        kind = "E" if chirality == "01" else "F"
+        lops = self.algebra.ops(lam)
+        return tuple(lops.root_operator(self.word, r, kind)
+                     for r, _ in self.positions)
 
     # -- exterior derivatives -------------------------------------------------
 
@@ -85,10 +62,11 @@ class Calculus:
         """Sum of (E_beta acting on the vector slot) (x) e_beta, as a map
         {((lam, row, col), root position): scalar}."""
         alg = self.algebra
+        ops = {lam: self.tangent_operators(lam, chirality)
+               for lam in a.blocks()}
         out = {}
         for pos in range(len(self.positions)):
-            img = alg.act_v(lambda lam, p=pos, ch=chirality:
-                            self.tangent_operators(lam, ch)[p], a)
+            img = alg.act_v(lambda lam, p=pos: ops[lam][p], a)
             for key, v in img.coeffs.items():
                 out[(key, pos)] = v
         return out
@@ -98,8 +76,12 @@ class Calculus:
 
     # -- holomorphic sections ---------------------------------------------------
 
-    def h0(self, k: int, depth: int, chirality: str = "01") -> H0Result:
-        """Exact kernel of the tangent operators on the truncated slice."""
+    def h0(self, k: int, depth: int, chirality: str = "01") -> GradedSlice:
+        """Exact kernel of the tangent operators on the truncated slice.
+
+        The kernel is a sub-slice of ``graded_component(flag, k, depth)``:
+        its blocks hold the kernel columns, and blocks with none are left out.
+        """
         alg = self.algebra
         sl = alg.graded_component(self.flag, k, depth)
         blocks = []
@@ -117,10 +99,10 @@ class Calculus:
             if kcols:
                 blocks.append((lam, tuple(kcols)))
                 dims.append(d)
-        return H0Result(flag=self.flag, k=k, depth=depth, chirality=chirality,
-                        blocks=tuple(blocks), dims=tuple(dims), word=self.word)
+        return GradedSlice(flag=self.flag, k=k, depth=depth,
+                           blocks=tuple(blocks), dims=tuple(dims))
 
-    def h0_contains(self, res: H0Result, elem: PWElement) -> bool:
+    def h0_contains(self, res: GradedSlice, elem: PWElement) -> bool:
         """Exact membership of a PW element in the kernel span."""
         by_block = {}
         for (lam, r, c), v in elem.coeffs.items():

@@ -327,10 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="structure-constant cache directory")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the JSON report to PATH")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized property samples")
-    p.add_argument("--word-check", action="store_true",
-                   help="recompute span results with a second reduced word")
     p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
                    help="module dimension guard")
     sub = p.add_subparsers(dest="command", required=True)
@@ -383,12 +379,31 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--suite",
                    default="liouville,borel-weil,coordring,spherical")
     c.add_argument("--depth", type=int, default=None)
+    c.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized property samples")
     c.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("cache", help="inspect or clear the structure cache")
     c.add_argument("action", choices=("info", "clear"))
     c.set_defaults(func=cmd_cache)
+    for name in ("liouville", "borel-weil", "verify"):
+        sub.choices[name].add_argument(
+            "--word-check", action="store_true",
+            help="recompute span results with a second reduced word")
     return p
+
+
+def _check_global_options(parser, argv) -> None:
+    """Refuse an unknown option before the command by name (argparse takes
+    the 2 of ``--jobs 2`` for the command); prefixes pass, as in argparse."""
+    known = [o for a in parser._actions for o in a.option_strings]
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    for tok in argv:
+        if tok in commands:
+            return
+        if tok.startswith("--") and not any(
+                o.startswith(tok.split("=", 1)[0]) for o in known):
+            parser.error(f"unrecognized arguments: {tok}")
 
 
 def main(argv=None) -> int:
@@ -401,6 +416,7 @@ def main(argv=None) -> int:
         if argv[t] == "--k" and argv[t + 1].startswith("-"):
             argv[t:t + 2] = [f"--k={argv[t + 1]}"]
             break
+    _check_global_options(parser, argv)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

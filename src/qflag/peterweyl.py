@@ -19,6 +19,11 @@ through the module matrices (the natural left action); act_f is the right
 action on the functional slot, i.e. row vectors transform by the transposed
 matrices.  Both are exercised against each other by the invariant/grading
 checks downstream.
+
+:class:`GradedSlice` is the one type for vector-slot columns per block
+V_lam: the Levi invariants of one degree (one joint kernel per block; at
+degree 0 the spherical invariants), or the holomorphic sections inside them.
+Each V_lam is kept with its LusztigOperators, the one root-vector cache.
 """
 
 from __future__ import annotations
@@ -100,12 +105,12 @@ class Generators:
 
 @dataclass(frozen=True)
 class GradedSlice:
-    """Truncated basis of a line-module graded component.
+    """Truncated basis of a line-module graded component, or of a subspace.
 
     blocks maps a dominant weight lam to the tuple of vector-slot columns
     (dict-vectors over the basis of V_lam) spanning the slice there; every
     functional-slot index pairs with each column, so the slice dimension is
-    sum(dim V_lam * len(columns)).
+    sum(dim V_lam * len(columns)).  A block without columns is left out.
     """
     flag: FlagSpec
     k: int
@@ -116,6 +121,9 @@ class GradedSlice:
     @property
     def dim(self) -> int:
         return sum(d * len(cols) for (_, cols), d in zip(self.blocks, self.dims))
+
+    def block_weights(self):
+        return tuple(lam for lam, _ in self.blocks)
 
 
 class PWAlgebra:
@@ -409,25 +417,7 @@ class PWAlgebra:
             return self.module(lam).gen_matrix(kind, i)
         return gen(lam)
 
-    # -- invariants, generators, grading ---------------------------------------
-
-    def invariant_subspace(self, lam, flag: FlagSpec, semisimple: bool = True):
-        """Vector-slot invariants under the Levi parabolic subalgebra.
-
-        semisimple=True keeps only the conditions for the semisimple part
-        (E_j, F_j, K_j for uncrossed j); semisimple=False additionally asks
-        full torus invariance, i.e. weight zero.
-        """
-        lam = tuple(lam)
-        m = self.module(lam)
-        snodes = flag.uncrossed
-        if semisimple:
-            idxs = [t for t, w in enumerate(m.weights)
-                    if all(w[j - 1] == 0 for j in snodes)]
-        else:
-            idxs = [t for t, w in enumerate(m.weights)
-                    if all(x == 0 for x in w)]
-        return joint_kernel(_levi_mats(m, snodes), idxs, self.ctx.one)
+    # -- generators, grading ---------------------------------------------------
 
     def generators(self, flag: FlagSpec) -> Generators:
         got = self._gens.get(flag)
@@ -478,8 +468,9 @@ class PWAlgebra:
         """Truncated basis of the degree-k line module component.
 
         Within the truncation sum(lam) <= depth: the vector-slot subspace of
-        V_lam invariant under the semisimple Levi part whose crossed-node
-        torus weight is k.
+        V_lam killed by E_j and F_j for every uncrossed node j, of weight 0
+        at those nodes and k at the crossed one.  At k = 0 these are the
+        invariants of the whole Levi factor, its torus included.
         """
         snodes = flag.uncrossed
         x = flag.crossed

@@ -126,13 +126,10 @@ def _select_candidates(rows, want: int):
 
 
 def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
-                      guard: int = DEFAULT_GUARD, allow_e: bool = False) -> ModuleData:
+                      guard: int = DEFAULT_GUARD) -> ModuleData:
     """The irreducible module with highest weight lam (dominant)."""
     if len(lam) != lie.rank or any(x < 0 for x in lam):
         raise DomainError(f"{lam} is not a dominant weight for {lie}")
-    if lie.series == "E" and not allow_e:
-        raise DimensionGuardError(
-            f"{lie}: module construction for the E series is disabled by default")
     if ctx.L != cartan.lattice_denominator(lie):
         raise DomainError("context lattice denominator does not match the type")
     dim = cartan.weyl_dim(lie, lam)
@@ -235,8 +232,7 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
 
 
 def trivial_module(ctx: QContext, lie: LieType) -> ModuleData:
-    return build_irreducible(ctx, lie, tuple([0] * lie.rank), guard=1,
-                             allow_e=True)
+    return build_irreducible(ctx, lie, tuple([0] * lie.rank), guard=1)
 
 
 def tensor(m1: ModuleData, m2: ModuleData) -> ModuleData:
@@ -543,6 +539,10 @@ class LusztigOperators:
     checked as exact matrix identities: for every generator on modules of
     dim <= FULL_VERIFY_LIMIT, for the K-family only above it, where the
     kernel certificates downstream re-check every consequence.
+
+    This object is the one cache of the module's root vectors: each is
+    conjugated once, on first use, and kept with the products
+    Theta_{i1} ... Theta_{i(r-1)} and their inverses along its word.
     """
 
     FULL_VERIFY_LIMIT = 24
@@ -554,7 +554,8 @@ class LusztigOperators:
         self.m = m
         self._theta = {}
         self._theta_inv = {}
-        self._prefix = {}
+        self._prefix = {}       # word -> [(p_r, p_r^-1) for r = 1, 2, ...]
+        self._roots = {}        # (word, r, kind) -> root vector
 
     def theta(self, i: int) -> SparseMatrix:
         th = self._theta.get(i)
@@ -608,28 +609,28 @@ class LusztigOperators:
         return inv
 
     def _prefixes(self, word, r):
-        key = tuple(word)
-        cache = self._prefix.setdefault(key, {})
-        if r in cache:
-            return cache[r]
-        if r == 1:
-            one = self.m.ctx.one
-            val = (SparseMatrix.identity(self.m.dim, one),
-                   SparseMatrix.identity(self.m.dim, one))
-        else:
-            p, pinv = self._prefixes(word, r - 1)
-            i = word[r - 2]
-            val = (p.mul(self.theta(i)), self.theta_inv(i).mul(pinv))
-        cache[r] = val
-        return val
+        """(p, p^-1) for p = Theta_{i1} ... Theta_{i(r-1)} along word."""
+        chain = self._prefix.get(word)
+        if chain is None:
+            ident = SparseMatrix.identity(self.m.dim, self.m.ctx.one)
+            chain = self._prefix[word] = [(ident, ident)]
+        while len(chain) < r:
+            p, pinv = chain[-1]
+            i = word[len(chain) - 1]
+            chain.append((p.mul(self.theta(i)), self.theta_inv(i).mul(pinv)))
+        return chain[r - 1]
 
     def root_operator(self, word, r: int, kind: str = "E") -> SparseMatrix:
         """E_{beta_r} (or F_{beta_r}): prefix-conjugated simple generator."""
-        if not 1 <= r <= len(word):
-            raise DomainError("root index out of range")
-        p, pinv = self._prefixes(word, r)
-        base = self.m.gen_matrix(kind, word[r - 1])
-        return p.mul(base).mul(pinv)
+        key = (tuple(word), r, kind)
+        got = self._roots.get(key)
+        if got is None:
+            if not 1 <= r <= len(word):
+                raise DomainError("root index out of range")
+            p, pinv = self._prefixes(key[0], r)
+            got = p.mul(self.m.gen_matrix(kind, word[r - 1])).mul(pinv)
+            self._roots[key] = got
+        return got
 
 
 def nullspace_of_conjugation(m: ModuleData, i: int):

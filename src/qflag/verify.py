@@ -194,15 +194,11 @@ def coordinate_ring_equality(algebra: PWAlgebra, flag: FlagSpec, dmax: int,
 
 
 def spherical_report(algebra: PWAlgebra, flag: FlagSpec, depth: int) -> dict:
-    """Multiplicity-free invariants matching the spherical-weight monoid."""
-    found = []
-    mult_ok = True
-    for lam in cartan.dominant_weights_up_to(algebra.lie, depth):
-        inv = algebra.invariant_subspace(lam, flag, semisimple=False)
-        if inv:
-            found.append((tuple(lam), len(inv)))
-            if len(inv) > 1:
-                mult_ok = False
+    """Multiplicity-free Levi invariants (the degree-0 graded component)
+    matching the spherical-weight monoid."""
+    found = [(lam, len(cols)) for lam, cols in
+             algebra.graded_component(flag, 0, depth).blocks]
+    mult_ok = all(m == 1 for _, m in found)
     gens = cartan.spherical_weights(flag)
     monoid = cartan.monoid_truncation(gens, depth)
     set_ok = [w for w, _ in found] == monoid

@@ -1,7 +1,10 @@
 from qflag.calculus import (Calculus, act_f_orbit_rows, z_power,
                             zbar_power)
 from qflag.cartan import LieType, longest_word, weyl_dim
-from qflag.linalg import SpanBasis
+from qflag.linalg import SpanBasis, SparseMatrix
+from qflag.peterweyl import GradedSlice, PWAlgebra
+from qflag.reps import LusztigOperators
+from qflag.verify import verify_suite
 
 
 def crossed(flag):
@@ -31,6 +34,7 @@ def test_h0_podles_tower(algebras, flag_of):
     dims = {k: calc.h0(k, 5).dim for k in range(-3, 5)}
     assert dims == {-3: 0, -2: 0, -1: 0, 0: 1, 1: 2, 2: 3, 3: 4, 4: 5}
     res1 = calc.h0(1, 5)
+    assert isinstance(res1, GradedSlice)
     assert res1.block_weights() == ((1,),)
 
 
@@ -178,3 +182,47 @@ def test_specialized_h0_dims_match_symbolic_grassmannian(flag_of):
     calc = Calculus(alg, flag)
     assert {k: calc.h0(k, 3).dim for k in range(-1, 3)} == \
         {-1: 0, 0: 1, 1: 6, 2: 20}
+
+
+def test_calculi_share_root_vectors(algebras, flag_of):
+    # the root vectors are kept with their module, not with a Calculus
+    alg = algebras("A2")
+    flag = flag_of("A2/1")
+    c1, c2 = Calculus(alg, flag), Calculus(alg, flag)
+    for lam in ((1, 0), (1, 1)):
+        for chirality in ("01", "10"):
+            ops1 = c1.tangent_operators(lam, chirality)
+            ops2 = c2.tangent_operators(lam, chirality)
+            assert ops1 and len(ops1) == len(ops2)
+            assert all(a is b for a, b in zip(ops1, ops2))
+
+
+def test_verify_conjugates_each_root_vector_once(flag_of, monkeypatch):
+    # a root_operator call that multiplies matrices conjugated E_beta anew
+    muls, inside, conjugated = [0], [], []
+    mul, root_operator = SparseMatrix.mul, LusztigOperators.root_operator
+
+    def counting_mul(self, other):
+        if inside:
+            muls[0] += 1
+        return mul(self, other)
+
+    def counting_root_operator(self, word, r, kind="E"):
+        before = muls[0]
+        inside.append(True)
+        try:
+            return root_operator(self, word, r, kind)
+        finally:
+            inside.pop()
+            if muls[0] > before:
+                conjugated.append((self.m.highest, tuple(word), r, kind))
+
+    monkeypatch.setattr(SparseMatrix, "mul", counting_mul)
+    monkeypatch.setattr(LusztigOperators, "root_operator",
+                        counting_root_operator)
+    flag = flag_of("A2/1")
+    rep = verify_suite(flag, ["liouville", "borel-weil", "coordring", "gamma"],
+                       depth=2, algebra=PWAlgebra(flag.lie))
+    assert rep["ok"]
+    assert conjugated
+    assert len(conjugated) == len(set(conjugated))

@@ -68,18 +68,24 @@ def test_flag_usage_error(capsys):
     assert code == 2 and "irreducible" in err
 
 
-def test_e_series_refused_by_default(capsys):
-    # catalog lists the E-series flags, module-level operations refuse them
+def test_e_series_built_within_the_guard(capsys):
+    # the dimension guard is the one size gate, for the E series as well
     code, out, _ = run_cli(capsys, "catalog", "--max-rank", "7")
     assert code == 0
     names = {e["name"] for e in json.loads(out)["entries"]}
     assert {"OP2", "F"} <= names
-    code, _, err = run_cli(capsys, "rep", "--type", "E6", "--weight",
+    code, out, _ = run_cli(capsys, "rep", "--type", "E6", "--weight",
                            "1,0,0,0,0,0")
-    assert code == 2 and "disabled" in err
-    code, _, err = run_cli(capsys, "liouville", "--flag", "E6/6",
-                           "--depth", "1")
-    assert code == 2
+    assert code == 0
+    doc = json.loads(out)
+    validate(doc)
+    assert doc["dim"] == 27
+    code, out, _ = run_cli(capsys, "rmatrix", "--flag", "E6/1")
+    assert code == 0 and json.loads(out)["ybe"] is True
+    # depth 1 asks for V_(0,0,0,0,1,0), dim 351
+    code, out, err = run_cli(capsys, "liouville", "--flag", "E6/6",
+                             "--depth", "1")
+    assert code == 2 and "guard" in err and out == ""
 
 
 def test_rmatrix(capsys):
@@ -116,9 +122,9 @@ def test_borel_weil_cli(capsys):
 def test_borel_weil_word_check_and_crosscheck(capsys, monkeypatch):
     from qflag import peterweyl
     builds = _count_calls(monkeypatch, peterweyl, "build_irreducible")
-    code, out, _ = run_cli(capsys, "--word-check", "borel-weil", "--flag",
-                           "A1/1", "--k", "0:1", "--depth", "3",
-                           "--crosscheck")
+    code, out, _ = run_cli(capsys, "borel-weil", "--flag", "A1/1", "--k",
+                           "0:1", "--depth", "3", "--crosscheck",
+                           "--word-check")
     assert code == 0
     doc = json.loads(out)
     assert doc["word_check"]["agree"]
@@ -149,9 +155,34 @@ def test_guard_reaches_module_construction(capsys):
 
 
 def test_jobs_is_not_an_option(capsys):
-    code, out, err = run_cli(capsys, "--jobs", "2", "borel-weil", "--flag",
-                             "A1/1", "--k", "0:1", "--depth", "2")
-    assert code == 2 and err.startswith("usage:") and out == ""
+    for jobs in (["--jobs", "2"], ["--jobs=2"]):
+        code, out, err = run_cli(capsys, *jobs, "borel-weil", "--flag",
+                                 "A1/1", "--k", "0:1", "--depth", "2")
+        assert code == 2 and err.startswith("usage:") and out == ""
+        # the message names the option, not its value as a command
+        assert "unrecognized arguments: --jobs" in err
+        assert "invalid choice" not in err
+
+
+def test_command_options_refused_elsewhere(capsys):
+    # --word-check and --seed belong to the commands that read them
+    for argv in (["--word-check", "coordring", "--flag", "A1/1",
+                  "--depth", "2"],
+                 ["--word-check", "liouville", "--flag", "A1/1",
+                  "--depth", "2"],
+                 ["--seed", "5", "verify", "--flag", "A1/1", "--suite",
+                  "properties", "--depth", "2"],
+                 ["coordring", "--flag", "A1/1", "--depth", "2",
+                  "--word-check"],
+                 ["borel-weil", "--flag", "A1/1", "--k", "0:1",
+                  "--depth", "2", "--seed", "5"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "unrecognized arguments" in err, argv
+    # an abbreviated global option still parses
+    code, out, _ = run_cli(capsys, "--gua", "100", "liouville", "--flag",
+                           "A1/1", "--depth", "2")
+    assert code == 0 and json.loads(out)["ok"]
 
 
 def test_verify_cli_and_exit_codes(capsys):
@@ -204,16 +235,16 @@ def test_empty_k_range_is_usage_error(capsys):
 
 
 def test_properties_suite_seeded(capsys):
-    args = ["--seed", "5", "verify", "--flag", "A1/1", "--suite",
-            "properties", "--depth", "2"]
+    args = ["verify", "--flag", "A1/1", "--suite", "properties",
+            "--depth", "2", "--seed", "5"]
     code, out1, _ = run_cli(capsys, *args)
     assert code == 0
     code, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
     doc = json.loads(out1)
     assert doc["seed"] == 5
-    code, out3, _ = run_cli(capsys, "--seed", "6", "verify", "--flag",
-                            "A1/1", "--suite", "properties", "--depth", "2")
+    code, out3, _ = run_cli(capsys, "verify", "--flag", "A1/1", "--suite",
+                            "properties", "--depth", "2", "--seed", "6")
     assert code == 0 and json.loads(out3)["ok"]
 
 
@@ -349,8 +380,8 @@ def test_relations_solves_the_braiding_once(capsys, monkeypatch):
 def test_verify_word_check_reuses_the_suite_report(capsys, monkeypatch):
     from qflag import verify
     calls = _count_calls(monkeypatch, verify, "borel_weil_report")
-    code, out, _ = run_cli(capsys, "--word-check", "verify", "--flag", "A1/1",
-                           "--suite", "borel-weil", "--depth", "3")
+    code, out, _ = run_cli(capsys, "verify", "--flag", "A1/1", "--suite",
+                           "borel-weil", "--depth", "3", "--word-check")
     assert code == 0
     doc = json.loads(out)
     assert doc["ok"] and doc["word_check"]["agree"]

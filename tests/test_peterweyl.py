@@ -117,16 +117,17 @@ def test_counit_pairing_consistency(algebras, flag_of):
 def test_invariant_subspace(algebras, flag_of):
     alg1 = algebras("A1")
     f1 = flag_of("A1/1")
-    # weight-0 subspace of V_k: 1-dimensional iff k even (S is empty)
-    assert len(alg1.invariant_subspace((2,), f1, semisimple=False)) == 1
-    assert len(alg1.invariant_subspace((3,), f1, semisimple=False)) == 0
-    assert len(alg1.invariant_subspace((0,), f1, semisimple=False)) == 1
+    # degree 0: the weight-0 subspace of V_k, 1-dimensional iff k even
+    # (no uncrossed node); blocks without an invariant are left out
+    sl = alg1.graded_component(f1, 0, 3)
+    assert {lam: len(cols) for lam, cols in sl.blocks} == {(0,): 1, (2,): 1}
+    assert sl.block_weights() == ((0,), (2,))
     alg2 = algebras("A2")
     f2 = flag_of("A2/1")
-    # the highest weight vector of V_{w1} is U_q(l^s)-invariant
-    inv = alg2.invariant_subspace((1, 0), f2, semisimple=True)
+    # the highest weight vector of V_{w1} is U_q(l^s)-invariant, of degree 1
+    blocks = dict(alg2.graded_component(f2, 1, 1).blocks)
     hw = alg2.module((1, 0)).highest_index
-    assert any(set(col) == {hw} for col in inv)
+    assert any(set(col) == {hw} for col in blocks[(1, 0)])
 
 
 def test_generators(algebras, flag_of):

@@ -83,10 +83,21 @@ def test_construction_guards():
         build_irreducible(ctx, A3, (2, 2, 2))
     with pytest.raises(DomainError):
         build_irreducible(ctx, A3, (-1, 0, 0))
+    # the guard is the one size gate for the E series too
     e6 = LieType("E", 6)
     with pytest.raises(DimensionGuardError):
-        build_irreducible(context_for(e6), e6,
-                          (1, 0, 0, 0, 0, 0))
+        build_irreducible(context_for(e6), e6, (0, 0, 0, 1, 0, 0))
+
+
+@pytest.mark.parametrize("name,lam,dim", [
+    ("E6", (1, 0, 0, 0, 0, 0), 27),
+    ("E7", (0, 0, 0, 0, 0, 0, 1), 56),
+])
+def test_exceptional_modules_satisfy_relations(name, lam, dim):
+    lie = LieType.parse(name)
+    m = build_irreducible(context_for(lie), lie, lam)
+    assert m.dim == dim == weyl_dim(lie, lam)
+    check_defining_relations(m)
 
 
 def test_tensor_weights_and_highest():
@@ -371,6 +382,29 @@ def test_root_operator_basics():
     # r = 1 is the plain generator
     assert ops.root_operator((1,), 1, "E") == m.e_mats[0]
     assert ops.root_operator((1,), 1, "F") == m.f_mats[0]
+    with pytest.raises(DomainError):
+        ops.root_operator((1,), 2, "E")
+
+
+def test_root_operator_cached_by_word_index_and_kind():
+    m = build_irreducible(context_for(A2), A2, (1, 1))
+    ops = LusztigOperators(m)
+    word = longest_word(A2)
+    first = {(r, kind): ops.root_operator(word, r, kind)
+             for r in range(1, 4) for kind in "EF"}
+    # the same object for an equal word, given as a list or a tuple
+    for (r, kind), op in first.items():
+        assert ops.root_operator(list(word), r, kind) is op
+    # each root vector is Theta_{i1} ... Theta_{i(r-1)} conjugating its
+    # simple generator, whatever order the calls come in
+    fresh = LusztigOperators(m)
+    for r in (3, 1, 2):
+        p = SparseMatrix.identity(m.dim, m.ctx.one)
+        for i in word[:r - 1]:
+            p = p.mul(fresh.theta(i))
+        e = m.gen_matrix("E", word[r - 1])
+        assert fresh.root_operator(word, r, "E").mul(p) == p.mul(e)
+        assert fresh.root_operator(word, r, "E") == first[(r, "E")]
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "C2"])
