@@ -1,27 +1,30 @@
 """Finite-dimensional type-1 modules as explicit generator matrices.
 
-Irreducibles are built by the contravariant-form method: candidate vectors
-are F-monomials applied to the highest weight vector, in Freudenthal's weight
+Irreducibles are built weight space by weight space, in Freudenthal's weight
 order (:func:`qflag.cartan.weight_multiplicities`, every weight after the
-weights one simple root above it); the E-action on a candidate F_j.u is
-computed recursively from the defining commutation relation, the Gram rows of
-the contravariant form <F_j u, x> = <u, E_j x> are read off the stored Gram
-rows of the weight spaces above, and each weight space keeps the candidates
-on the Gram's column rank profile (the radical drops out).  Gram rows are
-dict rows; a stored one is keyed by basis index.
+weights one simple root above it).  The candidates for L(lam)_nu are the
+vectors F_j.u, u a basis vector of weight nu + alpha_j; their E-action is
+computed from the defining commutation relation E_i F_j u = F_j E_i u +
+d_ij [mu_i] u on the weight spaces above, whose E and F matrices are already
+exact.  For nu != lam the map x -> (E_1 x, ..., E_n x) is injective on
+L(lam)_nu (a nonzero vector every E_i kills would be a highest weight vector
+of a proper submodule), so the candidates satisfy exactly the linear
+relations of their raising images: each weight space keeps the candidates on
+the column rank profile of the raising matrix, and expands the others in
+them.
 
 The target rank of each weight space is its multiplicity, from Freudenthal's
 formula in integers.  The profile is first found mod a fixed prime at
 a fixed point of s: when it has exactly the target size, those columns are
 independent over Q(s) and the rank cannot exceed the multiplicity, so one
-exact reduced row echelon form of the Gram rows at the profile confirms it
-(its pivots must be the profile) and gives every expansion of a dropped
+exact reduced row echelon form of rows independent mod p confirms it (its
+pivots must be the profile) and gives every expansion of a dropped
 candidate in the kept ones.  Otherwise, or when an entry has no image mod
-the prime, the exact profile is computed; the module comes out the same
-either way.  In symbolic mode a rank other than the multiplicity raises
-ConventionError at that weight space; the total dimension is also checked
-against the Weyl dimension formula, which doubles as the degeneration guard
-in specialized mode.
+the prime, every row of the raising matrix is reduced exactly; the module
+comes out the same either way.  In symbolic mode a rank other than the
+multiplicity raises ConventionError at that weight space; the total
+dimension is also checked against the Weyl dimension formula, which doubles
+as the degeneration guard in specialized mode.
 
 Every basis vector remembers the F-word that produced it; braid operators and
 Clebsch-Gordan embeddings both ride on that: an intertwiner from V_lam into
@@ -37,9 +40,9 @@ from . import cartan
 from .cartan import LieType, Weight
 from .errors import (ConventionError, DimensionGuardError, DomainError,
                      ReducibleModuleError, SpecializationError)
-from .linalg import (SparseMatrix, block_rows, column_rank_profile,
-                     dv_add_scaled, eliminate, invert_blocks, invert_dense,
-                     mod_row_profile, nullspace, rows_from_columns)
+from .linalg import (SparseMatrix, block_rows, dv_add_scaled, eliminate,
+                     invert_blocks, invert_dense, mod_row_profile, nullspace,
+                     rows_from_columns)
 from .scalars import QContext
 
 DEFAULT_GUARD = 64
@@ -90,39 +93,40 @@ class ModuleData:
         return out
 
 
-def _select_candidates(rows, want: int):
-    """Column rank profile of a weight space's Gram matrix, with the RREF.
+def _select_candidates(cols, want: int):
+    """Column rank profile of a weight space's raising matrix, with the RREF.
 
-    ``rows`` are the Gram's dict rows, one per candidate.  Returns the
-    profile and the reduced row echelon form of the rows at the profile
-    (None when every column is kept); column t of the RREF expands
-    candidate t in the kept ones.  The profile is first taken in Z/p at a
-    fixed point, as the modular row profile of the Gram's columns: when it
-    has ``want`` columns (the weight's multiplicity, an upper bound of the
-    rank over Q(s)), those columns are independent over Q(s), the chosen
-    rows span the row space, and the RREF's pivots are the exact profile,
-    which is checked.  Otherwise, or when an entry has no image mod p, the
-    exact profile is computed.
+    ``cols`` are the raising matrix's columns, one dict-vector per candidate
+    F_j.u: its E_i-images for every node i, merged (E_i lands in weight
+    nu + alpha_i, so the keys of different nodes never meet).  On L(lam)_nu,
+    nu != lam, the map x -> (E_1 x, ..., E_n x) is injective: a nonzero
+    vector every E_i kills would be a highest weight vector of a proper
+    submodule.  So the candidates are dependent exactly when their columns
+    are, the profile is the lowest-index set of candidates independent in
+    L(lam)_nu, and the rank is the weight's multiplicity ``want``.
+
+    Returns the profile and rows whose column t expands candidate t in the
+    kept ones: the RREF of rows spanning the row space.  The profile is first taken in Z/p at a fixed point, as
+    the modular row profile of the columns: when it has ``want`` columns,
+    they are independent over Q(s), rows independent mod p on them span the
+    row space, and the pivots of their exact RREF over all candidates are
+    the exact profile, which is checked.  Otherwise, or when an entry has
+    no image mod p, every row is reduced exactly.
     """
-    m = len(rows)
-    cols = [{} for _ in range(m)]
-    for s, row in enumerate(rows):
-        for t, v in row.items():
-            cols[t][s] = v
+    m = len(cols)
+    rows = rows_from_columns(cols)
     profile = mod_row_profile(cols)
     if profile is not None and len(profile) == want:
         if want == m:
-            return profile, None
-        pivots, red = eliminate([rows[s] for s in profile], m)
+            return profile, []
+        kept = set(profile)
+        chosen = mod_row_profile(
+            [{t: v for t, v in row.items() if t in kept} for row in rows])
+        pivots, red = eliminate([rows[r] for r in chosen], m)
         if pivots == profile:
             return profile, red
-    profile = column_rank_profile(rows, m)
-    if not profile or len(profile) == m:
-        return profile, None
-    pivots, red = eliminate([rows[s] for s in profile], m)
-    if pivots != profile:
-        raise ConventionError("kept block of the Gram matrix is singular")
-    return profile, red
+    pivots, red = eliminate(rows, m)
+    return pivots, red[:len(pivots)]
 
 
 def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
@@ -149,7 +153,6 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
     eimg = [[{} for _ in range(n)]]           # per global, per node: dict-vec
     fimg = [[None] * n]                       # filled as weights are processed
     spaces = {tuple(lam): range(1)}           # weight -> its basis indices
-    gram = [{0: one}]     # per global: its Gram row over its weight space
 
     # parents before children: the order of weight_multiplicities, lam first
     mults = iter(cartan.weight_multiplicities(lie, lam).items())
@@ -172,25 +175,12 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
                     dv_add_scaled(acc, {u: one}, ctx.qint(wu[i], d[i]))
                 per_node.append(acc)
             cand_eimg.append(per_node)
-        # Gram rows via <F_j u, x> = <u, E_j x>
-        rows = []
-        for (js, us) in cands:
-            grow = gram[us]
-            row = {}
-            for t, img in enumerate(cand_eimg):
-                acc = None
-                for g, cf in img[js].items():
-                    x = grow.get(g)
-                    if x is not None:
-                        acc = x * cf if acc is None else acc + x * cf
-                if acc:
-                    row[t] = acc
-            rows.append(row)
-        profile, red = (_select_candidates(rows, want) if cands
-                        else ([], None))
+        profile, red = (_select_candidates(
+            [{g: v for img in per_node for g, v in img.items()}
+             for per_node in cand_eimg], want) if cands else ([], []))
         if ctx.symbolic and len(profile) != want:
             raise ConventionError(
-                f"weight {nu}: Gram rank {len(profile)}, multiplicity {want}")
+                f"weight {nu}: rank {len(profile)}, multiplicity {want}")
         if not profile:
             continue
         base = len(weights)
@@ -202,7 +192,6 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
             parents.append((j + 1, u))
             eimg.append(cand_eimg[t])
             fimg.append([None] * n)
-            gram.append({sel[x]: v for x, v in rows[t].items() if x in sel})
         for t, (j, u) in enumerate(cands):
             if t in sel:
                 fimg[u][j] = {sel[t]: one}

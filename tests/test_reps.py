@@ -12,7 +12,8 @@ from qflag import cartan, linalg, reps
 from qflag.errors import (ConventionError, DimensionGuardError, DomainError,
                           ReducibleModuleError)
 from qflag.linalg import (MOD_POINT, SpanBasis, SparseMatrix,
-                          column_rank_profile, mod_row_profile)
+                          column_rank_profile, eliminate, mod_row_profile,
+                          rows_from_columns)
 from qflag.peterweyl import PWAlgebra
 from qflag.reps import (LusztigOperators, braid_image, build_irreducible,
                         check_defining_relations, check_intertwines,
@@ -21,7 +22,7 @@ from qflag.reps import (LusztigOperators, braid_image, build_irreducible,
                         trivial_module)
 
 A1, A2, A3, B2, C2 = (LieType.parse(t) for t in ("A1", "A2", "A3", "B2", "C2"))
-C3 = LieType.parse("C3")
+B3, C3 = LieType.parse("B3"), LieType.parse("C3")
 
 
 def store_for(lie, ctx, guard=64, cache={}):
@@ -493,10 +494,19 @@ def module_digest(m) -> str:
      "e39732ecc6aec6b2c74e0988cc5780332bf962ef47aef03bae2df10cbdb91285"),
     (C3, (0, 0, 2),
      "fce8e55e06d5c8770dc68020a3144abb2f269a8890fc854ad0cddea3723004cd"),
+    # dims 330, 378 and 512
+    (B3, (2, 1, 0),
+     "c1f28aeb1c7d51437e401e7d12ef24db3dddae116d8585bb703412339a47fc90"),
+    (B3, (0, 1, 2),
+     "052542cab977eaf81b7526cb7afd761dc39d283a49714eac88e48e368badea94"),
+    (B3, (1, 1, 1),
+     "4658a9a4ab87a3841bc80e43313075a2b9b1b94da4475cf13fced9c426c11297"),
 ])
 def test_build_digest_pinned(lie, lam, digest):
-    # digests of the construction by exact rank profile and inverse
-    m = build_irreducible(context_for(lie), lie, lam, guard=100)
+    # digests from an independent construction (the contravariant form's
+    # Gram rows); V_lam and its F-word expansions are unique, so any correct
+    # method reproduces them
+    m = build_irreducible(context_for(lie), lie, lam, guard=512)
     assert module_digest(m) == digest
 
 
@@ -508,23 +518,22 @@ def test_basis_follows_weight_multiplicities_order(lie, lam):
         list(dict.fromkeys(m.weights))
 
 
-def test_modular_profile_matches_exact_on_real_grams(monkeypatch):
-    # reps takes the Gram's column rank profile as the modular row profile
-    # of its columns
-    grams = []
+def test_modular_profile_matches_exact_on_real_raising_matrices(monkeypatch):
+    # reps takes the raising matrix's column rank profile as the modular row
+    # profile of its columns
+    mats = []
+    select = reps._select_candidates
 
-    def record(cols, limit=None):
-        grams.append(cols)
-        return mod_row_profile(cols, limit)
+    def record(cols, want):
+        mats.append(cols)
+        return select(cols, want)
 
-    monkeypatch.setattr(reps, "mod_row_profile", record)
+    monkeypatch.setattr(reps, "_select_candidates", record)
     build_irreducible(context_for(B2), B2, (2, 2), guard=100)
-    assert len(grams) > 30 and any(len(g) > 4 for g in grams)
-    for cols in grams:
-        m = len(cols)
-        rows = [{t: col[s] for t, col in enumerate(cols) if s in col}
-                for s in range(m)]
-        assert mod_row_profile(cols) == column_rank_profile(rows, m)
+    assert len(mats) > 30 and any(len(c) > 4 for c in mats)
+    for cols in mats:
+        assert mod_row_profile(cols) == column_rank_profile(
+            rows_from_columns(cols), len(cols))
 
 
 def counting(monkeypatch, name):
@@ -539,13 +548,23 @@ def counting(monkeypatch, name):
     return calls
 
 
+def reduces_every_row(calls):
+    """Whether some exact elimination took more rows than its rank.
+
+    The modular path eliminates only rows independent mod p; the exact path
+    eliminates every row of a raising matrix.
+    """
+    return any(len(rows) > len(eliminate(rows, ncols)[0])
+               for rows, ncols in calls)
+
+
 def test_modular_path_needs_no_exact_profile(monkeypatch):
-    calls = counting(monkeypatch, "column_rank_profile")
+    calls = counting(monkeypatch, "eliminate")
     inverses = counting(monkeypatch, "invert_blocks")
     build_irreducible(context_for(C2), C2, (2, 1))
     # specialized mode: Fractions take the same path
     build_irreducible(context_for(C2, s0=Fraction(3, 2)), C2, (2, 1))
-    assert calls == [] and inverses == []
+    assert calls and not reduces_every_row(calls) and inverses == []
 
 
 def test_fallback_on_vanishing_denominator(monkeypatch):
@@ -553,14 +572,14 @@ def test_fallback_on_vanishing_denominator(monkeypatch):
     pole = ctx.one / (ctx.s_power(1) - MOD_POINT)
     zero, one, two = ctx.zero, ctx.one, ctx.one + ctx.one
     assert linalg.mod_image(pole) is None
-    rows = [{0: pole, 1: pole, 2: one}, {0: pole, 1: pole, 2: one},
-            {0: one, 1: one, 2: two}]
-    assert mod_row_profile(rows) is None      # the Gram is symmetric
-    calls = counting(monkeypatch, "column_rank_profile")
-    profile, red = reps._select_candidates(rows, 2)
-    assert len(calls) == 1
+    # three candidates, the second equal to the first
+    cols = [{0: pole, 1: one, 2: one}, {0: pole, 1: one, 2: one},
+            {0: one, 1: two, 2: one}]
+    assert mod_row_profile(cols) is None
+    calls = counting(monkeypatch, "eliminate")
+    profile, red = reps._select_candidates(cols, 2)
+    assert calls == [(rows_from_columns(cols), 3)]    # every row, exactly
     assert profile == [0, 2]
-    # column 1 equals column 0
     assert [row.get(1, zero) for row in red] == [one, zero]
 
 
@@ -569,9 +588,9 @@ def test_exact_fallback_builds_the_same_module(monkeypatch, lie, lam):
     ctx = context_for(lie)
     want = module_digest(build_irreducible(ctx, lie, lam))
     monkeypatch.setattr(reps, "mod_row_profile", lambda rows, limit=None: None)
-    calls = counting(monkeypatch, "column_rank_profile")
+    calls = counting(monkeypatch, "eliminate")
     assert module_digest(build_irreducible(ctx, lie, lam)) == want
-    assert calls
+    assert reduces_every_row(calls)
 
 
 def test_rank_against_multiplicity_checked_per_weight(monkeypatch):
