@@ -106,12 +106,13 @@ def _select_candidates(cols, want: int):
     L(lam)_nu, and the rank is the weight's multiplicity ``want``.
 
     Returns the profile and rows whose column t expands candidate t in the
-    kept ones: the RREF of rows spanning the row space.  The profile is first taken in Z/p at a fixed point, as
-    the modular row profile of the columns: when it has ``want`` columns,
-    they are independent over Q(s), rows independent mod p on them span the
-    row space, and the pivots of their exact RREF over all candidates are
-    the exact profile, which is checked.  Otherwise, or when an entry has
-    no image mod p, every row is reduced exactly.
+    kept ones: the RREF of rows spanning the row space.  The profile is
+    first taken in Z/p at a fixed point, as the modular row profile of the
+    columns: when it has ``want`` columns, they are independent over Q(s),
+    the first ``want`` rows independent mod p on them span the row space,
+    and the pivots of their exact RREF over all candidates are the exact
+    profile, which is checked.  Otherwise, or when an entry has no image
+    mod p, every row is reduced exactly.
     """
     m = len(cols)
     rows = rows_from_columns(cols)
@@ -121,7 +122,8 @@ def _select_candidates(cols, want: int):
             return profile, []
         kept = set(profile)
         chosen = mod_row_profile(
-            [{t: v for t, v in row.items() if t in kept} for row in rows])
+            [{t: v for t, v in row.items() if t in kept} for row in rows],
+            want)
         pivots, red = eliminate([rows[r] for r in chosen], m)
         if pivots == profile:
             return profile, red

@@ -559,12 +559,33 @@ def reduces_every_row(calls):
 
 
 def test_modular_path_needs_no_exact_profile(monkeypatch):
+    # every weight space takes the modular path: the modular profile has the
+    # multiplicity's size, and one exact RREF of that many rows confirms it
+    # (none when every candidate is kept); a fallback adds an elimination
+    # of every row
+    spaces = []
     calls = counting(monkeypatch, "eliminate")
     inverses = counting(monkeypatch, "invert_blocks")
+    select = reps._select_candidates
+
+    def record(cols, want):
+        start = len(calls)
+        out = select(cols, want)
+        spaces.append((cols, want, calls[start:]))
+        return out
+
+    monkeypatch.setattr(reps, "_select_candidates", record)
     build_irreducible(context_for(C2), C2, (2, 1))
     # specialized mode: Fractions take the same path
     build_irreducible(context_for(C2, s0=Fraction(3, 2)), C2, (2, 1))
-    assert calls and not reduces_every_row(calls) and inverses == []
+    assert inverses == []
+    assert any(want < len(cols) for cols, want, _ in spaces)
+    for cols, want, elims in spaces:
+        profile = mod_row_profile(cols)
+        assert profile is not None and len(profile) == want
+        m = len(cols)
+        assert [(len(rows), ncols) for rows, ncols in elims] == (
+            [] if want == m else [(want, m)])
 
 
 def test_fallback_on_vanishing_denominator(monkeypatch):
