@@ -28,7 +28,7 @@ from .cartan import FlagSpec
 from .errors import DomainError, TruncationError
 from .linalg import (SpanBasis, SparseMatrix, dv_add_scaled, nullspace, rank,
                      rows_from_columns)
-from .peterweyl import GradedSlice, PWAlgebra, PWElement
+from .peterweyl import GradedSlice, PWAlgebra
 from .rmatrix import Braiding, braiding
 
 
@@ -58,20 +58,20 @@ class Calculus:
 
     # -- exterior derivatives -------------------------------------------------
 
-    def dbar(self, a: PWElement, chirality: str = "01") -> dict:
+    def dbar(self, a: dict, chirality: str = "01") -> dict:
         """Sum of (E_beta acting on the vector slot) (x) e_beta, as a map
         {((lam, row, col), root position): scalar}."""
         alg = self.algebra
         ops = {lam: self.tangent_operators(lam, chirality)
-               for lam in a.blocks()}
+               for lam in {key[0] for key in a}}
         out = {}
         for pos in range(len(self.positions)):
             img = alg.act_v(lambda lam, p=pos: ops[lam][p], a)
-            for key, v in img.coeffs.items():
+            for key, v in img.items():
                 out[(key, pos)] = v
         return out
 
-    def del_(self, a: PWElement) -> dict:
+    def del_(self, a: dict) -> dict:
         return self.dbar(a, chirality="10")
 
     # -- holomorphic sections ---------------------------------------------------
@@ -102,10 +102,10 @@ class Calculus:
         return GradedSlice(flag=self.flag, k=k, depth=depth,
                            blocks=tuple(blocks), dims=tuple(dims))
 
-    def h0_contains(self, res: GradedSlice, elem: PWElement) -> bool:
+    def h0_contains(self, res: GradedSlice, elem: dict) -> bool:
         """Exact membership of a PW element in the kernel span."""
         by_block = {}
-        for (lam, r, c), v in elem.coeffs.items():
+        for (lam, r, c), v in elem.items():
             by_block.setdefault((lam, r), {})[c] = v
         spans = {}
         for (lam, _), colvec in by_block.items():
@@ -156,7 +156,7 @@ def act_f_orbit_rows(algebra: PWAlgebra, lam, row_vec: dict) -> SpanBasis:
     return span
 
 
-def z_power(algebra: PWAlgebra, flag: FlagSpec, k: int) -> PWElement:
+def z_power(algebra: PWAlgebra, flag: FlagSpec, k: int) -> dict:
     """The k-th power of the distinguished highest generator z."""
     gens = algebra.generators(flag)
     hw = algebra.module(gens.lam).highest_index
@@ -164,7 +164,7 @@ def z_power(algebra: PWAlgebra, flag: FlagSpec, k: int) -> PWElement:
     return algebra.multiply_all([z] * k) if k else algebra.one()
 
 
-def zbar_power(algebra: PWAlgebra, flag: FlagSpec, k: int) -> PWElement:
+def zbar_power(algebra: PWAlgebra, flag: FlagSpec, k: int) -> dict:
     gens = algebra.generators(flag)
     hw = algebra.module(gens.lam).highest_index
     zb = gens.zbar[hw]
@@ -259,7 +259,7 @@ def gamma_crosscheck(algebra: PWAlgebra, flag: FlagSpec, trunc: int = 2,
             frontier = nxt
         return out
 
-    def realize(word) -> PWElement:
+    def realize(word) -> dict:
         elems = [gens.z[i] if kind == "z" else gens.zbar[i]
                  for kind, i in word]
         return algebra.multiply_all(elems)
@@ -279,7 +279,7 @@ def gamma_crosscheck(algebra: PWAlgebra, flag: FlagSpec, trunc: int = 2,
         if not words:
             continue
         # realization kernel on this slice
-        rows = rows_from_columns([realized[w].coeffs for w in words])
+        rows = rows_from_columns([realized[w] for w in words])
         rel_kernel = nullspace(rows, len(words), ctx.one) if rows else []
         # formal one-form images
         formal = {w: _formal_dbar(w) for w in words}
@@ -306,7 +306,7 @@ def gamma_crosscheck(algebra: PWAlgebra, flag: FlagSpec, trunc: int = 2,
             acc = {}
             for t, cw in vec.items():
                 if t < nun:
-                    dv_add_scaled(acc, realized[words[t]].coeffs, cw)
+                    dv_add_scaled(acc, realized[words[t]], cw)
             if acc:
                 quotient_kernel.insert(acc)
         # tangent-route kernel on the same realized span
@@ -315,7 +315,7 @@ def gamma_crosscheck(algebra: PWAlgebra, flag: FlagSpec, trunc: int = 2,
         for vec in nullspace(trows, len(words), ctx.one):
             acc = {}
             for t, cw in vec.items():
-                dv_add_scaled(acc, realized[words[t]].coeffs, cw)
+                dv_add_scaled(acc, realized[words[t]], cw)
             if acc:
                 tangent_kernel.insert(acc)
         agree = quotient_kernel.equals(tangent_kernel)

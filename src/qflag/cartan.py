@@ -252,17 +252,6 @@ def root_sequence(lie: LieType, word, _check=True):
     return tuple(seq)
 
 
-def restricted_roots(flag: "FlagSpec", sign: str = "+"):
-    """Roots of R^+/- whose crossed-node coefficient is nonzero."""
-    pos = tuple(r for r in positive_roots(flag.lie)
-                if r[flag.crossed - 1] != 0)
-    if sign == "+":
-        return pos
-    if sign == "-":
-        return tuple(tuple(-c for c in r) for r in pos)
-    raise DomainError("sign must be '+' or '-'")
-
-
 def w0_on_weight(lie: LieType, lam: Weight) -> Weight:
     mu = lam
     word = longest_word(lie)

@@ -23,6 +23,7 @@ from .calculus import gamma_crosscheck, gamma_relation_operator
 from .cartan import FlagSpec, LieType
 from .coordring import quadratic_relations
 from .errors import QflagError
+from .linalg import dv_add_scaled
 from .peterweyl import PWAlgebra
 from .reps import DEFAULT_GUARD, build_irreducible
 from .rmatrix import braiding, ybe_check
@@ -241,8 +242,8 @@ def _property_samples(alg: PWAlgebra, flag: FlagSpec, seed: int) -> dict:
         a, b = (rng.choice(pool) for _ in range(2))
         i = rng.randrange(1, flag.lie.rank + 1)
         lhs = alg.act_v(("E", i), alg.multiply(a, b))
-        rhs = alg.multiply(alg.act_v(("E", i), a), alg.act_v(("K", i), b)) + \
-            alg.multiply(a, alg.act_v(("E", i), b))
+        rhs = alg.multiply(alg.act_v(("E", i), a), alg.act_v(("K", i), b))
+        dv_add_scaled(rhs, alg.multiply(a, alg.act_v(("E", i), b)), 1)
         checks.append({"property": "leibniz_E", "node": i, "ok": lhs == rhs})
     eps_ok = True
     for _ in range(4):

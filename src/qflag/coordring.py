@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from . import cartan
 from .cartan import FlagSpec
 from .errors import ConventionError
-from .linalg import SpanBasis, invert_dense, nullspace, rows_from_columns
-from .peterweyl import PWAlgebra, PWElement
+from .linalg import (SpanBasis, dv_add_scaled, invert_dense, nullspace,
+                     rows_from_columns)
+from .peterweyl import PWAlgebra
 from .rmatrix import Braiding, braiding
 
 
@@ -65,10 +66,10 @@ def relations_annihilate_realized(algebra: PWAlgebra, flag: FlagSpec,
     for (k, l) in sorted({kl for rel in spec.relations for kl in rel}):
         prods[(k, l)] = algebra.multiply(gens.z[k], gens.z[l])
     for rel in spec.relations:
-        acc = PWElement()
+        acc = {}
         for (k, l), c in sorted(rel.items()):
-            acc = acc + prods[(k, l)].scale(c)
-        if not acc.is_zero():
+            dv_add_scaled(acc, prods[(k, l)], c)
+        if acc:
             return False
     return True
 
@@ -79,7 +80,7 @@ def realized_degree2_kernel(algebra: PWAlgebra, flag: FlagSpec) -> SpanBasis:
     gens = algebra.generators(flag)
     n = len(gens.z)
     pairs = [(k, l) for k in range(n) for l in range(n)]
-    rows = rows_from_columns([algebra.multiply(gens.z[k], gens.z[l]).coeffs
+    rows = rows_from_columns([algebra.multiply(gens.z[k], gens.z[l])
                               for k, l in pairs])
     span = SpanBasis()
     for vec in nullspace(rows, len(pairs), ctx.one):
@@ -99,7 +100,7 @@ def realized_graded_dimension(algebra: PWAlgebra, flag: FlagSpec, d: int) -> int
     while stack:
         elem, depth = stack.pop()
         if depth == d:
-            span.insert(dict(elem.coeffs))
+            span.insert(elem)
             continue
         stack.extend((algebra.multiply(elem, z), depth + 1)
                      for z in reversed(gens.z))
@@ -149,7 +150,7 @@ def mixed_commutation_check(algebra: PWAlgebra, flag: FlagSpec) -> dict:
     for i in range(n):
         for j in range(n):
             lhs = algebra.multiply(gens.zbar[i], gens.z[j])
-            acc = PWElement()
+            acc = {}
             for k in range(n):
                 for l in range(n):
                     coeff = ctx.zero
@@ -159,14 +160,14 @@ def mixed_commutation_check(algebra: PWAlgebra, flag: FlagSpec) -> dict:
                             if val and l in pinv[t]:
                                 coeff = coeff + piu * val * pinv[t][l]
                     if coeff:
-                        acc = acc + prods[(k, l)].scale(qll * coeff)
-            if not (lhs == acc):
+                        dv_add_scaled(acc, prods[(k, l)], qll * coeff)
+            if lhs != acc:
                 failures.append({
                     "i": i, "j": j,
                     "lhs": [[list(kk[0]), kk[1], kk[2], str(vv)]
-                            for kk, vv in lhs.items()],
+                            for kk, vv in sorted(lhs.items())],
                     "rhs": [[list(kk[0]), kk[1], kk[2], str(vv)]
-                            for kk, vv in acc.items()],
+                            for kk, vv in sorted(acc.items())],
                 })
                 if len(failures) >= 1:
                     break
@@ -185,22 +186,23 @@ def central_element_checks(algebra: PWAlgebra, flag: FlagSpec) -> dict:
     """sum(zbar_i z_i) is scalar, central on generators, normalized to 1."""
     gens = algebra.generators(flag)
     # reconstruct the pre-normalization element
-    raw_zbar = [zb.scale(gens.normalization) for zb in gens.zbar]
-    s = PWElement()
+    raw_zbar = [{k: gens.normalization * v for k, v in zb.items()}
+                for zb in gens.zbar]
+    s = {}
     for zb, z in zip(raw_zbar, gens.z):
-        s = s + algebra.multiply(zb, z)
+        dv_add_scaled(s, algebra.multiply(zb, z), 1)
     one = algebra.one()
     zero_key = (tuple([0] * algebra.lie.rank), 0, 0)
-    scalar_ok = set(s.coeffs) == {zero_key}
+    scalar_ok = set(s) == {zero_key}
     eps = algebra.counit(s)
     central_ok = True
     for g in list(gens.z) + list(raw_zbar):
         if algebra.multiply(s, g) != algebra.multiply(g, s):
             central_ok = False
             break
-    normalized = PWElement()
+    normalized = {}
     for zb, z in zip(gens.zbar, gens.z):
-        normalized = normalized + algebra.multiply(zb, z)
+        dv_add_scaled(normalized, algebra.multiply(zb, z), 1)
     return {
         "kind": "central_element",
         "flag": str(flag),

@@ -1,8 +1,11 @@
 """The quantum coordinate algebra in its Peter-Weyl basis.
 
-An algebra element is a finite map (lam, row, col) -> scalar, where lam runs
-over dominant weights, col indexes the canonical basis of V_lam (the vector
-slot) and row indexes the dual basis (the functional slot).  The product of
+An algebra element is a dict-vector {(lam, row, col): scalar} with no zero
+entry (see :mod:`qflag.linalg`), where lam runs over dominant weights, col
+indexes the canonical basis of V_lam (the vector slot) and row indexes the
+dual basis (the functional slot).  Every PWAlgebra method that returns an
+element returns a fresh dict and drops its zero entries; callers add
+elements in place with :func:`qflag.linalg.dv_add_scaled`.  The product of
 two basis elements is a matrix coefficient of the tensor module, re-expanded
 through the Clebsch-Gordan embeddings on the functional slot and projections
 on the vector slot.  A product reads the projections one tensor column at a
@@ -44,62 +47,14 @@ from .reps import (DEFAULT_GUARD, CGDecomposition, LusztigOperators,
 CACHE_FORMAT = 2
 
 
-class PWElement:
-    """Finite linear combination of Peter-Weyl basis coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
-
-    def items(self):
-        return sorted(self.coeffs.items())
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, PWElement) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        dv_add_scaled(out, other.coeffs, 1)
-        return PWElement(out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        dv_add_scaled(out, other.coeffs, -1)
-        return PWElement(out)
-
-    def scale(self, c) -> "PWElement":
-        if not c:
-            return PWElement()
-        return PWElement({k: c * v for k, v in self.coeffs.items()})
-
-    def blocks(self):
-        return sorted({k[0] for k in self.coeffs})
-
-    def block(self, lam) -> dict:
-        return {k: v for k, v in self.coeffs.items() if k[0] == lam}
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "PWElement(0)"
-        parts = [f"{k}:{v}" for k, v in list(self.items())[:4]]
-        more = "..." if len(self.coeffs) > 4 else ""
-        return f"PWElement({', '.join(parts)}{more})"
-
-
 @dataclass(frozen=True)
 class Generators:
     flag: FlagSpec
     lam: tuple            # the crossed fundamental weight
     lam_bar: tuple        # its dual -w0(lam)
-    z: tuple              # z_1..z_N as PWElements
-    zbar: tuple           # normalized so sum(zbar_i z_i) = 1
+    # z and zbar are cached per flag: read them, never add into them
+    z: tuple              # z_1..z_N, each a dict-vector {(lam, row, col): scalar}
+    zbar: tuple           # dict-vectors normalized so sum(zbar_i z_i) = 1
     normalization: object  # the pre-normalization value of sum(zbar_i z_i)
 
 
@@ -313,23 +268,22 @@ class PWAlgebra:
 
     # -- Hopf-algebra operations ----------------------------------------------
 
-    def one(self) -> PWElement:
+    def one(self) -> dict:
         self.module(self._zero_weight)
-        return PWElement({(self._zero_weight, 0, 0): self.ctx.one})
+        return {(self._zero_weight, 0, 0): self.ctx.one}
 
-    def basis_element(self, lam, row, col, coeff=None) -> PWElement:
+    def basis_element(self, lam, row, col) -> dict:
         lam = tuple(lam)
         m = self.module(lam)
         if not (0 <= row < m.dim and 0 <= col < m.dim):
             raise DomainError("basis index out of range")
-        return PWElement({(lam, row, col): coeff if coeff is not None
-                          else self.ctx.one})
+        return {(lam, row, col): self.ctx.one}
 
-    def multiply(self, a: PWElement, b: PWElement) -> PWElement:
+    def multiply(self, a: dict, b: dict) -> dict:
         out = {}
         zero_w = self._zero_weight
-        for (l1, r1, c1), v1 in a.coeffs.items():
-            for (l2, r2, c2), v2 in b.coeffs.items():
+        for (l1, r1, c1), v1 in a.items():
+            for (l2, r2, c2), v2 in b.items():
                 v12 = v1 * v2
                 if l1 == zero_w:
                     key = (l2, r2, c2)
@@ -353,22 +307,22 @@ class PWAlgebra:
                         for ss, pv in cls.items():
                             key = (nu, rr, ss)
                             out[key] = out.get(key, self.ctx.zero) + vv * pv
-        return PWElement(out)
+        return {k: v for k, v in out.items() if v}
 
-    def multiply_all(self, elems) -> PWElement:
+    def multiply_all(self, elems) -> dict:
         acc = self.one()
         for e in elems:
             acc = self.multiply(acc, e)
         return acc
 
-    def counit(self, a: PWElement):
+    def counit(self, a: dict):
         acc = self.ctx.zero
-        for (_, r, c), v in a.coeffs.items():
+        for (_, r, c), v in a.items():
             if r == c:
                 acc = acc + v
         return acc
 
-    def act_v(self, gen, a: PWElement) -> PWElement:
+    def act_v(self, gen, a: dict) -> dict:
         """Left action on the vector slot.
 
         gen is a single generator tag ("E"|"F"|"K"|"Kinv", i), a sequence of
@@ -381,14 +335,14 @@ class PWAlgebra:
                 a = self.act_v(g, a)
             return a
         out = {}
-        for (lam, r, c), v in a.coeffs.items():
+        for (lam, r, c), v in a.items():
             mat = self._resolve(gen, lam)
             for r2, mv in mat.cols.get(c, {}).items():
                 key = (lam, r, r2)
                 out[key] = out.get(key, self.ctx.zero) + v * mv
-        return PWElement(out)
+        return {k: v for k, v in out.items() if v}
 
-    def act_f(self, gen, a: PWElement) -> PWElement:
+    def act_f(self, gen, a: dict) -> dict:
         """Right action on the functional slot (transposed matrices).
 
         Accepts the same generator descriptions as act_v; a word acts
@@ -401,7 +355,7 @@ class PWAlgebra:
             return a
         out = {}
         rows_cache = {}
-        for (lam, r, c), v in a.coeffs.items():
+        for (lam, r, c), v in a.items():
             rows = rows_cache.get(lam)
             if rows is None:
                 rows = self._resolve(gen, lam).transpose().cols
@@ -409,7 +363,7 @@ class PWAlgebra:
             for s, mv in rows.get(r, {}).items():
                 key = (lam, s, c)
                 out[key] = out.get(key, self.ctx.zero) + v * mv
-        return PWElement(out)
+        return {k: v for k, v in out.items() if v}
 
     def _resolve(self, gen, lam) -> SparseMatrix:
         if isinstance(gen, tuple):
@@ -446,19 +400,19 @@ class PWAlgebra:
                     if xu:
                         key = (lam_bar, t, u)
                         coeffs[key] = coeffs.get(key, self.ctx.zero) + pj * xu
-            zbar.append(PWElement(coeffs))
-        s = PWElement()
+            zbar.append({k: v for k, v in coeffs.items() if v})
+        s = {}
         for zb, zz in zip(zbar, z):
-            s = s + self.multiply(zb, zz)
-        bad = [k for k in s.coeffs if k != (self._zero_weight, 0, 0)]
+            dv_add_scaled(s, self.multiply(zb, zz), 1)
+        bad = [k for k in s if k != (self._zero_weight, 0, 0)]
         if bad:
             raise ConventionError(
                 f"sum(zbar_i z_i) is not scalar; stray coefficients at {bad[:3]}")
-        norm = s.coeffs.get((self._zero_weight, 0, 0))
+        norm = s.get((self._zero_weight, 0, 0))
         if not norm:
             raise ConventionError("sum(zbar_i z_i) vanished; cannot normalize")
         inv = self.ctx.one / norm
-        zbar = tuple(zb.scale(inv) for zb in zbar)
+        zbar = tuple({k: inv * v for k, v in zb.items()} for zb in zbar)
         gens = Generators(flag=flag, lam=lam, lam_bar=lam_bar, z=z, zbar=zbar,
                           normalization=norm)
         self._gens[flag] = gens
@@ -489,12 +443,9 @@ class PWAlgebra:
 
     def slice_elements(self, sl: GradedSlice):
         """PW basis elements spanning a graded slice (deterministic order)."""
-        out = []
-        for (lam, cols), d in zip(sl.blocks, sl.dims):
-            for r in range(d):
-                for col in cols:
-                    out.append(PWElement({(lam, r, c): v for c, v in col.items()}))
-        return out
+        return [{(lam, r, c): v for c, v in col.items()}
+                for (lam, cols), d in zip(sl.blocks, sl.dims)
+                for r in range(d) for col in cols]
 
 
 def _levi_mats(m, snodes):

@@ -24,7 +24,7 @@ from .coordring import (QuadraticAlgebraSpec, abstract_graded_dimension,
                         relations_annihilate_realized)
 from .errors import TruncationError
 from .linalg import SpanBasis
-from .peterweyl import PWAlgebra, PWElement
+from .peterweyl import PWAlgebra
 
 SCHEMA_VERSION = 1
 
@@ -120,9 +120,7 @@ def borel_weil_report(algebra: PWAlgebra, flag: FlagSpec, kmax: int,
             if block_ok:
                 kcol = res.blocks[0][1][0]
                 col_ok = set(kcol) == {extreme}
-            rowvec = {}
-            for (bl, r, c), val in power.coeffs.items():
-                rowvec[r] = val
+            rowvec = {r: val for (_, r, _), val in power.items()}
             orbit = act_f_orbit_rows(algebra, gen_block, rowvec)
             orbit_ok = orbit.dim == expected
             row["orbit_dim"] = orbit.dim
@@ -162,26 +160,23 @@ def coordinate_ring_equality(algebra: PWAlgebra, flag: FlagSpec, dmax: int,
                          for m in monomials for i in range(n)]
         mono_span = SpanBasis()
         for m in monomials:
-            mono_span.insert(dict(m.coeffs))
-        res = calc.h0(d, depth)
+            mono_span.insert(m)
         h0_span = SpanBasis()
-        for (lam, cols), dim in zip(res.blocks, res.dims):
-            for r in range(dim):
-                for col in cols:
-                    h0_span.insert({(lam, r, c): v for c, v in col.items()})
+        for e in algebra.slice_elements(calc.h0(d, depth)):
+            h0_span.insert(e)
         both = mono_span.equals(h0_span)
         witness = None
         if not both:
             for v in mono_span.vectors():
                 if not h0_span.contains(v):
                     witness = {"direction": "monomial not holomorphic",
-                               "vector": _pw_doc(PWElement(v))}
+                               "vector": _pw_doc(v)}
                     break
             else:
                 for v in h0_span.vectors():
                     if not mono_span.contains(v):
                         witness = {"direction": "holomorphic not in span",
-                                   "vector": _pw_doc(PWElement(v))}
+                                   "vector": _pw_doc(v)}
                         break
         rows.append({"d": d, "monomial_dim": mono_span.dim,
                      "h0_dim": h0_span.dim, "equal": both,
@@ -279,12 +274,9 @@ def highest_weight_audit(algebra: PWAlgebra, flag: FlagSpec, k: int,
     blocks_k = {bl: len(cols) for (bl, cols) in slk.blocks}
     shift_ok = shift == blocks_k
     zk = z_power(algebra, flag, k)
-    products = []
-    for b in algebra.slice_elements(sl0):
-        products.append(algebra.multiply(b, zk))
     prod_span = SpanBasis()
-    for p in products:
-        prod_span.insert(dict(p.coeffs))
+    for b in algebra.slice_elements(sl0):
+        prod_span.insert(algebra.multiply(b, zk))
     factor_rows = []
     factor_ok = True
     for (bl, cols) in slk.blocks:
@@ -310,8 +302,8 @@ def highest_weight_audit(algebra: PWAlgebra, flag: FlagSpec, k: int,
     return out
 
 
-def _pw_doc(elem: PWElement):
-    return [[list(lam), r, c, str(v)] for (lam, r, c), v in elem.items()]
+def _pw_doc(elem: dict):
+    return [[list(lam), r, c, str(v)] for (lam, r, c), v in sorted(elem.items())]
 
 
 SUITES = ("liouville", "borel-weil", "coordring", "spherical", "relations",

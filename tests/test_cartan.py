@@ -89,18 +89,6 @@ def test_longest_word_and_root_sequence():
         root_sequence(A2, (1, 1, 2))
 
 
-def test_restricted_roots():
-    from qflag.cartan import restricted_roots
-    assert restricted_roots(FlagSpec.parse("A1/1")) == ((1,),)
-    assert set(restricted_roots(FlagSpec.parse("A2/1"))) == {(1, 0), (1, 1)}
-    # cotangent dimension of Gr(4,2) is 4
-    assert len(restricted_roots(FlagSpec.parse("A3/2"))) == 4
-    minus = restricted_roots(FlagSpec.parse("A2/1"), "-")
-    assert set(minus) == {(-1, 0), (-1, -1)}
-    with pytest.raises(DomainError):
-        restricted_roots(FlagSpec.parse("A2/1"), "x")
-
-
 def test_w0_action():
     assert minus_w0(A1, (1,)) == (1,)
     assert minus_w0(A2, (1, 0)) == (0, 1)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from qflag.cartan import weyl_dim
@@ -6,7 +8,8 @@ from qflag.coordring import (abstract_graded_dimension, central_element_checks,
                              realized_degree2_kernel,
                              realized_graded_dimension,
                              relations_annihilate_realized)
-from qflag.linalg import SpanBasis
+from qflag.linalg import SpanBasis, SparseMatrix, dv_add_scaled
+from qflag.rmatrix import braiding
 from qflag.scalars import Scalar
 
 FLAT_CASES = [("A1/1", 3), ("A2/1", 3), ("A2/2", 3), ("B2/1", 3),
@@ -78,6 +81,34 @@ def test_mixed_commutation(name, algebras, flag_of):
     assert rep["pairs_checked"] == len(alg.generators(flag).z) ** 2
 
 
+def test_mixed_commutation_failure_lists_entries_in_key_order(
+        monkeypatch, algebras, flag_of):
+    # a braiding with its columns in reverse order fails the first pair, and
+    # its exchanged sum collects keys out of order on A2/2: the report lists
+    # the entries of zbar_i z_j and of that sum sorted by key all the same
+    from qflag import coordring
+    flag = flag_of("A2/2")
+    alg = algebras("A2")
+
+    def reversed_columns(v, w):
+        br = braiding(v, w)
+        n = br.matrix.ncols
+        cols = {n - 1 - c: col for c, col in br.matrix.cols.items()}
+        return dataclasses.replace(
+            br, matrix=SparseMatrix(br.matrix.nrows, n, cols))
+
+    monkeypatch.setattr(coordring, "braiding", reversed_columns)
+    rep = mixed_commutation_check(alg, flag)
+    assert not rep["ok"] and len(rep["failures"]) == 1
+    fail = rep["failures"][0]
+    gens = alg.generators(flag)
+    lhs = alg.multiply(gens.zbar[fail["i"]], gens.z[fail["j"]])
+    assert fail["lhs"] == [[list(k[0]), k[1], k[2], str(v)]
+                           for k, v in sorted(lhs.items())]
+    keys = [(tuple(e[0]), e[1], e[2]) for e in fail["rhs"]]
+    assert len(keys) == 5 and keys == sorted(keys)
+
+
 @pytest.mark.parametrize("name", ["A1/1", "A2/1", "A2/2", "B2/1", "C2/2",
                                   "A3/2"])
 def test_central_element(name, algebras, flag_of):
@@ -94,17 +125,15 @@ def test_normalization_survives_reserialization(algebras, flag_of):
     # round-trip the generators through scalar strings; the identity persists
     flag = flag_of("A2/1")
     alg = algebras("A2")
-    from qflag.peterweyl import PWElement
     from qflag.scalars import scalar_from_str
     gens = alg.generators(flag)
 
     def roundtrip(e):
-        return PWElement({k: scalar_from_str(str(v))
-                          for k, v in e.coeffs.items()})
+        return {k: scalar_from_str(str(v)) for k, v in e.items()}
 
-    s = PWElement()
+    s = {}
     for zb, z in zip(gens.zbar, gens.z):
-        s = s + alg.multiply(roundtrip(zb), roundtrip(z))
+        dv_add_scaled(s, alg.multiply(roundtrip(zb), roundtrip(z)), 1)
     assert s == alg.one()
 
 
@@ -117,11 +146,11 @@ def test_degree_membership_of_generators(algebras, flag_of):
     slm = alg.graded_component(flag, -1, 2)
     span1 = SpanBasis()
     for e in alg.slice_elements(sl1):
-        span1.insert(dict(e.coeffs))
+        span1.insert(e)
     spanm = SpanBasis()
     for e in alg.slice_elements(slm):
-        spanm.insert(dict(e.coeffs))
+        spanm.insert(e)
     for z in gens.z:
-        assert span1.contains(dict(z.coeffs))
+        assert span1.contains(z)
     for zb in gens.zbar:
-        assert spanm.contains(dict(zb.coeffs))
+        assert spanm.contains(zb)

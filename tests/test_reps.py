@@ -240,7 +240,7 @@ def test_multiply_inverts_only_the_blocks_it_reads(monkeypatch):
     monkeypatch.setattr(reps, "invert_dense", counted)
     p = alg.multiply(alg.basis_element(lam, 0, c1),
                      alg.basis_element(mu, 1, c2))
-    assert not p.is_zero()
+    assert p
     assert calls == [3]
     # another row, another column of the same weight: the block is kept
     alg.multiply(alg.basis_element(lam, 2, c1b), alg.basis_element(mu, 0, c2b))
