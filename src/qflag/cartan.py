@@ -20,6 +20,7 @@ from functools import lru_cache
 from math import lcm
 
 from .errors import CatalogError, ConventionError, DomainError
+from .linalg import invert_dense
 
 Weight = tuple  # integer coordinates in the fundamental-weight basis
 Root = tuple    # integer coordinates in the simple-root basis
@@ -103,20 +104,10 @@ def symmetrizers(lie: LieType):
 @lru_cache(maxsize=None)
 def _inverse_cartan(lie: LieType):
     n = lie.rank
-    a = cartan_matrix(lie)
-    aug = [[Fraction(a[i][j]) for j in range(n)] +
-           [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    # exact Gauss-Jordan
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    inv = invert_dense([{j: Fraction(x) for j, x in enumerate(row) if x}
+                        for row in cartan_matrix(lie)], Fraction(1))
+    return tuple(tuple(row.get(j, Fraction(0)) for j in range(n))
+                 for row in inv)
 
 
 def root_to_weight(lie: LieType, root: Root) -> Weight:

@@ -256,9 +256,11 @@ def _property_samples(alg: PWAlgebra, flag: FlagSpec, seed: int) -> dict:
 
 
 def cmd_verify(args) -> int:
+    suites = [s.strip() for s in args.suite.split(",") if s.strip()]
+    if not suites:
+        raise ValueError("--suite names no suite")
     flag = FlagSpec.parse(args.flag)
     alg = _algebra(args, flag.lie)
-    suites = [s.strip() for s in args.suite.split(",") if s.strip()]
     depth = args.depth
     extra = []
     core = []

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from . import cartan
 from .cartan import FlagSpec
 from .errors import ConventionError
-from .linalg import (SpanBasis, dv_add_scaled, invert_dense, nullspace,
-                     rows_from_columns)
+from .linalg import (SpanBasis, SparseMatrix, dv_add_scaled, eliminate,
+                     invert_dense, nullspace, rows_from_columns)
 from .peterweyl import PWAlgebra
 from .rmatrix import Braiding, braiding
 
@@ -30,7 +30,7 @@ from .rmatrix import Braiding, braiding
 class QuadraticAlgebraSpec:
     """Degree-2 relation space of a quadratic algebra on n generators."""
     n: int
-    relations: tuple     # tuple of dicts {(k, l): coeff}, echelonized
+    relations: tuple     # tuple of dicts {(k, l): coeff}, the RREF
 
 
 def quadratic_relations(algebra: PWAlgebra, flag: FlagSpec,
@@ -43,19 +43,12 @@ def quadratic_relations(algebra: PWAlgebra, flag: FlagSpec,
     if br is None:
         br = braiding(v, v)
     qll = ctx.q_power(cartan.bilinear(algebra.lie, gens.lam, gens.lam))
-    rows = br.matrix.row_dicts()
-    span = SpanBasis()
-    for i in range(n):
-        for j in range(n):
-            # coefficient R^{ij}_{kl}: output (i,j), input (k,l) - a matrix row
-            vec = {}
-            for c, val in rows[i * n + j].items():
-                vec[divmod(c, n)] = val
-            vec[(i, j)] = vec.get((i, j), ctx.zero) - qll
-            vec = {kk: vv for kk, vv in vec.items() if vv}
-            if vec:
-                span.insert(vec)
-    return QuadraticAlgebraSpec(n=n, relations=tuple(span.vectors()))
+    # row (i,j) of R - qll id holds R^{ij}_{kl} at column k*n + l
+    rows = br.matrix.sub(SparseMatrix.identity(n * n, qll)).row_dicts()
+    pivots, red = eliminate(rows, n * n)
+    return QuadraticAlgebraSpec(n=n, relations=tuple(
+        {divmod(c, n): v for c, v in row.items()}
+        for row in red[:len(pivots)]))
 
 
 def relations_annihilate_realized(algebra: PWAlgebra, flag: FlagSpec,

@@ -6,8 +6,8 @@ same elimination code serves the symbolic and the specialized mode.
 
 The one linear format is the dict-vector ``{key: value}`` (no explicit
 zeros): the rows of every linear system handed to :func:`eliminate` and its
-wrappers, spans of algebra elements with sortable keys, echelonized
-incrementally by :class:`SpanBasis`, and the columns of a
+wrappers, spans of algebra elements with sortable keys, kept in echelon
+(not reduced) form incrementally by :class:`SpanBasis`, and the columns of a
 :class:`SparseMatrix`, which stores a matrix as ``{col: column}``.  Every
 matrix-vector and matrix-matrix product folds :func:`dv_add_scaled` over
 columns.
@@ -300,10 +300,16 @@ def dv_add_scaled(acc, v, c):
 
 
 class SpanBasis:
-    """Incrementally echelonized span of dict-vectors with sortable keys."""
+    """Incrementally echelonized span of dict-vectors with sortable keys.
+
+    The basis is in echelon form, not reduced: each stored row has entry 1
+    at its leading (least) key, which no other stored row leads with, but a
+    row may have entries at later rows' leading keys.  A new row is reduced
+    against the stored ones and stored; they are never changed again.
+    """
 
     def __init__(self):
-        self._rows = {}  # pivot key -> normalized dict-vector
+        self._rows = {}  # leading key -> dict-vector, entry 1 there
 
     @property
     def dim(self) -> int:
@@ -328,10 +334,6 @@ class SpanBasis:
         inv = v[p]
         if not (inv == 1):
             v = {k: x / inv for k, x in v.items()}
-        for row in self._rows.values():
-            c = row.get(p)
-            if c is not None:
-                dv_add_scaled(row, v, -c)
         self._rows[p] = v
         return True
 
@@ -339,6 +341,7 @@ class SpanBasis:
         return not self.reduce(vec)
 
     def vectors(self):
+        """The echelon basis, copies, in increasing leading key."""
         return [dict(self._rows[k]) for k in sorted(self._rows)]
 
     def equals(self, other: "SpanBasis") -> bool:

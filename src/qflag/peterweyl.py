@@ -17,7 +17,7 @@ the decomposition as :func:`qflag.reps.decompose` does (atomic write,
 self-describing header; a stale, foreign or malformed file, or one whose
 vectors are not exactly those ``decompose`` finds, is treated as a miss).
 
-Action conventions: act_v lets a generator word act on the vector slot
+Action conventions: act_v lets a generator act on the vector slot
 through the module matrices (the natural left action); act_f is the right
 action on the functional slot, i.e. row vectors transform by the transposed
 matrices.  Both are exercised against each other by the invariant/grading
@@ -325,15 +325,9 @@ class PWAlgebra:
     def act_v(self, gen, a: dict) -> dict:
         """Left action on the vector slot.
 
-        gen is a single generator tag ("E"|"F"|"K"|"Kinv", i), a sequence of
-        such tags (a word, applied rightmost first), or a callable
+        gen is a generator tag ("E"|"F"|"K"|"Kinv", i) or a callable
         lam -> matrix (used for root-vector operators).
         """
-        if isinstance(gen, (list, tuple)) and gen and \
-                isinstance(gen[0], (list, tuple)):
-            for g in reversed(gen):
-                a = self.act_v(g, a)
-            return a
         out = {}
         for (lam, r, c), v in a.items():
             mat = self._resolve(gen, lam)
@@ -345,14 +339,8 @@ class PWAlgebra:
     def act_f(self, gen, a: dict) -> dict:
         """Right action on the functional slot (transposed matrices).
 
-        Accepts the same generator descriptions as act_v; a word acts
-        leftmost first, as befits a right action.
+        Accepts the same generator descriptions as act_v.
         """
-        if isinstance(gen, (list, tuple)) and gen and \
-                isinstance(gen[0], (list, tuple)):
-            for g in gen:
-                a = self.act_f(g, a)
-            return a
         out = {}
         rows_cache = {}
         for (lam, r, c), v in a.items():

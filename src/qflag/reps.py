@@ -311,8 +311,18 @@ def transport(src: ModuleData, f_mats, seed: dict) -> SparseMatrix:
 
 
 def check_intertwines(phi: SparseMatrix, src: ModuleData, dst: ModuleData) -> bool:
+    """phi rho_src(x) = rho_dst(x) phi for every generator x, exactly.
+
+    K_i is diagonal and q is not a root of unity (QContext refuses q0 in
+    {-1, 0, 1}), so phi commutes with the K_i exactly when each entry joins
+    basis vectors of equal K-exponents: a scan, not a product.  E and F are
+    compared by products.
+    """
+    kd, ks = list(zip(*dst.k_exps)), list(zip(*src.k_exps))
+    if any(kd[r] != ks[c] for c, col in phi.cols.items() for r in col):
+        return False
     for i in range(1, src.lie.rank + 1):
-        for kind in ("E", "F", "K"):
+        for kind in ("E", "F"):
             a = phi.mul(src.gen_matrix(kind, i))
             b = dst.gen_matrix(kind, i).mul(phi)
             if a != b:

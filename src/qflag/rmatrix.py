@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import cartan
 from .errors import ConventionError, DomainError
 from .linalg import SparseMatrix, dv_add_scaled, solve_unique
-from .reps import ModuleData, tensor
+from .reps import ModuleData, check_intertwines, tensor
 
 
 def _strictly_below(lie, mu, nu):
@@ -138,26 +138,13 @@ def _generated_by_highest(v: ModuleData) -> bool:
                for t, (j, u) in enumerate(v.parents[1:], 1))
 
 
-def _preserves_weight(br: Braiding) -> bool:
-    """Every entry of R maps e_i (x) e_j to terms of the same K-exponents."""
-    v, d = br.v, br.v.dim
-    kw = list(zip(*v.k_exps))
-    for c, col in br.matrix.cols.items():
-        i, j = divmod(c, d)
-        for r in col:
-            k, l = divmod(r, d)
-            if any(a + b != x + y
-                   for a, b, x, y in zip(kw[k], kw[l], kw[i], kw[j])):
-                return False
-    return True
-
-
 def ybe_check(v: ModuleData, br: Braiding | None = None) -> bool:
     """Exact Yang-Baxter identity R12 R23 R12 = R23 R12 R23 on V (x) V (x) V.
 
     R12 = R (x) 1 and R23 = 1 (x) R.  When R = R_{V,V} commutes with the
-    generators on V (x) V and preserves weight, both sides commute with the
-    F-action on V (x) V (x) V (coassociativity of Delta).  With
+    generators on V (x) V (:func:`qflag.reps.check_intertwines`, whose K
+    test is that R preserves weight), both sides commute with the F-action
+    on V (x) V (x) V (coassociativity of Delta).  With
     Delta(F_i) = F_i (x) 1 + K_i^-1 (x) F_i,
         F_i u (x) w = F_i (u (x) w) - q^(-(alpha_i, wt u)) u (x) F_i w,
     so by induction on F-words the vectors e_h (x) e_b (x) e_c, h the highest
@@ -172,7 +159,7 @@ def ybe_check(v: ModuleData, br: Braiding | None = None) -> bool:
         br = braiding(v, v)
     d = v.dim
     if (br.v is v and br.w is v and _generated_by_highest(v)
-            and _preserves_weight(br) and intertwines(br)):
+            and check_intertwines(br.matrix, vv := tensor(v, v), vv)):
         h = v.highest_index
         cols = range(h * d * d, (h + 1) * d * d)
     else:
@@ -185,17 +172,4 @@ def ybe_check(v: ModuleData, br: Braiding | None = None) -> bool:
             rhs = _apply_r(br.matrix, rhs, d, b)
         if lhs != rhs:
             return False
-    return True
-
-
-def intertwines(br: Braiding) -> bool:
-    """Check R rho_{V(x)W}(x) = rho_{W(x)V}(x) R for all generators."""
-    vw = tensor(br.v, br.w)
-    wv = vw if br.v is br.w else tensor(br.w, br.v)
-    for kind in ("E", "F"):
-        for a in range(1, br.v.lie.rank + 1):
-            lhs = br.matrix.mul(vw.gen_matrix(kind, a))
-            rhs = wv.gen_matrix(kind, a).mul(br.matrix)
-            if lhs != rhs:
-                return False
     return True

@@ -145,9 +145,6 @@ class Scalar:
             return Scalar(K.fdiv(Scalar.coerce(other)._f, self._f))
         return NotImplemented
 
-    def inverse(self) -> "Scalar":
-        return Scalar(K.fdiv(K.F_ONE, self._f))
-
     # -- evaluation and io --------------------------------------------------
 
     def eval(self, s0: Fraction) -> Fraction:

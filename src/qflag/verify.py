@@ -15,7 +15,8 @@ because dim V_lam = dim V_{-w0(lam)}.
 from __future__ import annotations
 
 from . import cartan
-from .calculus import Calculus, act_f_orbit_rows, gamma_crosscheck, z_power
+from .calculus import (Calculus, act_f_orbit_rows, gamma_crosscheck, z_power,
+                       zbar_power)
 from .cartan import FlagSpec
 from .coordring import (QuadraticAlgebraSpec, abstract_graded_dimension,
                         central_element_checks, mixed_commutation_check,
@@ -88,7 +89,6 @@ def borel_weil_report(algebra: PWAlgebra, flag: FlagSpec, kmax: int,
     rows = []
     ok = True
     normalization = str(algebra.generators(flag).normalization)
-    from .calculus import zbar_power
     for k in ks:
         res = calc.h0(k, depth, chirality=chir)
         keff = -k if opposite else k

@@ -4,6 +4,8 @@ import os
 import re
 import shlex
 
+import pytest
+
 from qflag.cli import build_parser, main
 
 try:
@@ -109,6 +111,18 @@ def test_rmatrix_c3_document_pinned(capsys):
         "d1a752af10d16e738676439a5a09384438efddceae72bf53e227d09be1aa180f"
 
 
+@pytest.mark.parametrize("flag,digest", [
+    ("A2/1", "059e6fe81a808b43a988c3cae719702c00dcb8a34b469243ff3b7eec786cca7a"),
+    ("A3/2", "6f2faac1c754c35d0bf002cd57081448d7df6bc2028fb092c08c400b44d05a61"),
+])
+def test_relations_document_pinned(capsys, flag, digest):
+    # sha256 of the document whose relation vectors came from an RREF kept
+    # incrementally by SpanBasis; one eliminate call must give the same bytes
+    code, out, _ = run_cli(capsys, "relations", "--flag", flag)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_borel_weil_cli(capsys):
     code, out, _ = run_cli(capsys, "borel-weil", "--flag", "A1/1",
                            "--k", "-2:3", "--depth", "4")
@@ -197,6 +211,14 @@ def test_verify_cli_and_exit_codes(capsys):
     code, _, err = run_cli(capsys, "verify", "--flag", "A1/1", "--suite",
                            "nonsense")
     assert code == 2
+
+
+def test_verify_without_a_suite_is_usage_error(capsys):
+    # a pass that checked nothing must not read as "ok": true
+    for suite in (",", "", " , "):
+        code, out, err = run_cli(capsys, "verify", "--flag", "A1/1",
+                                 "--suite", suite)
+        assert code == 2 and out == "" and "suite" in err
 
 
 def test_specialized_mode_cli(capsys):

@@ -9,9 +9,10 @@ from oracles import dense_nullspace, dense_rref, dense_solve
 from qflag import linalg
 from qflag.cartan import LieType
 from qflag.errors import ConventionError
-from qflag.linalg import (MOD_POINT, SparseMatrix, column_rank_profile,
-                          eliminate, invert_blocks, invert_dense,
-                          mod_row_profile, nullspace, solve_unique)
+from qflag.linalg import (MOD_POINT, SpanBasis, SparseMatrix,
+                          column_rank_profile, eliminate, invert_blocks,
+                          invert_dense, mod_row_profile, nullspace, rank,
+                          solve_unique)
 from qflag.reps import context_for
 
 CTX = context_for(LieType.parse("A1"))
@@ -78,6 +79,48 @@ def test_engine_matches_dense_reference(one, entry):
         cols = [{r: row[c] for r, row in enumerate(dense) if row[c]}
                 for c in range(ncols)]
         assert mod_row_profile(cols) == want_piv
+
+
+@pytest.mark.parametrize("one,entry", FIELDS, ids=["fraction", "scalar"])
+def test_span_basis_agrees_with_rank(one, entry):
+    zero = one - one
+    rng = random.Random(5)
+    for trial in range(30):
+        ncols = rng.randint(1, 6)
+        dense = random_dense(rng, rng.randint(1, 7), ncols, entry, zero)
+        if trial % 3 == 0:
+            dense = with_dependent_rows(rng, dense, 2)
+        rows = sparse(dense)
+        span = SpanBasis()
+        for t, row in enumerate(rows):
+            assert span.insert(row) == (rank(rows[:t + 1], ncols) >
+                                        rank(rows[:t], ncols))
+        assert span.dim == rank(rows, ncols)
+        assert all(span.contains(row) for row in rows)
+        probe = {c: entry(rng) or one for c in range(ncols)}
+        assert span.contains(probe) == (rank(rows + [probe], ncols) ==
+                                        span.dim)
+        # the same span from its basis, and a span one row short of it
+        other = SpanBasis()
+        for vec in reversed(span.vectors()):
+            other.insert(vec)
+        assert span.equals(other) and other.equals(span)
+        short = SpanBasis()
+        for row in rows[1:]:
+            short.insert(row)
+        assert span.equals(short) == (rank(rows[1:], ncols) == span.dim)
+
+
+def test_span_basis_insert_leaves_stored_rows_unchanged():
+    # an echelon basis is enough for dim, contains and equals: a new row
+    # is not back-substituted into the rows stored before it
+    one = Fraction(1)
+    span = SpanBasis()
+    assert span.insert({0: one, 1: one})
+    before = span.vectors()
+    assert span.insert({1: Fraction(2)})
+    assert span.vectors() == before + [{1: one}]
+    assert span.contains({0: one}) and span.dim == 2
 
 
 @pytest.mark.parametrize("one,entry", FIELDS, ids=["fraction", "scalar"])

@@ -66,20 +66,6 @@ def test_act_v_basics(algebras):
     assert alg.act_v(("E", 1), alg.basis_element((2,), 0, hw)) == {}
 
 
-def test_act_v_word(algebras):
-    alg = algebras("A1")
-    a = alg.basis_element((2,), 0, 2)
-    word = (("E", 1), ("E", 1))
-    stepwise = alg.act_v(("E", 1), alg.act_v(("E", 1), a))
-    assert alg.act_v(word, a) == stepwise
-    assert stepwise
-    # right action composes the other way around
-    b = alg.basis_element((2,), 2, 0)
-    lhs = alg.act_f((("F", 1), ("E", 1)), b)
-    rhs = alg.act_f(("E", 1), alg.act_f(("F", 1), b))
-    assert lhs == rhs
-
-
 def test_actions_drop_entries_that_cancel(algebras):
     # the two columns of m cancel at (lam, 0, 0) on a's support; the
     # transposed matrix cancels at the same key under the right action

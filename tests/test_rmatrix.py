@@ -9,14 +9,21 @@ from qflag import cartan, rmatrix
 from qflag.cartan import LieType, bilinear
 from qflag.errors import ConventionError
 from qflag.linalg import SparseMatrix
-from qflag.reps import (build_irreducible, context_for, decompose, tensor,
-                        trivial_module)
-from qflag.rmatrix import Braiding, braiding, intertwines, ybe_check
+from qflag.reps import (ModuleData, build_irreducible, check_intertwines,
+                        context_for, decompose, tensor, trivial_module)
+from qflag.rmatrix import Braiding, braiding, ybe_check
 from qflag.scalars import Scalar
 
 from oracles import ybe_full
 
 A1, A2, B2 = (LieType.parse(t) for t in ("A1", "A2", "B2"))
+
+
+def intertwines(br):
+    """R rho_{V (x) W}(x) = rho_{W (x) V}(x) R for every generator x."""
+    vw = tensor(br.v, br.w)
+    return check_intertwines(br.matrix, vw,
+                             vw if br.v is br.w else tensor(br.w, br.v))
 
 
 def test_a1_frozen_values():
@@ -192,7 +199,6 @@ def test_inconsistent_system_detected():
     # report the convention failure instead of returning a representative
     ctx = context_for(A1)
     v = build_irreducible(ctx, A1, (1,))
-    from qflag.reps import ModuleData
     bad = ModuleData(lie=A1, ctx=ctx, highest=(1,), dim=2, weights=v.weights,
                      e_mats=(v.e_mats[0].scale(ctx.from_fraction(2)),),
                      f_mats=v.f_mats, k_exps=v.k_exps, highest_index=0)
@@ -212,6 +218,30 @@ def test_intertwines_detects_one_changed_entry():
     bad = type(br)(v, w, SparseMatrix.from_entries(
         br.matrix.nrows, br.matrix.ncols, data.items()))
     assert not intertwines(bad)
+
+
+@pytest.mark.parametrize("s0", [None, Fraction(3, 2)],
+                         ids=["symbolic", "s0=3/2"])
+def test_check_intertwines_refuses_an_entry_across_k_exponents(s0):
+    # E = F = 0 on both sides, so only the K test sees the entry from e_0
+    # (K-exponent 1) to e_1 (K-exponent -1); the scan must agree with the
+    # product K phi != phi K in either mode
+    ctx = context_for(A1, s0)
+    zero = SparseMatrix.zero(2, 2)
+    m = ModuleData(lie=A1, ctx=ctx, highest=None, dim=2,
+                   weights=((1,), (-1,)), e_mats=(zero,), f_mats=(zero,),
+                   k_exps=((1, -1),))
+    phi = SparseMatrix(2, 2, {0: {1: ctx.one}})
+    k = m.gen_matrix("K", 1)
+    assert phi.mul(k) != k.mul(phi)
+    assert not check_intertwines(phi, m, m)
+    assert check_intertwines(SparseMatrix.identity(2, ctx.one), m, m)
+    # the same entry added to the identity of the genuine module V_1
+    v = build_irreducible(ctx, A1, (1,))
+    assert v.k_exps == ((1, -1),)
+    assert check_intertwines(SparseMatrix.identity(2, ctx.one), v, v)
+    assert not check_intertwines(
+        SparseMatrix.identity(2, ctx.one).add(phi), v, v)
 
 
 def casimir(lie, mu):
