@@ -5,7 +5,10 @@ the exterior derivative, truncated holomorphic sections, and the quotient
 The (0,1) side uses quantum root vectors E_beta for the positive roots with
 nonzero crossed-node coefficient; the (1,0) side uses the F_beta for their
 negatives; each is read from the algebra's LusztigOperators of V_lam, which
-conjugates it once and keeps it with the module.  A truncated line-module
+keeps it with the module and computes a column only when it is first read
+(:class:`qflag.reps.RootVector`): ``h0`` applies the root vectors to the
+Levi-invariant columns, and ``dbar`` reads the columns that the vector
+slots of its argument name.  A truncated line-module
 element is holomorphic when every tangent operator kills its vector slot;
 since the operators act on the vector slot only and blocks are independent,
 kernels are computed per weight block, and ``h0`` returns them as a
@@ -50,7 +53,8 @@ class Calculus:
                                if beta[x - 1] != 0)
 
     def tangent_operators(self, lam, chirality: str = "01"):
-        """Root-vector operator matrices on V_lam for one chirality."""
+        """The root vectors (:class:`qflag.reps.RootVector`) on V_lam for one
+        chirality."""
         kind = "E" if chirality == "01" else "F"
         lops = self.algebra.ops(lam)
         return tuple(lops.root_operator(self.word, r, kind)
@@ -61,14 +65,17 @@ class Calculus:
     def dbar(self, a: dict, chirality: str = "01") -> dict:
         """Sum of (E_beta acting on the vector slot) (x) e_beta, as a map
         {((lam, row, col), root position): scalar}."""
-        alg = self.algebra
+        zero = self.algebra.ctx.zero
         ops = {lam: self.tangent_operators(lam, chirality)
                for lam in {key[0] for key in a}}
         out = {}
         for pos in range(len(self.positions)):
-            img = alg.act_v(lambda lam, p=pos: ops[lam][p], a)
-            for key, v in img.items():
-                out[(key, pos)] = v
+            img = {}
+            for (lam, r, c), v in a.items():
+                for r2, mv in ops[lam][pos].column(c).items():
+                    key = (lam, r, r2)
+                    img[key] = img.get(key, zero) + v * mv
+            out.update(((key, pos), v) for key, v in img.items() if v)
         return out
 
     def del_(self, a: dict) -> dict:

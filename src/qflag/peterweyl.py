@@ -26,7 +26,8 @@ checks downstream.
 :class:`GradedSlice` is the one type for vector-slot columns per block
 V_lam: the Levi invariants of one degree (one joint kernel per block; at
 degree 0 the spherical invariants), or the holomorphic sections inside them.
-Each V_lam is kept with its LusztigOperators, the one root-vector cache.
+Each V_lam is kept with its LusztigOperators, the one root-vector cache,
+which computes a column of a root vector when it is first read.
 """
 
 from __future__ import annotations
@@ -326,7 +327,7 @@ class PWAlgebra:
         """Left action on the vector slot.
 
         gen is a generator tag ("E"|"F"|"K"|"Kinv", i) or a callable
-        lam -> matrix (used for root-vector operators).
+        lam -> matrix.
         """
         out = {}
         for (lam, r, c), v in a.items():

@@ -310,16 +310,25 @@ def transport(src: ModuleData, f_mats, seed: dict) -> SparseMatrix:
     return SparseMatrix(f_mats[0].nrows, src.dim, dict(enumerate(cols)))
 
 
+def k_scan(phi: SparseMatrix, row_exps, col_exps) -> bool:
+    """Every entry (r, c) of phi joins row_exps[r] == col_exps[c].
+
+    row_exps and col_exps hold a tuple of K-exponents per basis index.  For
+    the diagonal K-actions with those exponents this is exactly
+    phi K_col = K_row phi, a scan, not a product, because q is not a root
+    of unity (QContext refuses q0 in {-1, 0, 1}).
+    """
+    return all(row_exps[r] == col_exps[c]
+               for c, col in phi.cols.items() for r in col)
+
+
 def check_intertwines(phi: SparseMatrix, src: ModuleData, dst: ModuleData) -> bool:
     """phi rho_src(x) = rho_dst(x) phi for every generator x, exactly.
 
-    K_i is diagonal and q is not a root of unity (QContext refuses q0 in
-    {-1, 0, 1}), so phi commutes with the K_i exactly when each entry joins
-    basis vectors of equal K-exponents: a scan, not a product.  E and F are
-    compared by products.
+    The K_i are checked by :func:`k_scan` (every entry joins basis vectors
+    of equal K-exponents), E and F by products.
     """
-    kd, ks = list(zip(*dst.k_exps)), list(zip(*src.k_exps))
-    if any(kd[r] != ks[c] for c, col in phi.cols.items() for r in col):
+    if not k_scan(phi, list(zip(*dst.k_exps)), list(zip(*src.k_exps))):
         return False
     for i in range(1, src.lie.rank + 1):
         for kind in ("E", "F"):
@@ -482,51 +491,126 @@ def decompose(t_mod: ModuleData, module_store) -> CGDecomposition:
 # -- Lusztig braid operators and quantum root vectors -------------------------
 
 
-def divided_power(m: ModuleData, i: int, nth: int, kind: str) -> SparseMatrix:
-    """E_i^(n) or F_i^(n): the n-th power divided by [n]_{q_i}!."""
-    base = m.gen_matrix(kind, i)
-    d = cartan.symmetrizers(m.lie)[i - 1]
-    out = base.power(nth, m.ctx.one)
-    if nth >= 2:
-        out = out.scale(m.ctx.one / m.ctx.qfact(nth, d))
-    return out
+class WordSum:
+    """A linear operator sum_k c_k M_k1 ... M_kl, applied by matrix-vector
+    products (the rightmost matrix first), never multiplied out.
+
+    ``terms`` is a tuple of (coefficient, tuple of SparseMatrix).
+    """
+
+    __slots__ = ("nrows", "ncols", "terms")
+
+    def __init__(self, dim: int, terms):
+        self.nrows = self.ncols = dim
+        self.terms = tuple(terms)
+
+    def matvec(self, vec: dict) -> dict:
+        acc = {}
+        for coeff, word in self.terms:
+            v = vec
+            for mat in reversed(word):
+                v = mat.matvec(v)
+            dv_add_scaled(acc, v, coeff)
+        return acc
+
+    def mul(self, other: SparseMatrix) -> SparseMatrix:
+        """The product with a matrix, one matvec per column of ``other``."""
+        return SparseMatrix(self.nrows, other.ncols, {
+            j: self.matvec(col) for j, col in other.cols.items()})
 
 
-def braid_image(m: ModuleData, i: int, kind: str, j: int) -> SparseMatrix:
-    """The matrix of T_i(x) on m, for x = E_j, F_j, K_j (explicit formulas)."""
+def braid_k_exps(m: ModuleData, i: int) -> tuple:
+    """K-exponents of T_i(K_j) = K_j K_i^(-a_ij): entry [j-1][t] on basis t."""
+    a = cartan.cartan_matrix(m.lie)[i - 1]
+    ki = m.k_exps[i - 1]
+    return tuple(tuple(e - a[j] * k for e, k in zip(m.k_exps[j], ki))
+                 for j in range(m.lie.rank))
+
+
+def braid_image(m: ModuleData, i: int, kind: str, j: int) -> WordSum:
+    """T_i(x) on m, for x = E_j, F_j, K_j, as scaled words in the generators.
+
+    T_i(E_i) = -F_i K_i, T_i(F_i) = -K_i^-1 E_i, T_i(K_j) = K_j K_i^(-a_ij)
+    (:func:`braid_k_exps`), and for j != i, with a = a_ij and t = 0..-a,
+    T_i(E_j) = sum_t (-1)^(t-a) q_i^-t E_i^(-a-t) E_j E_i^(t),
+    T_i(F_j) = sum_t (-1)^(t-a) q_i^t F_i^(t) F_j F_i^(-a-t),
+    where X^(n) = X^n / [n]_{q_i}! is the divided power (Lusztig,
+    Introduction to Quantum Groups, ch. 37).
+    """
     ctx = m.ctx
-    lie = m.lie
-    a = cartan.cartan_matrix(lie)[i - 1][j - 1]
-    d = cartan.symmetrizers(lie)[i - 1]
+    one = ctx.one
     if kind == "K":
-        vals = [ctx.q_power(m.k_exps[j - 1][t] - a * m.k_exps[i - 1][t])
-                for t in range(m.dim)]
-        return SparseMatrix.diagonal(vals)
-    if kind == "E":
-        if i == j:
-            # T_i(E_i) = -F_i K_i
-            return m.f_mats[i - 1].mul(m.k_matrix(i)).scale(-1)
-        acc = None
-        for t in range(0, -a + 1):
-            sign = -1 if (t - a) % 2 else 1
-            coeff = ctx.q_power(-t * d) * sign
-            term = divided_power(m, i, -a - t, "E").mul(
-                m.e_mats[j - 1]).mul(divided_power(m, i, t, "E")).scale(coeff)
-            acc = term if acc is None else acc.add(term)
+        exps = braid_k_exps(m, i)[j - 1]
+        return WordSum(m.dim, [(one, (SparseMatrix.diagonal(
+            [ctx.q_power(e) for e in exps]),))])
+    if kind not in ("E", "F"):
+        raise DomainError(f"unknown generator kind {kind!r}")
+    if i == j:
+        word = ((m.f_mats[i - 1], m.k_matrix(i)) if kind == "E"
+                else (m.k_matrix(i, -1), m.e_mats[i - 1]))
+        return WordSum(m.dim, [(-one, word)])
+    x_i, x_j = m.gen_matrix(kind, i), m.gen_matrix(kind, j)
+    a = cartan.cartan_matrix(m.lie)[i - 1][j - 1]
+    d = cartan.symmetrizers(m.lie)[i - 1]
+    terms = []
+    for t in range(0, -a + 1):
+        left, right = (-a - t, t) if kind == "E" else (t, -a - t)
+        coeff = ctx.q_power(-t * d if kind == "E" else t * d)
+        if (t - a) % 2:
+            coeff = -coeff
+        for n in (left, right):
+            if n >= 2:
+                coeff = coeff * (one / ctx.qfact(n, d))
+        terms.append((coeff, (x_i,) * left + (x_j,) + (x_i,) * right))
+    return WordSum(m.dim, terms)
+
+
+class RootVector:
+    """E_beta_r (or F_beta_r) on a module, built column by column.
+
+    With p = Theta_{i1} ... Theta_{i(r-1)} along the word and X the simple
+    generator of node i_r, column c is p X p^-1 e_c: p^-1 e_c is read from
+    ``chains[c]``, the vectors Theta_{ik}^-1 ... Theta_{i1}^-1 e_c, k = 1,
+    2, ..., which the root vectors of one word share and extend as they
+    need, and X and p are applied by matrix-vector products.  A column is
+    computed on its first read and kept; the returned dict-vectors are
+    shared, so callers must not change them.
+    """
+
+    def __init__(self, gen: SparseMatrix, thetas, theta_invs, chains: dict):
+        self.dim = gen.nrows
+        self._gen = gen
+        self._thetas = thetas        # Theta_{i1}, ..., Theta_{i(r-1)}
+        self._invs = theta_invs      # their inverses, in the same order
+        self._chains = chains
+        self._cols = {}
+
+    def column(self, c: int) -> dict:
+        got = self._cols.get(c)
+        if got is None:
+            got = self._cols[c] = self._column(c)
+        return got
+
+    def _column(self, c: int) -> dict:
+        invs = self._invs
+        if not invs:
+            return self._gen.cols.get(c, {})
+        chain = self._chains.setdefault(c, [])
+        while len(chain) < len(invs):
+            k = len(chain)
+            chain.append(invs[k].matvec(chain[-1]) if k
+                         else invs[0].cols.get(c, {}))
+        v = self._gen.matvec(chain[len(invs) - 1])
+        for th in reversed(self._thetas):
+            v = th.matvec(v)
+        return v
+
+    def matvec(self, vec: dict) -> dict:
+        """Apply to a column dict-vector {col index: value}."""
+        acc = {}
+        for c, x in vec.items():
+            dv_add_scaled(acc, self.column(c), x)
         return acc
-    if kind == "F":
-        if i == j:
-            # T_i(F_i) = -K_i^{-1} E_i
-            return m.k_matrix(i, -1).mul(m.e_mats[i - 1]).scale(-1)
-        acc = None
-        for t in range(0, -a + 1):
-            sign = -1 if (t - a) % 2 else 1
-            coeff = ctx.q_power(t * d) * sign
-            term = divided_power(m, i, t, "F").mul(
-                m.f_mats[j - 1]).mul(divided_power(m, i, -a - t, "F")).scale(coeff)
-            acc = term if acc is None else acc.add(term)
-        return acc
-    raise DomainError(f"unknown generator kind {kind!r}")
 
 
 class LusztigOperators:
@@ -535,15 +619,17 @@ class LusztigOperators:
     Theta_i is the nonzero solution of Theta rho(x) = rho(T_i(x)) Theta over
     all generators x, unique up to a scalar by irreducibility.  It is found
     constructively: the extreme weight space of weight s_i(lam) seeds the
-    image of the highest weight vector, columns follow the stored F-words
-    through the twisted F-action, and the conjugation identities are then
-    checked as exact matrix identities: for every generator on modules of
-    dim <= FULL_VERIFY_LIMIT, for the K-family only above it, where the
-    kernel certificates downstream re-check every consequence.
+    image of the highest weight vector, and columns follow the stored
+    F-words through the twisted F-action T_i(F_j), applied as the words of
+    :func:`braid_image`.  The K-family of identities is checked as a scan
+    that every entry joins K-exponents matching under T_i (:func:`k_scan`);
+    on modules of dim <= FULL_VERIFY_LIMIT the E- and F-identities are also
+    checked as exact matrix identities, and above it the kernel
+    certificates downstream re-check every consequence.
 
-    This object is the one cache of the module's root vectors: each is
-    conjugated once, on first use, and kept with the products
-    Theta_{i1} ... Theta_{i(r-1)} and their inverses along its word.
+    This object is the one cache of the module's root vectors
+    (:class:`RootVector`, one per (word, r, kind)), and of the chains
+    Theta_{ik}^-1 ... Theta_{i1}^-1 e_c that their columns start from.
     """
 
     FULL_VERIFY_LIMIT = 24
@@ -555,8 +641,8 @@ class LusztigOperators:
         self.m = m
         self._theta = {}
         self._theta_inv = {}
-        self._prefix = {}       # word -> [(p_r, p_r^-1) for r = 1, 2, ...]
-        self._roots = {}        # (word, r, kind) -> root vector
+        self._chains = {}       # word -> {c: [Theta_{i1}^-1 e_c, ...]}
+        self._roots = {}        # (word, r, kind) -> RootVector
 
     def theta(self, i: int) -> SparseMatrix:
         th = self._theta.get(i)
@@ -584,15 +670,16 @@ class LusztigOperators:
     def _check(self, i, th, twisted):
         """Check the conjugation identities; twisted[j-1] is T_i(F_j)."""
         m = self.m
-        kinds = (("K", "E", "F") if m.dim <= self.FULL_VERIFY_LIMIT
-                 else ("K",))
-        for kind in kinds:
+        if not k_scan(th, list(zip(*braid_k_exps(m, i))), list(zip(*m.k_exps))):
+            raise ConventionError(
+                f"braid conjugation identity failed for T_{i}(K_j)")
+        if m.dim > self.FULL_VERIFY_LIMIT:
+            return
+        for kind in ("E", "F"):
             for j in range(1, m.lie.rank + 1):
                 image = (twisted[j - 1] if kind == "F"
                          else braid_image(m, i, kind, j))
-                lhs = th.mul(m.gen_matrix(kind, j))
-                rhs = image.mul(th)
-                if lhs != rhs:
+                if th.mul(m.gen_matrix(kind, j)) != image.mul(th):
                     raise ConventionError(
                         f"braid conjugation identity failed for T_{i}({kind}_{j})")
 
@@ -609,28 +696,19 @@ class LusztigOperators:
         self._theta_inv[i] = inv
         return inv
 
-    def _prefixes(self, word, r):
-        """(p, p^-1) for p = Theta_{i1} ... Theta_{i(r-1)} along word."""
-        chain = self._prefix.get(word)
-        if chain is None:
-            ident = SparseMatrix.identity(self.m.dim, self.m.ctx.one)
-            chain = self._prefix[word] = [(ident, ident)]
-        while len(chain) < r:
-            p, pinv = chain[-1]
-            i = word[len(chain) - 1]
-            chain.append((p.mul(self.theta(i)), self.theta_inv(i).mul(pinv)))
-        return chain[r - 1]
-
-    def root_operator(self, word, r: int, kind: str = "E") -> SparseMatrix:
-        """E_{beta_r} (or F_{beta_r}): prefix-conjugated simple generator."""
+    def root_operator(self, word, r: int, kind: str = "E") -> RootVector:
+        """E_{beta_r} (or F_{beta_r}) along word, read column by column."""
         key = (tuple(word), r, kind)
         got = self._roots.get(key)
         if got is None:
             if not 1 <= r <= len(word):
                 raise DomainError("root index out of range")
-            p, pinv = self._prefixes(key[0], r)
-            got = p.mul(self.m.gen_matrix(kind, word[r - 1])).mul(pinv)
-            self._roots[key] = got
+            prefix = key[0][:r - 1]
+            got = self._roots[key] = RootVector(
+                self.m.gen_matrix(kind, key[0][r - 1]),
+                [self.theta(i) for i in prefix],
+                [self.theta_inv(i) for i in prefix],
+                self._chains.setdefault(key[0], {}))
         return got
 
 
@@ -644,8 +722,8 @@ def nullspace_of_conjugation(m: ModuleData, i: int):
     for kind in ("E", "F", "K"):
         for j in range(1, lie.rank + 1):
             g = m.gen_matrix(kind, j)
-            tg = braid_image(m, i, kind, j)
-            tg_rows = tg.row_dicts()
+            tg_rows = braid_image(m, i, kind, j).mul(
+                SparseMatrix.identity(n, ctx.one)).row_dicts()
             # Theta g - tg Theta = 0, entry (r, c)
             for r in range(n):
                 for c in range(n):

@@ -5,17 +5,22 @@ come from Freudenthal's recursion (not the basis construction), dimensions
 from summing them (not the Weyl product formula), graded-slice sizes
 from counting weights with the invariance conditions (not from kernels of
 generator matrices), reduced row echelon forms from plain dense
-Gauss-Jordan elimination on lists (not the sparse engine), and the
+Gauss-Jordan elimination on lists (not the sparse engine), the
 Yang-Baxter identity from full products of Kronecker matrices on
-V (x) V (x) V (not the reduced set of columns).
+V (x) V (x) V (not the reduced set of columns), braid operators from
+whole braid-image matrices (not words applied by matvec), and root vectors
+by conjugating whole matrices with prefix products of braid operators (not
+column by column).
 """
 
 from fractions import Fraction
 from itertools import product
 
 from qflag.cartan import (bilinear_form, cartan_matrix, positive_roots,
-                          root_to_weight, w0_on_weight, weight_to_root_int)
-from qflag.linalg import SparseMatrix
+                          reflect_weight, root_to_weight, symmetrizers,
+                          w0_on_weight, weight_to_root_int)
+from qflag.linalg import SparseMatrix, invert_blocks
+from qflag.reps import transport
 
 
 def freudenthal_multiplicities(lie, lam):
@@ -168,3 +173,60 @@ def ybe_full(v, br):
     r12 = kron_with_identity(br.matrix, v.dim, "left")
     r23 = kron_with_identity(br.matrix, v.dim, "right")
     return r12.mul(r23).mul(r12) == r23.mul(r12).mul(r23)
+
+
+def braid_f_matrix(m, i, j):
+    """The matrix of T_i(F_j) on m, by whole-matrix products.
+
+    T_i(F_i) = -K_i^-1 E_i and, for j != i with a = a_ij,
+    T_i(F_j) = sum_t (-1)^(t-a) q_i^t F_i^(t) F_j F_i^(-a-t), t = 0..-a.
+    """
+    ctx = m.ctx
+    if i == j:
+        return m.k_matrix(i, -1).mul(m.e_mats[i - 1]).scale(-1)
+    a = cartan_matrix(m.lie)[i - 1][j - 1]
+    d = symmetrizers(m.lie)[i - 1]
+
+    def divided(n):
+        out = m.f_mats[i - 1].power(n, ctx.one)
+        return out.scale(ctx.one / ctx.qfact(n, d)) if n >= 2 else out
+
+    acc = None
+    for t in range(0, -a + 1):
+        sign = -1 if (t - a) % 2 else 1
+        term = divided(t).mul(m.f_mats[j - 1]).mul(divided(-a - t)).scale(
+            ctx.q_power(t * d) * sign)
+        acc = term if acc is None else acc.add(term)
+    return acc
+
+
+def theta_by_matrices(m, i):
+    """Theta_i transported through the whole matrices T_i(F_j), normalized
+    so that its first nonzero entry in column order is 1."""
+    target = reflect_weight(m.lie, i, m.highest)
+    seed = m.weights.index(target)
+    th = transport(m, [braid_f_matrix(m, i, j)
+                       for j in range(1, m.lie.rank + 1)], {seed: m.ctx.one})
+    first = th.cols[min(th.cols)]
+    return th.scale(m.ctx.one / first[min(first)])
+
+
+def conjugated_root_vector(ops, word, r, kind):
+    """p X p^-1 as whole matrices: p = Theta_{i1} ... Theta_{i(r-1)} by
+    products, each Theta_i^-1 by one inversion per weight block."""
+    m = ops.m
+    by_weight = m.weight_indices()
+    p = pinv = SparseMatrix.identity(m.dim, m.ctx.one)
+    for i in word[:r - 1]:
+        th = ops.theta(i)
+        inv = invert_blocks(
+            th, [(by_weight.get(reflect_weight(m.lie, i, mu), ()), cols)
+                 for mu, cols in by_weight.items()], m.ctx.one)
+        p, pinv = p.mul(th), inv.mul(pinv)
+    return p.mul(m.gen_matrix(kind, word[r - 1])).mul(pinv)
+
+
+def root_vector_matrix(rv):
+    """A root vector assembled from its column(c), c = 0..dim-1."""
+    return SparseMatrix(rv.dim, rv.dim,
+                        {c: rv.column(c) for c in range(rv.dim)})

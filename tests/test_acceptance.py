@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from oracles import root_vector_matrix
 from qflag import verify
 from qflag.calculus import Calculus, gamma_crosscheck
 from qflag.cartan import (LieType, dominant_weights_up_to, longest_word,
@@ -172,7 +173,8 @@ def test_criterion_11_lusztig_suite(algebras):
                 ops.theta(i)      # raises if any conjugation identity fails
             for r, beta in enumerate(seq, start=1):
                 for kind, sgn in (("E", 1), ("F", -1)):
-                    op = ops.root_operator(word, r, kind)
+                    op = root_vector_matrix(
+                        ops.root_operator(word, r, kind))
                     for i in range(1, lie.rank + 1):
                         ei = tuple(1 if t == i - 1 else 0
                                    for t in range(lie.rank))

@@ -3,7 +3,7 @@ from qflag.calculus import (Calculus, act_f_orbit_rows, z_power,
 from qflag.cartan import LieType, longest_word, weyl_dim
 from qflag.linalg import SpanBasis, SparseMatrix
 from qflag.peterweyl import GradedSlice, PWAlgebra
-from qflag.reps import LusztigOperators
+from qflag.reps import LusztigOperators, RootVector
 from qflag.verify import verify_suite
 
 
@@ -198,31 +198,44 @@ def test_calculi_share_root_vectors(algebras, flag_of):
 
 
 def test_verify_conjugates_each_root_vector_once(flag_of, monkeypatch):
-    # a root_operator call that multiplies matrices conjugated E_beta anew
-    muls, inside, conjugated = [0], [], []
-    mul, root_operator = SparseMatrix.mul, LusztigOperators.root_operator
+    # every root-vector column is computed once per algebra, and on a module
+    # above FULL_VERIFY_LIMIT the root-vector path multiplies no matrices
+    muls, dims, computed = [], [], []
+    mul = SparseMatrix.mul
+    limit = LusztigOperators.FULL_VERIFY_LIMIT
 
     def counting_mul(self, other):
-        if inside:
-            muls[0] += 1
+        if dims:
+            muls.append(dims[-1])
         return mul(self, other)
 
-    def counting_root_operator(self, word, r, kind="E"):
-        before = muls[0]
-        inside.append(True)
-        try:
-            return root_operator(self, word, r, kind)
-        finally:
-            inside.pop()
-            if muls[0] > before:
-                conjugated.append((self.m.highest, tuple(word), r, kind))
+    def on_module(fn, dim_of):
+        def wrapper(self, *args):
+            dims.append(dim_of(self))
+            try:
+                return fn(self, *args)
+            finally:
+                dims.pop()
+        return wrapper
+
+    def recording(fn):
+        def wrapper(self, c):
+            computed.append((self, c))
+            return fn(self, c)
+        return wrapper
 
     monkeypatch.setattr(SparseMatrix, "mul", counting_mul)
-    monkeypatch.setattr(LusztigOperators, "root_operator",
-                        counting_root_operator)
+    for name in ("root_operator", "theta"):
+        monkeypatch.setattr(LusztigOperators, name, on_module(
+            getattr(LusztigOperators, name), lambda ops: ops.m.dim))
+    monkeypatch.setattr(RootVector, "column", on_module(
+        RootVector.column, lambda rv: rv.dim))
+    monkeypatch.setattr(RootVector, "_column", recording(RootVector._column))
     flag = flag_of("A2/1")
     rep = verify_suite(flag, ["liouville", "borel-weil", "coordring", "gamma"],
-                       depth=2, algebra=PWAlgebra(flag.lie))
+                       depth=4, algebra=PWAlgebra(flag.lie))
     assert rep["ok"]
-    assert conjugated
-    assert len(conjugated) == len(set(conjugated))
+    assert computed
+    assert len(computed) == len(set(computed))
+    assert any(rv.dim > limit for rv, _ in computed)    # V_(2, 2), dim 27
+    assert muls and all(d <= limit for d in muls)

@@ -1,11 +1,14 @@
+import gc
 import hashlib
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from oracles import freudenthal_multiplicities
+from oracles import (conjugated_root_vector, freudenthal_multiplicities,
+                     root_vector_matrix, theta_by_matrices)
 from qflag.cartan import (LieType, bilinear_form, dominant_weights_up_to,
                           longest_word, minus_w0, root_sequence, weyl_dim)
 from qflag import cartan, linalg, reps
@@ -20,6 +23,7 @@ from qflag.reps import (LusztigOperators, braid_image, build_irreducible,
                         context_for, decompose, dual_module, dual_pairing,
                         nullspace_of_conjugation, tensor, transport,
                         trivial_module)
+from qflag.verify import DEFAULT_DEPTH
 
 A1, A2, A3, B2, C2 = (LieType.parse(t) for t in ("A1", "A2", "A3", "B2", "C2"))
 B3, C3 = LieType.parse("B3"), LieType.parse("C3")
@@ -367,13 +371,45 @@ def test_braid_identities_hold_above_full_verify_limit():
 
 def test_theta_check_reuses_the_twisted_f_images(monkeypatch):
     # T_1(F_j) is built once for the transport and read again by the check;
-    # only the K- and E-images are built for the check itself
-    m = build_irreducible(context_for(A2), A2, (1, 0))
-    assert m.dim <= LusztigOperators.FULL_VERIFY_LIMIT
+    # the E-images are built for the check on modules of dim <= the limit
+    # only (V_(1,0), dim 3, not V_(2,2), dim 27), and the K-family is a scan
+    # that builds no image
     calls = counting(monkeypatch, "braid_image")
-    LusztigOperators(m).theta(1)
-    assert sorted(c[2:] for c in calls) == \
-        [("E", 1), ("E", 2), ("F", 1), ("F", 2), ("K", 1), ("K", 2)]
+    for lam, e_images in (((1, 0), [("E", 1), ("E", 2)]), ((2, 2), [])):
+        m = build_irreducible(context_for(A2), A2, lam)
+        calls.clear()
+        LusztigOperators(m).theta(1)
+        assert sorted(c[2:] for c in calls) == \
+            e_images + [("F", 1), ("F", 2)]
+
+
+@pytest.mark.parametrize("lam", [(1, 0), (2, 2)])
+def test_theta_k_scan_refuses_an_entry_across_k_exponents(monkeypatch, lam):
+    # one entry of the transported Theta_1 moved to a row of other
+    # K-exponents: only the K-family can see it above the limit, and below
+    # it the scan runs before the E- and F-products
+    m = build_irreducible(context_for(A2), A2, lam)
+    transport_ = reps.transport
+
+    def moved(src, f_mats, seed):
+        th = transport_(src, f_mats, seed)
+        c = max(th.cols)
+        r, v = next(iter(th.cols[c].items()))
+        r2 = next(t for t in range(m.dim)
+                  if [k[t] for k in m.k_exps] != [k[r] for k in m.k_exps])
+        cols = dict(th.cols)
+        cols[c] = {**{t: x for t, x in th.cols[c].items() if t != r}, r2: v}
+        return SparseMatrix(th.nrows, th.ncols, cols)
+
+    def product(self, other):
+        raise AssertionError("a product ran before the K-family scan")
+
+    monkeypatch.setattr(reps, "transport", moved)
+    monkeypatch.setattr(SparseMatrix, "mul", product)
+    calls = counting(monkeypatch, "braid_image")
+    with pytest.raises(ConventionError, match=r"T_1\(K_j\)"):
+        LusztigOperators(m).theta(1)
+    assert sorted(c[2] for c in calls) == ["F", "F"]
 
 
 def test_root_operator_basics():
@@ -381,8 +417,9 @@ def test_root_operator_basics():
     m = build_irreducible(ctx, A1, (1,))
     ops = LusztigOperators(m)
     # r = 1 is the plain generator
-    assert ops.root_operator((1,), 1, "E") == m.e_mats[0]
-    assert ops.root_operator((1,), 1, "F") == m.f_mats[0]
+    for kind in "EF":
+        assert root_vector_matrix(ops.root_operator((1,), 1, kind)) == \
+            m.gen_matrix(kind, 1)
     with pytest.raises(DomainError):
         ops.root_operator((1,), 2, "E")
 
@@ -397,15 +434,19 @@ def test_root_operator_cached_by_word_index_and_kind():
     for (r, kind), op in first.items():
         assert ops.root_operator(list(word), r, kind) is op
     # each root vector is Theta_{i1} ... Theta_{i(r-1)} conjugating its
-    # simple generator, whatever order the calls come in
+    # simple generator, whatever order the calls and columns come in
     fresh = LusztigOperators(m)
     for r in (3, 1, 2):
         p = SparseMatrix.identity(m.dim, m.ctx.one)
         for i in word[:r - 1]:
             p = p.mul(fresh.theta(i))
         e = m.gen_matrix("E", word[r - 1])
-        assert fresh.root_operator(word, r, "E").mul(p) == p.mul(e)
-        assert fresh.root_operator(word, r, "E") == first[(r, "E")]
+        rv = fresh.root_operator(word, r, "E")
+        for c in reversed(range(m.dim)):
+            rv.column(c)
+        op = root_vector_matrix(rv)
+        assert op.mul(p) == p.mul(e)
+        assert op == root_vector_matrix(first[(r, "E")])
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "C2"])
@@ -418,7 +459,7 @@ def test_root_operator_weights(name):
     ops = LusztigOperators(m)
     for r, beta in enumerate(seq, start=1):
         for kind, sgn in (("E", 1), ("F", -1)):
-            op = ops.root_operator(word, r, kind)
+            op = root_vector_matrix(ops.root_operator(word, r, kind))
             assert not op.is_zero()
             for i in range(1, lie.rank + 1):
                 ei = tuple(1 if t == i - 1 else 0 for t in range(lie.rank))
@@ -437,7 +478,7 @@ def test_root_operators_linearly_independent():
         ops = LusztigOperators(m)
         span = SpanBasis()
         for r in range(1, len(word) + 1):
-            op = ops.root_operator(word, r, "E")
+            op = root_vector_matrix(ops.root_operator(word, r, "E"))
             assert span.insert(dict(op.entries_sorted()))
         assert span.dim == len(word)
 
@@ -451,14 +492,65 @@ def test_root_operators_word_independence_of_spans():
     ops = LusztigOperators(m)
     w1 = longest_word(lie)
     w2 = tuple(reversed(w1))
-    ops1 = [ops.root_operator(w1, r, "E") for r in range(1, 4)]
-    ops2 = [ops.root_operator(w2, r, "E") for r in range(1, 4)]
+    ops1 = [root_vector_matrix(ops.root_operator(w1, r, "E"))
+            for r in range(1, 4)]
+    ops2 = [root_vector_matrix(ops.root_operator(w2, r, "E"))
+            for r in range(1, 4)]
     s1, s2 = SpanBasis(), SpanBasis()
     for o in ops1:
         s1.insert(dict(o.entries_sorted()))
     for o in ops2:
         s2.insert(dict(o.entries_sorted()))
     assert s1.dim == s2.dim == 3
+
+
+def test_root_vectors_hold_no_reference_cycle():
+    # a dropped LusztigOperators frees its root vectors, with their cached
+    # columns and Theta^-1 chains, by reference counting alone
+    m = build_irreducible(context_for(A2), A2, (1, 1))
+    ops = LusztigOperators(m)
+    rv = ops.root_operator(longest_word(A2), 3, "E")
+    rv.column(0)
+    refs = [weakref.ref(ops), weakref.ref(rv)]
+    gc.disable()
+    try:
+        del ops, rv
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def _oracle_modules():
+    # every module of the six default flags' truncations up to dim 35
+    # (C2 (2, 1) among them: a_12 = -2, so divided powers of order 2
+    # appear), and the adjoint of D4
+    cases = set()
+    for name, depth in DEFAULT_DEPTH.items():
+        lie = cartan.FlagSpec.parse(name).lie
+        cases.update((str(lie), lam)
+                     for lam in dominant_weights_up_to(lie, depth)
+                     if weyl_dim(lie, lam) <= 35)
+    assert ("C2", (2, 1)) in cases
+    return sorted(cases) + [("D4", (0, 1, 0, 0))]
+
+
+@pytest.mark.parametrize("name,lam", _oracle_modules(),
+                         ids=lambda x: "".join(map(str, x)))
+def test_root_vectors_equal_the_conjugated_matrices(name, lam):
+    # every column of every E and F root vector, computed through the
+    # Theta chain, equals p X p^-1 conjugated as whole matrices; and each
+    # Theta_i, transported through the words of braid_image, equals the one
+    # transported through whole braid-image matrices
+    lie = LieType.parse(name)
+    m = build_irreducible(context_for(lie), lie, lam)
+    ops = LusztigOperators(m)
+    for i in range(1, lie.rank + 1):
+        assert ops.theta(i) == theta_by_matrices(m, i)
+    word = longest_word(lie)
+    for r in range(1, len(word) + 1):
+        for kind in "EF":
+            assert root_vector_matrix(ops.root_operator(word, r, kind)) == \
+                conjugated_root_vector(ops, word, r, kind)
 
 
 def test_specialized_construction_matches_dims():
