@@ -138,7 +138,7 @@ def cmd_rmatrix(args) -> int:
     alg = _algebra(args, flag.lie)
     lam = verify.crossed_weight(flag)
     v = alg.module(lam)
-    _progress(f"solving braiding on V_{lam} (dim {v.dim})")
+    _progress(f"computing braiding on V_{lam} (dim {v.dim})")
     br = braiding(v, v)
     ok = ybe_check(v, br)
     doc = {

@@ -22,7 +22,7 @@ class ReducibleModuleError(QflagError):
 
 
 class ConventionError(QflagError):
-    """An intertwiner system came out inconsistent or non-unique."""
+    """An intertwiner came out inconsistent, non-unique or uncertified."""
 
 
 class TruncationError(QflagError):

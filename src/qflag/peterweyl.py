@@ -326,12 +326,12 @@ class PWAlgebra:
     def act_v(self, gen, a: dict) -> dict:
         """Left action on the vector slot.
 
-        gen is a generator tag ("E"|"F"|"K"|"Kinv", i) or a callable
-        lam -> matrix.
+        gen is a generator tag (kind, i), kind "E", "F", "K" or "Kinv".
         """
+        kind, i = gen
         out = {}
         for (lam, r, c), v in a.items():
-            mat = self._resolve(gen, lam)
+            mat = self.module(lam).gen_matrix(kind, i)
             for r2, mv in mat.cols.get(c, {}).items():
                 key = (lam, r, r2)
                 out[key] = out.get(key, self.ctx.zero) + v * mv
@@ -340,25 +340,20 @@ class PWAlgebra:
     def act_f(self, gen, a: dict) -> dict:
         """Right action on the functional slot (transposed matrices).
 
-        Accepts the same generator descriptions as act_v.
+        gen is a generator tag, as for act_v.
         """
+        kind, i = gen
         out = {}
         rows_cache = {}
         for (lam, r, c), v in a.items():
             rows = rows_cache.get(lam)
             if rows is None:
-                rows = self._resolve(gen, lam).transpose().cols
+                rows = self.module(lam).gen_matrix(kind, i).transpose().cols
                 rows_cache[lam] = rows
             for s, mv in rows.get(r, {}).items():
                 key = (lam, s, c)
                 out[key] = out.get(key, self.ctx.zero) + v * mv
         return {k: v for k, v in out.items() if v}
-
-    def _resolve(self, gen, lam) -> SparseMatrix:
-        if isinstance(gen, tuple):
-            kind, i = gen
-            return self.module(lam).gen_matrix(kind, i)
-        return gen(lam)
 
     # -- generators, grading ---------------------------------------------------
 

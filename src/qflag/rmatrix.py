@@ -1,14 +1,18 @@
 """Braidings R_{V,W}: V (x) W -> W (x) V of the type-1 tensor category.
 
-The braiding is pinned down as the unique solution of a linear system: it
-must intertwine the generator action through the coproduct, send the highest
-leading position (j, i) of each input (i, j) to q^((wt e_i, wt f_j)) exactly,
-and otherwise produce only terms f_k (x) e_l whose first-slot weight drops
-strictly below wt(f_j) in the dominance order (weight preservation then
-forces the second slot up).  The generator actions are the matrices of the
-tensor modules V (x) W and W (x) V; the equations are sparse rows, solved by
-:func:`qflag.linalg.solve_unique`, which refuses non-unique or inconsistent
-systems instead of picking a representative.
+V must be a canonical build: every basis vector e_i is an F-word applied to
+the highest weight vector e_0 (:func:`_generated_by_highest`).  Then the
+vectors e_0 (x) f_j generate V (x) W under Delta(F) (Jantzen, Lectures on
+Quantum Groups, ch. 3-5), so the braiding is carried along V's F-words from
+its values there, one matrix-vector product per column and no linear solve:
+    R(e_0 (x) f_j) = q^((lam, wt f_j)) f_j (x) e_0,
+since a term f_k (x) e_l with wt f_k < wt f_j would need wt e_l above lam;
+and for e_i = F_a e_p, with Delta(F_a) = F_a (x) 1 + K_a^-1 (x) F_a,
+    R(e_i (x) f_j) = F_a R(e_p (x) f_j)
+                     - q^(-(alpha_a, wt e_p)) sum_r (F_a)_rj R(e_p (x) f_r).
+:func:`qflag.reps.check_intertwines` then certifies the result exactly; an
+intertwiner is fixed by its values on a generating set, so it is the unique
+braiding with those leading terms.
 """
 
 from __future__ import annotations
@@ -16,21 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cartan
-from .errors import ConventionError, DomainError
-from .linalg import SparseMatrix, dv_add_scaled, solve_unique
+from .errors import ConventionError
+from .linalg import SparseMatrix, dv_add_scaled
 from .reps import ModuleData, check_intertwines, tensor
-
-
-def _strictly_below(lie, mu, nu):
-    """mu < nu in the dominance order (nu - mu a nonzero sum of simple roots)."""
-    diff = tuple(a - b for a, b in zip(nu, mu))
-    if all(x == 0 for x in diff):
-        return False
-    try:
-        c = cartan.weight_to_root_int(lie, diff)
-    except DomainError:
-        return False
-    return all(x >= 0 for x in c)
 
 
 @dataclass
@@ -45,66 +37,34 @@ class Braiding:
 
 
 def braiding(v: ModuleData, w: ModuleData) -> Braiding:
-    """Solve for R_{V,W}; raises ConventionError unless the solution is unique."""
+    """R_{V,W} by transport along V's F-words.
+
+    Raises ConventionError when V is not a canonical build or the result
+    does not intertwine.
+    """
     if v.lie != w.lie:
         raise ConventionError("braiding of modules over different types")
-    lie, ctx = v.lie, v.ctx
+    if not _generated_by_highest(v):
+        raise ConventionError(
+            "braiding needs a first factor whose basis is F-words of e_0")
+    ctx = v.ctx
     dv, dw = v.dim, w.dim
-    below = [[k for k in range(dw)
-              if _strictly_below(lie, w.weights[k], w.weights[j])]
-             for j in range(dw)]
-    v_at = v.weight_indices()
-    lead = []       # per col: the leading coefficient, at row support[col][0]
-    support = []    # per col: (row, unknown index, or None at the lead)
-    unknowns = []   # (row, col) per unknown
-    for i in range(dv):
+    wv = tensor(w, v)
+    cols = [{j * dv: ctx.q_power(cartan.bilinear(v.lie, v.highest, wt))}
+            for j, wt in enumerate(w.weights)]
+    for a, p in v.parents[1:]:
+        f_wv, f_w = wv.f_mats[a - 1], w.f_mats[a - 1].cols
+        minus_kinv = -ctx.q_power(-v.k_exps[a - 1][p])
+        prev = cols[p * dw:(p + 1) * dw]
         for j in range(dw):
-            col = i * dw + j
-            total = tuple(a + b for a, b in zip(v.weights[i], w.weights[j]))
-            lead.append(ctx.q_power(
-                cartan.bilinear(lie, v.weights[i], w.weights[j])))
-            sup = [(j * dv + i, None)]
-            for k in below[j]:
-                rest = tuple(a - b for a, b in zip(total, w.weights[k]))
-                for l in v_at.get(rest, ()):
-                    sup.append((k * dv + l, len(unknowns)))
-                    unknowns.append((k * dv + l, col))
-            support.append(sup)
-    vw = tensor(v, w)
-    wv = vw if v is w else tensor(w, v)
-    rows = []
-    rhs = []
-    zero = ctx.zero
-    for kind in ("E", "F"):
-        for a in range(1, lie.rank + 1):
-            act_in = vw.gen_matrix(kind, a).cols
-            act_out = wv.gen_matrix(kind, a).cols
-            for col in range(dv * dw):
-                # R(g . (e_i (x) f_j)) - g . R(e_i (x) f_j), per output row;
-                # the key None collects the leading (known) terms
-                eqs = {}
-                for c2, cf in act_in.get(col, {}).items():
-                    for r2, u in support[c2]:
-                        eq = eqs.setdefault(r2, {})
-                        term = cf if u is not None else cf * lead[c2]
-                        eq[u] = eq[u] + term if u in eq else term
-                for r0, u in support[col]:
-                    for r2, cf in act_out.get(r0, {}).items():
-                        eq = eqs.setdefault(r2, {})
-                        term = cf if u is not None else cf * lead[col]
-                        eq[u] = eq[u] - term if u in eq else -term
-                for r2 in sorted(eqs):
-                    eq = eqs[r2]
-                    const = eq.pop(None, zero)
-                    row = {u: x for u, x in eq.items() if x}
-                    if row or const:
-                        rows.append(row)
-                        rhs.append(-const)
-    sol = solve_unique(rows, rhs, len(unknowns), ctx.one)
-    cols = [{sup[0][0]: x} for sup, x in zip(support, lead)]
-    for (r, c), x in zip(unknowns, sol):
-        cols[c][r] = x
-    return Braiding(v, w, SparseMatrix(dv * dw, dv * dw, dict(enumerate(cols))))
+            col = f_wv.matvec(prev[j])
+            for r, x in f_w.get(j, {}).items():
+                dv_add_scaled(col, prev[r], minus_kinv * x)
+            cols.append(col)
+    mat = SparseMatrix(dv * dw, dv * dw, dict(enumerate(cols)))
+    if not check_intertwines(mat, wv if v is w else tensor(v, w), wv):
+        raise ConventionError("the transported braiding does not intertwine")
+    return Braiding(v, w, mat)
 
 
 def _apply_r(r: SparseMatrix, vec: dict, d: int, slot: int) -> dict:
@@ -151,9 +111,10 @@ def ybe_check(v: ModuleData, br: Braiding | None = None) -> bool:
     weight vector, generate V (x) V (x) V whenever every basis vector of V is
     an F-word applied to e_h (Jantzen, Lectures on Quantum Groups, ch. 3-5).
     Two F-commuting maps that agree on those dim(V)^2 vectors are equal, so
-    only they are checked.  Otherwise (a module with no F-word data, or a
-    matrix that does not intertwine or breaks weight) both sides are applied
-    to every basis vector.  Every comparison is exact.
+    only they are checked.  Otherwise (a braiding passed in for a module
+    with no F-word data, or a matrix that does not intertwine or breaks
+    weight) both sides are applied to every basis vector.  Every comparison
+    is exact.
     """
     if br is None:
         br = braiding(v, v)

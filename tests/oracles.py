@@ -8,19 +8,23 @@ generator matrices), reduced row echelon forms from plain dense
 Gauss-Jordan elimination on lists (not the sparse engine), the
 Yang-Baxter identity from full products of Kronecker matrices on
 V (x) V (x) V (not the reduced set of columns), braid operators from
-whole braid-image matrices (not words applied by matvec), and root vectors
+whole braid-image matrices (not words applied by matvec), root vectors
 by conjugating whole matrices with prefix products of braid operators (not
-column by column).
+column by column), and braidings as the unique solution of the intertwining
+system (not by transport along F-words).
 """
 
 from fractions import Fraction
 from itertools import product
 
+from qflag import cartan
 from qflag.cartan import (bilinear_form, cartan_matrix, positive_roots,
                           reflect_weight, root_to_weight, symmetrizers,
                           w0_on_weight, weight_to_root_int)
-from qflag.linalg import SparseMatrix, invert_blocks
-from qflag.reps import transport
+from qflag.errors import ConventionError, DomainError
+from qflag.linalg import SparseMatrix, invert_blocks, solve_unique
+from qflag.reps import ModuleData, tensor, transport
+from qflag.rmatrix import Braiding
 
 
 def freudenthal_multiplicities(lie, lam):
@@ -230,3 +234,78 @@ def root_vector_matrix(rv):
     """A root vector assembled from its column(c), c = 0..dim-1."""
     return SparseMatrix(rv.dim, rv.dim,
                         {c: rv.column(c) for c in range(rv.dim)})
+
+
+def _strictly_below(lie, mu, nu):
+    """mu < nu in the dominance order (nu - mu a nonzero sum of simple roots)."""
+    diff = tuple(a - b for a, b in zip(nu, mu))
+    if all(x == 0 for x in diff):
+        return False
+    try:
+        c = cartan.weight_to_root_int(lie, diff)
+    except DomainError:
+        return False
+    return all(x >= 0 for x in c)
+
+
+def braiding_by_solve(v: ModuleData, w: ModuleData) -> Braiding:
+    """Solve for R_{V,W}; raises ConventionError unless the solution is unique."""
+    if v.lie != w.lie:
+        raise ConventionError("braiding of modules over different types")
+    lie, ctx = v.lie, v.ctx
+    dv, dw = v.dim, w.dim
+    below = [[k for k in range(dw)
+              if _strictly_below(lie, w.weights[k], w.weights[j])]
+             for j in range(dw)]
+    v_at = v.weight_indices()
+    lead = []       # per col: the leading coefficient, at row support[col][0]
+    support = []    # per col: (row, unknown index, or None at the lead)
+    unknowns = []   # (row, col) per unknown
+    for i in range(dv):
+        for j in range(dw):
+            col = i * dw + j
+            total = tuple(a + b for a, b in zip(v.weights[i], w.weights[j]))
+            lead.append(ctx.q_power(
+                cartan.bilinear(lie, v.weights[i], w.weights[j])))
+            sup = [(j * dv + i, None)]
+            for k in below[j]:
+                rest = tuple(a - b for a, b in zip(total, w.weights[k]))
+                for l in v_at.get(rest, ()):
+                    sup.append((k * dv + l, len(unknowns)))
+                    unknowns.append((k * dv + l, col))
+            support.append(sup)
+    vw = tensor(v, w)
+    wv = vw if v is w else tensor(w, v)
+    rows = []
+    rhs = []
+    zero = ctx.zero
+    for kind in ("E", "F"):
+        for a in range(1, lie.rank + 1):
+            act_in = vw.gen_matrix(kind, a).cols
+            act_out = wv.gen_matrix(kind, a).cols
+            for col in range(dv * dw):
+                # R(g . (e_i (x) f_j)) - g . R(e_i (x) f_j), per output row;
+                # the key None collects the leading (known) terms
+                eqs = {}
+                for c2, cf in act_in.get(col, {}).items():
+                    for r2, u in support[c2]:
+                        eq = eqs.setdefault(r2, {})
+                        term = cf if u is not None else cf * lead[c2]
+                        eq[u] = eq[u] + term if u in eq else term
+                for r0, u in support[col]:
+                    for r2, cf in act_out.get(r0, {}).items():
+                        eq = eqs.setdefault(r2, {})
+                        term = cf if u is not None else cf * lead[col]
+                        eq[u] = eq[u] - term if u in eq else -term
+                for r2 in sorted(eqs):
+                    eq = eqs[r2]
+                    const = eq.pop(None, zero)
+                    row = {u: x for u, x in eq.items() if x}
+                    if row or const:
+                        rows.append(row)
+                        rhs.append(-const)
+    sol = solve_unique(rows, rhs, len(unknowns), ctx.one)
+    cols = [{sup[0][0]: x} for sup, x in zip(support, lead)]
+    for (r, c), x in zip(unknowns, sol):
+        cols[c][r] = x
+    return Braiding(v, w, SparseMatrix(dv * dw, dv * dw, dict(enumerate(cols))))

@@ -147,13 +147,13 @@ def test_criterion_10_rmatrix_suite(algebras, flag_of):
         alg = algebras(str(flag.lie))
         lam = crossed(flag)
         v = alg.module(lam)
-        br = braiding(v, v)   # raises unless the solution is unique
+        br = braiding(v, v)   # raises unless the braiding is certified
         assert ybe_check(v, br), name
         hw = v.highest_index
         lead = br.coeff(hw, hw, hw, hw)
         assert lead == alg.ctx.q_power(bilinear(flag.lie, lam, lam))
-    _passed(10, "YBE exact, leading term q^((l,l)) exact, solver unique on "
-                "all six crossed blocks")
+    _passed(10, "YBE exact, leading term q^((l,l)) exact, braiding "
+                "certified on all six crossed blocks")
 
 
 def test_criterion_11_lusztig_suite(algebras):

@@ -67,16 +67,27 @@ def test_act_v_basics(algebras):
 
 
 def test_actions_drop_entries_that_cancel(algebras):
-    # the two columns of m cancel at (lam, 0, 0) on a's support; the
-    # transposed matrix cancels at the same key under the right action
-    alg = algebras("A1")
-    one = alg.ctx.one
-    lam = (1,)
-    m = linalg.SparseMatrix(2, 2, {0: {0: one, 1: one}, 1: {0: -one}})
-    a = {(lam, 0, 0): one, (lam, 0, 1): one}
-    assert alg.act_v(lambda _: m, a) == {(lam, 0, 1): one}
-    b = {(lam, 0, 0): one, (lam, 1, 0): one}
-    assert alg.act_f(lambda _: m.transpose(), b) == {(lam, 1, 0): one}
+    # E_1 on V_(2,1) has a row and a column with two entries: two terms
+    # matched to them cancel under the left and the right action, and the
+    # results equal the sums of the single-term actions (no zero kept)
+    alg = algebras("A2")
+    lam, tag = (2, 1), ("E", 1)
+    e1 = alg.module(lam).gen_matrix(*tag)
+    r, row = next((r, row) for r, row in sorted(e1.transpose().cols.items())
+                  if len(row) > 1)
+    s, col = next((s, col) for s, col in sorted(e1.cols.items())
+                  if len(col) > 1)
+
+    def check(act, pair, key, at):
+        (c1, x1), (c2, x2) = sorted(pair.items())[:2]
+        out = act(tag, {key(c1): x2, key(c2): -x1})
+        assert at not in out
+        want = act(tag, {key(c1): x2})
+        dv_add_scaled(want, act(tag, {key(c2): x1}), -1)
+        assert out == want
+
+    check(alg.act_v, row, lambda c: (lam, 0, c), (lam, 0, r))
+    check(alg.act_f, col, lambda c: (lam, c, 0), (lam, s, 0))
 
 
 def test_act_leibniz_single_generators(algebras, flag_of):

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from qflag import cartan, rmatrix
+from qflag import linalg, rmatrix
 from qflag.cartan import LieType, bilinear
 from qflag.errors import ConventionError
 from qflag.linalg import SparseMatrix
@@ -14,7 +15,7 @@ from qflag.reps import (ModuleData, build_irreducible, check_intertwines,
 from qflag.rmatrix import Braiding, braiding, ybe_check
 from qflag.scalars import Scalar
 
-from oracles import ybe_full
+from oracles import braiding_by_solve, ybe_full
 
 A1, A2, B2 = (LieType.parse(t) for t in ("A1", "A2", "B2"))
 
@@ -142,6 +143,16 @@ def test_flip_satisfies_ybe_on_all_columns():
     assert ybe_full(v, p)
 
 
+def _rescaled(v):
+    """F -> 2F, E -> E/2: an isomorphic module whose basis vectors are no
+    longer exactly F-words of the highest weight vector."""
+    ctx = v.ctx
+    return replace(v, e_mats=tuple(m.scale(ctx.from_fraction(Fraction(1, 2)))
+                                   for m in v.e_mats),
+                   f_mats=tuple(m.scale(ctx.from_fraction(2))
+                                for m in v.f_mats))
+
+
 def test_ybe_applies_dim_squared_columns(monkeypatch):
     # each column costs six applications of R12 or R23 (three per side)
     v = _module("A2", (1, 0))
@@ -158,25 +169,57 @@ def test_ybe_applies_dim_squared_columns(monkeypatch):
     calls.clear()
     assert ybe_check(v, _flip(v))
     assert len(calls) == 6 * v.dim ** 3
-    # F -> 2F, E -> E/2 is an isomorphic module, but its basis vectors are no
-    # longer exactly F-words of the highest weight vector: all columns
-    ctx = v.ctx
-    w = replace(v, e_mats=tuple(m.scale(ctx.from_fraction(Fraction(1, 2)))
-                                for m in v.e_mats),
-                f_mats=tuple(m.scale(ctx.from_fraction(2)) for m in v.f_mats))
+    # the rescaled module is not canonical, so its braiding comes from the
+    # solve and the check runs on all columns
+    w = _rescaled(v)
     calls.clear()
-    assert ybe_check(w, braiding(w, w))
+    assert ybe_check(w, braiding_by_solve(w, w))
     assert len(calls) == 6 * w.dim ** 3
 
 
-def test_strictly_below_lets_unexpected_errors_through(monkeypatch):
-    # only "not in the root lattice" (DomainError) reads as "not below"
-    def boom(lie, lam):
-        raise TypeError("bug in weight_to_root_int")
+def test_braiding_refuses_a_module_that_is_not_canonical():
+    # transport needs every basis vector to be exactly an F-word of e_0
+    v = _module("A2", (1, 0))
+    for bad in (_rescaled(v), replace(v, parents=None)):
+        with pytest.raises(ConventionError):
+            braiding(bad, v)
+    # only the first factor is transported along
+    assert braiding(v, _rescaled(v)).matrix == \
+        braiding_by_solve(v, _rescaled(v)).matrix
 
-    monkeypatch.setattr(cartan, "weight_to_root_int", boom)
-    with pytest.raises(TypeError):
-        rmatrix._strictly_below(A2, (0, 1), (1, 0))
+
+def test_braiding_calls_no_solver(monkeypatch):
+    calls = []
+    solve = linalg.solve_unique
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "solve_unique", None) is solve:
+            monkeypatch.setattr(mod, "solve_unique", counting)
+    v = _module("C2", (0, 1))
+    braiding(v, v)
+    assert calls == []
+    braiding_by_solve(v, v)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name,lam,mu", [
+    ("A2", (1, 0), None), ("C3", (0, 0, 1), None), ("A4", (0, 1, 0, 0), None),
+    ("A5", (0, 0, 1, 0, 0), None), ("B3", (0, 0, 1), None),
+    ("D6", (0, 0, 0, 0, 0, 1), None), ("E6", (1, 0, 0, 0, 0, 0), None),
+    ("A2", (1, 0), (0, 1)), ("A3", (1, 0, 0), (0, 1, 0)),
+    ("A4", (0, 1, 0, 0), (0, 0, 1, 0)), ("B2", (1, 0), (0, 1)),
+    ("A2", (1, 0), (0, 0)), ("B2", (0, 1), (0, 0)),
+])
+def test_braiding_equals_the_solve(name, lam, mu):
+    # the transported braiding is the unique solution of the intertwining
+    # system, entry for entry
+    v = _module(name, lam)
+    w = v if mu is None else _module(name, mu)
+    assert braiding(v, w).matrix == braiding_by_solve(v, w).matrix
 
 
 def test_naturality_spot_check():
@@ -195,15 +238,19 @@ def test_naturality_spot_check():
 
 
 def test_inconsistent_system_detected():
-    # corrupting a generator matrix breaks intertwinability: the solver must
-    # report the convention failure instead of returning a representative
+    # corrupting a generator matrix breaks intertwinability: the F-words are
+    # intact, so the braiding is transported, and its certification must
+    # report the convention failure instead of returning it
     ctx = context_for(A1)
     v = build_irreducible(ctx, A1, (1,))
     bad = ModuleData(lie=A1, ctx=ctx, highest=(1,), dim=2, weights=v.weights,
                      e_mats=(v.e_mats[0].scale(ctx.from_fraction(2)),),
-                     f_mats=v.f_mats, k_exps=v.k_exps, highest_index=0)
-    with pytest.raises(ConventionError):
+                     f_mats=v.f_mats, k_exps=v.k_exps, highest_index=0,
+                     parents=v.parents)
+    with pytest.raises(ConventionError, match="does not intertwine"):
         braiding(bad, v)
+    with pytest.raises(ConventionError):
+        braiding_by_solve(bad, v)
 
 
 def test_intertwines_detects_one_changed_entry():
@@ -296,7 +343,7 @@ def braiding_digest(mat) -> str:
      "f46f8a757c2590e0df6935c23ffdcb16f1b7dbb6af14fe3d69ecae236ff0749a"),
 ])
 def test_braiding_digest_pinned(name, lam, mu, digest):
-    # digests of the braidings solved by dense elimination
+    # digests recorded from the braidings of the linear solve
     lie = LieType.parse(name)
     ctx = context_for(lie)
     v = build_irreducible(ctx, lie, lam)
