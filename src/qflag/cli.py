@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Machine-readable JSON goes to standard output (and, with --json PATH, to a
-file); progress notes go to standard error.  Identical invocations against
-identical cache state produce byte-identical output: reports carry no
-timestamps and all containers are emitted with sorted keys.
+file); progress notes go to standard error.  Identical invocations produce
+byte-identical output: reports carry no timestamps and all containers are
+emitted with sorted keys.
 
 Exit codes: 0 all requested checks passed, 1 a verification failed,
 2 usage or domain error.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -52,8 +51,7 @@ def _context(args, lie: LieType) -> QContext:
 
 
 def _algebra(args, lie: LieType) -> PWAlgebra:
-    return PWAlgebra(lie, ctx=_context(args, lie), cache_dir=args.cache,
-                     guard=args.guard)
+    return PWAlgebra(lie, ctx=_context(args, lie), guard=args.guard)
 
 
 def _parse_krange(text: str):
@@ -291,32 +289,6 @@ def cmd_verify(args) -> int:
     return 0 if rep["ok"] else 1
 
 
-def cmd_cache(args) -> int:
-    doc = {
-        "schema": "qflag-report",
-        "schema_version": verify.SCHEMA_VERSION,
-        "kind": "cache",
-        "action": args.action,
-        "dir": args.cache,
-        "files": [],
-    }
-    if not args.cache:
-        raise QflagError("cache command requires --cache DIR")
-    if os.path.isdir(args.cache):
-        found = sorted(n for n in os.listdir(args.cache) if n.startswith("cg_"))
-        names = [n for n in found if n.endswith(".json")]
-        if args.action == "clear":
-            # a cg_*.tmp is a write killed before its rename
-            for n in found:
-                if n.endswith((".json", ".tmp")):
-                    os.unlink(os.path.join(args.cache, n))
-            doc["cleared"] = len(names)
-        else:
-            doc["files"] = names
-    _emit(doc, args)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qflag",
@@ -326,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arithmetic mode: fully symbolic over Q(s), or "
                         "specialized at an exact rational q (must have a "
                         "rational L-th root)")
-    p.add_argument("--cache", default=None, metavar="DIR",
-                   help="structure-constant cache directory")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the JSON report to PATH")
     p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
@@ -386,9 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for randomized property samples")
     c.set_defaults(func=cmd_verify)
 
-    c = sub.add_parser("cache", help="inspect or clear the structure cache")
-    c.add_argument("action", choices=("info", "clear"))
-    c.set_defaults(func=cmd_cache)
     for name in ("liouville", "borel-weil", "verify"):
         sub.choices[name].add_argument(
             "--word-check", action="store_true",

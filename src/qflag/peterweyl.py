@@ -10,12 +10,9 @@ two basis elements is a matrix coefficient of the tensor module, re-expanded
 through the Clebsch-Gordan embeddings on the functional slot and projections
 on the vector slot.  A product reads the projections one tensor column at a
 time, so only the weight blocks of the columns it reads are ever inverted
-(see :class:`qflag.reps.CGDecomposition`).  Structure constants per weight
-pair are cached in memory and, in symbolic mode, persisted one JSON file per
-pair holding each summand's highest weight vector, from which a load rebuilds
-the decomposition as :func:`qflag.reps.decompose` does (atomic write,
-self-describing header; a stale, foreign or malformed file, or one whose
-vectors are not exactly those ``decompose`` finds, is treated as a miss).
+(see :class:`qflag.reps.CGDecomposition`).  Each pair's decomposition is
+computed by :func:`qflag.reps.decompose` on first use and kept in memory
+for the life of the algebra; nothing is read from or written to disk.
 
 Action conventions: act_v lets a generator act on the vector slot
 through the module matrices (the natural left action); act_f is the right
@@ -32,9 +29,6 @@ which computes a column of a root vector when it is first read.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 
 from . import cartan
@@ -44,8 +38,6 @@ from .linalg import SparseMatrix, dv_add_scaled, solve_unique
 from .reps import (DEFAULT_GUARD, CGDecomposition, LusztigOperators,
                    ModuleData, build_irreducible, context_for, decompose,
                    dual_pairing, joint_kernel, tensor)
-
-CACHE_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -83,7 +75,12 @@ class GradedSlice:
 
 
 class PWAlgebra:
-    """Workspace for one quantized coordinate algebra O_q(G)."""
+    """Workspace for one quantized coordinate algebra O_q(G).
+
+    ``cache_dir`` is accepted and ignored: decompositions are always
+    computed, and the keyword stays only so that callers written for the
+    former on-disk cache keep working.
+    """
 
     def __init__(self, lie: LieType, ctx=None, cache_dir=None,
                  guard=DEFAULT_GUARD):
@@ -91,7 +88,6 @@ class PWAlgebra:
         self.ctx = ctx if ctx is not None else context_for(lie)
         if self.ctx.L != cartan.lattice_denominator(lie):
             raise DomainError("context does not match the type's exponent lattice")
-        self.cache_dir = cache_dir
         self.guard = guard
         self._modules = {}
         self._ops = {}
@@ -135,11 +131,7 @@ class PWAlgebra:
         got = self._cg.get(key)
         if got is not None:
             return got[0]
-        t_mod = tensor(self.module(lam), self.module(mu))
-        cg = self._load_cg(*key, t_mod)
-        if cg is None:
-            cg = decompose(t_mod, self.module)
-            self._store_cg(key[0], key[1], cg)
+        cg = decompose(tensor(self.module(lam), self.module(mu)), self.module)
         # per summand: its weight and the rows of its embedding
         rows = [(s.nu, s.emb.transpose().cols) for s in cg.summands]
         self._cg[key] = (cg, rows)
@@ -149,123 +141,6 @@ class PWAlgebra:
         """The decomposition of V_lam (x) V_mu and its embeddings' rows."""
         self.cg(lam, mu)
         return self._cg[(tuple(lam), tuple(mu))]
-
-    def _cache_path(self, lam, mu):
-        name = "cg_{}_L{}_v{}_{}_{}.json".format(
-            self.lie, self.ctx.L, CACHE_FORMAT,
-            "-".join(map(str, lam)), "-".join(map(str, mu)))
-        return os.path.join(self.cache_dir, name)
-
-    def _store_cg(self, lam, mu, cg: CGDecomposition):
-        if self.cache_dir is None or not self.ctx.symbolic:
-            return
-        doc = {
-            "format": CACHE_FORMAT,
-            "kind": "cg",
-            "type": str(self.lie),
-            "L": self.ctx.L,
-            "s_meaning": f"s = q^(1/{self.ctx.L})",
-            "lambda": list(lam),
-            "mu": list(mu),
-            "summands": [
-                {"nu": list(s.nu),
-                 "hw": [[t, str(v)] for t, v in sorted(s.emb.cols[0].items())]}
-                for s in cg.summands
-            ],
-        }
-        os.makedirs(self.cache_dir, exist_ok=True)
-        path = self._cache_path(lam, mu)
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, prefix="cg_",
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    def _load_cg(self, lam, mu, t_mod):
-        """The cached decomposition of t_mod = V_lam (x) V_mu, or None on a miss.
-
-        A file holds each summand's weight nu and seed (its highest weight
-        vector in t_mod) as :func:`qflag.reps.decompose` finds them, and is
-        rebuilt by the same constructor.  A file that is unreadable, foreign
-        or malformed counts as a miss: wrong or mistyped keys, a nu that is
-        not a dominant weight of t_mod, an empty seed, an index outside
-        t_mod or at a weight other than nu, a scalar that does not parse or
-        is zero, a seed not killed by every E_i (checked exactly), summands
-        out of (|nu|, nu) order, the seeds of a weight not in the reduced
-        echelon form of :func:`qflag.reps.joint_kernel` (largest keys
-        increasing, entry 1 there and 0 at the other seeds' largest keys),
-        or a ConventionError from the constructor.  The joint kernel has
-        only one such basis, so a hit equals the computed decomposition.
-        """
-        if self.cache_dir is None or not self.ctx.symbolic:
-            return None
-        path = self._cache_path(lam, mu)
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if (not isinstance(doc, dict) or doc.get("format") != CACHE_FORMAT
-                or doc.get("kind") != "cg" or doc.get("type") != str(self.lie)
-                or doc.get("L") != self.ctx.L or doc.get("lambda") != list(lam)
-                or doc.get("mu") != list(mu)
-                or not isinstance(doc.get("summands"), list)):
-            return None
-        one = self.ctx.one
-        seeds, key, leads = [], None, []
-        for s in doc["summands"]:
-            nu = s.get("nu") if isinstance(s, dict) else None
-            if not (isinstance(nu, list)
-                    and all(type(x) is int and x >= 0 for x in nu)):
-                return None
-            nu = tuple(nu)
-            u = self._parse_seed(s.get("hw"), t_mod, nu)
-            if u is None:
-                return None
-            lead = max(u)
-            if key is not None and (sum(nu), nu, lead) <= key:
-                return None
-            if key is None or key[1] != nu:
-                leads = []
-            key = (sum(nu), nu, lead)
-            # the later seeds' leads exceed lead, so u has no entry there
-            if (u[lead] != one or any(k in u for k in leads)
-                    or any(e.matvec(u) for e in t_mod.e_mats)):
-                return None
-            leads.append(lead)
-            seeds.append((nu, u))
-        try:
-            return CGDecomposition(t_mod, self.module, seeds)
-        except ConventionError:
-            return None
-
-    def _parse_seed(self, entries, t_mod, nu):
-        """Dict-vector from cached [tensor index, scalar text] pairs, or None.
-
-        None unless the list is not empty, each index is a distinct basis
-        vector of t_mod of weight nu and each scalar parses to a nonzero value.
-        """
-        if not (isinstance(entries, list) and entries):
-            return None
-        u = {}
-        parse = self.ctx.parse
-        try:
-            for t, text in entries:
-                if not (type(t) is int and 0 <= t < t_mod.dim and t not in u
-                        and t_mod.weights[t] == nu and isinstance(text, str)):
-                    return None
-                u[t] = parse(text)
-        except (TypeError, ValueError, ZeroDivisionError):
-            return None
-        return u if all(u.values()) else None
 
     # -- Hopf-algebra operations ----------------------------------------------
 

@@ -292,18 +292,35 @@ def dual_module(m: ModuleData) -> ModuleData:
                       f_mats=tuple(f_mats), k_exps=k_exps, highest_index=hi)
 
 
+def generated_by_highest(m: ModuleData) -> bool:
+    """Each basis vector is exactly F_j of its parent, rooted at e_0 = e_h.
+
+    True for canonical builds; then basis vector t is the F-word of
+    ``m.parents`` applied to the highest weight vector, with the module's
+    own F-matrices.  A module with no parents, or whose F-matrices were
+    changed after the build (a rescaled basis, say), fails.
+    """
+    if m.parents is None or m.highest_index != 0:
+        return False
+    one = m.ctx.one
+    return all(m.f_mats[j - 1].cols.get(u) == {t: one}
+               for t, (j, u) in enumerate(m.parents[1:], 1))
+
+
 def transport(src: ModuleData, f_mats, seed: dict) -> SparseMatrix:
     """Carry seed along the F-words of src: column t is F_w . seed.
 
-    src must be a canonical build (it carries F-words); basis vector t of src
-    is F_w applied to its highest weight vector, and column t of the result
-    is the same word of ``f_mats`` applied to seed.  With the F-matrices of
-    a module dst and a highest weight vector seed of dst of src's highest
-    weight, this is the module map src -> dst sending the highest weight
-    vector to seed, exact by irreducibility of src.
+    src must be a canonical build (:func:`generated_by_highest`, else
+    ReducibleModuleError); basis vector t of src is F_w applied to its
+    highest weight vector, and column t of the result is the same word of
+    ``f_mats`` applied to seed.  With the F-matrices of a module dst and a
+    highest weight vector seed of dst of src's highest weight, this is the
+    module map src -> dst sending the highest weight vector to seed, exact
+    by irreducibility of src.
     """
-    if src.parents is None:
-        raise ReducibleModuleError("source module carries no F-word data")
+    if not generated_by_highest(src):
+        raise ReducibleModuleError(
+            "source module is not generated by F-words of e_0")
     cols = [seed]
     for j, p in src.parents[1:]:
         cols.append(f_mats[j - 1].matvec(cols[p]))
@@ -635,7 +652,7 @@ class LusztigOperators:
     FULL_VERIFY_LIMIT = 24
 
     def __init__(self, m: ModuleData):
-        if m.fwords is None or m.highest_index != 0:
+        if not generated_by_highest(m):
             raise ReducibleModuleError("braid operators need a canonical "
                                        "irreducible module")
         self.m = m

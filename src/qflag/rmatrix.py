@@ -1,10 +1,11 @@
 """Braidings R_{V,W}: V (x) W -> W (x) V of the type-1 tensor category.
 
 V must be a canonical build: every basis vector e_i is an F-word applied to
-the highest weight vector e_0 (:func:`_generated_by_highest`).  Then the
-vectors e_0 (x) f_j generate V (x) W under Delta(F) (Jantzen, Lectures on
-Quantum Groups, ch. 3-5), so the braiding is carried along V's F-words from
-its values there, one matrix-vector product per column and no linear solve:
+the highest weight vector e_0 (:func:`qflag.reps.generated_by_highest`).
+Then the vectors e_0 (x) f_j generate V (x) W under Delta(F) (Jantzen,
+Lectures on Quantum Groups, ch. 3-5), so the braiding is carried along V's
+F-words from its values there, one matrix-vector product per column and no
+linear solve:
     R(e_0 (x) f_j) = q^((lam, wt f_j)) f_j (x) e_0,
 since a term f_k (x) e_l with wt f_k < wt f_j would need wt e_l above lam;
 and for e_i = F_a e_p, with Delta(F_a) = F_a (x) 1 + K_a^-1 (x) F_a,
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 from . import cartan
 from .errors import ConventionError
 from .linalg import SparseMatrix, dv_add_scaled
-from .reps import ModuleData, check_intertwines, tensor
+from .reps import (ModuleData, check_intertwines, generated_by_highest,
+                   tensor)
 
 
 @dataclass
@@ -44,7 +46,7 @@ def braiding(v: ModuleData, w: ModuleData) -> Braiding:
     """
     if v.lie != w.lie:
         raise ConventionError("braiding of modules over different types")
-    if not _generated_by_highest(v):
+    if not generated_by_highest(v):
         raise ConventionError(
             "braiding needs a first factor whose basis is F-words of e_0")
     ctx = v.ctx
@@ -85,19 +87,6 @@ def _apply_r(r: SparseMatrix, vec: dict, d: int, slot: int) -> dict:
     return out
 
 
-def _generated_by_highest(v: ModuleData) -> bool:
-    """Each basis vector is exactly F_j of its parent, rooted at e_0 = e_h.
-
-    True for canonical builds; then every basis vector is an F-word applied
-    to the highest weight vector, with the module's own F-matrices.
-    """
-    if v.parents is None or v.highest_index != 0:
-        return False
-    one = v.ctx.one
-    return all(v.f_mats[j - 1].cols.get(u) == {t: one}
-               for t, (j, u) in enumerate(v.parents[1:], 1))
-
-
 def ybe_check(v: ModuleData, br: Braiding | None = None) -> bool:
     """Exact Yang-Baxter identity R12 R23 R12 = R23 R12 R23 on V (x) V (x) V.
 
@@ -119,7 +108,7 @@ def ybe_check(v: ModuleData, br: Braiding | None = None) -> bool:
     if br is None:
         br = braiding(v, v)
     d = v.dim
-    if (br.v is v and br.w is v and _generated_by_highest(v)
+    if (br.v is v and br.w is v and generated_by_highest(v)
             and check_intertwines(br.matrix, vv := tensor(v, v), vv)):
         h = v.highest_index
         cols = range(h * d * d, (h + 1) * d * d)

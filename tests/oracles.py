@@ -11,9 +11,11 @@ V (x) V (x) V (not the reduced set of columns), braid operators from
 whole braid-image matrices (not words applied by matvec), root vectors
 by conjugating whole matrices with prefix products of braid operators (not
 column by column), and braidings as the unique solution of the intertwining
-system (not by transport along F-words).
+system (not by transport along F-words).  :func:`rescaled` gives the tests
+a module that is not a canonical build.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -309,3 +311,13 @@ def braiding_by_solve(v: ModuleData, w: ModuleData) -> Braiding:
     for (r, c), x in zip(unknowns, sol):
         cols[c][r] = x
     return Braiding(v, w, SparseMatrix(dv * dw, dv * dw, dict(enumerate(cols))))
+
+
+def rescaled(v):
+    """F -> 2F, E -> E/2: an isomorphic module whose basis vectors are no
+    longer exactly F-words of the highest weight vector."""
+    ctx = v.ctx
+    return replace(v, e_mats=tuple(m.scale(ctx.from_fraction(Fraction(1, 2)))
+                                   for m in v.e_mats),
+                   f_mats=tuple(m.scale(ctx.from_fraction(2))
+                                for m in v.f_mats))

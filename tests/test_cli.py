@@ -169,13 +169,18 @@ def test_guard_reaches_module_construction(capsys):
 
 
 def test_jobs_is_not_an_option(capsys):
-    for jobs in (["--jobs", "2"], ["--jobs=2"]):
-        code, out, err = run_cli(capsys, *jobs, "borel-weil", "--flag",
+    # --cache and the cache command are gone as well
+    for opt in (["--jobs", "2"], ["--jobs=2"], ["--cache", "DIR"],
+                ["--cache=DIR"]):
+        code, out, err = run_cli(capsys, *opt, "borel-weil", "--flag",
                                  "A1/1", "--k", "0:1", "--depth", "2")
         assert code == 2 and err.startswith("usage:") and out == ""
         # the message names the option, not its value as a command
-        assert "unrecognized arguments: --jobs" in err
+        name = opt[0].split("=")[0]
+        assert f"unrecognized arguments: {name}" in err
         assert "invalid choice" not in err
+    code, out, err = run_cli(capsys, "cache", "info")
+    assert code == 2 and out == "" and "invalid choice: 'cache'" in err
 
 
 def test_command_options_refused_elsewhere(capsys):
@@ -270,92 +275,6 @@ def test_properties_suite_seeded(capsys):
     assert code == 0 and json.loads(out3)["ok"]
 
 
-def test_cache_cold_vs_warm_byte_identical(tmp_path, capsys):
-    cache = str(tmp_path / "cg")
-    out1 = str(tmp_path / "a.json")
-    out2 = str(tmp_path / "b.json")
-    code, stdout1, _ = run_cli(capsys, "--cache", cache, "--json", out1,
-                               "verify", "--flag", "A1/1", "--suite",
-                               "borel-weil,coordring", "--depth", "3")
-    assert code == 0
-    assert os.listdir(cache)
-    code, stdout2, _ = run_cli(capsys, "--cache", cache, "--json", out2,
-                               "verify", "--flag", "A1/1", "--suite",
-                               "borel-weil,coordring", "--depth", "3")
-    assert code == 0
-    assert stdout1 == stdout2
-    assert open(out1).read() == open(out2).read() == stdout1
-
-
-def test_cache_file_without_summands_is_recomputed(tmp_path, capsys):
-    cache = str(tmp_path / "cg")
-    argv = ("--cache", cache, "borel-weil", "--flag", "A1/1", "--k", "1:2",
-            "--depth", "3")
-    code, want, _ = run_cli(capsys, *argv)
-    assert code == 0
-    path = os.path.join(cache, "cg_A1_L2_v2_1_1.json")
-    with open(path) as fh:
-        doc = json.load(fh)
-    del doc["summands"]
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0 and out == want
-    with open(path) as fh:
-        assert "summands" in json.load(fh)
-
-
-def test_cache_file_with_a_wrong_entry_is_recomputed(tmp_path, capsys):
-    # a well-formed file with one wrong value must not reach the report
-    cache = str(tmp_path / "cg")
-    argv = ("--cache", cache, "borel-weil", "--flag", "A1/1", "--k", "1:2",
-            "--depth", "3")
-    code, want, _ = run_cli(capsys, *argv)
-    assert code == 0
-    path = os.path.join(cache, "cg_A1_L2_v2_1_1.json")
-    with open(path) as fh:
-        text = fh.read()
-    doc = json.loads(text)
-    doc["summands"][0]["hw"][-1][1] = "17"    # the seed's leading entry
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0 and out == want
-    assert json.loads(out)["zbar_normalization"] == "1"
-    with open(path) as fh:
-        assert fh.read() == text
-
-
-def test_cache_subcommand(tmp_path, capsys):
-    cache = str(tmp_path / "cg")
-    run_cli(capsys, "--cache", cache, "coordring", "--flag", "A1/1",
-            "--maxdeg", "2", "--depth", "3")
-    code, out, _ = run_cli(capsys, "--cache", cache, "cache", "info")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["files"]
-    code, out, _ = run_cli(capsys, "--cache", cache, "cache", "clear")
-    assert code == 0
-    assert json.loads(out)["cleared"] >= 1
-    code, out, _ = run_cli(capsys, "--cache", cache, "cache", "info")
-    assert json.loads(out)["files"] == []
-
-
-def test_cache_clear_removes_a_stray_temp_file(tmp_path, capsys):
-    # a write killed before its rename leaves cg_*.tmp behind
-    cache = tmp_path / "cg"
-    run_cli(capsys, "--cache", str(cache), "coordring", "--flag", "A1/1",
-            "--maxdeg", "2", "--depth", "3")
-    (cache / "cg_k1l2m3.tmp").write_text("{")
-    (cache / "notes.tmp").write_text("")
-    code, out, _ = run_cli(capsys, "--cache", str(cache), "cache", "info")
-    files = json.loads(out)["files"]
-    assert code == 0 and files and all(f.endswith(".json") for f in files)
-    code, out, _ = run_cli(capsys, "--cache", str(cache), "cache", "clear")
-    assert code == 0 and json.loads(out)["cleared"] == len(files)
-    assert os.listdir(cache) == ["notes.tmp"]
-
-
 def test_relations_cli(capsys):
     code, out, _ = run_cli(capsys, "relations", "--flag", "A2/1",
                            "--maxdeg", "3")
@@ -428,12 +347,11 @@ def _readme_commands():
 
 def test_readme_commands_run(tmp_path, capsys):
     commands = _readme_commands()
-    assert len(commands) == 10
+    assert len(commands) == 9
     for argv in commands:
         assert argv[0] == "qflag"
         argv = [a.strip("[]") for a in argv[1:]]
-        argv = [str(tmp_path / "cg") if a == "DIR" else
-                str(tmp_path / "out.json") if a == "out.json" else a
+        argv = [str(tmp_path / "out.json") if a == "out.json" else a
                 for a in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)

@@ -1,19 +1,14 @@
 import hashlib
 import itertools
 import json
-import os
 import random
-import tempfile
 
 import pytest
 
 from oracles import slice_dim_by_weights
-from qflag import linalg, peterweyl, reps
 from qflag.cartan import LieType, weyl_dim
-from qflag.cli import main
 from qflag.linalg import dv_add_scaled
 from qflag.peterweyl import PWAlgebra
-from qflag.scalars import scalar_from_str
 
 A1 = LieType.parse("A1")
 A2 = LieType.parse("A2")
@@ -241,117 +236,26 @@ def test_grading_multiplicative(algebras, flag_of):
             assert span.contains(p)
 
 
-def test_structure_cache_roundtrip(tmp_path, flag_of):
-    cache = str(tmp_path / "cg")
-    alg1 = PWAlgebra(A1, cache_dir=cache)
-    gens = alg1.generators(flag_of("A1/1"))
-    p1 = alg1.multiply(gens.z[0], gens.zbar[1])
-    import os
-    files = sorted(os.listdir(cache))
-    assert files and all(f.startswith("cg_A1_") for f in files)
-    # a second algebra instance reloads the persisted constants bit-exactly
-    alg2 = PWAlgebra(A1, cache_dir=cache)
-    gens2 = alg2.generators(flag_of("A1/1"))
-    p2 = alg2.multiply(gens2.z[0], gens2.zbar[1])
-    assert p1 == p2
-    before = {f: open(os.path.join(cache, f)).read() for f in files}
-    # rerun and compare bytes (idempotent persistence)
-    alg3 = PWAlgebra(A1, cache_dir=cache)
-    gens3 = alg3.generators(flag_of("A1/1"))
-    alg3.multiply(gens3.z[0], gens3.zbar[1])
-    after = {f: open(os.path.join(cache, f)).read() for f in sorted(os.listdir(cache))}
-    assert before == after
-
-
-def test_cold_cache_files_are_pinned(tmp_path, capsys):
-    # each file holds the seeds decompose finds, whichever blocks were read
-    cache = str(tmp_path / "cg")
-    assert main(["--cache", cache, "verify", "--flag", "A2/1",
-                 "--suite", "borel-weil", "--depth", "2"]) == 0
-    capsys.readouterr()
-    digests = {}
-    for name in os.listdir(cache):
-        with open(os.path.join(cache, name), "rb") as fh:
-            digests[name] = hashlib.sha256(fh.read()).hexdigest()
-    assert digests == {
-        "cg_A2_L3_v2_0-1_1-0.json":
-            "ebb5b258a3afc6c84075ca66286bce6ffab256458f4126861e38f36a4aeb0eb0",
-        "cg_A2_L3_v2_1-0_1-0.json":
-            "335add77e8aecc8d48f55c78961f7e8c1a7dba061b3df934ed78421c16392235",
-    }
-
-
-def test_cold_cache_run_inverts_no_more_than_an_uncached_one(
-        tmp_path, capsys, monkeypatch):
-    calls = []
-    original = linalg.invert_dense
-
-    def counted(rows, one):
-        calls.append(len(rows))
-        return original(rows, one)
-
-    # reps inverts CG blocks by its own name, invert_blocks by linalg's
-    monkeypatch.setattr(linalg, "invert_dense", counted)
-    monkeypatch.setattr(reps, "invert_dense", counted)
-    argv = ["verify", "--flag", "A2/1", "--suite", "borel-weil",
-            "--depth", "2"]
-    assert main(argv) == 0
-    uncached = sorted(calls)
-    calls.clear()
-    assert main(["--cache", str(tmp_path / "cg")] + argv) == 0
-    capsys.readouterr()
-    assert sorted(calls) == uncached
-
-
-@pytest.mark.parametrize("lie,lam,mu", [
-    (A1, (1,), (2,)), (A2, (1, 0), (0, 1)), (A2, (1, 1), (1, 1)),
-    (LieType.parse("B2"), (1, 0), (0, 1)),
-    (LieType.parse("C2"), (1, 1), (0, 1))])
-def test_warm_hit_equals_computed_without_decomposing(
-        tmp_path, monkeypatch, lie, lam, mu):
-    cache = str(tmp_path / "cg")
-    ref = PWAlgebra(lie, cache_dir=cache).cg(lam, mu)
+@pytest.mark.parametrize("lam,mu,digest", [
+    ((0, 1), (1, 0),
+     "b5b82f86bc1eeae2bca9374b8b92b4f2eb63ca82cb65daefe9416f3a1cf1a677"),
+    ((1, 0), (1, 0),
+     "b2ae3583e92e4cc8b5c736dafc358124dd4332acf8013b5a35de46a19d3fb831"),
+    ((1, 1), (1, 1),
+     "64686a5a85963fc69587c43d51e6b2587d888145a1c3c959cde12bf19af6759b"),
+])
+def test_cg_seeds_are_pinned(lam, mu, digest):
+    # each summand's weight and highest weight vector, as decompose finds
+    # them, whichever projection blocks are read
+    cg = PWAlgebra(A2).cg(lam, mu)
     if lam == mu == (1, 1):
         # (1,1) (x) (1,1) holds the adjoint summand twice
-        assert [s.nu for s in ref.summands].count((1, 1)) == 2
-
-    def refuse(*args):
-        raise AssertionError("a cache hit must not recompute")
-
-    monkeypatch.setattr(peterweyl, "decompose", refuse)
-    monkeypatch.setattr(reps, "decompose", refuse)
-    monkeypatch.setattr(reps, "joint_kernel", refuse)
-    assert PWAlgebra(lie, cache_dir=cache).cg(lam, mu) == ref
-
-
-def test_cache_write_goes_through_a_cg_temp_file(tmp_path, monkeypatch):
-    # so that `cache clear` finds the one a killed write leaves behind
-    names = []
-    original = tempfile.mkstemp
-
-    def recorded(*args, **kwargs):
-        fd, path = original(*args, **kwargs)
-        names.append(os.path.basename(path))
-        return fd, path
-
-    monkeypatch.setattr(tempfile, "mkstemp", recorded)
-    PWAlgebra(A1, cache_dir=str(tmp_path / "cg")).cg((1,), (1,))
-    assert names and all(n.startswith("cg_") and n.endswith(".tmp")
-                         for n in names)
-
-
-def test_corrupt_cache_is_a_miss(tmp_path, flag_of):
-    cache = str(tmp_path / "cg")
-    alg1 = PWAlgebra(A1, cache_dir=cache)
-    gens = alg1.generators(flag_of("A1/1"))
-    ref = alg1.multiply(gens.z[0], gens.z[1])
-    import os
-    files = sorted(os.listdir(cache))
-    with open(os.path.join(cache, files[0]), "w") as fh:
-        fh.write("{not json")
-    alg2 = PWAlgebra(A1, cache_dir=cache)
-    gens2 = alg2.generators(flag_of("A1/1"))
-    assert alg2.multiply(gens2.z[0], gens2.z[1]) == ref
+        assert [s.nu for s in cg.summands].count((1, 1)) == 2
+    text = json.dumps(
+        [{"nu": list(s.nu),
+          "hw": [[t, str(v)] for t, v in sorted(s.emb.cols[0].items())]}
+         for s in cg.summands], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_specialized_mode_products(flag_of):
@@ -364,93 +268,3 @@ def test_specialized_mode_products(flag_of):
     for zb, z in zip(gens.zbar, gens.z):
         dv_add_scaled(s, alg.multiply(zb, z), 1)
     assert s == alg.one()
-
-
-def _drop(key):
-    def edit(doc):
-        del doc[key]
-    return edit
-
-
-def _set_summand(key, value):
-    def edit(doc):
-        doc["summands"][0][key] = value
-    return edit
-
-
-def _set_entry(pos, value):
-    def edit(doc):
-        doc["summands"][0]["hw"][0][pos] = value
-    return edit
-
-
-def _drop_last_summand(doc):
-    doc["summands"].pop()
-
-
-def _scale_seed(doc):
-    hw = doc["summands"][0]["hw"]
-    hw[:] = [[t, str(scalar_from_str(text) * 17)] for t, text in hw]
-
-
-# A1 (1) (x) (1): summand 0 is V_0, seed [[1, "-s^2"], [2, "1"]] (leading
-# key 2); index 0, of weight 2, is killed by E, so only the weight check
-# rejects an entry there.
-@pytest.mark.parametrize("edit", [
-    _drop("summands"),
-    lambda doc: doc.update(summands="x"),
-    _set_summand("nu", "2"),
-    _set_summand("nu", [4]),
-    _set_summand("hw", None),
-    _set_summand("hw", []),
-    _set_entry(1, "s^^2"),
-    _set_entry(1, "(1)/(0)"),
-    _set_entry(1, "0"),
-    _set_entry(0, 99),
-    lambda doc: doc["summands"][0]["hw"].insert(0, [0, "1"]),
-    _drop_last_summand,
-    _set_entry(1, "17"),
-    _set_entry(1, "(1)/(s - 1000003)"),
-    _scale_seed,
-    lambda doc: doc["summands"].reverse(),
-], ids=["no-summands", "summands-str", "nu-str", "nu-above-top", "hw-null",
-        "hw-empty", "unparsable", "zero-denominator", "zero-entry",
-        "row-out-of-range", "index-at-another-weight", "dims-short",
-        "emb-wrong-entry", "no-image-mod-p", "seed-scaled",
-        "summands-swapped"])
-def test_malformed_cache_file_is_a_miss_and_rewritten(tmp_path, edit):
-    cache = str(tmp_path / "cg")
-    ref = PWAlgebra(A1, cache_dir=cache).cg((1,), (1,))
-    path = os.path.join(cache, "cg_A1_L2_v2_1_1.json")
-    with open(path) as fh:
-        text = fh.read()
-    doc = json.loads(text)
-    edit(doc)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    got = PWAlgebra(A1, cache_dir=cache).cg((1,), (1,))
-    assert got == ref
-    with open(path) as fh:
-        assert fh.read() == text
-
-
-def test_seeds_off_the_echelon_basis_are_a_miss(tmp_path):
-    # (1,1) (x) (1,1) has two seeds of weight (1,1); adding the first to the
-    # second keeps a valid decomposition, with the same leading keys and
-    # entries, that is not the one decompose finds
-    cache = str(tmp_path / "cg")
-    ref = PWAlgebra(A2, cache_dir=cache).cg((1, 1), (1, 1))
-    path = os.path.join(cache, "cg_A2_L3_v2_1-1_1-1.json")
-    with open(path) as fh:
-        text = fh.read()
-    doc = json.loads(text)
-    first, second = (s["hw"] for s in doc["summands"] if s["nu"] == [1, 1])
-    mixed = {t: scalar_from_str(v) for t, v in second}
-    for t, v in first:
-        mixed[t] = mixed.get(t, 0) + scalar_from_str(v)
-    second[:] = [[t, str(v)] for t, v in sorted(mixed.items()) if v]
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    assert PWAlgebra(A2, cache_dir=cache).cg((1, 1), (1, 1)) == ref
-    with open(path) as fh:
-        assert fh.read() == text

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (conjugated_root_vector, freudenthal_multiplicities,
-                     root_vector_matrix, theta_by_matrices)
+                     rescaled, root_vector_matrix, theta_by_matrices)
 from qflag.cartan import (LieType, bilinear_form, dominant_weights_up_to,
                           longest_word, minus_w0, root_sequence, weyl_dim)
 from qflag import cartan, linalg, reps
@@ -367,6 +367,22 @@ def test_braid_identities_hold_above_full_verify_limit():
             for j in (1, 2):
                 assert th.mul(m.gen_matrix(kind, j)) == \
                     braid_image(m, i, kind, j).mul(th)
+
+
+def test_rescaled_module_is_refused_above_full_verify_limit():
+    # F -> 2F, E -> E/2 is still a module, but its basis vectors are no
+    # longer exactly F-words of e_0: a Theta transported along its parents
+    # fails the E- and F-identities, which nothing checks above the limit
+    m = build_irreducible(context_for(A2), A2, (2, 2))
+    w = rescaled(m)
+    assert w.dim > LusztigOperators.FULL_VERIFY_LIMIT
+    check_defining_relations(w)
+    with pytest.raises(ReducibleModuleError):
+        LusztigOperators(w).theta(1)
+    with pytest.raises(ReducibleModuleError):
+        transport(w, w.f_mats, {0: m.ctx.one})
+    assert reps.generated_by_highest(m)
+    assert not reps.generated_by_highest(w)
 
 
 def test_theta_check_reuses_the_twisted_f_images(monkeypatch):

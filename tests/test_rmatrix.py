@@ -15,7 +15,7 @@ from qflag.reps import (ModuleData, build_irreducible, check_intertwines,
 from qflag.rmatrix import Braiding, braiding, ybe_check
 from qflag.scalars import Scalar
 
-from oracles import braiding_by_solve, ybe_full
+from oracles import braiding_by_solve, rescaled, ybe_full
 
 A1, A2, B2 = (LieType.parse(t) for t in ("A1", "A2", "B2"))
 
@@ -143,16 +143,6 @@ def test_flip_satisfies_ybe_on_all_columns():
     assert ybe_full(v, p)
 
 
-def _rescaled(v):
-    """F -> 2F, E -> E/2: an isomorphic module whose basis vectors are no
-    longer exactly F-words of the highest weight vector."""
-    ctx = v.ctx
-    return replace(v, e_mats=tuple(m.scale(ctx.from_fraction(Fraction(1, 2)))
-                                   for m in v.e_mats),
-                   f_mats=tuple(m.scale(ctx.from_fraction(2))
-                                for m in v.f_mats))
-
-
 def test_ybe_applies_dim_squared_columns(monkeypatch):
     # each column costs six applications of R12 or R23 (three per side)
     v = _module("A2", (1, 0))
@@ -171,7 +161,7 @@ def test_ybe_applies_dim_squared_columns(monkeypatch):
     assert len(calls) == 6 * v.dim ** 3
     # the rescaled module is not canonical, so its braiding comes from the
     # solve and the check runs on all columns
-    w = _rescaled(v)
+    w = rescaled(v)
     calls.clear()
     assert ybe_check(w, braiding_by_solve(w, w))
     assert len(calls) == 6 * w.dim ** 3
@@ -180,12 +170,12 @@ def test_ybe_applies_dim_squared_columns(monkeypatch):
 def test_braiding_refuses_a_module_that_is_not_canonical():
     # transport needs every basis vector to be exactly an F-word of e_0
     v = _module("A2", (1, 0))
-    for bad in (_rescaled(v), replace(v, parents=None)):
+    for bad in (rescaled(v), replace(v, parents=None)):
         with pytest.raises(ConventionError):
             braiding(bad, v)
     # only the first factor is transported along
-    assert braiding(v, _rescaled(v)).matrix == \
-        braiding_by_solve(v, _rescaled(v)).matrix
+    assert braiding(v, rescaled(v)).matrix == \
+        braiding_by_solve(v, rescaled(v)).matrix
 
 
 def test_braiding_calls_no_solver(monkeypatch):
