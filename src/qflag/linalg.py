@@ -369,6 +369,20 @@ class SparseMatrix:
                      if (col := {i: v for i, v in c.items() if v})}
 
     @staticmethod
+    def from_clean(nrows, ncols, cols) -> "SparseMatrix":
+        """The matrix of ``cols``, whose columns have no zero entry.
+
+        Empty columns are dropped; the others are kept as they are, not
+        copied, so the caller hands them over.  Products, transposes and
+        tensor actions built with :func:`dv_add_scaled` qualify.
+        """
+        m = SparseMatrix.__new__(SparseMatrix)
+        m.nrows = nrows
+        m.ncols = ncols
+        m.cols = {j: col for j, col in cols.items() if col}
+        return m
+
+    @staticmethod
     def from_entries(nrows, ncols, entries) -> "SparseMatrix":
         """The matrix of ((row, col), value) pairs, as entries_sorted gives."""
         cols = {}
@@ -432,7 +446,7 @@ class SparseMatrix:
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        return SparseMatrix(self.nrows, other.ncols, {
+        return SparseMatrix.from_clean(self.nrows, other.ncols, {
             j: self.matvec(col) for j, col in other.cols.items()})
 
     def matvec(self, vec: dict) -> dict:
@@ -450,7 +464,7 @@ class SparseMatrix:
         for j, col in self.cols.items():
             for i, v in col.items():
                 rows.setdefault(i, {})[j] = v
-        return SparseMatrix(self.ncols, self.nrows, rows)
+        return SparseMatrix.from_clean(self.ncols, self.nrows, rows)
 
     def power(self, n: int, one) -> "SparseMatrix":
         if n < 0:

@@ -255,8 +255,8 @@ def tensor(m1: ModuleData, m2: ModuleData) -> ModuleData:
                 dv_add_scaled(f_col, {a * d2 + r: v for r, v in
                                       f2.get(b, {}).items()}, kinv)
                 ff[a * d2 + b] = f_col
-        e_mats.append(SparseMatrix(dim, dim, ee))
-        f_mats.append(SparseMatrix(dim, dim, ff))
+        e_mats.append(SparseMatrix.from_clean(dim, dim, ee))
+        f_mats.append(SparseMatrix.from_clean(dim, dim, ff))
     k_exps = tuple(tuple(m1.k_exps[i][t // d2] + m2.k_exps[i][t % d2]
                          for t in range(dim)) for i in range(n))
     return ModuleData(lie=lie, ctx=ctx, highest=None, dim=dim, weights=weights,

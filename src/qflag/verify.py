@@ -23,7 +23,7 @@ from .coordring import (QuadraticAlgebraSpec, abstract_graded_dimension,
                         quadratic_relations, realized_degree2_kernel,
                         realized_graded_dimension,
                         relations_annihilate_realized)
-from .errors import TruncationError
+from .errors import ConventionError, TruncationError
 from .linalg import SpanBasis
 from .peterweyl import PWAlgebra
 
@@ -274,9 +274,22 @@ def highest_weight_audit(algebra: PWAlgebra, flag: FlagSpec, k: int,
     blocks_k = {bl: len(cols) for (bl, cols) in slk.blocks}
     shift_ok = shift == blocks_k
     zk = z_power(algebra, flag, k)
+    # A product b.z^k of a degree-0 element on row r of V_mu lies on rows of
+    # weight wt_mu(r) + wt(z^k) (the CG embeddings preserve weight), and a
+    # span of row-homogeneous elements is the sum of its homogeneous parts;
+    # so a top-row element of block bl is tested against the products with
+    # wt_mu(r) = bl - wt(z^k) alone.
+    zk_weights = {algebra.module(nu).weights[r] for (nu, r, _) in zk}
+    if len(zk_weights) != 1:
+        raise ConventionError("z^k is not on rows of one weight")
+    (zk_weight,) = zk_weights
+    wanted = {tuple(a - b for a, b in zip(bl, zk_weight))
+              for bl, _ in slk.blocks}
     prod_span = SpanBasis()
     for b in algebra.slice_elements(sl0):
-        prod_span.insert(algebra.multiply(b, zk))
+        mu, r, _ = next(iter(b))
+        if algebra.module(mu).weights[r] in wanted:
+            prod_span.insert(algebra.multiply(b, zk))
     factor_rows = []
     factor_ok = True
     for (bl, cols) in slk.blocks:

@@ -13,7 +13,7 @@ from qflag.linalg import (MOD_POINT, SpanBasis, SparseMatrix,
                           column_rank_profile, eliminate, invert_blocks,
                           invert_dense, mod_row_profile, nullspace, rank,
                           solve_unique)
-from qflag.reps import context_for
+from qflag.reps import build_irreducible, context_for, tensor
 
 CTX = context_for(LieType.parse("A1"))
 
@@ -228,11 +228,15 @@ def from_dense(dense, ncols):
         ((i, j), v) for i, row in enumerate(dense) for j, v in enumerate(row)))
 
 
-def as_dense(mat, zero):
+def assert_clean(mat):
     assert all(col and all(col.values()) for col in mat.cols.values()), \
         "an explicit zero or an empty column survived"
     assert all(0 <= j < mat.ncols and all(0 <= i < mat.nrows for i in col)
                for j, col in mat.cols.items())
+
+
+def as_dense(mat, zero):
+    assert_clean(mat)
     return [[mat.entry(i, j) or zero for j in range(mat.ncols)]
             for i in range(mat.nrows)]
 
@@ -294,6 +298,24 @@ def test_sparse_matrix_matches_dense_reference(one, entry):
             if v]
         assert SparseMatrix.from_entries(m, k, sa.entries_sorted()) == sa
         assert SparseMatrix(m, k, {0: {0: zero}, 1: {}}).cols == {}
+
+
+def test_module_tensor_and_product_matrices_are_clean():
+    # tensor, transpose and mul skip the constructor's zero filter, since
+    # dv_add_scaled already drops cancelled entries; this holds them to it
+    lie = LieType.parse("A2")
+    ctx = context_for(lie)
+    v = build_irreducible(ctx, lie, (1, 0))
+    w = build_irreducible(ctx, lie, (1, 1))
+    t = tensor(v, w)
+    for m in (v, w, t):
+        for i in range(lie.rank):
+            e, f = m.e_mats[i], m.f_mats[i]
+            for mat in (e, f, e.transpose(), e.mul(f), f.mul(e),
+                        e.mul(f).sub(f.mul(e)), e.mul(e).mul(e)):
+                assert_clean(mat)
+    # E_1^3 vanishes on the 8-dimensional V_(1,1), by cancellation or not
+    assert w.e_mats[0].power(3, ctx.one).is_zero()
 
 
 def tall_system():

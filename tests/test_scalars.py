@@ -1,11 +1,23 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from qflag import _kernel, _poly_py, scalars
+from qflag.cartan import FlagSpec
 from qflag.errors import DomainError, SpecializationError
 from qflag.scalars import (QContext, Scalar, eval_at, exact_root, qbinom,
                            qfact, qint, scalar_from_str)
+from qflag.verify import verify_suite
+
+try:
+    from qflag import _poly_cy
+except ImportError:           # pragma: no cover - extension not built
+    _poly_cy = None
+
+MEMOS = {"fadd": scalars._fadd, "fsub": scalars._fsub,
+         "fmul": scalars._fmul, "fdiv": scalars._fdiv}
 
 
 def test_qint_values():
@@ -154,3 +166,91 @@ def test_mod_image_is_evaluation_mod_p():
     assert x.mod_image(p, s0) == want
     # a pole at the point has no image
     assert (Scalar.one() / (Scalar.s_power(1) - s0)).mod_image(p, s0) is None
+
+
+# -- the per-operation memo ------------------------------------------------
+
+
+@pytest.fixture
+def empty_memos():
+    for memo in MEMOS.values():
+        memo.cache_clear()
+    yield MEMOS
+    for memo in MEMOS.values():
+        memo.cache_clear()
+
+
+def hits():
+    return {name: memo.cache_info().hits for name, memo in MEMOS.items()}
+
+
+@pytest.mark.parametrize("backend", [
+    _poly_py,
+    pytest.param(_poly_cy, marks=pytest.mark.skipif(
+        _poly_cy is None, reason="compiled kernel not built"))],
+    ids=["pure", "compiled"])
+def test_memoized_ops_equal_direct_kernel_calls(backend, monkeypatch,
+                                                empty_memos):
+    # Scalar reads the kernel through qflag._kernel at call time, so
+    # rebinding it there runs the memo on either backend
+    for name in MEMOS:
+        monkeypatch.setattr(_kernel, name, getattr(backend, name))
+    rng = random.Random(7)
+
+    def poly():
+        return backend.pcanon(rng.randint(0, 4), rng.choice([1, 2, 3]), [
+            rng.randint(-6, 6) for _ in range(rng.randint(1, 5))])
+
+    pool = []
+    while len(pool) < 12:
+        den = poly()
+        if den[2]:
+            pool.append(backend.fmake(poly(), den))
+    ops = {"fadd": operator.add, "fsub": operator.sub,
+           "fmul": operator.mul, "fdiv": operator.truediv}
+    for _ in range(300):
+        x, y = rng.choice(pool), rng.choice(pool)
+        for name, op in ops.items():
+            if name == "fdiv" and backend.fis_zero(y):
+                continue
+            assert op(Scalar(x), Scalar(y))._f == getattr(backend, name)(x, y)
+    # a pool of 12 operands repeats pairs, so every memo was read
+    assert all(hits().values()), hits()
+
+
+def test_division_by_zero_raises_every_time(empty_memos):
+    x = qint(3)
+    for _ in range(3):
+        with pytest.raises(ZeroDivisionError):
+            x / Scalar.zero()
+        with pytest.raises(ZeroDivisionError):
+            x / 0
+        with pytest.raises(ZeroDivisionError):
+            Fraction(1, 2) / Scalar.zero()
+    assert MEMOS["fdiv"].cache_info().currsize == 0
+
+
+def test_int_and_fraction_operands_hit_the_memo(empty_memos):
+    x = qint(2) / qint(3)
+    half = Fraction(1, 2)
+    cases = {"fadd": (lambda: x + 2, lambda: half + x),
+             "fsub": (lambda: x - half, lambda: 3 - x),
+             "fmul": (lambda: x * 2, lambda: half * x),
+             "fdiv": (lambda: x / half, lambda: 3 / x)}
+    for name, calls in cases.items():
+        for call in calls:
+            before = MEMOS[name].cache_info().hits
+            first = call()
+            assert MEMOS[name].cache_info().hits == before
+            assert call() == first
+            assert MEMOS[name].cache_info().hits == before + 1, name
+
+
+def test_memos_stay_bounded_over_a_verify_run(empty_memos):
+    rep = verify_suite(FlagSpec.parse("A2/1"), ["liouville", "borel-weil"])
+    assert rep["ok"]
+    infos = {name: memo.cache_info() for name, memo in MEMOS.items()}
+    assert all(i.maxsize == scalars.MEMO_SIZE for i in infos.values())
+    assert all(i.currsize <= i.maxsize for i in infos.values()), infos
+    # the run evicts, so the bound was reached, not merely respected
+    assert infos["fmul"].currsize == scalars.MEMO_SIZE, infos

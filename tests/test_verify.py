@@ -1,6 +1,7 @@
 import pytest
 
 from qflag import verify
+from qflag.errors import ConventionError
 
 
 def test_borel_weil_k0_row_agrees_with_liouville(algebras, flag_of):
@@ -40,6 +41,53 @@ def test_highest_weight_audit_larger_flags(algebras, flag_of):
         rep = verify.highest_weight_audit(algebras(str(flag.lie)), flag, 1,
                                           depth)
         assert rep["ok"], (name, rep)
+
+
+def test_audit_multiplies_only_the_products_it_tests(algebras, flag_of,
+                                                     monkeypatch):
+    # of the 36 elements of A3/2's degree-0 slice at depth 3, 9 sit on rows
+    # of weight bl - wt(z) for a degree-1 block bl; only those are multiplied
+    flag = flag_of("A3/2")
+    alg = algebras("A3")
+    zk = verify.z_power(alg, flag, 1)
+    assert alg.graded_component(flag, 0, 3).dim == 36
+    multiply = alg.multiply
+    products = []
+
+    def counted(a, b):
+        if b is zk:
+            products.append(a)
+        return multiply(a, b)
+
+    monkeypatch.setattr(verify, "z_power", lambda a, f, k: zk)
+    monkeypatch.setattr(alg, "multiply", counted)
+    rep = verify.highest_weight_audit(alg, flag, 1, 3)
+    assert rep["ok"]
+    assert len(products) == 9
+
+
+def test_audit_answers_false_for_another_generator(algebras, flag_of,
+                                                   monkeypatch):
+    # z^k replaced by a generator z_i off the highest row: every top-row
+    # element of E_1 fails to factor through it
+    flag = flag_of("A2/1")
+    alg = algebras("A2")
+    gens = alg.generators(flag)
+    hw = alg.module(gens.lam).highest_index
+    for i in range(len(gens.z)):
+        if i == hw:
+            continue
+        monkeypatch.setattr(verify, "z_power", lambda a, f, k: gens.z[i])
+        rep = verify.highest_weight_audit(alg, flag, 1, 3)
+        assert rep["block_shift_law"]
+        assert rep["elements"]
+        assert not any(e["factors_through_z_power"] for e in rep["elements"])
+        assert not rep["ok"]
+    # a power on rows of two weights has no one weight to filter by
+    both = {**gens.z[0], **gens.z[1]}
+    monkeypatch.setattr(verify, "z_power", lambda a, f, k: both)
+    with pytest.raises(ConventionError):
+        verify.highest_weight_audit(alg, flag, 1, 3)
 
 
 def test_audit_block_shift_content(algebras, flag_of):
