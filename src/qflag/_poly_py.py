@@ -16,8 +16,26 @@ only as ``(P_ZERO, P_ONE)``, no common s-power (min valuation 0), primitive
 gcd 1, integer contents coprime, and den leading coefficient positive.  This
 makes equality of fractions a tuple comparison.
 
-The compiled twin ``qflag._poly_cy`` implements the same surface; see
-``qflag._kernel`` for backend selection.
+Sums, products and quotients of canonical fractions never take a gcd of a
+product of two operands; they reduce by gcds of the factors instead
+(Henrici, "A subroutine for computations with rational numbers", JACM 1956;
+Knuth, TAOCP vol. 2, 4.5.1).  Since a/b and c/d are coprime pairs,
+
+    (a/b)(c/d) = ((a/g1)(c/g2)) / ((b/g2)(d/g1)),  g1 = (a, d), g2 = (c, b),
+
+and with g = (b, d) and t = a(d/g) + c(b/g), gcd(t, bd/g) = gcd(t, g), so
+
+    a/b + c/d = (t/g2) / ((b/g)(d/g2)),  g2 = (t, g),
+
+which needs no polynomial gcd at all when g = 1.  What is left is the
+common integer content and the sign of the denominator.
+
+The compiled twin ``qflag._poly_cy`` implements the same surface but still
+reduces the full product by one gcd, since its ``.c`` can only be
+regenerated from the ``.pyx`` with Cython.  The canonical form is unique, so
+both return the same fraction; ``tests/test_kernel_parity.py`` cross-checks
+them on operands with shared factors.  See ``qflag._kernel`` for backend
+selection.
 """
 
 from math import gcd
@@ -313,6 +331,27 @@ def pdivexact(a, b):
     return pcanon(off, g, _ddivexact(la, lb))
 
 
+def _pquo(p, g):
+    """p/g for a divisor g from pgcd: a power of s is a shift."""
+    if g == P_ONE:
+        return p
+    if len(g[2]) == 1:
+        return (p[0] - g[0], p[1], p[2])
+    return pdivexact(p, g)
+
+
+def _fnormal(num, den):
+    """Finish a fraction whose parts are coprime in Z[s] up to content."""
+    c = gcd(pcontent(num), pcontent(den))
+    if c > 1:
+        num = (num[0], num[1], tuple(x // c for x in num[2]))
+        den = (den[0], den[1], tuple(x // c for x in den[2]))
+    if den[2][-1] < 0:
+        num = pneg(num)
+        den = pneg(den)
+    return (num, den)
+
+
 def fmake(num, den):
     """Canonical fraction from a numerator/denominator pair."""
     if not den[2]:
@@ -324,17 +363,7 @@ def fmake(num, den):
         num = (num[0] - v, num[1], num[2])
         den = (den[0] - v, den[1], den[2])
     g = pgcd(num, den)
-    if g != P_ONE and (g[0] or len(g[2]) > 1 or g[2][0] != 1):
-        num = pdivexact(num, g)
-        den = pdivexact(den, g)
-    c = gcd(pcontent(num), pcontent(den))
-    if c > 1:
-        num = (num[0], num[1], tuple(x // c for x in num[2]))
-        den = (den[0], den[1], tuple(x // c for x in den[2]))
-    if den[2][-1] < 0:
-        num = pneg(num)
-        den = pneg(den)
-    return (num, den)
+    return _fnormal(_pquo(num, g), _pquo(den, g))
 
 
 def fis_zero(f):
@@ -343,6 +372,14 @@ def fis_zero(f):
 
 def fneg(f):
     return (pneg(f[0]), f[1])
+
+
+def _fmul_parts(a, b, c, d):
+    """(a/b)(c/d) for coprime pairs (a, b) and (c, d), c and d nonzero."""
+    g1 = pgcd(a, d)
+    g2 = pgcd(c, b)
+    return _fnormal(pmul(_pquo(a, g1), _pquo(c, g2)),
+                    pmul(_pquo(b, g2), _pquo(d, g1)))
 
 
 def fadd(x, y):
@@ -354,7 +391,13 @@ def fadd(x, y):
         return x
     if dx == dy:
         return fmake(padd(nx, ny), dx)
-    return fmake(padd(pmul(nx, dy), pmul(ny, dx)), pmul(dx, dy))
+    # t != 0, since x = -y would have dy == dx; gcd(t, bd/g) = gcd(t, g),
+    # which pgcd returns at once when g = 1
+    g = pgcd(dx, dy)
+    bx = _pquo(dx, g)
+    t = padd(pmul(nx, _pquo(dy, g)), pmul(ny, bx))
+    g2 = pgcd(t, g)
+    return _fnormal(_pquo(t, g2), pmul(bx, _pquo(dy, g2)))
 
 
 def fsub(x, y):
@@ -366,7 +409,7 @@ def fmul(x, y):
     ny, dy = y
     if not nx[2] or not ny[2]:
         return F_ZERO
-    return fmake(pmul(nx, ny), pmul(dx, dy))
+    return _fmul_parts(nx, dx, ny, dy)
 
 
 def fdiv(x, y):
@@ -376,4 +419,4 @@ def fdiv(x, y):
     nx, dx = x
     if not nx[2]:
         return F_ZERO
-    return fmake(pmul(nx, dy), pmul(dx, ny))
+    return _fmul_parts(nx, dx, dy, ny)

@@ -18,7 +18,7 @@ braiding with those leading terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import cartan
 from .errors import ConventionError
@@ -27,12 +27,19 @@ from .reps import (ModuleData, check_intertwines, generated_by_highest,
                    tensor)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Braiding:
-    """R_{V,W} with its coefficient tensor R^{kl}_{ij} (output f_k (x) e_l)."""
+    """R_{V,W} with its coefficient tensor R^{kl}_{ij} (output f_k (x) e_l).
+
+    ``certified`` is set only by :func:`braiding`, after the matrix passed
+    :func:`qflag.reps.check_intertwines` on these very modules.  It is not an
+    init argument, so a hand-built braiding, or one made from another by
+    ``dataclasses.replace``, is never certified.
+    """
     v: ModuleData
     w: ModuleData
     matrix: SparseMatrix   # rows (k, l) -> k*dim(V)+l; cols (i, j) -> i*dim(W)+j
+    certified: bool = field(default=False, init=False)
 
     def coeff(self, k: int, l: int, i: int, j: int):
         return self.matrix.entry(k * self.v.dim + l, i * self.w.dim + j)
@@ -66,7 +73,9 @@ def braiding(v: ModuleData, w: ModuleData) -> Braiding:
     mat = SparseMatrix(dv * dw, dv * dw, dict(enumerate(cols)))
     if not check_intertwines(mat, wv if v is w else tensor(v, w), wv):
         raise ConventionError("the transported braiding does not intertwine")
-    return Braiding(v, w, mat)
+    br = Braiding(v, w, mat)
+    object.__setattr__(br, "certified", True)
+    return br
 
 
 def _apply_r(r: SparseMatrix, vec: dict, d: int, slot: int) -> dict:
@@ -100,7 +109,8 @@ def ybe_check(v: ModuleData, br: Braiding | None = None) -> bool:
     weight vector, generate V (x) V (x) V whenever every basis vector of V is
     an F-word applied to e_h (Jantzen, Lectures on Quantum Groups, ch. 3-5).
     Two F-commuting maps that agree on those dim(V)^2 vectors are equal, so
-    only they are checked.  Otherwise (a braiding passed in for a module
+    only they are checked.  A braiding that :func:`braiding` certified on V
+    itself is not checked again.  Otherwise (a braiding passed in for a module
     with no F-word data, or a matrix that does not intertwine or breaks
     weight) both sides are applied to every basis vector.  Every comparison
     is exact.
@@ -108,8 +118,9 @@ def ybe_check(v: ModuleData, br: Braiding | None = None) -> bool:
     if br is None:
         br = braiding(v, v)
     d = v.dim
-    if (br.v is v and br.w is v and generated_by_highest(v)
-            and check_intertwines(br.matrix, vv := tensor(v, v), vv)):
+    if br.v is v and br.w is v and (br.certified or (
+            generated_by_highest(v)
+            and check_intertwines(br.matrix, vv := tensor(v, v), vv))):
         h = v.highest_index
         cols = range(h * d * d, (h + 1) * d * d)
     else:

@@ -10,15 +10,19 @@ Yang-Baxter identity from full products of Kronecker matrices on
 V (x) V (x) V (not the reduced set of columns), braid operators from
 whole braid-image matrices (not words applied by matvec), root vectors
 by conjugating whole matrices with prefix products of braid operators (not
-column by column), and braidings as the unique solution of the intertwining
-system (not by transport along F-words).  :func:`rescaled` gives the tests
-a module that is not a canonical build.
+column by column), braidings as the unique solution of the intertwining
+system (not by transport along F-words), and the sum, product and quotient
+of two canonical fractions by one gcd of the full product (not by gcds of
+cofactors).  :func:`rescaled` gives the tests a module that is not a
+canonical build.
 """
 
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
+from qflag import _poly_py as P
 from qflag import cartan
 from qflag.cartan import (bilinear_form, cartan_matrix, positive_roots,
                           reflect_weight, root_to_weight, symmetrizers,
@@ -321,3 +325,50 @@ def rescaled(v):
                                    for m in v.e_mats),
                    f_mats=tuple(m.scale(ctx.from_fraction(2))
                                 for m in v.f_mats))
+
+
+def fmake(num, den):
+    """Canonical fraction by one gcd of num and den, then content and sign."""
+    if P.pis_zero(den):
+        raise ZeroDivisionError("zero denominator")
+    if P.pis_zero(num):
+        return P.F_ZERO
+    v = min(num[0], den[0])
+    num = (num[0] - v, num[1], num[2])
+    den = (den[0] - v, den[1], den[2])
+    g = P.pgcd(num, den)
+    num, den = P.pdivexact(num, g), P.pdivexact(den, g)
+    c = gcd(P.pcontent(num), P.pcontent(den))
+    num = (num[0], num[1], tuple(x // c for x in num[2]))
+    den = (den[0], den[1], tuple(x // c for x in den[2]))
+    if den[2][-1] < 0:
+        num, den = P.pneg(num), P.pneg(den)
+    return (num, den)
+
+
+def fadd(x, y):
+    """x + y by reducing a(d) + c(b) over bd with fmake."""
+    (a, b), (c, d) = x, y
+    if P.fis_zero(x):
+        return y
+    if P.fis_zero(y):
+        return x
+    if b == d:
+        return fmake(P.padd(a, c), b)
+    return fmake(P.padd(P.pmul(a, d), P.pmul(c, b)), P.pmul(b, d))
+
+
+def fmul(x, y):
+    """x y by reducing ac over bd with fmake."""
+    if P.fis_zero(x) or P.fis_zero(y):
+        return P.F_ZERO
+    return fmake(P.pmul(x[0], y[0]), P.pmul(x[1], y[1]))
+
+
+def fdiv(x, y):
+    """x / y by reducing ad over bc with fmake."""
+    if P.fis_zero(y):
+        raise ZeroDivisionError("division by zero scalar")
+    if P.fis_zero(x):
+        return P.F_ZERO
+    return fmake(P.pmul(x[0], y[1]), P.pmul(x[1], y[0]))

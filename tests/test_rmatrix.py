@@ -1,7 +1,7 @@
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -165,6 +165,32 @@ def test_ybe_applies_dim_squared_columns(monkeypatch):
     calls.clear()
     assert ybe_check(w, braiding_by_solve(w, w))
     assert len(calls) == 6 * w.dim ** 3
+
+
+def test_ybe_check_trusts_only_the_certificate_of_braiding(monkeypatch):
+    # braiding() certifies its matrix on V (x) V; ybe_check does not repeat
+    # that, while a hand-built or replaced braiding is checked in full
+    v = _module("A2", (1, 0))
+    calls = []
+    check = rmatrix.check_intertwines
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(rmatrix, "check_intertwines", counting)
+    br = braiding(v, v)
+    assert ybe_check(v, br)
+    assert len(calls) == 1
+    assert br.certified
+    with pytest.raises(FrozenInstanceError):
+        br.matrix = SparseMatrix.identity(br.matrix.nrows, v.ctx.one)
+    bad_matrix = br.matrix.add(SparseMatrix.identity(br.matrix.nrows, v.ctx.one))
+    for bad in (Braiding(v, v, bad_matrix), replace(br, matrix=bad_matrix)):
+        assert not bad.certified
+        calls.clear()
+        assert not ybe_check(v, bad)
+        assert len(calls) == 1
 
 
 def test_braiding_refuses_a_module_that_is_not_canonical():
