@@ -29,8 +29,8 @@ from __future__ import annotations
 from . import cartan
 from .cartan import FlagSpec
 from .errors import DomainError, TruncationError
-from .linalg import (SpanBasis, SparseMatrix, dv_add_scaled, nullspace, rank,
-                     rows_from_columns)
+from .linalg import (SpanBasis, SparseMatrix, dv_add_scaled,
+                     kernel_combinations, rank, rows_from_columns)
 from .peterweyl import GradedSlice, PWAlgebra
 from .rmatrix import Braiding, braiding
 
@@ -97,14 +97,9 @@ class Calculus:
             rows = []
             for op in self.tangent_operators(lam, chirality):
                 rows.extend(rows_from_columns([op.matvec(col) for col in cols]))
-            kcols = []
-            for vec in nullspace(rows, len(cols), alg.ctx.one):
-                acc = {}
-                for b, c in vec.items():
-                    dv_add_scaled(acc, cols[b], c)
-                kcols.append(acc)
+            kcols = tuple(kernel_combinations(rows, cols, alg.ctx.one))
             if kcols:
-                blocks.append((lam, tuple(kcols)))
+                blocks.append((lam, kcols))
                 dims.append(d)
         return GradedSlice(flag=self.flag, k=k, depth=depth,
                            blocks=tuple(blocks), dims=tuple(dims))
@@ -192,7 +187,7 @@ def gamma_relation_operator(algebra: PWAlgebra, flag: FlagSpec,
     """
     lie, ctx = algebra.lie, algebra.ctx
     x = flag.crossed
-    lam = tuple(1 if t == x - 1 else 0 for t in range(lie.rank))
+    lam = flag.crossed_weight
     v = algebra.module(lam)
     if br is None:
         br = braiding(v, v)
@@ -285,44 +280,29 @@ def gamma_crosscheck(algebra: PWAlgebra, flag: FlagSpec, trunc: int = 2,
         words = [w for w in all_words if degree[w] == k]
         if not words:
             continue
-        # realization kernel on this slice
-        rows = rows_from_columns([realized[w] for w in words])
-        rel_kernel = nullspace(rows, len(words), ctx.one) if rows else []
-        # formal one-form images
-        formal = {w: _formal_dbar(w) for w in words}
+        elems = [realized[w] for w in words]
+        # formal one-form images, as vectors over the symbols
+        formal = [{nsymidx[sym]: ctx.one * mult
+                   for sym, mult in _formal_dbar(w).items()} for w in words]
         # relation submodule: Leibniz images of the realization kernel
-        relation_vectors = []
-        for vec in rel_kernel:
-            acc = {}
-            for t, cw in vec.items():
-                for sym, mult in formal[words[t]].items():
-                    key = nsymidx[sym]
-                    acc[key] = acc.get(key, ctx.zero) + cw * mult
-            relation_vectors.append({k2: v for k2, v in acc.items() if v})
+        rows = rows_from_columns(elems)
+        relation_vectors = (list(kernel_combinations(rows, formal, ctx.one))
+                            if rows else [])
         # kernel of the quotient-route dbar: coefficient vectors c with
-        # sum_w c_w dbar(w) in span(relations)
-        nun = len(words)
+        # sum_w c_w dbar(w) in span(relations); a relation's unknown adds
+        # nothing to the element
         nrel = len(relation_vectors)
         eq_rows = rows_from_columns(
-            [{nsymidx[sym]: ctx.one * mult for sym, mult in formal[w].items()}
-             for w in words] +
-            [{key: -cf for key, cf in rv.items()} for rv in relation_vectors])
-        combined = nullspace(eq_rows, nun + nrel, ctx.one)
+            formal + [{key: -cf for key, cf in rv.items()}
+                      for rv in relation_vectors])
         quotient_kernel = SpanBasis()
-        for vec in combined:
-            acc = {}
-            for t, cw in vec.items():
-                if t < nun:
-                    dv_add_scaled(acc, realized[words[t]], cw)
+        for acc in kernel_combinations(eq_rows, elems + [{}] * nrel, ctx.one):
             if acc:
                 quotient_kernel.insert(acc)
         # tangent-route kernel on the same realized span
         tangent_kernel = SpanBasis()
-        trows = rows_from_columns([calc.dbar(realized[w]) for w in words])
-        for vec in nullspace(trows, len(words), ctx.one):
-            acc = {}
-            for t, cw in vec.items():
-                dv_add_scaled(acc, realized[words[t]], cw)
+        trows = rows_from_columns([calc.dbar(e) for e in elems])
+        for acc in kernel_combinations(trows, elems, ctx.one):
             if acc:
                 tangent_kernel.insert(acc)
         agree = quotient_kernel.equals(tangent_kernel)

@@ -411,6 +411,12 @@ class FlagSpec:
         """The node subset S = Pi minus the crossed node (1-based)."""
         return tuple(i for i in range(1, self.lie.rank + 1) if i != self.crossed)
 
+    @property
+    def crossed_weight(self):
+        """The crossed fundamental weight w_x, in the fundamental basis."""
+        return tuple(1 if t == self.crossed - 1 else 0
+                     for t in range(self.lie.rank))
+
     def name(self) -> str:
         s, n, x = self.lie.series, self.lie.rank, self.crossed
         if s == "A":

@@ -134,7 +134,7 @@ def cmd_rep(args) -> int:
 def cmd_rmatrix(args) -> int:
     flag = FlagSpec.parse(args.flag)
     alg = _algebra(args, flag.lie)
-    lam = verify.crossed_weight(flag)
+    lam = flag.crossed_weight
     v = alg.module(lam)
     _progress(f"computing braiding on V_{lam} (dim {v.dim})")
     br = braiding(v, v)

@@ -22,7 +22,7 @@ from .cartan import FlagSpec
 from .errors import ConventionError
 from .linalg import (SpanBasis, SparseMatrix, dv_add_scaled, eliminate,
                      invert_dense, nullspace, rows_from_columns)
-from .peterweyl import PWAlgebra
+from .peterweyl import PWAlgebra, element_doc
 from .rmatrix import Braiding, braiding
 
 
@@ -133,37 +133,33 @@ def mixed_commutation_check(algebra: PWAlgebra, flag: FlagSpec) -> dict:
     v = algebra.module(gens.lam)
     w = algebra.module(gens.lam_bar)
     pair = algebra.pairing(gens.lam)
-    prows = pair.row_dicts()
-    pinv = invert_dense(prows, ctx.one)
+    pinv = invert_dense(pair.row_dicts(), ctx.one)
     br = braiding(v, w)
     qll = ctx.q_power(cartan.bilinear(algebra.lie, gens.lam, gens.lam))
     prods = {(k, l): algebra.multiply(gens.z[k], gens.zbar[l])
              for k in range(n) for l in range(n)}
+    # coeffs[(i, j)][(k, l)] = sum_{u,t} P[i,u] R[(u,j),(k,t)] P^-1[t,l],
+    # over the nonzero entries of R alone
+    coeffs = {}
+    for col, entries in br.matrix.cols.items():
+        k, t = divmod(col, w.dim)
+        for row, val in entries.items():
+            u, j = divmod(row, v.dim)
+            for i, piu in pair.cols.get(u, {}).items():
+                got = coeffs.setdefault((i, j), {})
+                for l, ptl in pinv[t].items():
+                    got[(k, l)] = got.get((k, l), ctx.zero) + piu * val * ptl
     failures = []
     for i in range(n):
         for j in range(n):
             lhs = algebra.multiply(gens.zbar[i], gens.z[j])
             acc = {}
-            for k in range(n):
-                for l in range(n):
-                    coeff = ctx.zero
-                    for u, piu in prows[i].items():
-                        for t in range(n):
-                            val = br.matrix.entry(u * v.dim + j, k * w.dim + t)
-                            if val and l in pinv[t]:
-                                coeff = coeff + piu * val * pinv[t][l]
-                    if coeff:
-                        dv_add_scaled(acc, prods[(k, l)], qll * coeff)
+            for kl, coeff in coeffs.get((i, j), {}).items():
+                dv_add_scaled(acc, prods[kl], qll * coeff)
             if lhs != acc:
-                failures.append({
-                    "i": i, "j": j,
-                    "lhs": [[list(kk[0]), kk[1], kk[2], str(vv)]
-                            for kk, vv in sorted(lhs.items())],
-                    "rhs": [[list(kk[0]), kk[1], kk[2], str(vv)]
-                            for kk, vv in sorted(acc.items())],
-                })
-                if len(failures) >= 1:
-                    break
+                failures.append({"i": i, "j": j, "lhs": element_doc(lhs),
+                                 "rhs": element_doc(acc)})
+                break
         if failures:
             break
     return {

@@ -186,30 +186,24 @@ def nullspace(rows, ncols, one):
     return list(basis.values())
 
 
+def kernel_combinations(rows, vectors, one):
+    """For each basis vector x of {x : rows @ x = 0}, in the order of
+    :func:`nullspace` (len(vectors) unknowns), the dict-vector
+    sum_t x_t vectors[t]; yielded one at a time."""
+    for vec in nullspace(rows, len(vectors), one):
+        acc = {}
+        for t, c in vec.items():
+            dv_add_scaled(acc, vectors[t], c)
+        yield acc
+
+
 def solve_unique(rows, rhs, ncols, one):
     """Solve rows @ x = rhs (dict rows) demanding a unique solution.
 
-    The lowest-index rows independent mod p are chosen first; when there are
-    ncols of them they are independent over the field, one square exact
-    solve gives x, and every other row is checked exactly.  Otherwise (or
-    when an entry has no image mod p) the whole system is eliminated.
-    Raises ConventionError when the system is inconsistent or the solution
-    space has positive dimension.
+    The augmented system is eliminated exactly.  Raises ConventionError
+    when it is inconsistent or the solution space has positive dimension.
     """
     zero = one - one
-    chosen = mod_row_profile(rows, ncols)
-    if chosen is not None and len(chosen) == ncols:
-        _, red = eliminate([{**rows[i], ncols: rhs[i]} for i in chosen], ncols)
-        x = [row.get(ncols, zero) for row in red]
-        chosen = set(chosen)
-        for i, (row, b) in enumerate(zip(rows, rhs)):
-            if i not in chosen:
-                acc = zero
-                for c, v in row.items():
-                    acc = acc + v * x[c]
-                if acc != b:
-                    raise ConventionError("inconsistent linear system")
-        return x
     pivots, red = eliminate(
         [{**row, ncols: b} for row, b in zip(rows, rhs)], ncols)
     for row in red[len(pivots):]:

@@ -17,8 +17,8 @@ for the life of the algebra; nothing is read from or written to disk.
 Action conventions: act_v lets a generator act on the vector slot
 through the module matrices (the natural left action); act_f is the right
 action on the functional slot, i.e. row vectors transform by the transposed
-matrices.  Both are exercised against each other by the invariant/grading
-checks downstream.
+matrices.  No report calls either; the tests check both against the
+product (act_v is a derivation of it) and against each other.
 
 :class:`GradedSlice` is the one type for vector-slot columns per block
 V_lam: the Levi invariants of one degree (one joint kernel per block; at
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from . import cartan
 from .cartan import FlagSpec, LieType
 from .errors import ConventionError, DomainError
-from .linalg import SparseMatrix, dv_add_scaled, solve_unique
+from .linalg import SparseMatrix, dv_add_scaled
 from .reps import (DEFAULT_GUARD, CGDecomposition, LusztigOperators,
                    ModuleData, build_irreducible, context_for, decompose,
                    dual_pairing, joint_kernel, tensor)
@@ -238,28 +238,26 @@ class PWAlgebra:
             return got
         if flag.lie != self.lie:
             raise DomainError("flag is over a different type")
-        lam = tuple(1 if t == flag.crossed - 1 else 0 for t in range(self.lie.rank))
+        lam = flag.crossed_weight
         lam_bar = cartan.minus_w0(self.lie, lam)
         v = self.module(lam)
         pair = self.pairing(lam)
         hw = v.highest_index
         z = tuple(self.basis_element(lam, i, hw) for i in range(v.dim))
-        # w_low solves pairing . w_low = delta_{hw}: the vector of V_{lam_bar}
-        # carried to the functional dual to the highest weight vector of V_lam
-        rhs = [self.ctx.one if r == hw else self.ctx.zero for r in range(v.dim)]
-        w_low = solve_unique(pair.row_dicts(), rhs, v.dim, self.ctx.one)
-        zbar = []
-        for j in range(v.dim):
-            coeffs = {}
-            for t in range(v.dim):
-                pj = pair.entry(j, t)
-                if not pj:
-                    continue
-                for u, xu in enumerate(w_low):
-                    if xu:
-                        key = (lam_bar, t, u)
-                        coeffs[key] = coeffs.get(key, self.ctx.zero) + pj * xu
-            zbar.append({k: v for k, v in coeffs.items() if v})
+        # zbar_j is row j of the pairing applied to the vector that the
+        # pairing carries to the functional dual to e_hw.  The pairing
+        # preserves weight and is invertible (it intertwines two
+        # irreducibles), so that vector is e_low / x, where column low is the
+        # one column meeting row hw; it must be exactly {hw: x}.
+        at_hw = [c for c, col in pair.cols.items() if hw in col]
+        if len(at_hw) != 1 or len(pair.cols[at_hw[0]]) != 1:
+            raise ConventionError(
+                "the pairing does not carry one basis vector to the "
+                "functional dual to the highest weight vector")
+        low = at_hw[0]
+        inv_x = self.ctx.one / pair.cols[low][hw]
+        zbar = [{(lam_bar, t, low): pj * inv_x for t, pj in sorted(row.items())}
+                for row in pair.row_dicts()]
         s = {}
         for zb, zz in zip(zbar, z):
             dv_add_scaled(s, self.multiply(zb, zz), 1)
@@ -305,6 +303,11 @@ class PWAlgebra:
         return [{(lam, r, c): v for c, v in col.items()}
                 for (lam, cols), d in zip(sl.blocks, sl.dims)
                 for r in range(d) for col in cols]
+
+
+def element_doc(elem: dict):
+    """An element as a JSON list of [lam, row, col, value], sorted by key."""
+    return [[list(lam), r, c, str(v)] for (lam, r, c), v in sorted(elem.items())]
 
 
 def _levi_mats(m, snodes):

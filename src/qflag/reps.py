@@ -282,14 +282,19 @@ def dual_module(m: ModuleData) -> ModuleData:
     hw = None
     hi = None
     if m.highest is not None:
-        hw = tuple(-x for x in cartan.w0_on_weight(lie, m.highest))
-        low = cartan.w0_on_weight(lie, m.highest)
-        idxs = [t for t, w in enumerate(m.weights) if w == low]
-        if len(idxs) == 1:
-            hi = idxs[0]
+        hw = cartan.minus_w0(lie, m.highest)
+        hi = lowest_index(m)
     return ModuleData(lie=lie, ctx=ctx, highest=hw, dim=m.dim,
                       weights=weights, e_mats=tuple(e_mats),
                       f_mats=tuple(f_mats), k_exps=k_exps, highest_index=hi)
+
+
+def lowest_index(m: ModuleData) -> int | None:
+    """The basis index of m's lowest weight w0(highest), or None when that
+    weight space is not one basis vector."""
+    low = cartan.w0_on_weight(m.lie, m.highest)
+    idxs = [t for t, w in enumerate(m.weights) if w == low]
+    return idxs[0] if len(idxs) == 1 else None
 
 
 def generated_by_highest(m: ModuleData) -> bool:
@@ -727,31 +732,6 @@ class LusztigOperators:
                 [self.theta_inv(i) for i in prefix],
                 self._chains.setdefault(key[0], {}))
         return got
-
-
-def nullspace_of_conjugation(m: ModuleData, i: int):
-    """Solve the braid conjugation system directly (test oracle)."""
-    lie, ctx = m.lie, m.ctx
-    n = m.dim
-    unknowns = [(r, c) for r in range(n) for c in range(n)]
-    uidx = {rc: k for k, rc in enumerate(unknowns)}
-    rows = []
-    for kind in ("E", "F", "K"):
-        for j in range(1, lie.rank + 1):
-            g = m.gen_matrix(kind, j)
-            tg_rows = braid_image(m, i, kind, j).mul(
-                SparseMatrix.identity(n, ctx.one)).row_dicts()
-            # Theta g - tg Theta = 0, entry (r, c)
-            for r in range(n):
-                for c in range(n):
-                    row = {}
-                    for a, v in g.cols.get(c, {}).items():
-                        row[uidx[(r, a)]] = row.get(uidx[(r, a)], ctx.zero) + v
-                    for b, v in tg_rows[r].items():
-                        row[uidx[(b, c)]] = row.get(uidx[(b, c)], ctx.zero) - v
-                    if row:
-                        rows.append(row)
-    return nullspace(rows, len(unknowns), ctx.one)
 
 
 def check_defining_relations(m: ModuleData) -> None:

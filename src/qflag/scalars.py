@@ -252,52 +252,6 @@ def _poly_str(p) -> str:
     return " ".join(parts)
 
 
-def _poly_parse(text: str):
-    text = text.strip()
-    if text == "0":
-        return K.P_ZERO
-    pairs = {}
-    text = text.replace("- ", "+-").replace("+ ", "+")
-    if text.startswith("-"):
-        text = "-" + text[1:].lstrip()
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:].strip()
-        if "s" in chunk:
-            coeff_s, _, pow_s = chunk.partition("s")
-            coeff_s = coeff_s.rstrip("*").strip()
-            c = int(coeff_s) if coeff_s else 1
-            pow_s = pow_s.strip()
-            e = int(pow_s[1:]) if pow_s.startswith("^") else 0 if not pow_s else None
-            if e is None:
-                raise ValueError(f"bad monomial {chunk!r}")
-            if pow_s == "":
-                e = 1
-        else:
-            c = int(chunk)
-            e = 0
-        pairs[e] = pairs.get(e, 0) + sign * c
-    if not pairs:
-        return K.P_ZERO
-    lo = min(pairs)
-    hi = max(pairs)
-    return K.pcanon(lo, 1, [pairs.get(e, 0) for e in range(lo, hi + 1)])
-
-
-def scalar_from_str(text: str) -> Scalar:
-    """Parse the string form produced by ``str(Scalar)`` (round-trip exact)."""
-    text = text.strip()
-    if text.startswith("(") and ")/(" in text and text.endswith(")"):
-        num_s, den_s = text[1:-1].split(")/(", 1)
-        return Scalar(K.fmake(_poly_parse(num_s), _poly_parse(den_s)))
-    return Scalar(K.fmake(_poly_parse(text), K.P_ONE))
-
-
 # -- quantum integers -------------------------------------------------------
 
 
@@ -443,8 +397,3 @@ class QContext:
     def from_fraction(self, x):
         x = Fraction(x)
         return x if self.s0 is not None else Scalar.from_fraction(x)
-
-    def parse(self, text: str):
-        if self.s0 is not None:
-            return Fraction(text)
-        return scalar_from_str(text)

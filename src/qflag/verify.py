@@ -25,7 +25,8 @@ from .coordring import (QuadraticAlgebraSpec, abstract_graded_dimension,
                         relations_annihilate_realized)
 from .errors import ConventionError, TruncationError
 from .linalg import SpanBasis
-from .peterweyl import PWAlgebra
+from .peterweyl import PWAlgebra, element_doc
+from .reps import lowest_index
 
 SCHEMA_VERSION = 1
 
@@ -58,20 +59,6 @@ def _meta(algebra: PWAlgebra, flag: FlagSpec, word) -> dict:
     }
 
 
-def crossed_weight(flag: FlagSpec):
-    return tuple(1 if t == flag.crossed - 1 else 0
-                 for t in range(flag.lie.rank))
-
-
-def _low_index(algebra: PWAlgebra, lam):
-    m = algebra.module(lam)
-    low = cartan.w0_on_weight(algebra.lie, lam)
-    idxs = [t for t, w in enumerate(m.weights) if w == low]
-    if len(idxs) != 1:
-        raise TruncationError("lowest weight space is not simple")
-    return idxs[0]
-
-
 def borel_weil_report(algebra: PWAlgebra, flag: FlagSpec, kmax: int,
                       depth: int, kmin: int = 0, opposite: bool = False,
                       word=None) -> dict:
@@ -84,7 +71,7 @@ def borel_weil_report(algebra: PWAlgebra, flag: FlagSpec, kmax: int,
     calc = Calculus(algebra, flag, word=word)
     chir = "10" if opposite else "01"
     lie = algebra.lie
-    lam = crossed_weight(flag)
+    lam = flag.crossed_weight
     ks = list(range(kmin, kmax + 1))
     rows = []
     ok = True
@@ -107,7 +94,9 @@ def borel_weil_report(algebra: PWAlgebra, flag: FlagSpec, kmax: int,
                 gen_block = tuple(keff * x for x in
                                   cartan.minus_w0(lie, lam))
                 power = zbar_power(algebra, flag, keff)
-                extreme = _low_index(algebra, gen_block)
+                extreme = lowest_index(algebra.module(gen_block))
+                if extreme is None:
+                    raise TruncationError("lowest weight space is not simple")
             else:
                 gen_block = tuple(keff * x for x in lam)
                 power = z_power(algebra, flag, keff)
@@ -170,13 +159,13 @@ def coordinate_ring_equality(algebra: PWAlgebra, flag: FlagSpec, dmax: int,
             for v in mono_span.vectors():
                 if not h0_span.contains(v):
                     witness = {"direction": "monomial not holomorphic",
-                               "vector": _pw_doc(v)}
+                               "vector": element_doc(v)}
                     break
             else:
                 for v in h0_span.vectors():
                     if not mono_span.contains(v):
                         witness = {"direction": "holomorphic not in span",
-                                   "vector": _pw_doc(v)}
+                                   "vector": element_doc(v)}
                         break
         rows.append({"d": d, "monomial_dim": mono_span.dim,
                      "h0_dim": h0_span.dim, "equal": both,
@@ -221,7 +210,7 @@ def quadratic_flatness(algebra: PWAlgebra, flag: FlagSpec,
 def flatness_report(algebra: PWAlgebra, flag: FlagSpec,
                     spec: QuadraticAlgebraSpec, dmax: int) -> dict:
     """The quadratic_flatness report for the flag's relation space spec."""
-    lam = crossed_weight(flag)
+    lam = flag.crossed_weight
     annihilates = relations_annihilate_realized(algebra, flag, spec)
     kernel_match = False
     if annihilates:
@@ -263,7 +252,7 @@ def highest_weight_audit(algebra: PWAlgebra, flag: FlagSpec, k: int,
     """
     if k < 1:
         raise ValueError("audit expects k >= 1")
-    lam = crossed_weight(flag)
+    lam = flag.crossed_weight
     sl0 = algebra.graded_component(flag, 0, depth)
     slk = algebra.graded_component(flag, k, depth)
     shift = {}
@@ -313,10 +302,6 @@ def highest_weight_audit(algebra: PWAlgebra, flag: FlagSpec, k: int,
         "ok": shift_ok and factor_ok,
     })
     return out
-
-
-def _pw_doc(elem: dict):
-    return [[list(lam), r, c, str(v)] for (lam, r, c), v in sorted(elem.items())]
 
 
 SUITES = ("liouville", "borel-weil", "coordring", "spherical", "relations",

@@ -11,10 +11,14 @@ V (x) V (x) V (not the reduced set of columns), braid operators from
 whole braid-image matrices (not words applied by matvec), root vectors
 by conjugating whole matrices with prefix products of braid operators (not
 column by column), braidings as the unique solution of the intertwining
-system (not by transport along F-words), and the sum, product and quotient
-of two canonical fractions by one gcd of the full product (not by gcds of
-cofactors).  :func:`rescaled` gives the tests a module that is not a
-canonical build.
+system (not by transport along F-words), braid operators as the kernel of
+their whole conjugation system (not by transport), zbar from the solution
+of a linear system (not read off the pairing), the mixed exchange
+coefficients by reading R at every index tuple (not by walking R's nonzero
+entries), and the sum, product and quotient of two canonical fractions by
+one gcd of the full product (not by gcds of cofactors).
+:func:`rescaled` gives the tests a module that is not a canonical build,
+and :func:`scalar_from_str` parses the string form of a scalar back.
 """
 
 from dataclasses import replace
@@ -22,15 +26,18 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from qflag import _kernel as K
 from qflag import _poly_py as P
 from qflag import cartan
 from qflag.cartan import (bilinear_form, cartan_matrix, positive_roots,
                           reflect_weight, root_to_weight, symmetrizers,
                           w0_on_weight, weight_to_root_int)
 from qflag.errors import ConventionError, DomainError
-from qflag.linalg import SparseMatrix, invert_blocks, solve_unique
-from qflag.reps import ModuleData, tensor, transport
-from qflag.rmatrix import Braiding
+from qflag.linalg import (SparseMatrix, dv_add_scaled, invert_blocks,
+                          invert_dense, nullspace, solve_unique)
+from qflag.reps import ModuleData, braid_image, tensor, transport
+from qflag.rmatrix import Braiding, braiding
+from qflag.scalars import Scalar
 
 
 def freudenthal_multiplicities(lie, lam):
@@ -221,6 +228,32 @@ def theta_by_matrices(m, i):
     return th.scale(m.ctx.one / first[min(first)])
 
 
+def nullspace_of_conjugation(m: ModuleData, i: int):
+    """The solutions Theta of Theta g = T_i(g) Theta for every generator g,
+    as a nullspace of the whole linear system (Theta_i up to scale)."""
+    lie, ctx = m.lie, m.ctx
+    n = m.dim
+    unknowns = [(r, c) for r in range(n) for c in range(n)]
+    uidx = {rc: k for k, rc in enumerate(unknowns)}
+    rows = []
+    for kind in ("E", "F", "K"):
+        for j in range(1, lie.rank + 1):
+            g = m.gen_matrix(kind, j)
+            tg_rows = braid_image(m, i, kind, j).mul(
+                SparseMatrix.identity(n, ctx.one)).row_dicts()
+            # Theta g - tg Theta = 0, entry (r, c)
+            for r in range(n):
+                for c in range(n):
+                    row = {}
+                    for a, v in g.cols.get(c, {}).items():
+                        row[uidx[(r, a)]] = row.get(uidx[(r, a)], ctx.zero) + v
+                    for b, v in tg_rows[r].items():
+                        row[uidx[(b, c)]] = row.get(uidx[(b, c)], ctx.zero) - v
+                    if row:
+                        rows.append(row)
+    return nullspace(rows, len(unknowns), ctx.one)
+
+
 def conjugated_root_vector(ops, word, r, kind):
     """p X p^-1 as whole matrices: p = Theta_{i1} ... Theta_{i(r-1)} by
     products, each Theta_i^-1 by one inversion per weight block."""
@@ -317,6 +350,83 @@ def braiding_by_solve(v: ModuleData, w: ModuleData) -> Braiding:
     return Braiding(v, w, SparseMatrix(dv * dw, dv * dw, dict(enumerate(cols))))
 
 
+def zbar_by_solve(algebra, flag):
+    """zbar_j before normalization, from the solution w of P w = e_hw.
+
+    P is the pairing of V_{-w0 w_x} with the dual of V_{w_x}; zbar_j is
+    sum_{t,u} P[j, t] w_u times the basis element (lam_bar, t, u).
+    """
+    gens = algebra.generators(flag)
+    lam_bar = gens.lam_bar
+    v = algebra.module(gens.lam)
+    pair = algebra.pairing(gens.lam)
+    ctx = algebra.ctx
+    rhs = [ctx.one if r == v.highest_index else ctx.zero for r in range(v.dim)]
+    w = solve_unique(pair.row_dicts(), rhs, v.dim, ctx.one)
+    out = []
+    for j in range(v.dim):
+        acc = {}
+        for t in range(v.dim):
+            for u in range(v.dim):
+                if pair.entry(j, t) and w[u]:
+                    acc[(lam_bar, t, u)] = pair.entry(j, t) * w[u]
+        out.append(acc)
+    return out
+
+
+def mixed_by_scan(algebra, flag, br=None):
+    """The mixed commutation report, reading R at every (i, j, k, l, t).
+
+    ``br`` replaces the braiding V (x) V_{-w0 w_x} -> V_{-w0 w_x} (x) V.
+    """
+    ctx = algebra.ctx
+    gens = algebra.generators(flag)
+    n = len(gens.z)
+    v = algebra.module(gens.lam)
+    w = algebra.module(gens.lam_bar)
+    pair = algebra.pairing(gens.lam)
+    prows = pair.row_dicts()
+    pinv = invert_dense(prows, ctx.one)
+    if br is None:
+        br = braiding(v, w)
+    qll = ctx.q_power(cartan.bilinear(algebra.lie, gens.lam, gens.lam))
+    prods = {(k, l): algebra.multiply(gens.z[k], gens.zbar[l])
+             for k in range(n) for l in range(n)}
+    failures = []
+    for i in range(n):
+        for j in range(n):
+            lhs = algebra.multiply(gens.zbar[i], gens.z[j])
+            acc = {}
+            for k in range(n):
+                for l in range(n):
+                    coeff = ctx.zero
+                    for u, piu in prows[i].items():
+                        for t in range(n):
+                            val = br.matrix.entry(u * v.dim + j, k * w.dim + t)
+                            if val and l in pinv[t]:
+                                coeff = coeff + piu * val * pinv[t][l]
+                    if coeff:
+                        dv_add_scaled(acc, prods[(k, l)], qll * coeff)
+            if lhs != acc:
+                failures.append({
+                    "i": i, "j": j,
+                    "lhs": [[list(kk[0]), kk[1], kk[2], str(vv)]
+                            for kk, vv in sorted(lhs.items())],
+                    "rhs": [[list(kk[0]), kk[1], kk[2], str(vv)]
+                            for kk, vv in sorted(acc.items())],
+                })
+                break
+        if failures:
+            break
+    return {
+        "kind": "mixed_commutation",
+        "flag": str(flag),
+        "pairs_checked": n * n,
+        "ok": not failures,
+        "failures": failures,
+    }
+
+
 def rescaled(v):
     """F -> 2F, E -> E/2: an isomorphic module whose basis vectors are no
     longer exactly F-words of the highest weight vector."""
@@ -372,3 +482,49 @@ def fdiv(x, y):
     if P.fis_zero(x):
         return P.F_ZERO
     return fmake(P.pmul(x[0], y[1]), P.pmul(x[1], y[0]))
+
+
+def _poly_parse(text: str):
+    text = text.strip()
+    if text == "0":
+        return K.P_ZERO
+    pairs = {}
+    text = text.replace("- ", "+-").replace("+ ", "+")
+    if text.startswith("-"):
+        text = "-" + text[1:].lstrip()
+    for chunk in text.split("+"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        sign = 1
+        if chunk.startswith("-"):
+            sign = -1
+            chunk = chunk[1:].strip()
+        if "s" in chunk:
+            coeff_s, _, pow_s = chunk.partition("s")
+            coeff_s = coeff_s.rstrip("*").strip()
+            c = int(coeff_s) if coeff_s else 1
+            pow_s = pow_s.strip()
+            e = int(pow_s[1:]) if pow_s.startswith("^") else 0 if not pow_s else None
+            if e is None:
+                raise ValueError(f"bad monomial {chunk!r}")
+            if pow_s == "":
+                e = 1
+        else:
+            c = int(chunk)
+            e = 0
+        pairs[e] = pairs.get(e, 0) + sign * c
+    if not pairs:
+        return K.P_ZERO
+    lo = min(pairs)
+    hi = max(pairs)
+    return K.pcanon(lo, 1, [pairs.get(e, 0) for e in range(lo, hi + 1)])
+
+
+def scalar_from_str(text: str) -> Scalar:
+    """Parse the string form produced by ``str(Scalar)`` (round-trip exact)."""
+    text = text.strip()
+    if text.startswith("(") and ")/(" in text and text.endswith(")"):
+        num_s, den_s = text[1:-1].split(")/(", 1)
+        return Scalar(K.fmake(_poly_parse(num_s), _poly_parse(den_s)))
+    return Scalar(K.fmake(_poly_parse(text), K.P_ONE))

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from oracles import mixed_by_scan, scalar_from_str
 from qflag.cartan import weyl_dim
 from qflag.coordring import (abstract_graded_dimension, central_element_checks,
                              mixed_commutation_check, quadratic_relations,
@@ -81,6 +82,14 @@ def test_mixed_commutation(name, algebras, flag_of):
     assert rep["pairs_checked"] == len(alg.generators(flag).z) ** 2
 
 
+@pytest.mark.parametrize("name", ["A2/1", "A3/2", "B2/1", "C2/2", "D4/1"])
+def test_mixed_commutation_equals_the_scan(name, algebras, flag_of):
+    # the rule read off R's nonzero entries is the rule read at every index
+    flag = flag_of(name)
+    alg = algebras(str(flag.lie))
+    assert mixed_commutation_check(alg, flag) == mixed_by_scan(alg, flag)
+
+
 def test_mixed_commutation_failure_lists_entries_in_key_order(
         monkeypatch, algebras, flag_of):
     # a braiding with its columns in reverse order fails the first pair, and
@@ -107,6 +116,9 @@ def test_mixed_commutation_failure_lists_entries_in_key_order(
                            for k, v in sorted(lhs.items())]
     keys = [(tuple(e[0]), e[1], e[2]) for e in fail["rhs"]]
     assert len(keys) == 5 and keys == sorted(keys)
+    # the same failure as the scan of the same braiding
+    v, w = alg.module(gens.lam), alg.module(gens.lam_bar)
+    assert rep == mixed_by_scan(alg, flag, reversed_columns(v, w))
 
 
 @pytest.mark.parametrize("name", ["A1/1", "A2/1", "A2/2", "B2/1", "C2/2",
@@ -125,7 +137,6 @@ def test_normalization_survives_reserialization(algebras, flag_of):
     # round-trip the generators through scalar strings; the identity persists
     flag = flag_of("A2/1")
     alg = algebras("A2")
-    from qflag.scalars import scalar_from_str
     gens = alg.generators(flag)
 
     def roundtrip(e):

@@ -6,13 +6,12 @@ from fractions import Fraction
 import pytest
 
 from oracles import dense_nullspace, dense_rref, dense_solve
-from qflag import linalg
 from qflag.cartan import LieType
 from qflag.errors import ConventionError
-from qflag.linalg import (MOD_POINT, SpanBasis, SparseMatrix,
-                          column_rank_profile, eliminate, invert_blocks,
-                          invert_dense, mod_row_profile, nullspace, rank,
-                          solve_unique)
+from qflag.linalg import (SpanBasis, SparseMatrix, column_rank_profile,
+                          eliminate, invert_blocks, invert_dense,
+                          kernel_combinations, mod_row_profile, nullspace,
+                          rank, solve_unique)
 from qflag.reps import build_irreducible, context_for, tensor
 
 CTX = context_for(LieType.parse("A1"))
@@ -75,6 +74,16 @@ def test_engine_matches_dense_reference(one, entry):
         assert [to_dense(v, ncols, zero)
                 for v in nullspace(sparse(dense), ncols, one)] == \
             dense_nullspace(dense, ncols, one)
+        # the kernel's combinations of some vectors, one per kernel vector
+        vectors = [{-1: entry(rng) or one, c: one} for c in range(ncols)]
+        want = []
+        for x in dense_nullspace(dense, ncols, one):
+            acc = {}
+            for xt, vec in zip(x, vectors):
+                for key, v in vec.items():
+                    acc[key] = acc.get(key, zero) + xt * v
+            want.append({key: v for key, v in acc.items() if v})
+        assert list(kernel_combinations(sparse(dense), vectors, one)) == want
         # the transpose's row profile mod p is the column profile here
         cols = [{r: row[c] for r, row in enumerate(dense) if row[c]}
                 for c in range(ncols)]
@@ -328,33 +337,11 @@ def tall_system():
     return dense, rhs, x
 
 
-def test_vanishing_denominator_takes_the_exact_fallback(monkeypatch):
-    dense, rhs, x = tall_system()
-    pole = CTX.one / (CTX.s_power(1) - MOD_POINT)
-    assert linalg.mod_image(pole) is None
-    dense[0] = [v * pole for v in dense[0]]
-    rhs[0] = rhs[0] * pole
-    seen = []
-
-    def record(rows, limit=None):
-        seen.append(mod_row_profile(rows, limit))
-        return seen[-1]
-
-    monkeypatch.setattr(linalg, "mod_row_profile", record)
-    assert solve_unique(sparse(dense), rhs, 3, CTX.one) == x
-    assert seen == [None]
-    assert dense_solve(dense, rhs, 3) == x
-
-
-@pytest.mark.parametrize("modular", [True, False], ids=["modular", "exact"])
-def test_inconsistent_and_underdetermined_messages(monkeypatch, modular):
-    if not modular:
-        monkeypatch.setattr(linalg, "mod_row_profile",
-                            lambda rows, limit=None: None)
+def test_inconsistent_and_underdetermined_messages():
     dense, rhs, x = tall_system()
     assert solve_unique(sparse(dense), rhs, 3, CTX.one) == x
     bad = list(rhs)
-    bad[-1] = bad[-1] + CTX.one     # a row past the chosen square block
+    bad[-1] = bad[-1] + CTX.one     # a row past the three that fix x
     with pytest.raises(ConventionError, match="^inconsistent linear system$"):
         solve_unique(sparse(dense), bad, 3, CTX.one)
     # drop the last column: rank 2 of 2 unknowns but inconsistent

@@ -2,13 +2,17 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
-from oracles import slice_dim_by_weights
+from oracles import slice_dim_by_weights, zbar_by_solve
+from qflag import linalg
 from qflag.cartan import LieType, weyl_dim
-from qflag.linalg import dv_add_scaled
+from qflag.errors import ConventionError
+from qflag.linalg import SparseMatrix, dv_add_scaled
 from qflag.peterweyl import PWAlgebra
+from qflag.verify import DEFAULT_FLAGS
 
 A1 = LieType.parse("A1")
 A2 = LieType.parse("A2")
@@ -162,6 +166,49 @@ def test_generators(algebras, flag_of):
         for z in gens.z:
             assert alg.act_v(("K", flag.crossed), z) == \
                 {k: c * v for k, v in z.items()}
+
+
+def test_generators_call_no_solver(monkeypatch, flag_of):
+    # zbar is read off the pairing; the solve of the oracle gives the same
+    calls = []
+    solve = linalg.solve_unique
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "solve_unique", None) is solve:
+            monkeypatch.setattr(mod, "solve_unique", counting)
+    for name in DEFAULT_FLAGS:
+        flag = flag_of(name)
+        alg = PWAlgebra(flag.lie)
+        gens = alg.generators(flag)
+        assert calls == []
+        raw = [{k: gens.normalization * v for k, v in zb.items()}
+               for zb in gens.zbar]
+        assert raw == zbar_by_solve(alg, flag)
+        assert len(calls) == 1
+        calls.clear()
+
+
+def test_generators_refuse_a_pairing_with_a_second_lowest_entry(
+        monkeypatch, flag_of):
+    # the column that meets the highest weight row must have no other entry
+    flag = flag_of("A2/1")
+    pairing = PWAlgebra.pairing
+
+    def smudged(self, lam):
+        p = pairing(self, lam)
+        hw = self.module(lam).highest_index
+        (low,) = [c for c, col in p.cols.items() if hw in col]
+        cols = dict(p.cols)
+        cols[low] = {**cols[low], (hw + 1) % p.nrows: self.ctx.one}
+        return SparseMatrix(p.nrows, p.ncols, cols)
+
+    monkeypatch.setattr(PWAlgebra, "pairing", smudged)
+    with pytest.raises(ConventionError, match="pairing"):
+        PWAlgebra(flag.lie).generators(flag)
 
 
 def test_products_have_no_zero_entry(algebras, flag_of):

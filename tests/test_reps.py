@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import (conjugated_root_vector, freudenthal_multiplicities,
-                     rescaled, root_vector_matrix, theta_by_matrices)
+                     nullspace_of_conjugation, rescaled, root_vector_matrix,
+                     theta_by_matrices)
 from qflag.cartan import (LieType, bilinear_form, dominant_weights_up_to,
                           longest_word, minus_w0, root_sequence, weyl_dim)
 from qflag import cartan, linalg, reps
@@ -21,8 +22,7 @@ from qflag.peterweyl import PWAlgebra
 from qflag.reps import (LusztigOperators, braid_image, build_irreducible,
                         check_defining_relations, check_intertwines,
                         context_for, decompose, dual_module, dual_pairing,
-                        nullspace_of_conjugation, tensor, transport,
-                        trivial_module)
+                        tensor, transport, trivial_module)
 from qflag.verify import DEFAULT_DEPTH
 
 A1, A2, A3, B2, C2 = (LieType.parse(t) for t in ("A1", "A2", "A3", "B2", "C2"))

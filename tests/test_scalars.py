@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import scalar_from_str
 from qflag import _kernel, _poly_py, scalars
 from qflag.cartan import FlagSpec
 from qflag.errors import DomainError, SpecializationError
 from qflag.scalars import (QContext, Scalar, eval_at, exact_root, qbinom,
-                           qfact, qint, scalar_from_str)
+                           qfact, qint)
 from qflag.verify import verify_suite
 
 try:
