@@ -45,13 +45,32 @@ def _context(args, lie: LieType) -> QContext:
     L = cartan.lattice_denominator(lie)
     if args.q == "symbolic":
         return QContext(L)
-    q0 = Fraction(args.q)
+    try:
+        q0 = Fraction(args.q)
+    except (ValueError, ZeroDivisionError):
+        raise QflagError(f"--q {args.q!r} is not a rational number") from None
     s0 = exact_root(q0, L)  # raises SpecializationError without an exact root
     return QContext(L, s0=s0)
 
 
 def _algebra(args, lie: LieType) -> PWAlgebra:
     return PWAlgebra(lie, ctx=_context(args, lie), guard=args.guard)
+
+
+def _non_negative(text: str) -> int:
+    """The argparse type of --depth, --maxdeg and --max-rank."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _within_depth(name: str, degree: int, depth: int) -> None:
+    """Refuse a degree whose predicted module lies outside the truncation
+    sum(lam) <= depth (the block k w_x has sum k)."""
+    if degree > depth:
+        raise QflagError(f"{name} = {degree} exceeds the depth {depth}: the "
+                         "truncation cannot hold the predicted module")
 
 
 def _parse_krange(text: str):
@@ -189,6 +208,10 @@ def cmd_borel_weil(args) -> int:
     flag = FlagSpec.parse(args.flag)
     depth = args.depth if args.depth is not None else verify.default_depth(flag)
     kmin, kmax = _parse_krange(args.k)
+    if args.opposite:
+        _within_depth("-k", -kmin, depth)
+    else:
+        _within_depth("k", kmax, depth)
     alg = _algebra(args, flag.lie)
     _progress(f"borel-weil {flag} depth {depth} k {kmin}..{kmax}")
     rep = verify.borel_weil_report(alg, flag, kmax=kmax, depth=depth,
@@ -208,8 +231,9 @@ def cmd_borel_weil(args) -> int:
 
 def cmd_coordring(args) -> int:
     flag = FlagSpec.parse(args.flag)
-    alg = _algebra(args, flag.lie)
     depth = args.depth if args.depth is not None else verify.default_depth(flag)
+    _within_depth("maxdeg", args.maxdeg, depth)
+    alg = _algebra(args, flag.lie)
     rep = verify.coordinate_ring_equality(alg, flag, dmax=args.maxdeg,
                                           depth=depth)
     _emit(rep, args)
@@ -305,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("catalog", help="dump the flag catalog and spherical weights")
-    c.add_argument("--max-rank", type=int, default=7)
+    c.add_argument("--max-rank", type=_non_negative, default=7)
     c.set_defaults(func=cmd_catalog)
 
     c = sub.add_parser("rep", help="build one irreducible module")
@@ -319,18 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("relations", help="quadratic relations and flatness")
     c.add_argument("--flag", required=True)
-    c.add_argument("--maxdeg", type=int, default=3)
+    c.add_argument("--maxdeg", type=_non_negative, default=3)
     c.set_defaults(func=cmd_relations)
 
     c = sub.add_parser("liouville", help="kernel of dbar on the flag algebra")
     c.add_argument("--flag", required=True)
-    c.add_argument("--depth", type=int, default=None)
+    c.add_argument("--depth", type=_non_negative, default=None)
     c.set_defaults(func=cmd_liouville)
 
     c = sub.add_parser("borel-weil", help="holomorphic sections of line modules")
     c.add_argument("--flag", required=True)
     c.add_argument("--k", default="-1:1", metavar="a:b")
-    c.add_argument("--depth", type=int, default=None)
+    c.add_argument("--depth", type=_non_negative, default=None)
     c.add_argument("--opposite", action="store_true")
     c.add_argument("--crosscheck", action="store_true",
                    help="also run the quotient-route cross-check")
@@ -338,20 +362,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("coordring", help="coordinate ring equality per degree")
     c.add_argument("--flag", required=True)
-    c.add_argument("--maxdeg", type=int, default=2)
-    c.add_argument("--depth", type=int, default=None)
+    c.add_argument("--maxdeg", type=_non_negative, default=2)
+    c.add_argument("--depth", type=_non_negative, default=None)
     c.set_defaults(func=cmd_coordring)
 
     c = sub.add_parser("spherical", help="spherical decomposition check")
     c.add_argument("--flag", required=True)
-    c.add_argument("--depth", type=int, default=None)
+    c.add_argument("--depth", type=_non_negative, default=None)
     c.set_defaults(func=cmd_spherical)
 
     c = sub.add_parser("verify", help="run verification suites")
     c.add_argument("--flag", required=True)
     c.add_argument("--suite",
                    default="liouville,borel-weil,coordring,spherical")
-    c.add_argument("--depth", type=int, default=None)
+    c.add_argument("--depth", type=_non_negative, default=None)
     c.add_argument("--seed", type=int, default=0,
                    help="seed for randomized property samples")
     c.set_defaults(func=cmd_verify)

@@ -10,7 +10,9 @@ wrappers, spans of algebra elements with sortable keys, kept in echelon
 (not reduced) form incrementally by :class:`SpanBasis`, and the columns of a
 :class:`SparseMatrix`, which stores a matrix as ``{col: column}``.  Every
 matrix-vector and matrix-matrix product folds :func:`dv_add_scaled` over
-columns.
+columns.  :class:`BlockInverse` is the one blockwise inverse (of braid
+operators and Clebsch-Gordan changes of basis): every weight block is checked
+mod a prime when it is built, and inverted when a column of it is first read.
 
 :func:`eliminate` is the one exact elimination engine.  It keeps each row as
 a dict and a column -> rows index, so it touches nonzero entries only.  All
@@ -225,40 +227,68 @@ def invert_dense(rows, one):
     return [{c - n: v for c, v in row.items() if c >= n} for row in red]
 
 
-def invert_blocks(mat, blocks, one):
-    """Inverse of a block-diagonal SparseMatrix, one invert_dense per block.
+class BlockInverse:
+    """Inverse of a block-diagonal matrix, each block inverted on first read.
 
     ``blocks`` lists (row indices, column indices) pairs; each block is read
     from ``mat`` in that row and column order (entries outside the blocks
-    are not read).  The result has shape mat.ncols x mat.nrows, and block
-    (rows, cols) of mat inverts to block (cols, rows) of it.  Raises
-    ConventionError when a block is not square or is singular.
+    are not read).  Block (rows, cols) of mat inverts to block (cols, rows)
+    of the inverse, which has shape mat.ncols x mat.nrows.  Building checks
+    every block: one that is not square raises ConventionError, and one
+    whose rank mod a fixed prime at a fixed point of s
+    (:func:`mod_row_profile`) is not full is inverted exactly at once, which
+    raises ConventionError when it is singular.  Another block is inverted
+    by one :func:`invert_dense` when :meth:`column` first reads a column of
+    it.  The columns returned are shared: callers must not change them.
     """
-    out = {}
-    for rows, cols in blocks:
-        if len(rows) != len(cols):
-            raise ConventionError("weight block is not square")
-        block = block_rows([mat.cols.get(c, {}) for c in cols], rows)
-        for c, row in zip(cols, invert_dense(block, one)):
+
+    def __init__(self, mat, blocks, one):
+        self.nrows, self.ncols = mat.ncols, mat.nrows
+        self._mat, self._one = mat, one
+        self._pending = {}      # column of the inverse -> its block
+        self._cols = {}         # column of the inverse -> dict-vector
+        for block in blocks:
+            rows, cols = block
+            if len(rows) != len(cols):
+                raise ConventionError("weight block is not square")
+            self._pending.update((r, block) for r in rows)
+            profile = mod_row_profile(self._read(block))
+            if profile is None or len(profile) < len(cols):
+                self._invert(block)
+
+    def column(self, r) -> dict:
+        """Column r of the inverse (row r of mat), as a dict-vector."""
+        if r in self._pending:
+            self._invert(self._pending[r])
+        return self._cols.get(r, {})
+
+    def matvec(self, vec: dict) -> dict:
+        """Apply to a column dict-vector {col index: value}."""
+        acc = {}
+        for r, x in vec.items():
+            dv_add_scaled(acc, self.column(r), x)
+        return acc
+
+    def _read(self, block):
+        """Block (rows, cols) of mat as dict rows keyed by column position."""
+        rows, cols = block
+        pos = {r: b for b, r in enumerate(rows)}
+        out = [{} for _ in rows]
+        for a, c in enumerate(cols):
+            for r, v in self._mat.cols.get(c, {}).items():
+                if (b := pos.get(r)) is not None:
+                    out[b][a] = v
+        return out
+
+    def _invert(self, block):
+        rows, cols = block
+        inv = invert_dense(self._read(block), self._one)
+        for r in rows:
+            del self._pending[r]
+            self._cols[r] = {}
+        for c, row in zip(cols, inv):
             for b, v in row.items():
-                out.setdefault(rows[b], {})[c] = v
-    return SparseMatrix(mat.ncols, mat.nrows, out)
-
-
-def block_rows(columns, rows):
-    """The dict-vector ``columns`` restricted to the keys ``rows``, as rows.
-
-    Row b holds the entries at key rows[b], keyed by column position;
-    entries at other keys are not read.
-    """
-    pos = {r: b for b, r in enumerate(rows)}
-    block = [{} for _ in rows]
-    for a, col in enumerate(columns):
-        for r, v in col.items():
-            b = pos.get(r)
-            if b is not None:
-                block[b][a] = v
-    return block
+                self._cols[rows[b]][c] = v
 
 
 # -- dict-vectors ------------------------------------------------------------
@@ -351,7 +381,12 @@ class SparseMatrix:
     """Immutable sparse matrix with exact entries, stored by column.
 
     ``cols`` maps a column index to that column as a dict-vector
-    {row: value}; no entry is zero and no column is empty.
+    {row: value}; no entry is zero and no column is empty.  The constructor
+    keeps the columns it is given, not copied (the caller hands them over),
+    and drops empty ones.  Products, transposes and tensor actions fold
+    :func:`dv_add_scaled`, which drops cancelled entries; :meth:`add`,
+    :meth:`diagonal` and :meth:`from_entries`, the only methods that can
+    meet a zero entry, drop it themselves.
     """
 
     __slots__ = ("nrows", "ncols", "cols")
@@ -359,29 +394,15 @@ class SparseMatrix:
     def __init__(self, nrows, ncols, cols):
         self.nrows = nrows
         self.ncols = ncols
-        self.cols = {j: col for j, c in cols.items()
-                     if (col := {i: v for i, v in c.items() if v})}
-
-    @staticmethod
-    def from_clean(nrows, ncols, cols) -> "SparseMatrix":
-        """The matrix of ``cols``, whose columns have no zero entry.
-
-        Empty columns are dropped; the others are kept as they are, not
-        copied, so the caller hands them over.  Products, transposes and
-        tensor actions built with :func:`dv_add_scaled` qualify.
-        """
-        m = SparseMatrix.__new__(SparseMatrix)
-        m.nrows = nrows
-        m.ncols = ncols
-        m.cols = {j: col for j, col in cols.items() if col}
-        return m
+        self.cols = {j: col for j, col in cols.items() if col}
 
     @staticmethod
     def from_entries(nrows, ncols, entries) -> "SparseMatrix":
         """The matrix of ((row, col), value) pairs, as entries_sorted gives."""
         cols = {}
         for (i, j), v in entries:
-            cols.setdefault(j, {})[i] = v
+            if v:
+                cols.setdefault(j, {})[i] = v
         return SparseMatrix(nrows, ncols, cols)
 
     @staticmethod
@@ -395,7 +416,8 @@ class SparseMatrix:
     @staticmethod
     def diagonal(values) -> "SparseMatrix":
         n = len(values)
-        return SparseMatrix(n, n, {i: {i: v} for i, v in enumerate(values)})
+        return SparseMatrix(n, n, {i: {i: v} for i, v in enumerate(values)
+                                   if v})
 
     def row_dicts(self):
         """Rows as dict-vectors {col: value}, one per row."""
@@ -408,9 +430,6 @@ class SparseMatrix:
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.nrows == other.nrows
                 and self.ncols == other.ncols and self.cols == other.cols)
-
-    def __hash__(self):
-        raise TypeError("unhashable")
 
     def entry(self, i, j):
         return self.cols.get(j, {}).get(i)
@@ -427,11 +446,14 @@ class SparseMatrix:
     def add(self, other) -> "SparseMatrix":
         out = dict(self.cols)
         for j, col in other.cols.items():
-            acc = dict(out.get(j, {}))
+            out[j] = acc = dict(out.get(j, {}))
             for i, v in col.items():
                 w = acc.get(i)
-                acc[i] = v if w is None else w + v
-            out[j] = acc
+                w = v if w is None else w + v
+                if w:
+                    acc[i] = w
+                else:
+                    del acc[i]
         return SparseMatrix(self.nrows, self.ncols, out)
 
     def sub(self, other) -> "SparseMatrix":
@@ -440,7 +462,7 @@ class SparseMatrix:
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        return SparseMatrix.from_clean(self.nrows, other.ncols, {
+        return SparseMatrix(self.nrows, other.ncols, {
             j: self.matvec(col) for j, col in other.cols.items()})
 
     def matvec(self, vec: dict) -> dict:
@@ -458,7 +480,7 @@ class SparseMatrix:
         for j, col in self.cols.items():
             for i, v in col.items():
                 rows.setdefault(i, {})[j] = v
-        return SparseMatrix.from_clean(self.ncols, self.nrows, rows)
+        return SparseMatrix(self.ncols, self.nrows, rows)
 
     def power(self, n: int, one) -> "SparseMatrix":
         if n < 0:

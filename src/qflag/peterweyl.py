@@ -128,19 +128,12 @@ class PWAlgebra:
 
     def cg(self, lam, mu) -> CGDecomposition:
         key = (tuple(lam), tuple(mu))
-        got = self._cg.get(key)
-        if got is not None:
-            return got[0]
-        cg = decompose(tensor(self.module(lam), self.module(mu)), self.module)
-        # per summand: its weight and the rows of its embedding
-        rows = [(s.nu, s.emb.transpose().cols) for s in cg.summands]
-        self._cg[key] = (cg, rows)
+        cg = self._cg.get(key)
+        if cg is None:
+            cg = decompose(tensor(self.module(lam), self.module(mu)),
+                           self.module)
+            self._cg[key] = cg
         return cg
-
-    def _cg_maps(self, lam, mu):
-        """The decomposition of V_lam (x) V_mu and its embeddings' rows."""
-        self.cg(lam, mu)
-        return self._cg[(tuple(lam), tuple(mu))]
 
     # -- Hopf-algebra operations ----------------------------------------------
 
@@ -172,12 +165,12 @@ class PWAlgebra:
                 d2 = self.module(l2).dim
                 tr = r1 * d2 + r2
                 tc = c1 * d2 + c2
-                cg, rows = self._cg_maps(l1, l2)
+                cg = self.cg(l1, l2)
                 for k, cls in cg.proj_columns(tc).items():
-                    nu, row_map = rows[k]
-                    rws = row_map.get(tr)
+                    rws = cg.emb_rows[k].get(tr)
                     if not rws:
                         continue
+                    nu = cg.summands[k].nu
                     for rr, ev in rws.items():
                         vv = v12 * ev
                         for ss, pv in cls.items():

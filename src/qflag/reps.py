@@ -40,9 +40,8 @@ from . import cartan
 from .cartan import LieType, Weight
 from .errors import (ConventionError, DimensionGuardError, DomainError,
                      ReducibleModuleError, SpecializationError)
-from .linalg import (SparseMatrix, block_rows, dv_add_scaled, eliminate,
-                     invert_blocks, invert_dense, mod_row_profile, nullspace,
-                     rows_from_columns)
+from .linalg import (BlockInverse, SparseMatrix, dv_add_scaled, eliminate,
+                     mod_row_profile, nullspace, rows_from_columns)
 from .scalars import QContext
 
 DEFAULT_GUARD = 64
@@ -255,8 +254,8 @@ def tensor(m1: ModuleData, m2: ModuleData) -> ModuleData:
                 dv_add_scaled(f_col, {a * d2 + r: v for r, v in
                                       f2.get(b, {}).items()}, kinv)
                 ff[a * d2 + b] = f_col
-        e_mats.append(SparseMatrix.from_clean(dim, dim, ee))
-        f_mats.append(SparseMatrix.from_clean(dim, dim, ff))
+        e_mats.append(SparseMatrix(dim, dim, ee))
+        f_mats.append(SparseMatrix(dim, dim, ff))
     k_exps = tuple(tuple(m1.k_exps[i][t // d2] + m2.k_exps[i][t % d2]
                          for t in range(dim)) for i in range(n))
     return ModuleData(lie=lie, ctx=ctx, highest=None, dim=dim, weights=weights,
@@ -393,47 +392,40 @@ class CGDecomposition:
     ``seeds`` is the ordered list of (nu, u), u a highest weight vector of T
     of weight nu (a dict-vector); summand k embeds V_nu by carrying its u
     along V_nu's F-words (:func:`transport`), with ``module_store(nu)`` the
-    canonical V_nu.  The projections T -> V_nu are the rows of U^-1, where U,
-    the change of basis, is the embeddings side by side in summand order.  U
-    is block diagonal by weight; a block is inverted when a projection
-    column of its weight is first asked for (:meth:`proj_columns`), with one
-    :func:`qflag.linalg.invert_dense` on the block in a fixed row and column
-    order, and kept.
-
-    Construction checks that the summand dims add up to dim T and every
-    block: one that is not square raises ConventionError; one whose rank mod
-    a fixed prime at a fixed point of s
-    (:func:`qflag.linalg.mod_row_profile`) is not full is inverted exactly at
-    once, which raises ConventionError when it is singular.
+    canonical V_nu.  ``emb_rows[k]`` holds the rows of summand k's
+    embedding, {row of T: {column of V_nu: value}}.  U, the change of basis,
+    is the embeddings side by side in summand order; it is block diagonal by
+    weight, and the projections T -> V_nu are the rows of U^-1, a
+    :class:`qflag.linalg.BlockInverse`: construction checks every block mod
+    a prime (raising ConventionError for a block that is not square or is
+    singular), and a block is inverted when a projection column of its
+    weight is first read (:meth:`proj_columns`).  Construction also checks
+    that the summand dims add up to dim T.
     """
 
     def __init__(self, t_mod: ModuleData, module_store, seeds):
-        by_weight = t_mod.weight_indices()
         summands = []
-        cols_by_weight = {}     # weight -> [(summand, its column)]
+        owner = []              # column of U -> (summand, its column)
+        cols_by_weight = {}     # weight -> columns of U
         for nu, u in seeds:
             v_nu = module_store(nu)
             for c, w in enumerate(v_nu.weights):
-                cols_by_weight.setdefault(w, []).append((len(summands), c))
+                cols_by_weight.setdefault(w, []).append(len(owner))
+                owner.append((len(summands), c))
             summands.append(CGSummand(tuple(nu),
                                       transport(v_nu, t_mod.f_mats, u)))
-        total = sum(s.emb.ncols for s in summands)
-        if total != t_mod.dim:
+        if len(owner) != t_mod.dim:
             raise ConventionError(
-                f"summand dimensions {total} do not add up to {t_mod.dim}")
+                f"summand dimensions {len(owner)} do not add up to {t_mod.dim}")
         self.summands = tuple(summands)
-        self.t_dim = t_mod.dim
-        self._one = t_mod.ctx.one
-        self._pending = {}      # tensor index -> its weight block
-        self._cols = {}         # tensor index -> {summand: projection column}
-        for w, gcols in cols_by_weight.items():
-            block = (by_weight.get(w, ()), gcols)
-            if len(block[0]) != len(gcols):
-                raise ConventionError("weight block is not square")
-            self._pending.update((r, block) for r in block[0])
-            profile = mod_row_profile(self._block_rows(block))
-            if profile is None or len(profile) < len(gcols):
-                self._invert(block)
+        self.emb_rows = tuple(s.emb.transpose().cols for s in summands)
+        self._owner = owner
+        u = SparseMatrix(t_mod.dim, len(owner), {
+            g: summands[k].emb.cols.get(c, {}) for g, (k, c) in enumerate(owner)})
+        by_weight = t_mod.weight_indices()
+        self.u_inv = BlockInverse(
+            u, [(by_weight.get(w, ()), g) for w, g in cols_by_weight.items()],
+            t_mod.ctx.one)
 
     def proj_columns(self, tc) -> dict:
         """Column tc of the projections, {summand index: dict-vector}.
@@ -441,35 +433,17 @@ class CGDecomposition:
         Summands whose projection column tc is zero are left out; the others
         come in summand order.
         """
-        got = self._cols.get(tc)
-        if got is None:
-            self._invert(self._pending[tc])
-            got = self._cols[tc]
-        return got
+        out = {}
+        for g, v in self.u_inv.column(tc).items():
+            k, c = self._owner[g]
+            out.setdefault(k, {})[c] = v
+        return out
 
     def proj(self, k) -> SparseMatrix:
         """The whole projection T -> V_nu of summand k (every block inverted)."""
-        while self._pending:
-            self._invert(next(iter(self._pending.values())))
-        return SparseMatrix(self.summands[k].emb.ncols, self.t_dim,
-                            {tc: cols[k] for tc, cols in self._cols.items()
-                             if k in cols})
-
-    def _block_rows(self, block):
-        rows, cols = block
-        return block_rows([self.summands[k].emb.cols.get(c, {})
-                           for k, c in cols], rows)
-
-    def _invert(self, block):
-        rows, cols = block
-        out = {r: {} for r in rows}
-        inv = invert_dense(self._block_rows(block), self._one)
-        for (k, c), row in zip(cols, inv):
-            for b, v in row.items():
-                out[rows[b]].setdefault(k, {})[c] = v
-        for r in rows:
-            del self._pending[r]
-        self._cols.update(out)
+        t_dim = self.u_inv.ncols
+        return SparseMatrix(self.summands[k].emb.ncols, t_dim, {
+            tc: self.proj_columns(tc).get(k, {}) for tc in range(t_dim)})
 
     def __eq__(self, other):
         # the embeddings determine the projections
@@ -621,7 +595,7 @@ class RootVector:
         while len(chain) < len(invs):
             k = len(chain)
             chain.append(invs[k].matvec(chain[-1]) if k
-                         else invs[0].cols.get(c, {}))
+                         else invs[0].column(c))
         v = self._gen.matvec(chain[len(invs) - 1])
         for th in reversed(self._thetas):
             v = th.matvec(v)
@@ -649,9 +623,12 @@ class LusztigOperators:
     checked as exact matrix identities, and above it the kernel
     certificates downstream re-check every consequence.
 
-    This object is the one cache of the module's root vectors
-    (:class:`RootVector`, one per (word, r, kind)), and of the chains
-    Theta_{ik}^-1 ... Theta_{i1}^-1 e_c that their columns start from.
+    Theta_i^-1 is a :class:`qflag.linalg.BlockInverse` of Theta_i, whose
+    weight blocks are checked mod a prime when it is built and inverted when
+    a root-vector column first reads them.  This object is the one cache of
+    the module's root vectors (:class:`RootVector`, one per (word, r,
+    kind)), and of the chains Theta_{ik}^-1 ... Theta_{i1}^-1 e_c that their
+    columns start from.
     """
 
     FULL_VERIFY_LIMIT = 24
@@ -705,13 +682,13 @@ class LusztigOperators:
                     raise ConventionError(
                         f"braid conjugation identity failed for T_{i}({kind}_{j})")
 
-    def theta_inv(self, i: int) -> SparseMatrix:
+    def theta_inv(self, i: int) -> BlockInverse:
         inv = self._theta_inv.get(i)
         if inv is not None:
             return inv
         m = self.m
         by_weight = m.weight_indices()
-        inv = invert_blocks(
+        inv = BlockInverse(
             self.theta(i),
             [(by_weight.get(cartan.reflect_weight(m.lie, i, mu), ()), cols)
              for mu, cols in by_weight.items()], m.ctx.one)

@@ -109,18 +109,15 @@ def ybe_check(v: ModuleData, br: Braiding | None = None) -> bool:
     weight vector, generate V (x) V (x) V whenever every basis vector of V is
     an F-word applied to e_h (Jantzen, Lectures on Quantum Groups, ch. 3-5).
     Two F-commuting maps that agree on those dim(V)^2 vectors are equal, so
-    only they are checked.  A braiding that :func:`braiding` certified on V
-    itself is not checked again.  Otherwise (a braiding passed in for a module
-    with no F-word data, or a matrix that does not intertwine or breaks
-    weight) both sides are applied to every basis vector.  Every comparison
-    is exact.
+    for a braiding that :func:`braiding` certified on V itself only they are
+    checked.  Anything else (a hand-built or replaced braiding, or one of
+    other modules) is applied to every basis vector.  Every comparison is
+    exact.
     """
     if br is None:
         br = braiding(v, v)
     d = v.dim
-    if br.v is v and br.w is v and (br.certified or (
-            generated_by_highest(v)
-            and check_intertwines(br.matrix, vv := tensor(v, v), vv))):
+    if br.v is v and br.w is v and br.certified:
         h = v.highest_index
         cols = range(h * d * d, (h + 1) * d * d)
     else:

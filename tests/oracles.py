@@ -8,15 +8,16 @@ generator matrices), reduced row echelon forms from plain dense
 Gauss-Jordan elimination on lists (not the sparse engine), the
 Yang-Baxter identity from full products of Kronecker matrices on
 V (x) V (x) V (not the reduced set of columns), braid operators from
-whole braid-image matrices (not words applied by matvec), root vectors
-by conjugating whole matrices with prefix products of braid operators (not
-column by column), braidings as the unique solution of the intertwining
-system (not by transport along F-words), braid operators as the kernel of
-their whole conjugation system (not by transport), zbar from the solution
-of a linear system (not read off the pairing), the mixed exchange
-coefficients by reading R at every index tuple (not by walking R's nonzero
-entries), and the sum, product and quotient of two canonical fractions by
-one gcd of the full product (not by gcds of cofactors).
+whole braid-image matrices (not words applied by matvec), block-diagonal
+inverses with every block inverted at once (not each block on its first
+read), root vectors by conjugating whole matrices with prefix products of
+braid operators (not column by column), braidings as the unique solution of
+the intertwining system (not by transport along F-words), braid operators
+as the kernel of their whole conjugation system (not by transport), zbar
+from the solution of a linear system (not read off the pairing), the mixed
+exchange coefficients by reading R at every index tuple (not by walking R's
+nonzero entries), and the sum, product and quotient of two canonical
+fractions by one gcd of the full product (not by gcds of cofactors).
 :func:`rescaled` gives the tests a module that is not a canonical build,
 and :func:`scalar_from_str` parses the string form of a scalar back.
 """
@@ -33,8 +34,8 @@ from qflag.cartan import (bilinear_form, cartan_matrix, positive_roots,
                           reflect_weight, root_to_weight, symmetrizers,
                           w0_on_weight, weight_to_root_int)
 from qflag.errors import ConventionError, DomainError
-from qflag.linalg import (SparseMatrix, dv_add_scaled, invert_blocks,
-                          invert_dense, nullspace, solve_unique)
+from qflag.linalg import (SparseMatrix, dv_add_scaled, invert_dense,
+                          nullspace, solve_unique)
 from qflag.reps import ModuleData, braid_image, tensor, transport
 from qflag.rmatrix import Braiding, braiding
 from qflag.scalars import Scalar
@@ -252,6 +253,42 @@ def nullspace_of_conjugation(m: ModuleData, i: int):
                     if row:
                         rows.append(row)
     return nullspace(rows, len(unknowns), ctx.one)
+
+
+def invert_blocks(mat, blocks, one):
+    """Inverse of a block-diagonal SparseMatrix, one invert_dense per block.
+
+    ``blocks`` lists (row indices, column indices) pairs; each block is read
+    from ``mat`` in that row and column order (entries outside the blocks
+    are not read).  The result has shape mat.ncols x mat.nrows, and block
+    (rows, cols) of mat inverts to block (cols, rows) of it.  Raises
+    ConventionError when a block is not square or is singular.
+    """
+    out = {}
+    for rows, cols in blocks:
+        if len(rows) != len(cols):
+            raise ConventionError("weight block is not square")
+        block = block_rows([mat.cols.get(c, {}) for c in cols], rows)
+        for c, row in zip(cols, invert_dense(block, one)):
+            for b, v in row.items():
+                out.setdefault(rows[b], {})[c] = v
+    return SparseMatrix(mat.ncols, mat.nrows, out)
+
+
+def block_rows(columns, rows):
+    """The dict-vector ``columns`` restricted to the keys ``rows``, as rows.
+
+    Row b holds the entries at key rows[b], keyed by column position;
+    entries at other keys are not read.
+    """
+    pos = {r: b for b, r in enumerate(rows)}
+    block = [{} for _ in rows]
+    for a, col in enumerate(columns):
+        for r, v in col.items():
+            b = pos.get(r)
+            if b is not None:
+                block[b][a] = v
+    return block
 
 
 def conjugated_root_vector(ops, word, r, kind):

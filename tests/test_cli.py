@@ -261,6 +261,50 @@ def test_empty_k_range_is_usage_error(capsys):
     assert code == 2 and "range" in err
 
 
+def test_q_that_is_not_rational_is_usage_error(capsys):
+    # exit 1 means a verification failed; a value of q is a usage error
+    for q in ("1/0", "one", "2/x"):
+        code, out, err = run_cli(capsys, "--q", q, "liouville", "--flag",
+                                 "A1/1", "--depth", "2")
+        assert code == 2 and out == "" and "not a rational number" in err, q
+
+
+def test_negative_counts_are_usage_errors(capsys):
+    # a negative truncation or degree gives a report about nothing
+    for argv in (["liouville", "--flag", "A2/1", "--depth", "-2"],
+                 ["relations", "--flag", "A1/1", "--maxdeg", "-1"],
+                 ["catalog", "--max-rank", "-3"],
+                 ["verify", "--flag", "A1/1", "--depth", "-1"],
+                 ["coordring", "--flag", "A1/1", "--depth", "x"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "expected a non-negative integer" in err, argv
+    # depth 0 is a truncation: the trivial block alone
+    code, out, _ = run_cli(capsys, "liouville", "--flag", "A1/1",
+                           "--depth", "0")
+    assert code == 0 and json.loads(out)["ok"]
+
+
+def test_degree_above_the_depth_is_usage_error(capsys):
+    # the predicted module of degree k has sum k, outside a smaller depth
+    for argv, named in (
+            (["borel-weil", "--flag", "A1/1", "--k", "0:3", "--depth", "2"],
+             "k = 3 exceeds the depth 2"),
+            (["borel-weil", "--flag", "A1/1", "--k", "-3:0", "--depth", "2",
+              "--opposite"], "-k = 3 exceeds the depth 2"),
+            (["coordring", "--flag", "A1/1", "--maxdeg", "3", "--depth", "2"],
+             "maxdeg = 3 exceeds the depth 2"),
+            (["coordring", "--flag", "A1/1", "--depth", "0"],
+             "maxdeg = 2 exceeds the depth 0")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and named in err, argv
+    # vanishing degrees fit any depth
+    code, out, _ = run_cli(capsys, "borel-weil", "--flag", "A1/1",
+                           "--k", "-3:2", "--depth", "2")
+    assert code == 0 and [r["dim"] for r in json.loads(out)["rows"]] == \
+        [0, 0, 0, 1, 2, 3]
+
+
 def test_properties_suite_seeded(capsys):
     args = ["verify", "--flag", "A1/1", "--suite", "properties",
             "--depth", "2", "--seed", "5"]

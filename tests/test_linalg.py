@@ -5,14 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dense_nullspace, dense_rref, dense_solve
+from oracles import dense_nullspace, dense_rref, dense_solve, invert_blocks
+from qflag import linalg
 from qflag.cartan import LieType
 from qflag.errors import ConventionError
-from qflag.linalg import (SpanBasis, SparseMatrix, column_rank_profile,
-                          eliminate, invert_blocks, invert_dense,
+from qflag.linalg import (BlockInverse, SpanBasis, SparseMatrix,
+                          column_rank_profile, eliminate, invert_dense,
                           kernel_combinations, mod_row_profile, nullspace,
                           rank, solve_unique)
-from qflag.reps import build_irreducible, context_for, tensor
+from qflag.reps import (LusztigOperators, build_irreducible, context_for,
+                        decompose, dual_module, tensor)
+from qflag.rmatrix import braiding
 
 CTX = context_for(LieType.parse("A1"))
 
@@ -185,8 +188,16 @@ def random_blocks(rng, n):
     return blocks
 
 
+def read_in_order(inv, order):
+    """The whole BlockInverse, its columns read in the given order."""
+    return SparseMatrix(inv.nrows, inv.ncols,
+                        {r: inv.column(r) for r in order})
+
+
 @pytest.mark.parametrize("one,entry", FIELDS, ids=["fraction", "scalar"])
 def test_invert_blocks_matches_dense_reference(one, entry):
+    # the eager oracle against dense Gauss-Jordan, and BlockInverse, read
+    # column by column in a random order, against the oracle
     zero = one - one
     rng = random.Random(5)
     inverted = singular = 0
@@ -207,12 +218,20 @@ def test_invert_blocks_matches_dense_reference(one, entry):
         if len(pivots) < n:
             with pytest.raises(ConventionError, match="singular"):
                 invert_blocks(mat, blocks, one)
+            with pytest.raises(ConventionError, match="singular"):
+                BlockInverse(mat, blocks, one)
             singular += 1
             continue
         got = invert_blocks(mat, blocks, one)
         assert (got.nrows, got.ncols) == (n, n)
         assert [[got.entry(i, j) or zero for j in range(n)]
                 for i in range(n)] == [r[n:] for r in red]
+        order = list(range(n))
+        rng.shuffle(order)
+        lazy = BlockInverse(mat, blocks, one)
+        assert read_in_order(lazy, order) == got
+        vec = {j: entry(rng) for j in range(n) if rng.random() < 0.5}
+        assert lazy.matvec(vec) == got.matvec(vec)
         inverted += 1
     assert inverted > 10 and singular
 
@@ -222,14 +241,41 @@ def test_invert_blocks_rejects_bad_blocks():
     mat = SparseMatrix.from_entries(3, 3, {
         (0, 0): one, (1, 1): one, (1, 2): one, (2, 1): one, (2, 2): one}.items())
     with pytest.raises(ConventionError, match="not square"):
-        invert_blocks(mat, [([0], [0]), ([1, 2], [1])], one)
+        BlockInverse(mat, [([0], [0]), ([1, 2], [1])], one)
     with pytest.raises(ConventionError, match="singular"):
-        invert_blocks(mat, [([0], [0]), ([1, 2], [1, 2])], one)
+        BlockInverse(mat, [([0], [0]), ([1, 2], [1, 2])], one)
     # a rectangular matrix with square blocks: the shape is transposed
     wide = SparseMatrix.from_entries(1, 2, [((0, 1), Fraction(2))])
-    inv = invert_blocks(wide, [([0], [1])], one)
-    assert ((inv.nrows, inv.ncols, inv.entries_sorted())
+    inv = BlockInverse(wide, [([0], [1])], one)
+    assert ((inv.nrows, inv.ncols, read_in_order(inv, [0]).entries_sorted())
             == (2, 1, [((1, 0), Fraction(1, 2))]))
+
+
+def test_block_inverse_checks_a_block_no_one_reads(monkeypatch):
+    # a singular block raises when the inverse is built, although no column
+    # of it is ever read; the invertible blocks wait for their first read
+    one = Fraction(1)
+    mat = SparseMatrix.from_entries(4, 4, {
+        (0, 0): one, (1, 1): one, (1, 2): one, (2, 1): one, (2, 2): one,
+        (3, 3): Fraction(2)}.items())
+    calls = []
+    original = linalg.invert_dense
+
+    def counted(rows, one):
+        calls.append(len(rows))
+        return original(rows, one)
+
+    monkeypatch.setattr(linalg, "invert_dense", counted)
+    with pytest.raises(ConventionError, match="singular"):
+        BlockInverse(mat, [([0], [0]), ([1, 2], [1, 2]), ([3], [3])], one)
+    assert calls == [2]
+    calls.clear()
+    inv = BlockInverse(mat, [([0], [0]), ([1], [1]), ([3], [3])], one)
+    assert calls == []
+    assert inv.column(3) == {3: Fraction(1, 2)}
+    assert inv.matvec({3: one, 1: one}) == {3: Fraction(1, 2), 1: one}
+    assert inv.column(3) == {3: Fraction(1, 2)}
+    assert calls == [1, 1]
 
 
 def from_dense(dense, ncols):
@@ -306,23 +352,36 @@ def test_sparse_matrix_matches_dense_reference(one, entry):
             ((i, j), v) for i, row in enumerate(a) for j, v in enumerate(row)
             if v]
         assert SparseMatrix.from_entries(m, k, sa.entries_sorted()) == sa
-        assert SparseMatrix(m, k, {0: {0: zero}, 1: {}}).cols == {}
+        # the constructor keeps the entries it is given and drops only
+        # empty columns; add (above), from_entries and diagonal drop zeros
+        assert SparseMatrix(m, k, {1: {}}).cols == {}
+        assert SparseMatrix.from_entries(m, k, [((0, 0), zero)]).cols == {}
+        assert SparseMatrix.diagonal([zero, x, zero]).cols == {1: {1: x}}
 
 
 def test_module_tensor_and_product_matrices_are_clean():
-    # tensor, transpose and mul skip the constructor's zero filter, since
-    # dv_add_scaled already drops cancelled entries; this holds them to it
+    # the constructor does not filter zeros, so every matrix a module,
+    # product, braid operator or braiding is built from must be clean
     lie = LieType.parse("A2")
     ctx = context_for(lie)
     v = build_irreducible(ctx, lie, (1, 0))
     w = build_irreducible(ctx, lie, (1, 1))
     t = tensor(v, w)
-    for m in (v, w, t):
+    for m in (v, w, t, dual_module(w)):
         for i in range(lie.rank):
             e, f = m.e_mats[i], m.f_mats[i]
             for mat in (e, f, e.transpose(), e.mul(f), f.mul(e),
                         e.mul(f).sub(f.mul(e)), e.mul(e).mul(e)):
                 assert_clean(mat)
+    # transport along F-words: braid operators and CG embeddings
+    ops = LusztigOperators(w)
+    for i in range(1, lie.rank + 1):
+        assert_clean(ops.theta(i))
+    for s in decompose(
+            t, lambda nu: build_irreducible(ctx, lie, nu)).summands:
+        assert_clean(s.emb)
+    assert_clean(braiding(v, w).matrix)
+    assert_clean(braiding(w, w).matrix)
     # E_1^3 vanishes on the 8-dimensional V_(1,1), by cancellation or not
     assert w.e_mats[0].power(3, ctx.one).is_zero()
 

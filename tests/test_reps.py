@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import (conjugated_root_vector, freudenthal_multiplicities,
-                     nullspace_of_conjugation, rescaled, root_vector_matrix,
-                     theta_by_matrices)
+                     invert_blocks, nullspace_of_conjugation, rescaled,
+                     root_vector_matrix, theta_by_matrices)
 from qflag.cartan import (LieType, bilinear_form, dominant_weights_up_to,
                           longest_word, minus_w0, root_sequence, weyl_dim)
 from qflag import cartan, linalg, reps
@@ -195,7 +195,7 @@ def eager_projections(t, cg, get):
         for c, w in enumerate(get(s.nu).weights):
             cols_by_weight.setdefault(w, []).append(off + c)
             owner.append((k, c))
-    uinv = linalg.invert_blocks(
+    uinv = invert_blocks(
         SparseMatrix(t.dim, t.dim, columns),
         [(by_weight.get(w, ()), g) for w, g in cols_by_weight.items()],
         t.ctx.one)
@@ -235,13 +235,13 @@ def test_multiply_inverts_only_the_blocks_it_reads(monkeypatch):
     c1b, c2b = 1, w.weights.index(tuple(-x for x in v.weights[1]))
     assert mult[(0, 0)] == 3
     calls = []
-    original = reps.invert_dense
+    original = linalg.invert_dense
 
     def counted(rows, one):
         calls.append(len(rows))
         return original(rows, one)
 
-    monkeypatch.setattr(reps, "invert_dense", counted)
+    monkeypatch.setattr(linalg, "invert_dense", counted)
     p = alg.multiply(alg.basis_element(lam, 0, c1),
                      alg.basis_element(mu, 1, c2))
     assert p
@@ -536,6 +536,36 @@ def test_root_vectors_hold_no_reference_cycle():
         gc.enable()
 
 
+def test_root_vector_column_inverts_only_the_blocks_on_its_chain(monkeypatch):
+    # Theta_i^-1 is checked mod p when built and inverts a weight block when
+    # a column of it is first read: one column of E_beta reads one block of
+    # each Theta^-1 along its chain, the weights w, s_i1 w, s_i2 s_i1 w, ...
+    m = build_irreducible(context_for(A3), A3, (1, 0, 1))
+    mult = {w: len(idx) for w, idx in m.weight_indices().items()}
+    calls = []
+    original = linalg.invert_dense
+
+    def counted(rows, one):
+        calls.append(len(rows))
+        return original(rows, one)
+
+    monkeypatch.setattr(linalg, "invert_dense", counted)
+    word = longest_word(A3)
+    r = len(word)
+    rv = LusztigOperators(m).root_operator(word, r, "E")
+    assert calls == []
+    c = m.weights.index((0, 0, 0))
+    rv.column(c)
+    read, want, w = set(), [], m.weights[c]
+    for i in word[:r - 1]:
+        if (i, w) not in read:
+            read.add((i, w))
+            want.append(mult[w])
+        w = cartan.reflect_weight(A3, i, w)
+    assert calls == want
+    assert len(calls) < len(set(word[:r - 1])) * len(mult)
+
+
 def _oracle_modules():
     # every module of the six default flags' truncations up to dim 35
     # (C2 (2, 1) among them: a_12 = -2, so divided powers of order 2
@@ -673,7 +703,7 @@ def test_modular_path_needs_no_exact_profile(monkeypatch):
     # of every row
     spaces = []
     calls = counting(monkeypatch, "eliminate")
-    inverses = counting(monkeypatch, "invert_blocks")
+    inverses = counting(monkeypatch, "BlockInverse")
     select = reps._select_candidates
 
     def record(cols, want):
