@@ -256,18 +256,53 @@ def minus_w0(lie: LieType, lam: Weight) -> Weight:
 
 
 def weyl_dim(lie: LieType, lam: Weight) -> int:
-    """dim V_lam by the Weyl dimension formula (lam dominant)."""
+    """dim V_lam by the Weyl dimension formula (lam dominant).
+
+    prod_alpha (lam + rho, alpha) / (rho, alpha) in integers: with
+    (nu, alpha) = sum_j alpha_j d_j nu_j and rho = (1, ..., 1), the ratio is
+    prod_alpha sum_j alpha_j d_j (lam_j + 1) / prod_alpha sum_j alpha_j d_j.
+    """
     if any(x < 0 for x in lam):
         raise DomainError(f"{lam} is not dominant")
-    rho = tuple([1] * lie.rank)
-    num = Fraction(1)
-    lam_rho = tuple(x + 1 for x in lam)
+    d = symmetrizers(lie)
+    num = den = 1
     for alpha in positive_roots(lie):
-        num *= bilinear_form(lie, lam_rho, alpha, ("weight", "root")) / \
-            bilinear_form(lie, rho, alpha, ("weight", "root"))
-    if num.denominator != 1:
+        num *= sum(a * dj * (x + 1) for a, dj, x in zip(alpha, d, lam))
+        den *= sum(a * dj for a, dj in zip(alpha, d))
+    dim, rem = divmod(num, den)
+    if rem:
         raise DomainError("Weyl dimension came out non-integral")
-    return int(num)
+    return dim
+
+
+def tensor_multiplicities(lie: LieType, lam: Weight, mu: Weight) -> dict:
+    """{nu: multiplicity of V_nu in V_lam (x) V_mu} by Brauer-Klimyk.
+
+    V_lam (x) V_mu = sum over the weights eta of V_mu, with multiplicity
+    m_mu(eta), of sign(w) V_nu, nu = w(lam + eta + rho) - rho, where w takes
+    lam + eta + rho into the dominant chamber; a weight on a wall (some
+    coordinate 0 on the way) contributes nothing (Klimyk 1968; Humphreys,
+    Introduction to Lie Algebras, section 24).  The sum is symmetric in the
+    factors, so it runs over the weights of the smaller one.  Integers only;
+    the keys come by (sum(nu), nu), multiplicities are positive.
+    """
+    if weyl_dim(lie, mu) > weyl_dim(lie, lam):
+        lam, mu = mu, lam
+    out = {}
+    for eta, m in weight_multiplicities(lie, mu).items():
+        x = tuple(a + b + 1 for a, b in zip(lam, eta))
+        sign = 1
+        while True:
+            i = next((k for k, c in enumerate(x) if c <= 0), None)
+            if i is None or not x[i]:
+                break
+            x = reflect_weight(lie, i + 1, x)
+            sign = -sign
+        if i is None:
+            nu = tuple(c - 1 for c in x)
+            out[nu] = out.get(nu, 0) + sign * m
+    return {nu: out[nu] for nu in sorted(out, key=lambda w: (sum(w), w))
+            if out[nu]}
 
 
 def weight_multiplicities(lie: LieType, lam: Weight) -> dict:

@@ -284,6 +284,10 @@ def cmd_verify(args) -> int:
     flag = FlagSpec.parse(args.flag)
     alg = _algebra(args, flag.lie)
     depth = args.depth
+    if "audit" in suites:
+        # the audit tests degree 1, whose blocks k w_x have sum 1
+        _within_depth("the audit degree", 1, verify.default_depth(flag)
+                      if depth is None else depth)
     extra = []
     core = []
     for s in suites:

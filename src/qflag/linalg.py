@@ -12,7 +12,8 @@ wrappers, spans of algebra elements with sortable keys, kept in echelon
 matrix-vector and matrix-matrix product folds :func:`dv_add_scaled` over
 columns.  :class:`BlockInverse` is the one blockwise inverse (of braid
 operators and Clebsch-Gordan changes of basis): every weight block is checked
-mod a prime when it is built, and inverted when a column of it is first read.
+mod a prime when it is built, factored when a column of it is first read, and
+solved only for the columns read.
 
 :func:`eliminate` is the one exact elimination engine.  It keeps each row as
 a dict and a column -> rows index, so it touches nonzero entries only.  All
@@ -228,7 +229,7 @@ def invert_dense(rows, one):
 
 
 class BlockInverse:
-    """Inverse of a block-diagonal matrix, each block inverted on first read.
+    """Inverse of a block-diagonal matrix, solved column by column on read.
 
     ``blocks`` lists (row indices, column indices) pairs; each block is read
     from ``mat`` in that row and column order (entries outside the blocks
@@ -236,31 +237,45 @@ class BlockInverse:
     of the inverse, which has shape mat.ncols x mat.nrows.  Building checks
     every block: one that is not square raises ConventionError, and one
     whose rank mod a fixed prime at a fixed point of s
-    (:func:`mod_row_profile`) is not full is inverted exactly at once, which
-    raises ConventionError when it is singular.  Another block is inverted
-    by one :func:`invert_dense` when :meth:`column` first reads a column of
-    it.  The columns returned are shared: callers must not change them.
+    (:func:`mod_row_profile`) is not full is factored exactly at once, which
+    raises ConventionError when it is singular.  Another block is factored
+    when :meth:`column` first reads a column of it, by one :func:`eliminate`
+    of [B | I] without reduction upwards; each column read is solved from
+    those echelon rows by back-substitution, and the factor is dropped once
+    every column of its block is solved.  The columns returned are shared:
+    callers must not change them.
     """
 
     def __init__(self, mat, blocks, one):
         self.nrows, self.ncols = mat.ncols, mat.nrows
         self._mat, self._one = mat, one
-        self._pending = {}      # column of the inverse -> its block
+        self._blocks = []
+        self._pending = {}      # column of the inverse -> (block, position)
+        self._factors = {}      # block -> [echelon rows, columns unsolved]
         self._cols = {}         # column of the inverse -> dict-vector
-        for block in blocks:
-            rows, cols = block
+        for rows, cols in blocks:
             if len(rows) != len(cols):
                 raise ConventionError("weight block is not square")
-            self._pending.update((r, block) for r in rows)
-            profile = mod_row_profile(self._read(block))
+            k = len(self._blocks)
+            self._blocks.append((rows, cols))
+            self._pending.update((r, (k, b)) for b, r in enumerate(rows))
+            profile = mod_row_profile(self._read(k))
             if profile is None or len(profile) < len(cols):
-                self._invert(block)
+                self._factor(k)
 
     def column(self, r) -> dict:
         """Column r of the inverse (row r of mat), as a dict-vector."""
-        if r in self._pending:
-            self._invert(self._pending[r])
-        return self._cols.get(r, {})
+        got = self._cols.get(r)
+        if got is None:
+            if r not in self._pending:
+                return {}
+            k, b = self._pending.pop(r)
+            factor = self._factors.get(k) or self._factor(k)
+            got = self._cols[r] = self._solve(k, factor[0], b)
+            factor[1] -= 1
+            if not factor[1]:
+                del self._factors[k]
+        return got
 
     def matvec(self, vec: dict) -> dict:
         """Apply to a column dict-vector {col index: value}."""
@@ -269,9 +284,9 @@ class BlockInverse:
             dv_add_scaled(acc, self.column(r), x)
         return acc
 
-    def _read(self, block):
-        """Block (rows, cols) of mat as dict rows keyed by column position."""
-        rows, cols = block
+    def _read(self, k):
+        """Block k of mat as dict rows keyed by column position."""
+        rows, cols = self._blocks[k]
         pos = {r: b for b, r in enumerate(rows)}
         out = [{} for _ in rows]
         for a, c in enumerate(cols):
@@ -280,15 +295,31 @@ class BlockInverse:
                     out[b][a] = v
         return out
 
-    def _invert(self, block):
-        rows, cols = block
-        inv = invert_dense(self._read(block), self._one)
-        for r in rows:
-            del self._pending[r]
-            self._cols[r] = {}
-        for c, row in zip(cols, inv):
-            for b, v in row.items():
-                self._cols[rows[b]][c] = v
+    def _factor(self, k):
+        """Echelon rows of [B | I] for block B = k; row a has pivot a."""
+        one = self._one
+        n = len(self._blocks[k][1])
+        pivots, echelon = eliminate(
+            [{**row, n + b: one} for b, row in enumerate(self._read(k))], n,
+            reduce_up=False)
+        if len(pivots) != n:
+            raise ConventionError("singular matrix")
+        factor = self._factors[k] = [echelon, n]
+        return factor
+
+    def _solve(self, k, echelon, b):
+        """B^-1 e_b by back-substitution, keyed by block k's columns."""
+        cols = self._blocks[k][1]
+        n = len(cols)
+        x = [None] * n
+        for a in range(n - 1, -1, -1):
+            acc = echelon[a].get(n + b)
+            for c, v in echelon[a].items():
+                if a < c < n and x[c]:
+                    t = v * x[c]
+                    acc = -t if acc is None else acc - t
+            x[a] = acc
+        return {c: v for c, v in zip(cols, x) if v}
 
 
 # -- dict-vectors ------------------------------------------------------------

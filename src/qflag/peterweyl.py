@@ -9,10 +9,13 @@ elements in place with :func:`qflag.linalg.dv_add_scaled`.  The product of
 two basis elements is a matrix coefficient of the tensor module, re-expanded
 through the Clebsch-Gordan embeddings on the functional slot and projections
 on the vector slot.  A product reads the projections one tensor column at a
-time, so only the weight blocks of the columns it reads are ever inverted
-(see :class:`qflag.reps.CGDecomposition`).  Each pair's decomposition is
-computed by :func:`qflag.reps.decompose` on first use and kept in memory
-for the life of the algebra; nothing is read from or written to disk.
+time, so only the columns it reads are ever solved, each from one
+factorization of its weight block (see :class:`qflag.reps.CGDecomposition`).
+Each pair's decomposition is computed by :func:`qflag.reps.decompose` on
+first use and kept in memory for the life of the algebra; its summands are
+predicted from the characters, so a summand over the dimension guard is
+refused before the tensor module is built.  Nothing is read from or written
+to disk.
 
 Action conventions: act_v lets a generator act on the vector slot
 through the module matrices (the natural left action); act_f is the right
@@ -37,7 +40,7 @@ from .errors import ConventionError, DomainError
 from .linalg import SparseMatrix, dv_add_scaled
 from .reps import (DEFAULT_GUARD, CGDecomposition, LusztigOperators,
                    ModuleData, build_irreducible, context_for, decompose,
-                   dual_pairing, joint_kernel, tensor)
+                   dual_pairing, joint_kernel)
 
 
 @dataclass(frozen=True)
@@ -130,8 +133,7 @@ class PWAlgebra:
         key = (tuple(lam), tuple(mu))
         cg = self._cg.get(key)
         if cg is None:
-            cg = decompose(tensor(self.module(lam), self.module(mu)),
-                           self.module)
+            cg = decompose(self.module(lam), self.module(mu), self.module)
             self._cg[key] = cg
         return cg
 

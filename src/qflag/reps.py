@@ -389,30 +389,30 @@ class CGSummand:
 class CGDecomposition:
     """A tensor module T split into summands V_nu, from their seeds.
 
-    ``seeds`` is the ordered list of (nu, u), u a highest weight vector of T
-    of weight nu (a dict-vector); summand k embeds V_nu by carrying its u
-    along V_nu's F-words (:func:`transport`), with ``module_store(nu)`` the
-    canonical V_nu.  ``emb_rows[k]`` holds the rows of summand k's
-    embedding, {row of T: {column of V_nu: value}}.  U, the change of basis,
-    is the embeddings side by side in summand order; it is block diagonal by
-    weight, and the projections T -> V_nu are the rows of U^-1, a
-    :class:`qflag.linalg.BlockInverse`: construction checks every block mod
-    a prime (raising ConventionError for a block that is not square or is
-    singular), and a block is inverted when a projection column of its
-    weight is first read (:meth:`proj_columns`).  Construction also checks
-    that the summand dims add up to dim T.
+    ``seeds`` is the ordered list of (V_nu, u), V_nu the canonical
+    irreducible and u a highest weight vector of T of weight nu (a
+    dict-vector); summand k embeds V_nu by carrying its u along V_nu's
+    F-words (:func:`transport`).  ``emb_rows[k]`` holds the rows of summand
+    k's embedding, {row of T: {column of V_nu: value}}.  U, the change of
+    basis, is the embeddings side by side in summand order; it is block
+    diagonal by weight, and the projections T -> V_nu are the rows of U^-1,
+    a :class:`qflag.linalg.BlockInverse`: construction checks every block
+    mod a prime (raising ConventionError for a block that is not square or
+    is singular), a block is factored when a projection column of its
+    weight is first read, and only the columns read are solved
+    (:meth:`proj_columns`).  Construction also checks that the summand dims
+    add up to dim T.
     """
 
-    def __init__(self, t_mod: ModuleData, module_store, seeds):
+    def __init__(self, t_mod: ModuleData, seeds):
         summands = []
         owner = []              # column of U -> (summand, its column)
         cols_by_weight = {}     # weight -> columns of U
-        for nu, u in seeds:
-            v_nu = module_store(nu)
+        for v_nu, u in seeds:
             for c, w in enumerate(v_nu.weights):
                 cols_by_weight.setdefault(w, []).append(len(owner))
                 owner.append((len(summands), c))
-            summands.append(CGSummand(tuple(nu),
+            summands.append(CGSummand(v_nu.highest,
                                       transport(v_nu, t_mod.f_mats, u)))
         if len(owner) != t_mod.dim:
             raise ConventionError(
@@ -440,7 +440,7 @@ class CGDecomposition:
         return out
 
     def proj(self, k) -> SparseMatrix:
-        """The whole projection T -> V_nu of summand k (every block inverted)."""
+        """The whole projection T -> V_nu of summand k (every column solved)."""
         t_dim = self.u_inv.ncols
         return SparseMatrix(self.summands[k].emb.ncols, t_dim, {
             tc: self.proj_columns(tc).get(k, {}) for tc in range(t_dim)})
@@ -466,22 +466,38 @@ def joint_kernel(mats, idxs, one):
             for vec in nullspace(rows, len(idxs), one)]
 
 
-def decompose(t_mod: ModuleData, module_store) -> CGDecomposition:
-    """Split a type-1 module into irreducibles via highest weight vectors.
+def decompose(v: ModuleData, w: ModuleData, module_store) -> CGDecomposition:
+    """Split V_lam (x) V_mu into irreducibles via highest weight vectors.
 
-    ``module_store(nu)`` must return the canonical irreducible V_nu.  The
-    seeds are the joint kernels of the raising operators on the dominant
-    weight spaces, by (|nu|, nu) and then in :func:`joint_kernel` order (the
-    reduced echelon basis: each seed's largest key carries 1, which is 0 in
-    the other seeds of its weight, and those keys increase); see
-    :class:`CGDecomposition` for the embeddings and projections.
+    v and w are the canonical irreducibles V_lam and V_mu, and
+    ``module_store(nu)`` must return the canonical V_nu.  The summands and
+    their multiplicities are predicted from the characters
+    (:func:`qflag.cartan.tensor_multiplicities`), and every predicted V_nu
+    is asked of ``module_store`` by (|nu|, nu) before the tensor module T
+    is built, so a summand the store refuses (the dimension guard) is
+    refused before any exact work.  The seeds are the joint kernels of T's
+    raising operators on the predicted weight spaces only, by (|nu|, nu) and
+    then in :func:`joint_kernel` order (the reduced echelon basis: each
+    seed's largest key carries 1, which is 0 in the other seeds of its
+    weight, and those keys increase).  A kernel whose dimension is not the
+    predicted multiplicity raises ConventionError.  No other weight space
+    can hold a highest weight vector: the summands fill dim T, and
+    :class:`CGDecomposition` certifies the change of basis invertible.
     """
+    mults = cartan.tensor_multiplicities(v.lie, v.highest, w.highest)
+    modules = {nu: module_store(nu) for nu in mults}
+    t_mod = tensor(v, w)
     by_weight = t_mod.weight_indices()
-    seeds = [(nu, u)
-             for nu in sorted((w for w in by_weight if all(x >= 0 for x in w)),
-                              key=lambda w: (sum(w), w))
-             for u in joint_kernel(t_mod.e_mats, by_weight[nu], t_mod.ctx.one)]
-    return CGDecomposition(t_mod, module_store, seeds)
+    seeds = []
+    for nu, m in mults.items():
+        found = joint_kernel(t_mod.e_mats, by_weight.get(nu, []),
+                             t_mod.ctx.one)
+        if len(found) != m:
+            raise ConventionError(
+                f"highest weight space of weight {nu} has dimension "
+                f"{len(found)}, the characters predict {m}")
+        seeds.extend((modules[nu], u) for u in found)
+    return CGDecomposition(t_mod, seeds)
 
 
 # -- Lusztig braid operators and quantum root vectors -------------------------
@@ -624,11 +640,11 @@ class LusztigOperators:
     certificates downstream re-check every consequence.
 
     Theta_i^-1 is a :class:`qflag.linalg.BlockInverse` of Theta_i, whose
-    weight blocks are checked mod a prime when it is built and inverted when
-    a root-vector column first reads them.  This object is the one cache of
-    the module's root vectors (:class:`RootVector`, one per (word, r,
-    kind)), and of the chains Theta_{ik}^-1 ... Theta_{i1}^-1 e_c that their
-    columns start from.
+    weight blocks are checked mod a prime when it is built and factored when
+    a root-vector column first reads them; only the columns read are
+    solved.  This object is the one cache of the module's root vectors
+    (:class:`RootVector`, one per (word, r, kind)), and of the chains
+    Theta_{ik}^-1 ... Theta_{i1}^-1 e_c that their columns start from.
     """
 
     FULL_VERIFY_LIMIT = 24

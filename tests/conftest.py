@@ -21,3 +21,18 @@ def algebras():
 @pytest.fixture(scope="session")
 def flag_of():
     return FlagSpec.parse
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """The size of every block a BlockInverse factors, in factoring order."""
+    from qflag.linalg import BlockInverse
+    calls = []
+    original = BlockInverse._factor
+
+    def counted(self, k):
+        calls.append(len(self._blocks[k][1]))
+        return original(self, k)
+
+    monkeypatch.setattr(BlockInverse, "_factor", counted)
+    return calls

@@ -9,8 +9,11 @@ Gauss-Jordan elimination on lists (not the sparse engine), the
 Yang-Baxter identity from full products of Kronecker matrices on
 V (x) V (x) V (not the reduced set of columns), braid operators from
 whole braid-image matrices (not words applied by matvec), block-diagonal
-inverses with every block inverted at once (not each block on its first
-read), root vectors by conjugating whole matrices with prefix products of
+inverses with every block inverted at once (not each column solved on its
+first read), Clebsch-Gordan decompositions seeded at every dominant weight
+of the tensor module (not at the summands the characters predict), Weyl
+dimensions as products of Fractions of the invariant form (not integer
+sums), root vectors by conjugating whole matrices with prefix products of
 braid operators (not column by column), braidings as the unique solution of
 the intertwining system (not by transport along F-words), braid operators
 as the kernel of their whole conjugation system (not by transport), zbar
@@ -36,7 +39,8 @@ from qflag.cartan import (bilinear_form, cartan_matrix, positive_roots,
 from qflag.errors import ConventionError, DomainError
 from qflag.linalg import (SparseMatrix, dv_add_scaled, invert_dense,
                           nullspace, solve_unique)
-from qflag.reps import ModuleData, braid_image, tensor, transport
+from qflag.reps import (ModuleData, braid_image, joint_kernel, tensor,
+                        transport)
 from qflag.rmatrix import Braiding, braiding
 from qflag.scalars import Scalar
 
@@ -289,6 +293,41 @@ def block_rows(columns, rows):
             if b is not None:
                 block[b][a] = v
     return block
+
+
+def decompose_eager(v, w, module_store):
+    """V_lam (x) V_mu split into irreducibles: (nu, embedding, projection)
+    per summand.
+
+    The seeds are the joint kernels of the raising operators on every
+    dominant weight space of the tensor module, by (|nu|, nu); each
+    embedding carries its seed along V_nu's F-words, and the projections
+    are the rows of one :func:`invert_blocks` of the embeddings side by
+    side, split back by summand.
+    """
+    t = tensor(v, w)
+    by_weight = t.weight_indices()
+    dominant = sorted((nu for nu in by_weight if all(x >= 0 for x in nu)),
+                      key=lambda nu: (sum(nu), nu))
+    embs = [(nu, transport(module_store(nu), t.f_mats, u)) for nu in dominant
+            for u in joint_kernel(t.e_mats, by_weight[nu], t.ctx.one)]
+    columns, cols_by_weight, owner = {}, {}, []
+    for k, (nu, emb) in enumerate(embs):
+        for c, wt in enumerate(module_store(nu).weights):
+            columns[len(owner)] = emb.cols.get(c, {})
+            cols_by_weight.setdefault(wt, []).append(len(owner))
+            owner.append((k, c))
+    uinv = invert_blocks(
+        SparseMatrix(t.dim, len(owner), columns),
+        [(by_weight.get(wt, ()), g) for wt, g in cols_by_weight.items()],
+        t.ctx.one)
+    projs = [{} for _ in embs]
+    for r, col in uinv.cols.items():
+        for g, x in col.items():
+            k, c = owner[g]
+            projs[k].setdefault(r, {})[c] = x
+    return [(nu, emb, SparseMatrix(emb.ncols, t.dim, proj))
+            for (nu, emb), proj in zip(embs, projs)]
 
 
 def conjugated_root_vector(ops, word, r, kind):
@@ -565,3 +604,19 @@ def scalar_from_str(text: str) -> Scalar:
         num_s, den_s = text[1:-1].split(")/(", 1)
         return Scalar(K.fmake(_poly_parse(num_s), _poly_parse(den_s)))
     return Scalar(K.fmake(_poly_parse(text), K.P_ONE))
+
+
+def weyl_dim_by_forms(lie, lam) -> int:
+    """dim V_lam as prod_alpha (lam + rho, alpha) / (rho, alpha), every
+    factor an exact Fraction of the invariant form (not integer sums)."""
+    if any(x < 0 for x in lam):
+        raise DomainError(f"{lam} is not dominant")
+    rho = tuple([1] * lie.rank)
+    num = Fraction(1)
+    lam_rho = tuple(x + 1 for x in lam)
+    for alpha in positive_roots(lie):
+        num *= bilinear_form(lie, lam_rho, alpha, ("weight", "root")) / \
+            bilinear_form(lie, rho, alpha, ("weight", "root"))
+    if num.denominator != 1:
+        raise DomainError("Weyl dimension came out non-integral")
+    return int(num)

@@ -218,7 +218,7 @@ def test_criterion_12_representation_suite(algebras):
             return store[nu]
 
         t = tensor(get(lam), get(mu))
-        cg = decompose(t, get)
+        cg = decompose(get(lam), get(mu), get)
         assert sum(weyl_dim(lie, s.nu) for s in cg.summands) == t.dim
         assert sorted(t.weights) == \
             sorted(w for s in cg.summands for w in get(s.nu).weights)

@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import dim_by_weights, freudenthal_multiplicities
+from oracles import (dim_by_weights, freudenthal_multiplicities,
+                     weyl_dim_by_forms)
 from qflag.cartan import (FlagSpec, LieType, bilinear_form, cartan_matrix,
                           catalog, dominant_weights_up_to, is_reduced_for_w0,
                           lattice_denominator, longest_word, minus_w0,
                           monoid_truncation, positive_roots, root_sequence,
-                          spherical_weights, symmetrizers, w0_on_weight,
+                          spherical_weights, symmetrizers,
+                          tensor_multiplicities, w0_on_weight,
                           weight_multiplicities, weyl_dim)
 from qflag.errors import CatalogError, DomainError
 
@@ -110,6 +113,44 @@ def test_weyl_dim_against_weight_oracle():
     assert weyl_dim(A3, (0, 1, 0)) == 6
     with pytest.raises(DomainError):
         weyl_dim(A2, (-1, 0))
+
+
+def catalog_types():
+    return sorted({LieType(e["series"], e["rank"]) for e in catalog()})
+
+
+def test_weyl_dim_in_integers_equals_the_form_product():
+    # every dominant weight with |lam| <= 3 up to rank 4, and 0 and the
+    # fundamental weights on every catalog type (E6 and E7 included)
+    checked = 0
+    for lie in catalog_types():
+        for lam in dominant_weights_up_to(lie, 3 if lie.rank <= 4 else 1):
+            assert weyl_dim(lie, lam) == weyl_dim_by_forms(lie, lam), (lie, lam)
+            checked += 1
+    assert checked > 300
+    assert weyl_dim(LieType("E", 7), (0, 0, 0, 0, 0, 0, 1)) == 56
+    assert weyl_dim(LieType("E", 6), (1, 0, 0, 0, 0, 0)) == 27
+
+
+def test_tensor_multiplicities_fill_the_tensor():
+    # sum_nu m_nu dim V_nu = dim V_lam dim V_mu, with no module built
+    rng = random.Random(22)
+    assert tensor_multiplicities(A1, (3,), (2,)) == {
+        (1,): 1, (3,): 1, (5,): 1}
+    assert tensor_multiplicities(A2, (1, 1), (1, 1)) == {
+        (0, 0): 1, (1, 1): 2, (0, 3): 1, (3, 0): 1, (2, 2): 1}
+    for lie in catalog_types():
+        small = [lam for lam in dominant_weights_up_to(lie, 2)
+                 if weyl_dim(lie, lam) <= 300]
+        for _ in range(3):
+            lam, mu = rng.choice(small), rng.choice(small)
+            mults = tensor_multiplicities(lie, lam, mu)
+            assert all(m > 0 for m in mults.values())
+            assert sum(m * weyl_dim(lie, nu) for nu, m in mults.items()) \
+                == weyl_dim(lie, lam) * weyl_dim(lie, mu), (lie, lam, mu)
+            # the top summand lam + mu, once
+            assert mults[tuple(a + b for a, b in zip(lam, mu))] == 1
+            assert list(mults) == sorted(mults, key=lambda w: (sum(w), w))
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "C2",

@@ -305,6 +305,19 @@ def test_degree_above_the_depth_is_usage_error(capsys):
         [0, 0, 0, 1, 2, 3]
 
 
+def test_audit_below_depth_one_is_usage_error(capsys):
+    # the audit tests the degree-1 blocks, which a depth-0 truncation lacks:
+    # it passed on empty blocks
+    code, out, err = run_cli(capsys, "verify", "--flag", "A1/1", "--suite",
+                             "liouville,audit", "--depth", "0")
+    assert code == 2 and out == ""
+    assert "the audit degree = 1 exceeds the depth 0" in err
+    code, out, _ = run_cli(capsys, "verify", "--flag", "A1/1", "--suite",
+                           "audit", "--depth", "1")
+    report = json.loads(out)["reports"][0]
+    assert code == 0 and report["ok"] and report["blocks_found"]
+
+
 def test_properties_suite_seeded(capsys):
     args = ["verify", "--flag", "A1/1", "--suite", "properties",
             "--depth", "2", "--seed", "5"]

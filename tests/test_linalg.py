@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from oracles import dense_nullspace, dense_rref, dense_solve, invert_blocks
-from qflag import linalg
 from qflag.cartan import LieType
 from qflag.errors import ConventionError
 from qflag.linalg import (BlockInverse, SpanBasis, SparseMatrix,
@@ -230,6 +229,10 @@ def test_invert_blocks_matches_dense_reference(one, entry):
         rng.shuffle(order)
         lazy = BlockInverse(mat, blocks, one)
         assert read_in_order(lazy, order) == got
+        # keys in the block's column order, as the eager inverse has them
+        assert all(list(lazy.column(r)) == list(got.cols.get(r, {}))
+                   for r in order)
+        assert not lazy._factors     # each factor dropped with its last column
         vec = {j: entry(rng) for j in range(n) if rng.random() < 0.5}
         assert lazy.matvec(vec) == got.matvec(vec)
         inverted += 1
@@ -251,21 +254,14 @@ def test_invert_blocks_rejects_bad_blocks():
             == (2, 1, [((1, 0), Fraction(1, 2))]))
 
 
-def test_block_inverse_checks_a_block_no_one_reads(monkeypatch):
+def test_block_inverse_checks_a_block_no_one_reads(factored):
     # a singular block raises when the inverse is built, although no column
     # of it is ever read; the invertible blocks wait for their first read
     one = Fraction(1)
     mat = SparseMatrix.from_entries(4, 4, {
         (0, 0): one, (1, 1): one, (1, 2): one, (2, 1): one, (2, 2): one,
         (3, 3): Fraction(2)}.items())
-    calls = []
-    original = linalg.invert_dense
-
-    def counted(rows, one):
-        calls.append(len(rows))
-        return original(rows, one)
-
-    monkeypatch.setattr(linalg, "invert_dense", counted)
+    calls = factored
     with pytest.raises(ConventionError, match="singular"):
         BlockInverse(mat, [([0], [0]), ([1, 2], [1, 2]), ([3], [3])], one)
     assert calls == [2]
@@ -378,7 +374,7 @@ def test_module_tensor_and_product_matrices_are_clean():
     for i in range(1, lie.rank + 1):
         assert_clean(ops.theta(i))
     for s in decompose(
-            t, lambda nu: build_irreducible(ctx, lie, nu)).summands:
+            v, w, lambda nu: build_irreducible(ctx, lie, nu)).summands:
         assert_clean(s.emb)
     assert_clean(braiding(v, w).matrix)
     assert_clean(braiding(w, w).matrix)

@@ -3,13 +3,14 @@ import hashlib
 import json
 import random
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from oracles import (conjugated_root_vector, freudenthal_multiplicities,
-                     invert_blocks, nullspace_of_conjugation, rescaled,
-                     root_vector_matrix, theta_by_matrices)
+from oracles import (conjugated_root_vector, decompose_eager,
+                     freudenthal_multiplicities, nullspace_of_conjugation,
+                     rescaled, root_vector_matrix, theta_by_matrices)
 from qflag.cartan import (LieType, bilinear_form, dominant_weights_up_to,
                           longest_word, minus_w0, root_sequence, weyl_dim)
 from qflag import cartan, linalg, reps
@@ -154,7 +155,7 @@ def test_decompose_a1():
     ctx = context_for(A1)
     get = store_for(A1, ctx)
     t = tensor(get((1,)), get((1,)))
-    cg = decompose(t, get)
+    cg = decompose(get((1,)), get((1,)), get)
     assert sorted(s.nu for s in cg.summands) == [(0,), (2,)]
     total = SparseMatrix.zero(t.dim, t.dim)
     for k, s in enumerate(cg.summands):
@@ -167,64 +168,88 @@ def test_decompose_a1():
                     s.emb.mul(v.gen_matrix(kind, i))
     assert total == SparseMatrix.identity(t.dim, ctx.one)
     # V (x) trivial decomposes to V alone
-    cg2 = decompose(tensor(get((1,)), get((0,))), get)
+    cg2 = decompose(get((1,)), get((0,)), get)
     assert [s.nu for s in cg2.summands] == [(1,)]
 
 
 def test_decompose_a2_dims():
     ctx = context_for(A2)
     get = store_for(A2, ctx)
-    t = tensor(get((1, 0)), get((0, 1)))
-    cg = decompose(t, get)
+    cg = decompose(get((1, 0)), get((0, 1)), get)
     assert sorted(s.nu for s in cg.summands) == [(0, 0), (1, 1)]
     assert sum(weyl_dim(A2, s.nu) for s in cg.summands) == 9
 
 
-def eager_projections(t, cg, get):
-    """The projections as one invert_blocks of the whole change of basis.
-
-    The change-of-basis matrix is the embeddings side by side, its blocks
-    are per weight; the inverse's rows are split back into the summands.
-    """
-    by_weight = t.weight_indices()
-    columns, cols_by_weight, owner = {}, {}, []
-    for k, s in enumerate(cg.summands):
-        off = len(owner)
-        for c, col in s.emb.cols.items():
-            columns[off + c] = col
-        for c, w in enumerate(get(s.nu).weights):
-            cols_by_weight.setdefault(w, []).append(off + c)
-            owner.append((k, c))
-    uinv = invert_blocks(
-        SparseMatrix(t.dim, t.dim, columns),
-        [(by_weight.get(w, ()), g) for w, g in cols_by_weight.items()],
-        t.ctx.one)
-    projs = [{} for _ in cg.summands]
-    for r, col in uinv.cols.items():
-        for gc, v in col.items():
-            k, c = owner[gc]
-            projs[k].setdefault(r, {})[c] = v
-    return [SparseMatrix(get(s.nu).dim, t.dim, p)
-            for s, p in zip(cg.summands, projs)]
-
-
-@pytest.mark.parametrize("lie,lam,mu", [
+CG_PAIRS = [
     (A2, (1, 0), (1, 1)), (B2, (1, 0), (0, 1)), (C2, (1, 1), (0, 1)),
-    (LieType.parse("A4"), (0, 1, 0, 0), (0, 1, 0, 0))])
+    (LieType.parse("A4"), (0, 1, 0, 0), (0, 1, 0, 0)),
+    (LieType.parse("D4"), (1, 0, 0, 0), (0, 0, 1, 0))]
+
+
+@pytest.mark.parametrize("lie,lam,mu", CG_PAIRS)
 def test_lazy_projections_equal_eager_inverse(lie, lam, mu):
+    # the predicted seeds and the projection columns solved on read, against
+    # seeds at every dominant weight and one inverse of every block
     ctx = context_for(lie)
     get = store_for(lie, ctx)
-    t = tensor(get(lam), get(mu))
-    cg = decompose(t, get)
-    # a few columns first, so that the whole projection mixes blocks
-    # inverted on demand with blocks inverted by proj()
-    for tc in (0, t.dim // 2, t.dim - 1):
+    cg = decompose(get(lam), get(mu), get)
+    t_dim = get(lam).dim * get(mu).dim
+    # a few columns first, so that the whole projection mixes columns
+    # solved on demand with columns solved by proj()
+    for tc in (0, t_dim // 2, t_dim - 1):
         cg.proj_columns(tc)
-    for k, want in enumerate(eager_projections(t, cg, get)):
-        assert cg.proj(k).entries_sorted() == want.entries_sorted()
+    eager = decompose_eager(get(lam), get(mu), get)
+    assert [s.nu for s in cg.summands] == [nu for nu, _, _ in eager]
+    for k, (s, (_, emb, proj)) in enumerate(zip(cg.summands, eager)):
+        assert s.emb.entries_sorted() == emb.entries_sorted()
+        assert cg.proj(k).entries_sorted() == proj.entries_sorted()
 
 
-def test_multiply_inverts_only_the_blocks_it_reads(monkeypatch):
+@pytest.mark.parametrize("lie,lam,mu", CG_PAIRS)
+def test_tensor_multiplicities_equal_the_exact_summands(lie, lam, mu):
+    ctx = context_for(lie)
+    get = store_for(lie, ctx)
+    found = {}
+    for nu, _, _ in decompose_eager(get(lam), get(mu), get):
+        found[nu] = found.get(nu, 0) + 1
+    assert cartan.tensor_multiplicities(lie, lam, mu) == found
+    assert cartan.tensor_multiplicities(lie, mu, lam) == found
+
+
+def test_summand_over_the_guard_is_refused_before_the_tensor(monkeypatch):
+    # V_(1,1) (x) V_(1,1) holds V_(2,2), dim 27: the characters refuse it
+    # before the 64-dimensional tensor module is built
+    ctx = context_for(A2)
+    get = store_for(A2, ctx, guard=26)
+    built = []
+    monkeypatch.setattr(reps, "tensor", lambda *args: built.append(args))
+    with pytest.raises(DimensionGuardError, match=r"V_\(2, 2\) = 27"):
+        decompose(get((1, 1)), get((1, 1)), get)
+    assert built == []
+    # through the algebra, a factor over the guard is named first
+    alg = PWAlgebra(A2, guard=14)
+    with pytest.raises(DimensionGuardError, match=r"V_\(2, 1\) = 15"):
+        alg.cg((1, 1), (2, 1))
+    with pytest.raises(DimensionGuardError, match=r"V_\(2, 2\) = 27"):
+        alg.cg((1, 1), (1, 1))
+    assert built == []
+
+
+def test_decompose_checks_the_predicted_multiplicities():
+    # with E spoiled to 0 on both factors, every vector of V (x) V is a
+    # highest weight vector: weight 0 holds two, the characters predict one
+    ctx = context_for(A1)
+    get = store_for(A1, ctx)
+    v = get((1,))
+    spoiled = replace(v, e_mats=(SparseMatrix.zero(v.dim, v.dim),))
+    with pytest.raises(ConventionError, match="weight \\(0,\\) has dimension "
+                       "2, the characters predict 1"):
+        decompose(spoiled, spoiled, get)
+
+
+def test_multiply_inverts_only_the_blocks_it_reads(factored):
+    # a product factors the weight block of the projection column it reads,
+    # once, and solves that column alone
     alg = PWAlgebra(A2)
     lam, mu = (1, 0), (0, 1)
     v, w = alg.module(lam), alg.module(mu)
@@ -234,27 +259,22 @@ def test_multiply_inverts_only_the_blocks_it_reads(monkeypatch):
     c1, c2 = 0, w.weights.index(tuple(-x for x in v.weights[0]))
     c1b, c2b = 1, w.weights.index(tuple(-x for x in v.weights[1]))
     assert mult[(0, 0)] == 3
-    calls = []
-    original = linalg.invert_dense
-
-    def counted(rows, one):
-        calls.append(len(rows))
-        return original(rows, one)
-
-    monkeypatch.setattr(linalg, "invert_dense", counted)
+    calls = factored
     p = alg.multiply(alg.basis_element(lam, 0, c1),
                      alg.basis_element(mu, 1, c2))
     assert p
     assert calls == [3]
-    # another row, another column of the same weight: the block is kept
+    cg = alg.cg(lam, mu)
+    assert list(cg.u_inv._cols) == [c1 * w.dim + c2]
+    # another row, another column of the same weight: the factor is kept
     alg.multiply(alg.basis_element(lam, 2, c1b), alg.basis_element(mu, 0, c2b))
     assert calls == [3]
-    # a column of another weight inverts its own block, once
+    assert list(cg.u_inv._cols) == [c1 * w.dim + c2, c1b * w.dim + c2b]
+    # a column of another weight factors its own block, once
     alg.multiply(alg.basis_element(lam, 0, 0), alg.basis_element(mu, 0, 0))
     assert calls == [3, mult[tuple(a + b for a, b in zip(v.weights[0],
                                                            w.weights[0]))]]
-    # the whole projection inverts the remaining blocks only
-    cg = alg.cg(lam, mu)
+    # the whole projection factors the remaining blocks only
     for k in range(len(cg.summands)):
         cg.proj(k)
     assert sorted(calls) == sorted(mult.values())
@@ -272,14 +292,14 @@ def test_decompose_rejects_a_singular_block_no_product_reads(monkeypatch):
 
     def spoiled(src, f_mats, seed):
         emb = original(src, f_mats, seed)
-        if src is adjoint and f_mats is t.f_mats:
+        if src is adjoint and f_mats[0].nrows == t.dim:
             emb = SparseMatrix(emb.nrows, emb.ncols, {
                 c: col for c, col in emb.cols.items() if c != dropped})
         return emb
 
     monkeypatch.setattr(reps, "transport", spoiled)
     with pytest.raises(ConventionError):
-        decompose(t, get)
+        decompose(get(lam), get(mu), get)
 
 
 def test_decompose_random_pairs_bookkeeping():
@@ -298,7 +318,7 @@ def test_decompose_random_pairs_bookkeeping():
         ctx = context_for(lie)
         get = store_for(lie, ctx, guard=200)
         t = tensor(get(lam), get(mu))
-        cg = decompose(t, get)
+        cg = decompose(get(lam), get(mu), get)
         assert sum(weyl_dim(lie, s.nu) for s in cg.summands) == t.dim
         # weight multiset bookkeeping: the summand weights partition t's
         twts = sorted(t.weights)
@@ -536,20 +556,13 @@ def test_root_vectors_hold_no_reference_cycle():
         gc.enable()
 
 
-def test_root_vector_column_inverts_only_the_blocks_on_its_chain(monkeypatch):
-    # Theta_i^-1 is checked mod p when built and inverts a weight block when
+def test_root_vector_column_inverts_only_the_blocks_on_its_chain(factored):
+    # Theta_i^-1 is checked mod p when built and factors a weight block when
     # a column of it is first read: one column of E_beta reads one block of
     # each Theta^-1 along its chain, the weights w, s_i1 w, s_i2 s_i1 w, ...
     m = build_irreducible(context_for(A3), A3, (1, 0, 1))
     mult = {w: len(idx) for w, idx in m.weight_indices().items()}
-    calls = []
-    original = linalg.invert_dense
-
-    def counted(rows, one):
-        calls.append(len(rows))
-        return original(rows, one)
-
-    monkeypatch.setattr(linalg, "invert_dense", counted)
+    calls = factored
     word = longest_word(A3)
     r = len(word)
     rv = LusztigOperators(m).root_operator(word, r, "E")

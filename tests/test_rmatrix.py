@@ -335,7 +335,7 @@ def test_braiding_scalar_on_each_summand(name, lam, signs):
 
     v = module(lam)
     r = braiding(v, v).matrix
-    summands = decompose(tensor(v, v), module).summands
+    summands = decompose(v, v, module).summands
     assert sorted(s.nu for s in summands) == sorted(signs)
     top = tuple(2 * a for a in lam)
     assert signs[top] == 1
