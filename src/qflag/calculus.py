@@ -5,14 +5,18 @@ the exterior derivative, truncated holomorphic sections, and the quotient
 The (0,1) side uses quantum root vectors E_beta for the positive roots with
 nonzero crossed-node coefficient; the (1,0) side uses the F_beta for their
 negatives; each is read from the algebra's LusztigOperators of V_lam, which
-keeps it with the module and computes a column only when it is first read
-(:class:`qflag.reps.RootVector`): ``h0`` applies the root vectors to the
-Levi-invariant columns, and ``dbar`` reads the columns that the vector
-slots of its argument name.  A truncated line-module
-element is holomorphic when every tangent operator kills its vector slot;
-since the operators act on the vector slot only and blocks are independent,
-kernels are computed per weight block, and ``h0`` returns them as a
-:class:`qflag.peterweyl.GradedSlice`.
+keeps it with the module and computes a column, and the braid operators of
+its prefix, only when a column is first read
+(:class:`qflag.reps.RootVector`).  A truncated line-module element is
+holomorphic when every tangent operator kills its vector slot; since the
+operators act on the vector slot only and blocks are independent, kernels
+are computed per weight block, and ``h0`` returns them as a
+:class:`qflag.peterweyl.GradedSlice`.  Every tangent kernel, in ``h0`` and
+in the tangent route of :func:`gamma_crosscheck`, is taken in stages
+(:func:`qflag.linalg.staged_kernel`): the root vectors in word order, each
+applied only to what the earlier ones left, so a root vector that comes
+after the kernel is empty reads no column.  ``dbar_at`` is the image of one
+root position; ``dbar`` is their union.
 
 The quotient route realizes forms as spans of formal symbols u . d(zbar_l) . v
 with word coefficients, modulo the Leibniz images of every relation that the
@@ -26,11 +30,14 @@ routes is the acceptance arbiter.
 
 from __future__ import annotations
 
+from functools import partial
+
 from . import cartan
 from .cartan import FlagSpec
 from .errors import DomainError, TruncationError
 from .linalg import (SpanBasis, SparseMatrix, dv_add_scaled,
-                     kernel_combinations, rank, rows_from_columns)
+                     kernel_combinations, rank, rows_from_columns,
+                     staged_kernel)
 from .peterweyl import GradedSlice, PWAlgebra
 from .rmatrix import Braiding, braiding
 
@@ -52,31 +59,40 @@ class Calculus:
         self.positions = tuple((r + 1, beta) for r, beta in enumerate(seq)
                                if beta[x - 1] != 0)
 
-    def tangent_operators(self, lam, chirality: str = "01"):
-        """The root vectors (:class:`qflag.reps.RootVector`) on V_lam for one
-        chirality."""
+    def tangent_operator(self, lam, pos: int, chirality: str = "01"):
+        """The root vector (:class:`qflag.reps.RootVector`) of root position
+        pos on V_lam for one chirality."""
         kind = "E" if chirality == "01" else "F"
-        lops = self.algebra.ops(lam)
-        return tuple(lops.root_operator(self.word, r, kind)
-                     for r, _ in self.positions)
+        return self.algebra.ops(lam).root_operator(
+            self.word, self.positions[pos][0], kind)
+
+    def tangent_operators(self, lam, chirality: str = "01"):
+        """The root vectors on V_lam for one chirality, in word order."""
+        return tuple(self.tangent_operator(lam, pos, chirality)
+                     for pos in range(len(self.positions)))
 
     # -- exterior derivatives -------------------------------------------------
+
+    def dbar_at(self, a: dict, pos: int, chirality: str = "01") -> dict:
+        """E_beta of root position pos acting on the vector slot, as an
+        element {(lam, row, col): scalar}."""
+        zero = self.algebra.ctx.zero
+        ops = {}
+        img = {}
+        for (lam, row, c), v in a.items():
+            op = ops.get(lam)
+            if op is None:
+                op = ops[lam] = self.tangent_operator(lam, pos, chirality)
+            for r2, mv in op.column(c).items():
+                key = (lam, row, r2)
+                img[key] = img.get(key, zero) + v * mv
+        return {key: v for key, v in img.items() if v}
 
     def dbar(self, a: dict, chirality: str = "01") -> dict:
         """Sum of (E_beta acting on the vector slot) (x) e_beta, as a map
         {((lam, row, col), root position): scalar}."""
-        zero = self.algebra.ctx.zero
-        ops = {lam: self.tangent_operators(lam, chirality)
-               for lam in {key[0] for key in a}}
-        out = {}
-        for pos in range(len(self.positions)):
-            img = {}
-            for (lam, r, c), v in a.items():
-                for r2, mv in ops[lam][pos].column(c).items():
-                    key = (lam, r, r2)
-                    img[key] = img.get(key, zero) + v * mv
-            out.update(((key, pos), v) for key, v in img.items() if v)
-        return out
+        return {(key, pos): v for pos in range(len(self.positions))
+                for key, v in self.dbar_at(a, pos, chirality).items()}
 
     def del_(self, a: dict) -> dict:
         return self.dbar(a, chirality="10")
@@ -88,16 +104,20 @@ class Calculus:
 
         The kernel is a sub-slice of ``graded_component(flag, k, depth)``:
         its blocks hold the kernel columns, and blocks with none are left out.
+        Per block, :func:`qflag.linalg.staged_kernel` applies the root
+        vectors in word order (shortest Theta prefix first), each to the
+        Levi-invariant columns that the earlier ones left, and stops when
+        none is left; the columns are those of one nullspace of all the
+        root vectors stacked.
         """
         alg = self.algebra
         sl = alg.graded_component(self.flag, k, depth)
         blocks = []
         dims = []
         for (lam, cols), d in zip(sl.blocks, sl.dims):
-            rows = []
-            for op in self.tangent_operators(lam, chirality):
-                rows.extend(rows_from_columns([op.matvec(col) for col in cols]))
-            kcols = tuple(kernel_combinations(rows, cols, alg.ctx.one))
+            kcols = tuple(staged_kernel(
+                [op.matvec for op in self.tangent_operators(lam, chirality)],
+                cols, alg.ctx.one))
             if kcols:
                 blocks.append((lam, kcols))
                 dims.append(d)
@@ -299,10 +319,12 @@ def gamma_crosscheck(algebra: PWAlgebra, flag: FlagSpec, trunc: int = 2,
         for acc in kernel_combinations(eq_rows, elems + [{}] * nrel, ctx.one):
             if acc:
                 quotient_kernel.insert(acc)
-        # tangent-route kernel on the same realized span
+        # tangent-route kernel on the same realized span, one root
+        # position at a time
         tangent_kernel = SpanBasis()
-        trows = rows_from_columns([calc.dbar(e) for e in elems])
-        for acc in kernel_combinations(trows, elems, ctx.one):
+        for acc in staged_kernel(
+                [partial(calc.dbar_at, pos=pos)
+                 for pos in range(len(calc.positions))], elems, ctx.one):
             if acc:
                 tangent_kernel.insert(acc)
         agree = quotient_kernel.equals(tangent_kernel)

@@ -194,10 +194,50 @@ def kernel_combinations(rows, vectors, one):
     :func:`nullspace` (len(vectors) unknowns), the dict-vector
     sum_t x_t vectors[t]; yielded one at a time."""
     for vec in nullspace(rows, len(vectors), one):
-        acc = {}
-        for t, c in vec.items():
-            dv_add_scaled(acc, vectors[t], c)
-        yield acc
+        yield _combine(vectors, vec)
+
+
+def staged_kernel(maps, vectors, one):
+    """:func:`kernel_combinations` of the stacked images of every map, one
+    map at a time: returns the same list, entry for entry.
+
+    ``maps`` are linear maps on dict-vectors.  At first every vector
+    survives.  Stage i applies maps[i] to the survivors of the earlier
+    stages only, and the kernel combinations of those images are the next
+    survivors, each kept with its coefficient vector over ``vectors``; the
+    stages stop once none is left, and a map that kills every survivor
+    keeps them all.
+
+    The last coefficient vectors span the kernel of the stacked system,
+    and they are already its basis from :func:`nullspace`, which is the
+    only basis with a unit at each vector's largest key and zeros at the
+    other vectors' largest keys.  Every stage keeps that form: a nullspace
+    vector has its unit at a free unknown f, zeros at the other free
+    unknowns and entries only at pivots below f, so over survivors of that
+    form, ordered by largest key, the combination has the largest key of
+    survivor f, with a unit there, and zeros at the largest keys of the
+    other new survivors.  Each coefficient vector's keys are put back in
+    increasing order, as :func:`nullspace` gives them.
+    """
+    coeffs = [{t: one} for t in range(len(vectors))]
+    survivors = [dict(v) for v in vectors]
+    for apply in maps:
+        if not survivors:
+            return []
+        rows = rows_from_columns([apply(v) for v in survivors])
+        if rows:    # else the map kills every survivor
+            coeffs = [dict(sorted(x.items()))
+                      for x in kernel_combinations(rows, coeffs, one)]
+            survivors = [_combine(vectors, x) for x in coeffs]
+    return survivors
+
+
+def _combine(vectors, x):
+    """sum_t x_t vectors[t], x a dict-vector of coefficients."""
+    acc = {}
+    for t, c in x.items():
+        dv_add_scaled(acc, vectors[t], c)
+    return acc
 
 
 def solve_unique(rows, rhs, ncols, one):

@@ -169,7 +169,7 @@ class PWAlgebra:
                 tc = c1 * d2 + c2
                 cg = self.cg(l1, l2)
                 for k, cls in cg.proj_columns(tc).items():
-                    rws = cg.emb_rows[k].get(tr)
+                    rws = cg.emb_row(k, tr)
                     if not rws:
                         continue
                     nu = cg.summands[k].nu

@@ -392,8 +392,8 @@ class CGDecomposition:
     ``seeds`` is the ordered list of (V_nu, u), V_nu the canonical
     irreducible and u a highest weight vector of T of weight nu (a
     dict-vector); summand k embeds V_nu by carrying its u along V_nu's
-    F-words (:func:`transport`).  ``emb_rows[k]`` holds the rows of summand
-    k's embedding, {row of T: {column of V_nu: value}}.  U, the change of
+    F-words (:func:`transport`).  :meth:`emb_row` reads one row of summand
+    k's embedding on demand.  U, the change of
     basis, is the embeddings side by side in summand order; it is block
     diagonal by weight, and the projections T -> V_nu are the rows of U^-1,
     a :class:`qflag.linalg.BlockInverse`: construction checks every block
@@ -418,7 +418,9 @@ class CGDecomposition:
             raise ConventionError(
                 f"summand dimensions {len(owner)} do not add up to {t_mod.dim}")
         self.summands = tuple(summands)
-        self.emb_rows = tuple(s.emb.transpose().cols for s in summands)
+        self._t_weights = t_mod.weights
+        self._nu_weights = tuple(v_nu.weight_indices() for v_nu, _ in seeds)
+        self._emb_rows = {}     # (summand, row of T) -> row of its embedding
         self._owner = owner
         u = SparseMatrix(t_mod.dim, len(owner), {
             g: summands[k].emb.cols.get(c, {}) for g, (k, c) in enumerate(owner)})
@@ -426,6 +428,21 @@ class CGDecomposition:
         self.u_inv = BlockInverse(
             u, [(by_weight.get(w, ()), g) for w, g in cols_by_weight.items()],
             t_mod.ctx.one)
+
+    def emb_row(self, k, tr) -> dict:
+        """Row tr of summand k's embedding, {column of V_nu: value}.
+
+        The embedding preserves weight, so the row is read from the columns
+        of V_nu of row tr's weight, in increasing order; it is kept.  The
+        returned dict is shared: callers must not change it.
+        """
+        got = self._emb_rows.get((k, tr))
+        if got is None:
+            cols = self.summands[k].emb.cols
+            got = self._emb_rows[(k, tr)] = {
+                c: x for c in self._nu_weights[k].get(self._t_weights[tr], ())
+                if (x := cols.get(c, {}).get(tr)) is not None}
+        return got
 
     def proj_columns(self, tc) -> dict:
         """Column tc of the projections, {summand index: dict-vector}.
@@ -584,16 +601,20 @@ class RootVector:
     generator of node i_r, column c is p X p^-1 e_c: p^-1 e_c is read from
     ``chains[c]``, the vectors Theta_{ik}^-1 ... Theta_{i1}^-1 e_c, k = 1,
     2, ..., which the root vectors of one word share and extend as they
-    need, and X and p are applied by matrix-vector products.  A column is
-    computed on its first read and kept; the returned dict-vectors are
-    shared, so callers must not change them.
+    need, and X and p are applied by matrix-vector products.  The Theta_i
+    of the prefix and their inverses are taken from ``braids`` (a
+    :class:`BraidOperators`) when the first column is read, so a root
+    vector whose columns are never read builds none.  A column is computed
+    on its first read and kept; the returned dict-vectors are shared, so
+    callers must not change them.
     """
 
-    def __init__(self, gen: SparseMatrix, thetas, theta_invs, chains: dict):
+    def __init__(self, gen: SparseMatrix, braids, prefix, chains: dict):
         self.dim = gen.nrows
         self._gen = gen
-        self._thetas = thetas        # Theta_{i1}, ..., Theta_{i(r-1)}
-        self._invs = theta_invs      # their inverses, in the same order
+        self._braids = braids
+        self._prefix = prefix           # i1, ..., i(r-1)
+        self._thetas = self._invs = None
         self._chains = chains
         self._cols = {}
 
@@ -604,9 +625,13 @@ class RootVector:
         return got
 
     def _column(self, c: int) -> dict:
-        invs = self._invs
-        if not invs:
+        if not self._prefix:
             return self._gen.cols.get(c, {})
+        if self._thetas is None:
+            braids = self._braids
+            self._thetas = [braids.theta(i) for i in self._prefix]
+            self._invs = [braids.theta_inv(i) for i in self._prefix]
+        invs = self._invs
         chain = self._chains.setdefault(c, [])
         while len(chain) < len(invs):
             k = len(chain)
@@ -625,8 +650,8 @@ class RootVector:
         return acc
 
 
-class LusztigOperators:
-    """Braid operators Theta_i on one irreducible module, with root vectors.
+class BraidOperators:
+    """Braid operators Theta_i on one irreducible module, and their inverses.
 
     Theta_i is the nonzero solution of Theta rho(x) = rho(T_i(x)) Theta over
     all generators x, unique up to a scalar by irreducibility.  It is found
@@ -637,27 +662,22 @@ class LusztigOperators:
     that every entry joins K-exponents matching under T_i (:func:`k_scan`);
     on modules of dim <= FULL_VERIFY_LIMIT the E- and F-identities are also
     checked as exact matrix identities, and above it the kernel
-    certificates downstream re-check every consequence.
+    certificates downstream re-check every consequence.  Each Theta_i is
+    built, and checked, on its first request.
 
     Theta_i^-1 is a :class:`qflag.linalg.BlockInverse` of Theta_i, whose
     weight blocks are checked mod a prime when it is built and factored when
     a root-vector column first reads them; only the columns read are
-    solved.  This object is the one cache of the module's root vectors
-    (:class:`RootVector`, one per (word, r, kind)), and of the chains
-    Theta_{ik}^-1 ... Theta_{i1}^-1 e_c that their columns start from.
+    solved.  This object holds no root vectors, so the root vectors that
+    read it hold no reference cycle.
     """
 
     FULL_VERIFY_LIMIT = 24
 
     def __init__(self, m: ModuleData):
-        if not generated_by_highest(m):
-            raise ReducibleModuleError("braid operators need a canonical "
-                                       "irreducible module")
         self.m = m
         self._theta = {}
         self._theta_inv = {}
-        self._chains = {}       # word -> {c: [Theta_{i1}^-1 e_c, ...]}
-        self._roots = {}        # (word, r, kind) -> RootVector
 
     def theta(self, i: int) -> SparseMatrix:
         th = self._theta.get(i)
@@ -711,6 +731,32 @@ class LusztigOperators:
         self._theta_inv[i] = inv
         return inv
 
+
+class LusztigOperators:
+    """The root vectors of one irreducible module, with its braid operators.
+
+    ``braids`` is the module's :class:`BraidOperators` (Theta_i and
+    Theta_i^-1, each built and checked on its first request); ``theta``
+    reads it.  This object is the one cache of the module's root vectors
+    (:class:`RootVector`, one per (word, r, kind)), and of the chains
+    Theta_{ik}^-1 ... Theta_{i1}^-1 e_c that their columns start from.
+    :meth:`root_operator` records the word's prefix only: a root vector
+    takes its Theta_i from ``braids`` when its first column is read, and
+    holds no reference to this object.
+    """
+
+    def __init__(self, m: ModuleData):
+        if not generated_by_highest(m):
+            raise ReducibleModuleError("braid operators need a canonical "
+                                       "irreducible module")
+        self.m = m
+        self.braids = BraidOperators(m)
+        self._chains = {}       # word -> {c: [Theta_{i1}^-1 e_c, ...]}
+        self._roots = {}        # (word, r, kind) -> RootVector
+
+    def theta(self, i: int) -> SparseMatrix:
+        return self.braids.theta(i)
+
     def root_operator(self, word, r: int, kind: str = "E") -> RootVector:
         """E_{beta_r} (or F_{beta_r}) along word, read column by column."""
         key = (tuple(word), r, kind)
@@ -718,12 +764,9 @@ class LusztigOperators:
         if got is None:
             if not 1 <= r <= len(word):
                 raise DomainError("root index out of range")
-            prefix = key[0][:r - 1]
             got = self._roots[key] = RootVector(
-                self.m.gen_matrix(kind, key[0][r - 1]),
-                [self.theta(i) for i in prefix],
-                [self.theta_inv(i) for i in prefix],
-                self._chains.setdefault(key[0], {}))
+                self.m.gen_matrix(kind, key[0][r - 1]), self.braids,
+                key[0][:r - 1], self._chains.setdefault(key[0], {}))
         return got
 
 

@@ -19,8 +19,10 @@ the intertwining system (not by transport along F-words), braid operators
 as the kernel of their whole conjugation system (not by transport), zbar
 from the solution of a linear system (not read off the pairing), the mixed
 exchange coefficients by reading R at every index tuple (not by walking R's
-nonzero entries), and the sum, product and quotient of two canonical
-fractions by one gcd of the full product (not by gcds of cofactors).
+nonzero entries), the sum, product and quotient of two canonical
+fractions by one gcd of the full product (not by gcds of cofactors), and
+holomorphic sections by one nullspace of every root vector's images
+stacked (not one root vector at a time on what the earlier ones left).
 :func:`rescaled` gives the tests a module that is not a canonical build,
 and :func:`scalar_from_str` parses the string form of a scalar back.
 """
@@ -38,7 +40,9 @@ from qflag.cartan import (bilinear_form, cartan_matrix, positive_roots,
                           w0_on_weight, weight_to_root_int)
 from qflag.errors import ConventionError, DomainError
 from qflag.linalg import (SparseMatrix, dv_add_scaled, invert_dense,
-                          nullspace, solve_unique)
+                          kernel_combinations, nullspace, rows_from_columns,
+                          solve_unique)
+from qflag.peterweyl import GradedSlice
 from qflag.reps import (ModuleData, braid_image, joint_kernel, tensor,
                         transport)
 from qflag.rmatrix import Braiding, braiding
@@ -343,6 +347,24 @@ def conjugated_root_vector(ops, word, r, kind):
                  for mu, cols in by_weight.items()], m.ctx.one)
         p, pinv = p.mul(th), inv.mul(pinv)
     return p.mul(m.gen_matrix(kind, word[r - 1])).mul(pinv)
+
+
+def h0_one_shot(calc, k, depth, chirality="01"):
+    """Calculus.h0 by one nullspace per block: every root vector applied to
+    every Levi-invariant column, the images stacked."""
+    alg = calc.algebra
+    sl = alg.graded_component(calc.flag, k, depth)
+    blocks, dims = [], []
+    for (lam, cols), d in zip(sl.blocks, sl.dims):
+        rows = []
+        for op in calc.tangent_operators(lam, chirality):
+            rows.extend(rows_from_columns([op.matvec(col) for col in cols]))
+        kcols = tuple(kernel_combinations(rows, cols, alg.ctx.one))
+        if kcols:
+            blocks.append((lam, kcols))
+            dims.append(d)
+    return GradedSlice(flag=calc.flag, k=k, depth=depth, blocks=tuple(blocks),
+                       dims=tuple(dims))
 
 
 def root_vector_matrix(rv):

@@ -1,10 +1,14 @@
+import pytest
+
+from oracles import h0_one_shot
 from qflag.calculus import (Calculus, act_f_orbit_rows, z_power,
                             zbar_power)
-from qflag.cartan import LieType, longest_word, weyl_dim
+from qflag.cartan import FlagSpec, LieType, longest_word, weyl_dim
 from qflag.linalg import SpanBasis, SparseMatrix
 from qflag.peterweyl import GradedSlice, PWAlgebra
-from qflag.reps import LusztigOperators, RootVector
-from qflag.verify import verify_suite
+from qflag.reps import BraidOperators, LusztigOperators, RootVector
+from qflag.verify import (DEFAULT_DEPTH, DEFAULT_FLAGS, DEFAULT_KMAX,
+                          DEFAULT_KMIN, verify_suite)
 
 
 def crossed(flag):
@@ -202,7 +206,7 @@ def test_verify_conjugates_each_root_vector_once(flag_of, monkeypatch):
     # above FULL_VERIFY_LIMIT the root-vector path multiplies no matrices
     muls, dims, computed = [], [], []
     mul = SparseMatrix.mul
-    limit = LusztigOperators.FULL_VERIFY_LIMIT
+    limit = BraidOperators.FULL_VERIFY_LIMIT
 
     def counting_mul(self, other):
         if dims:
@@ -239,3 +243,60 @@ def test_verify_conjugates_each_root_vector_once(flag_of, monkeypatch):
     assert len(computed) == len(set(computed))
     assert any(rv.dim > limit for rv, _ in computed)    # V_(2, 2), dim 27
     assert muls and all(d <= limit for d in muls)
+
+
+@pytest.mark.parametrize("name,depth,ks", [
+    pytest.param(name, DEFAULT_DEPTH[name],
+                 range(DEFAULT_KMIN[name], DEFAULT_KMAX[name] + 1), id=name)
+    for name in DEFAULT_FLAGS] + [pytest.param("D4/1", 2, (-1, 0, 1),
+                                               id="D4/1")])
+def test_staged_h0_equals_the_stacked_nullspace(name, depth, ks):
+    # entry for entry, at every default degree, in both chiralities
+    flag = FlagSpec.parse(name)
+    calc = Calculus(PWAlgebra(flag.lie, guard=400), flag)
+    for k in ks:
+        for chirality in ("01", "10"):
+            assert calc.h0(k, depth, chirality) == \
+                h0_one_shot(calc, k, depth, chirality)
+
+
+def test_liouville_on_d4_reads_few_root_vector_columns(monkeypatch):
+    # each root vector reads only the columns that the earlier ones left:
+    # 25 columns where every root vector on every Levi-invariant column
+    # reads 120
+    computed = []
+    column = RootVector._column
+
+    def recording(self, c):
+        computed.append((self, c))
+        return column(self, c)
+
+    monkeypatch.setattr(RootVector, "_column", recording)
+    flag = FlagSpec.parse("D4/1")
+    rep = verify_suite(flag, ["liouville"], depth=2,
+                       algebra=PWAlgebra(flag.lie, guard=400))
+    assert rep["ok"]
+    assert 0 < len(computed) <= 25
+
+
+def test_spoiled_late_root_vector_changes_h0(monkeypatch):
+    # the last root vector still runs on a block where columns survive the
+    # earlier ones: give it a nonzero image of the surviving column, and
+    # that block leaves the kernel
+    flag = FlagSpec.parse("A2/1")
+    alg = PWAlgebra(flag.lie)
+    calc = Calculus(alg, flag)
+    res = calc.h0(1, 4)
+    (lam, (col,)), = res.blocks
+    assert len(calc.positions) > 1
+    late = calc.tangent_operators(lam)[-1]
+    assert not late.matvec(col)
+    reads = []
+
+    def spoiled(c):
+        reads.append(c)
+        return {0: alg.ctx.one} if c in col else {}
+
+    monkeypatch.setattr(late, "column", spoiled)
+    assert calc.h0(1, 4).blocks == ()
+    assert reads

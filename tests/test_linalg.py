@@ -9,9 +9,10 @@ from oracles import dense_nullspace, dense_rref, dense_solve, invert_blocks
 from qflag.cartan import LieType
 from qflag.errors import ConventionError
 from qflag.linalg import (BlockInverse, SpanBasis, SparseMatrix,
-                          column_rank_profile, eliminate, invert_dense,
-                          kernel_combinations, mod_row_profile, nullspace,
-                          rank, solve_unique)
+                          column_rank_profile, dv_add_scaled, eliminate,
+                          invert_dense, kernel_combinations, mod_row_profile,
+                          nullspace, rank, rows_from_columns, solve_unique,
+                          staged_kernel)
 from qflag.reps import (LusztigOperators, build_irreducible, context_for,
                         decompose, dual_module, tensor)
 from qflag.rmatrix import braiding
@@ -90,6 +91,62 @@ def test_engine_matches_dense_reference(one, entry):
         cols = [{r: row[c] for r, row in enumerate(dense) if row[c]}
                 for c in range(ncols)]
         assert mod_row_profile(cols) == want_piv
+
+
+@pytest.mark.parametrize("one,entry", FIELDS, ids=["fraction", "scalar"])
+def test_staged_kernel_equals_the_stacked_nullspace(one, entry):
+    # one map at a time on what the earlier ones left, against one
+    # nullspace of every map's images stacked: the same vectors, entry for
+    # entry and in the same key order, with dependent and zero vectors among
+    # the inputs, maps of one or two rows (so that several stages cut), and
+    # maps that kill everything
+    zero = one - one
+    rng = random.Random(23)
+    for trial in range(200):
+        dim = rng.randint(1, 8)
+        vectors = sparse(random_dense(rng, rng.randint(1, 8), dim, entry,
+                                      zero, density=0.5))
+        if trial % 2:
+            dep = dv_add_scaled(dict(rng.choice(vectors)), rng.choice(vectors),
+                                rng.randint(-2, 2))
+            vectors.insert(rng.randint(0, len(vectors)), dep)
+            vectors.append({})
+        maps = []
+        for _ in range(rng.randint(0, 6)):
+            nrows = rng.randint(1, 2)
+            if rng.random() < 0.15:
+                maps.append(SparseMatrix.zero(nrows, dim))
+                continue
+            dense = random_dense(rng, nrows, dim, entry, zero, density=0.5)
+            maps.append(SparseMatrix(nrows, dim, {
+                c: {r: row[c] for r, row in enumerate(dense) if row[c]}
+                for c in range(dim)}))
+        stacked = [row for mat in maps
+                   for row in rows_from_columns([mat.matvec(v)
+                                                 for v in vectors])]
+        want = list(kernel_combinations(stacked, vectors, one))
+        got = staged_kernel([mat.matvec for mat in maps], vectors, one)
+        assert got == want
+        assert [list(v) for v in got] == [list(v) for v in want]
+
+
+def test_staged_kernel_stops_when_nothing_survives():
+    one = Fraction(1)
+    vectors = [{0: one}, {1: one, 2: one}]
+    applied = []
+
+    def injective(v):
+        applied.append(v)
+        return dict(v)
+
+    def never(v):
+        raise AssertionError("a map ran after the kernel was empty")
+
+    assert staged_kernel([injective, never], vectors, one) == []
+    assert applied == vectors
+    # a map that kills everything passes every vector on
+    assert staged_kernel([lambda v: {}], vectors, one) == vectors
+    assert staged_kernel([], [], one) == []
 
 
 @pytest.mark.parametrize("one,entry", FIELDS, ids=["fraction", "scalar"])

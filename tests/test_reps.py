@@ -20,10 +20,11 @@ from qflag.linalg import (MOD_POINT, SpanBasis, SparseMatrix,
                           column_rank_profile, eliminate, mod_row_profile,
                           rows_from_columns)
 from qflag.peterweyl import PWAlgebra
-from qflag.reps import (LusztigOperators, braid_image, build_irreducible,
-                        check_defining_relations, check_intertwines,
-                        context_for, decompose, dual_module, dual_pairing,
-                        tensor, transport, trivial_module)
+from qflag.reps import (BraidOperators, LusztigOperators, braid_image,
+                        build_irreducible, check_defining_relations,
+                        check_intertwines, context_for, decompose,
+                        dual_module, dual_pairing, tensor, transport,
+                        trivial_module)
 from qflag.verify import DEFAULT_DEPTH
 
 A1, A2, A3, B2, C2 = (LieType.parse(t) for t in ("A1", "A2", "A3", "B2", "C2"))
@@ -206,6 +207,21 @@ def test_lazy_projections_equal_eager_inverse(lie, lam, mu):
 
 
 @pytest.mark.parametrize("lie,lam,mu", CG_PAIRS)
+def test_embedding_rows_equal_the_transposed_embeddings(lie, lam, mu):
+    # each row read on demand from the columns of its weight equals the
+    # row of the whole transpose, in the same column order
+    get = store_for(lie, context_for(lie))
+    cg = decompose(get(lam), get(mu), get)
+    t_dim = get(lam).dim * get(mu).dim
+    for k, s in enumerate(cg.summands):
+        rows = s.emb.transpose().cols
+        for tr in range(t_dim):
+            row = cg.emb_row(k, tr)
+            assert list(row.items()) == list(rows.get(tr, {}).items())
+            assert cg.emb_row(k, tr) is row
+
+
+@pytest.mark.parametrize("lie,lam,mu", CG_PAIRS)
 def test_tensor_multiplicities_equal_the_exact_summands(lie, lam, mu):
     ctx = context_for(lie)
     get = store_for(lie, ctx)
@@ -379,7 +395,7 @@ def test_braid_identities_hold_above_full_verify_limit():
     # above the limit theta checks only the K-family itself
     ctx = context_for(A2)
     m = build_irreducible(ctx, A2, (2, 2))
-    assert m.dim == 27 > LusztigOperators.FULL_VERIFY_LIMIT
+    assert m.dim == 27 > BraidOperators.FULL_VERIFY_LIMIT
     ops = LusztigOperators(m)
     for i in (1, 2):
         th = ops.theta(i)
@@ -395,7 +411,7 @@ def test_rescaled_module_is_refused_above_full_verify_limit():
     # fails the E- and F-identities, which nothing checks above the limit
     m = build_irreducible(context_for(A2), A2, (2, 2))
     w = rescaled(m)
-    assert w.dim > LusztigOperators.FULL_VERIFY_LIMIT
+    assert w.dim > BraidOperators.FULL_VERIFY_LIMIT
     check_defining_relations(w)
     with pytest.raises(ReducibleModuleError):
         LusztigOperators(w).theta(1)
@@ -554,6 +570,30 @@ def test_root_vectors_hold_no_reference_cycle():
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+def test_root_vector_builds_its_thetas_on_first_read(monkeypatch):
+    # root_operator records the prefix only; the first column read builds
+    # (and checks) the Theta_i of the prefix, and a root vector whose
+    # columns are never read builds none
+    m = build_irreducible(context_for(A2), A2, (1, 1))
+    ops = LusztigOperators(m)
+    built = []
+    check = BraidOperators._check
+
+    def recording(self, i, th, twisted):
+        built.append(i)
+        return check(self, i, th, twisted)
+
+    monkeypatch.setattr(BraidOperators, "_check", recording)
+    word = longest_word(A2)
+    rvs = {(r, kind): ops.root_operator(word, r, kind)
+           for r in range(1, 4) for kind in "EF"}
+    assert built == []
+    rvs[(2, "E")].column(0)
+    assert built == [word[0]]
+    rvs[(3, "F")].column(1)
+    assert built == [word[0], word[1]]
 
 
 def test_root_vector_column_inverts_only_the_blocks_on_its_chain(factored):

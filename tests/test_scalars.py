@@ -248,7 +248,8 @@ def test_int_and_fraction_operands_hit_the_memo(empty_memos):
 
 
 def test_memos_stay_bounded_over_a_verify_run(empty_memos):
-    rep = verify_suite(FlagSpec.parse("A2/1"), ["liouville", "borel-weil"])
+    rep = verify_suite(FlagSpec.parse("A3/2"),
+                       ["liouville", "borel-weil", "gamma"])
     assert rep["ok"]
     infos = {name: memo.cache_info() for name, memo in MEMOS.items()}
     assert all(i.maxsize == scalars.MEMO_SIZE for i in infos.values())

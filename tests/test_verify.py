@@ -1,7 +1,12 @@
+import gc
+import weakref
+
 import pytest
 
 from qflag import verify
-from qflag.errors import ConventionError
+from qflag.cartan import FlagSpec
+from qflag.errors import ConventionError, DimensionGuardError
+from qflag.peterweyl import PWAlgebra
 
 
 def test_borel_weil_k0_row_agrees_with_liouville(algebras, flag_of):
@@ -123,3 +128,31 @@ def test_second_word_spans_via_report(algebras, flag_of):
     assert [r["dim"] for r in base["rows"]] == \
         [r["dim"] for r in other["rows"]]
     assert other["word"] == list(alt)
+
+
+@pytest.mark.parametrize("name,depth,guard", [("A2/1", None, 64),
+                                              ("D4/1", 2, 400)])
+def test_an_algebra_that_ran_every_suite_needs_no_collector(name, depth,
+                                                            guard):
+    # no reference cycle holds the algebra or its modules: reference
+    # counting alone frees them once the last name is dropped
+    flag = FlagSpec.parse(name)
+    alg = PWAlgebra(flag.lie, guard=guard)
+    refused = []
+    for suite in verify.SUITES:
+        try:
+            rep = verify.verify_suite(flag, [suite], depth=depth, algebra=alg)
+            assert rep["ok"], suite
+        except DimensionGuardError:
+            refused.append(suite)
+    # D4/1's audit needs V_(0,1,1,1), dim 840
+    assert refused == (["audit"] if name == "D4/1" else [])
+    refs = [weakref.ref(alg)] + [weakref.ref(m)
+                                 for m in alg._modules.values()]
+    assert len(refs) > 5
+    gc.disable()
+    try:
+        del alg
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
