@@ -12,11 +12,12 @@ holomorphic when every tangent operator kills its vector slot; since the
 operators act on the vector slot only and blocks are independent, kernels
 are computed per weight block, and ``h0`` returns them as a
 :class:`qflag.peterweyl.GradedSlice`.  Every tangent kernel, in ``h0`` and
-in the tangent route of :func:`gamma_crosscheck`, is taken in stages
-(:func:`qflag.linalg.staged_kernel`): the root vectors in word order, each
-applied only to what the earlier ones left, so a root vector that comes
-after the kernel is empty reads no column.  ``dbar_at`` is the image of one
-root position; ``dbar`` is their union.
+in the tangent route of :func:`gamma_crosscheck`, is taken in stages, like
+every joint kernel (:func:`qflag.linalg.staged_kernel`): the root vectors in
+word order, each applied only to what the earlier ones left, so a root
+vector that comes after the kernel is empty reads no column.  ``dbar_at``
+is the image of one root position (``PWAlgebra.act_vector_slot``, the loop
+of ``act_v``); ``dbar`` is their union.
 
 The quotient route realizes forms as spans of formal symbols u . d(zbar_l) . v
 with word coefficients, modulo the Leibniz images of every relation that the
@@ -76,17 +77,8 @@ class Calculus:
     def dbar_at(self, a: dict, pos: int, chirality: str = "01") -> dict:
         """E_beta of root position pos acting on the vector slot, as an
         element {(lam, row, col): scalar}."""
-        zero = self.algebra.ctx.zero
-        ops = {}
-        img = {}
-        for (lam, row, c), v in a.items():
-            op = ops.get(lam)
-            if op is None:
-                op = ops[lam] = self.tangent_operator(lam, pos, chirality)
-            for r2, mv in op.column(c).items():
-                key = (lam, row, r2)
-                img[key] = img.get(key, zero) + v * mv
-        return {key: v for key, v in img.items() if v}
+        return self.algebra.act_vector_slot(
+            lambda lam: self.tangent_operator(lam, pos, chirality), a)
 
     def dbar(self, a: dict, chirality: str = "01") -> dict:
         """Sum of (E_beta acting on the vector slot) (x) e_beta, as a map

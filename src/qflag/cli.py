@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import cartan, verify
 from .calculus import gamma_crosscheck, gamma_relation_operator
 from .cartan import FlagSpec, LieType
-from .coordring import quadratic_relations
+from .coordring import ABSTRACT_DMAX, quadratic_relations
 from .errors import QflagError
 from .linalg import dv_add_scaled
 from .peterweyl import PWAlgebra
@@ -181,6 +181,9 @@ def cmd_rmatrix(args) -> int:
 
 def cmd_relations(args) -> int:
     flag = FlagSpec.parse(args.flag)
+    if args.maxdeg > ABSTRACT_DMAX:
+        raise QflagError(f"--maxdeg = {args.maxdeg} exceeds {ABSTRACT_DMAX}, "
+                         "the largest degree of the abstract dimensions")
     alg = _algebra(args, flag.lie)
     spec = quadratic_relations(alg, flag)
     rep = verify.flatness_report(alg, flag, spec, args.maxdeg)

@@ -4,7 +4,9 @@ The degree-one generators z_i span the crossed-fundamental block with the
 highest weight vector in the vector slot; the quadratic relation space is the
 span of the rows of (R - q^((w_x, w_x)) id) on the tensor square, realized
 products annihilate exactly that space, and the graded dimensions of the
-abstract quadratic algebra match the realized ones (flatness at generic q).
+abstract quadratic algebra match the realized ones (flatness at generic q)
+through degree ABSTRACT_DMAX.  :func:`monomial_spans` is the one span of
+z-monomials, each degree grown from the products that grew the one below.
 
 The mixed commutation rule exchanging zbar_i z_j into z_k zbar_l uses the
 braiding V (x) W -> W (x) V (W the dual-weight block) with its W-slots
@@ -21,9 +23,12 @@ from . import cartan
 from .cartan import FlagSpec
 from .errors import ConventionError
 from .linalg import (SpanBasis, SparseMatrix, dv_add_scaled, eliminate,
-                     invert_dense, nullspace, rows_from_columns)
+                     invert_dense, kernel_combinations, rows_from_columns)
 from .peterweyl import PWAlgebra, element_doc
 from .rmatrix import Braiding, braiding
+
+# The largest degree abstract_graded_dimension computes.
+ABSTRACT_DMAX = 3
 
 
 @dataclass(frozen=True)
@@ -69,39 +74,42 @@ def relations_annihilate_realized(algebra: PWAlgebra, flag: FlagSpec,
 
 def realized_degree2_kernel(algebra: PWAlgebra, flag: FlagSpec) -> SpanBasis:
     """Exact kernel of the realization map on degree-2 monomials."""
-    ctx = algebra.ctx
+    one = algebra.ctx.one
     gens = algebra.generators(flag)
     n = len(gens.z)
     pairs = [(k, l) for k in range(n) for l in range(n)]
     rows = rows_from_columns([algebra.multiply(gens.z[k], gens.z[l])
                               for k, l in pairs])
     span = SpanBasis()
-    for vec in nullspace(rows, len(pairs), ctx.one):
-        span.insert({pairs[t]: v for t, v in vec.items()})
+    for vec in kernel_combinations(rows, [{kl: one} for kl in pairs], one):
+        span.insert(vec)
     return span
+
+
+def monomial_spans(algebra: PWAlgebra, flag: FlagSpec, dmax: int) -> list:
+    """The spans of the degree-d z-monomials inside O_q(G), d = 0..dmax.
+
+    Degree d is spanned by the products m z_i of the degree-(d-1) products
+    m that grew their span, since those m span degree d-1."""
+    gens = algebra.generators(flag)
+    spans = []
+    products = [algebra.one()]
+    for _ in range(dmax + 1):
+        span = SpanBasis()
+        grown = [p for p in products if span.insert(p)]
+        spans.append(span)
+        # formed one at a time, as the next degree inserts them
+        products = (algebra.multiply(m, z) for m in grown for z in gens.z)
+    return spans
 
 
 def realized_graded_dimension(algebra: PWAlgebra, flag: FlagSpec, d: int) -> int:
     """Dimension of the span of degree-d z-monomials inside O_q(G)."""
-    if d == 0:
-        return 1
-    gens = algebra.generators(flag)
-    span = SpanBasis()
-    # depth-first over the monomials, with an explicit stack: a recursive
-    # closure would hold the algebra in a reference cycle after returning
-    stack = [(algebra.one(), 0)]
-    while stack:
-        elem, depth = stack.pop()
-        if depth == d:
-            span.insert(elem)
-            continue
-        stack.extend((algebra.multiply(elem, z), depth + 1)
-                     for z in reversed(gens.z))
-    return span.dim
+    return monomial_spans(algebra, flag, d)[d].dim
 
 
 def abstract_graded_dimension(ctx, spec: QuadraticAlgebraSpec, d: int) -> int:
-    """Graded dimension of the abstract quadratic algebra, d <= 3."""
+    """Graded dimension of the abstract algebra, d <= ABSTRACT_DMAX."""
     n = spec.n
     if d == 0:
         return 1
@@ -109,8 +117,9 @@ def abstract_graded_dimension(ctx, spec: QuadraticAlgebraSpec, d: int) -> int:
         return n
     if d == 2:
         return n * n - len(spec.relations)
-    if d != 3:
-        raise ConventionError("graded dimensions implemented for d <= 3 only")
+    if d != ABSTRACT_DMAX:
+        raise ConventionError(
+            f"graded dimensions implemented for d <= {ABSTRACT_DMAX} only")
     span = SpanBasis()
     for rel in spec.relations:
         for m in range(n):

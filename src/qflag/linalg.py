@@ -13,7 +13,8 @@ matrix-vector and matrix-matrix product folds :func:`dv_add_scaled` over
 columns.  :class:`BlockInverse` is the one blockwise inverse (of braid
 operators and Clebsch-Gordan changes of basis): every weight block is checked
 mod a prime when it is built, factored when a column of it is first read, and
-solved only for the columns read.
+solved only for the columns read.  Every joint kernel of several linear
+maps is taken by :func:`staged_kernel`, one map at a time.
 
 :func:`eliminate` is the one exact elimination engine.  It keeps each row as
 a dict and a column -> rows index, so it touches nonzero entries only.  All
@@ -504,6 +505,10 @@ class SparseMatrix:
 
     def entry(self, i, j):
         return self.cols.get(j, {}).get(i)
+
+    def column(self, j) -> dict:
+        """Column j as a dict-vector (shared: callers must not change it)."""
+        return self.cols.get(j, {})
 
     def entries_sorted(self):
         return sorted(((i, j), v) for j, col in self.cols.items()

@@ -21,11 +21,13 @@ Action conventions: act_v lets a generator act on the vector slot
 through the module matrices (the natural left action); act_f is the right
 action on the functional slot, i.e. row vectors transform by the transposed
 matrices.  No report calls either; the tests check both against the
-product (act_v is a derivation of it) and against each other.
+product (act_v is a derivation of it) and against each other.  act_v and
+the calculus's dbar_at share one loop, :meth:`PWAlgebra.act_vector_slot`.
 
 :class:`GradedSlice` is the one type for vector-slot columns per block
-V_lam: the Levi invariants of one degree (one joint kernel per block; at
-degree 0 the spherical invariants), or the holomorphic sections inside them.
+V_lam: the Levi invariants of one degree (one staged joint kernel per
+block; at degree 0 the spherical invariants), or the holomorphic sections
+inside them.
 Each V_lam is kept with its LusztigOperators, the one root-vector cache,
 which computes a column of a root vector when it is first read.
 """
@@ -37,10 +39,10 @@ from dataclasses import dataclass
 from . import cartan
 from .cartan import FlagSpec, LieType
 from .errors import ConventionError, DomainError
-from .linalg import SparseMatrix, dv_add_scaled
+from .linalg import SparseMatrix, dv_add_scaled, staged_kernel
 from .reps import (DEFAULT_GUARD, CGDecomposition, LusztigOperators,
                    ModuleData, build_irreducible, context_for, decompose,
-                   dual_pairing, joint_kernel)
+                   dual_pairing)
 
 
 @dataclass(frozen=True)
@@ -198,13 +200,23 @@ class PWAlgebra:
 
         gen is a generator tag (kind, i), kind "E", "F", "K" or "Kinv".
         """
-        kind, i = gen
+        return self.act_vector_slot(
+            lambda lam: self.module(lam).gen_matrix(*gen), a)
+
+    def act_vector_slot(self, operator, a: dict) -> dict:
+        """``operator(lam)``, asked once per block V_lam, acting on the
+        vector slot of a; it reads ``column(c)`` (SparseMatrix, RootVector,
+        BlockInverse)."""
+        zero = self.ctx.zero
+        ops = {}
         out = {}
-        for (lam, r, c), v in a.items():
-            mat = self.module(lam).gen_matrix(kind, i)
-            for r2, mv in mat.cols.get(c, {}).items():
-                key = (lam, r, r2)
-                out[key] = out.get(key, self.ctx.zero) + v * mv
+        for (lam, row, c), v in a.items():
+            op = ops.get(lam)
+            if op is None:
+                op = ops[lam] = operator(lam)
+            for r2, mv in op.column(c).items():
+                key = (lam, row, r2)
+                out[key] = out.get(key, zero) + v * mv
         return {k: v for k, v in out.items() if v}
 
     def act_f(self, gen, a: dict) -> dict:
@@ -280,13 +292,16 @@ class PWAlgebra:
         """
         snodes = flag.uncrossed
         x = flag.crossed
+        one = self.ctx.one
         blocks = []
         dims = []
         for lam in cartan.dominant_weights_up_to(self.lie, depth):
             m = self.module(lam)
             idxs = [t for t, w in enumerate(m.weights)
                     if w[x - 1] == k and all(w[j - 1] == 0 for j in snodes)]
-            cols = joint_kernel(_levi_mats(m, snodes), idxs, self.ctx.one)
+            levi = [mat.matvec for j in snodes
+                    for mat in (m.e_mats[j - 1], m.f_mats[j - 1])]
+            cols = staged_kernel(levi, [{c: one} for c in idxs], one)
             if cols:
                 blocks.append((tuple(lam), tuple(cols)))
                 dims.append(m.dim)
@@ -304,7 +319,3 @@ def element_doc(elem: dict):
     """An element as a JSON list of [lam, row, col, value], sorted by key."""
     return [[list(lam), r, c, str(v)] for (lam, r, c), v in sorted(elem.items())]
 
-
-def _levi_mats(m, snodes):
-    """E_j and F_j on m for the uncrossed nodes j: the Levi conditions."""
-    return [mat for j in snodes for mat in (m.e_mats[j - 1], m.f_mats[j - 1])]

@@ -41,7 +41,7 @@ from .cartan import LieType, Weight
 from .errors import (ConventionError, DimensionGuardError, DomainError,
                      ReducibleModuleError, SpecializationError)
 from .linalg import (BlockInverse, SparseMatrix, dv_add_scaled, eliminate,
-                     mod_row_profile, nullspace, rows_from_columns)
+                     mod_row_profile, rows_from_columns, staged_kernel)
 from .scalars import QContext
 
 DEFAULT_GUARD = 64
@@ -468,21 +468,6 @@ class CGDecomposition:
                 and self.summands == other.summands)
 
 
-def joint_kernel(mats, idxs, one):
-    """Basis of the common kernel of mats restricted to the basis vectors idxs.
-
-    The vectors are dict-vectors over the whole basis (keys in idxs), in the
-    order of :func:`qflag.linalg.nullspace` on the stacked restrictions.
-    """
-    if not idxs:
-        return []
-    rows = []
-    for mat in mats:
-        rows.extend(rows_from_columns([mat.cols.get(c, {}) for c in idxs]))
-    return [{idxs[t]: v for t, v in vec.items()}
-            for vec in nullspace(rows, len(idxs), one)]
-
-
 def decompose(v: ModuleData, w: ModuleData, module_store) -> CGDecomposition:
     """Split V_lam (x) V_mu into irreducibles via highest weight vectors.
 
@@ -494,21 +479,23 @@ def decompose(v: ModuleData, w: ModuleData, module_store) -> CGDecomposition:
     is built, so a summand the store refuses (the dimension guard) is
     refused before any exact work.  The seeds are the joint kernels of T's
     raising operators on the predicted weight spaces only, by (|nu|, nu) and
-    then in :func:`joint_kernel` order (the reduced echelon basis: each
-    seed's largest key carries 1, which is 0 in the other seeds of its
-    weight, and those keys increase).  A kernel whose dimension is not the
-    predicted multiplicity raises ConventionError.  No other weight space
-    can hold a highest weight vector: the summands fill dim T, and
+    then in :func:`qflag.linalg.staged_kernel` order (the reduced echelon
+    basis: each seed's largest key carries 1, which is 0 in the other seeds
+    of its weight, and those keys increase).  A kernel whose dimension is
+    not the predicted multiplicity raises ConventionError.  No other weight
+    space can hold a highest weight vector: the summands fill dim T, and
     :class:`CGDecomposition` certifies the change of basis invertible.
     """
     mults = cartan.tensor_multiplicities(v.lie, v.highest, w.highest)
     modules = {nu: module_store(nu) for nu in mults}
     t_mod = tensor(v, w)
     by_weight = t_mod.weight_indices()
+    raising = [mat.matvec for mat in t_mod.e_mats]
+    one = t_mod.ctx.one
     seeds = []
     for nu, m in mults.items():
-        found = joint_kernel(t_mod.e_mats, by_weight.get(nu, []),
-                             t_mod.ctx.one)
+        found = staged_kernel(raising,
+                              [{c: one} for c in by_weight.get(nu, [])], one)
         if len(found) != m:
             raise ConventionError(
                 f"highest weight space of weight {nu} has dimension "

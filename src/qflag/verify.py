@@ -20,8 +20,8 @@ from .calculus import (Calculus, act_f_orbit_rows, gamma_crosscheck, z_power,
 from .cartan import FlagSpec
 from .coordring import (QuadraticAlgebraSpec, abstract_graded_dimension,
                         central_element_checks, mixed_commutation_check,
-                        quadratic_relations, realized_degree2_kernel,
-                        realized_graded_dimension,
+                        monomial_spans, quadratic_relations,
+                        realized_degree2_kernel, realized_graded_dimension,
                         relations_annihilate_realized)
 from .errors import ConventionError, TruncationError
 from .linalg import SpanBasis
@@ -138,18 +138,9 @@ def coordinate_ring_equality(algebra: PWAlgebra, flag: FlagSpec, dmax: int,
                              depth: int) -> dict:
     """Degreewise subspace equality of z-monomial spans and h0(d)."""
     calc = Calculus(algebra, flag)
-    gens = algebra.generators(flag)
-    n = len(gens.z)
     rows = []
     ok = True
-    monomials = [algebra.one()]
-    for d in range(0, dmax + 1):
-        if d:
-            monomials = [algebra.multiply(m, gens.z[i])
-                         for m in monomials for i in range(n)]
-        mono_span = SpanBasis()
-        for m in monomials:
-            mono_span.insert(m)
+    for d, mono_span in enumerate(monomial_spans(algebra, flag, dmax)):
         h0_span = SpanBasis()
         for e in algebra.slice_elements(calc.h0(d, depth)):
             h0_span.insert(e)

@@ -20,9 +20,12 @@ as the kernel of their whole conjugation system (not by transport), zbar
 from the solution of a linear system (not read off the pairing), the mixed
 exchange coefficients by reading R at every index tuple (not by walking R's
 nonzero entries), the sum, product and quotient of two canonical
-fractions by one gcd of the full product (not by gcds of cofactors), and
-holomorphic sections by one nullspace of every root vector's images
-stacked (not one root vector at a time on what the earlier ones left).
+fractions by one gcd of the full product (not by gcds of cofactors),
+holomorphic sections, highest weight vectors and Levi invariants by one
+nullspace of every operator's images stacked (not one operator at a time
+on what the earlier ones left), and the span of the degree-d z-monomials
+from all n^d of them (not from the products of the degree-(d-1) monomials
+that grew their span).
 :func:`rescaled` gives the tests a module that is not a canonical build,
 and :func:`scalar_from_str` parses the string form of a scalar back.
 """
@@ -39,12 +42,11 @@ from qflag.cartan import (bilinear_form, cartan_matrix, positive_roots,
                           reflect_weight, root_to_weight, symmetrizers,
                           w0_on_weight, weight_to_root_int)
 from qflag.errors import ConventionError, DomainError
-from qflag.linalg import (SparseMatrix, dv_add_scaled, invert_dense,
-                          kernel_combinations, nullspace, rows_from_columns,
-                          solve_unique)
+from qflag.linalg import (SpanBasis, SparseMatrix, dv_add_scaled,
+                          invert_dense, kernel_combinations, nullspace,
+                          rows_from_columns, solve_unique)
 from qflag.peterweyl import GradedSlice
-from qflag.reps import (ModuleData, braid_image, joint_kernel, tensor,
-                        transport)
+from qflag.reps import ModuleData, braid_image, tensor, transport
 from qflag.rmatrix import Braiding, braiding
 from qflag.scalars import Scalar
 
@@ -299,6 +301,53 @@ def block_rows(columns, rows):
     return block
 
 
+def stacked_joint_kernel(mats, idxs, one):
+    """Basis of the common kernel of mats restricted to the basis vectors
+    idxs, by one nullspace of the restrictions stacked.
+
+    The vectors are dict-vectors over the whole basis (keys in idxs), in
+    the order of :func:`qflag.linalg.nullspace`.
+    """
+    if not idxs:
+        return []
+    rows = []
+    for mat in mats:
+        rows.extend(rows_from_columns([mat.cols.get(c, {}) for c in idxs]))
+    return [{idxs[t]: v for t, v in vec.items()}
+            for vec in nullspace(rows, len(idxs), one)]
+
+
+def graded_component_stacked(alg, flag, k, depth):
+    """PWAlgebra.graded_component with each block's Levi invariants from
+    :func:`stacked_joint_kernel`."""
+    blocks, dims = [], []
+    for lam in cartan.dominant_weights_up_to(alg.lie, depth):
+        m = alg.module(lam)
+        idxs = [t for t, w in enumerate(m.weights)
+                if w[flag.crossed - 1] == k
+                and all(w[j - 1] == 0 for j in flag.uncrossed)]
+        mats = [mat for j in flag.uncrossed
+                for mat in (m.e_mats[j - 1], m.f_mats[j - 1])]
+        cols = stacked_joint_kernel(mats, idxs, alg.ctx.one)
+        if cols:
+            blocks.append((tuple(lam), tuple(cols)))
+            dims.append(m.dim)
+    return GradedSlice(flag=flag, k=k, depth=depth, blocks=tuple(blocks),
+                       dims=tuple(dims))
+
+
+def monomial_span_all(alg, flag, d):
+    """The span of the degree-d z-monomials, every one of the n^d formed."""
+    gens = alg.generators(flag)
+    monomials = [alg.one()]
+    for _ in range(d):
+        monomials = [alg.multiply(m, z) for m in monomials for z in gens.z]
+    span = SpanBasis()
+    for m in monomials:
+        span.insert(m)
+    return span
+
+
 def decompose_eager(v, w, module_store):
     """V_lam (x) V_mu split into irreducibles: (nu, embedding, projection)
     per summand.
@@ -314,7 +363,8 @@ def decompose_eager(v, w, module_store):
     dominant = sorted((nu for nu in by_weight if all(x >= 0 for x in nu)),
                       key=lambda nu: (sum(nu), nu))
     embs = [(nu, transport(module_store(nu), t.f_mats, u)) for nu in dominant
-            for u in joint_kernel(t.e_mats, by_weight[nu], t.ctx.one)]
+            for u in stacked_joint_kernel(t.e_mats, by_weight[nu],
+                                          t.ctx.one)]
     columns, cols_by_weight, owner = {}, {}, []
     for k, (nu, emb) in enumerate(embs):
         for c, wt in enumerate(module_store(nu).weights):

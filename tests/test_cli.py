@@ -375,6 +375,20 @@ def test_relations_solves_the_braiding_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_relations_above_the_abstract_degrees_is_usage_error(capsys,
+                                                            monkeypatch):
+    # refused before the generators and the braiding are built
+    from qflag import cli
+
+    def refuse(*args):
+        raise AssertionError("quadratic_relations called")
+
+    monkeypatch.setattr(cli, "quadratic_relations", refuse)
+    code, out, err = run_cli(capsys, "relations", "--flag", "A1/1",
+                             "--maxdeg", "4")
+    assert code == 2 and out == "" and "--maxdeg" in err
+
+
 def test_verify_word_check_reuses_the_suite_report(capsys, monkeypatch):
     from qflag import verify
     calls = _count_calls(monkeypatch, verify, "borel_weil_report")

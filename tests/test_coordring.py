@@ -2,11 +2,11 @@ import dataclasses
 
 import pytest
 
-from oracles import mixed_by_scan, scalar_from_str
+from oracles import mixed_by_scan, monomial_span_all, scalar_from_str
 from qflag.cartan import weyl_dim
 from qflag.coordring import (abstract_graded_dimension, central_element_checks,
-                             mixed_commutation_check, quadratic_relations,
-                             realized_degree2_kernel,
+                             mixed_commutation_check, monomial_spans,
+                             quadratic_relations, realized_degree2_kernel,
                              realized_graded_dimension,
                              relations_annihilate_realized)
 from qflag.linalg import SpanBasis, SparseMatrix, dv_add_scaled
@@ -65,6 +65,17 @@ def test_graded_dimensions_flat(name, dmax, algebras, flag_of):
         expected = weyl_dim(flag.lie, tuple(d * x for x in lam))
         assert abstract_graded_dimension(alg.ctx, spec, d) == expected
         assert realized_graded_dimension(alg, flag, d) == expected
+
+
+@pytest.mark.parametrize("name,dmax", FLAT_CASES)
+def test_monomial_spans_equal_the_span_of_every_monomial(name, dmax, algebras,
+                                                         flag_of):
+    flag = flag_of(name)
+    alg = algebras(str(flag.lie))
+    spans = monomial_spans(alg, flag, dmax)
+    assert len(spans) == dmax + 1
+    for d, span in enumerate(spans):
+        assert span.equals(monomial_span_all(alg, flag, d)), d
 
 
 def test_a3_d2_realized_dimension(algebras, flag_of):

@@ -3,10 +3,17 @@ import weakref
 
 import pytest
 
-from qflag import verify
+from oracles import graded_component_stacked, stacked_joint_kernel
+from qflag import reps, verify
 from qflag.cartan import FlagSpec
 from qflag.errors import ConventionError, DimensionGuardError
 from qflag.peterweyl import PWAlgebra
+
+# (flag, depth, guard): the default six at their default depths, and the
+# next ring at depth 2
+STACKED_CASES = [(name, verify.DEFAULT_DEPTH[name], 64)
+                 for name in verify.DEFAULT_FLAGS] + [("A4/2", 2, 400),
+                                                      ("D4/1", 2, 400)]
 
 
 def test_borel_weil_k0_row_agrees_with_liouville(algebras, flag_of):
@@ -156,3 +163,84 @@ def test_an_algebra_that_ran_every_suite_needs_no_collector(name, depth,
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+@pytest.fixture(scope="module")
+def verified():
+    """Per case, a fresh algebra after every suite, and the (tensor module,
+    seeds) of every decomposition it built."""
+    cache = {}
+
+    def get(name, depth, guard):
+        if name not in cache:
+            seen = []
+
+            class Recording(reps.CGDecomposition):
+                def __init__(self, t_mod, seeds):
+                    seen.append((t_mod, seeds))
+                    super().__init__(t_mod, seeds)
+
+            flag = FlagSpec.parse(name)
+            alg = PWAlgebra(flag.lie, guard=guard)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reps, "CGDecomposition", Recording)
+                for suite in verify.SUITES:
+                    try:
+                        verify.verify_suite(flag, [suite], depth=depth,
+                                            algebra=alg)
+                    except DimensionGuardError:
+                        pass
+            cache[name] = alg, seen
+        return cache[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name,depth,guard", STACKED_CASES)
+def test_decompose_seeds_equal_the_stacked_kernel(name, depth, guard,
+                                                  verified):
+    # the seeds taken one raising operator at a time are the basis of one
+    # nullspace of all of them stacked, entry for entry and in key order
+    _, seen = verified(name, depth, guard)
+    assert seen
+    for t_mod, seeds in seen:
+        by_weight = t_mod.weight_indices()
+        got = {}
+        for v_nu, u in seeds:
+            got.setdefault(v_nu.highest, []).append(list(u.items()))
+        for nu, us in got.items():
+            want = stacked_joint_kernel(t_mod.e_mats, by_weight[nu],
+                                        t_mod.ctx.one)
+            assert us == [list(u.items()) for u in want], nu
+
+
+@pytest.mark.parametrize("name,depth,guard", STACKED_CASES)
+def test_graded_component_equals_the_stacked_kernel(name, depth, guard,
+                                                    verified):
+    alg, _ = verified(name, depth, guard)
+    flag = FlagSpec.parse(name)
+    for k in range(verify.DEFAULT_KMIN.get(name, -1),
+                   verify.DEFAULT_KMAX.get(name, 1) + 1):
+        got = alg.graded_component(flag, k, depth)
+        want = graded_component_stacked(alg, flag, k, depth)
+        assert got == want, k
+        assert [[list(c.items()) for c in cols] for _, cols in got.blocks] \
+            == [[list(c.items()) for c in cols] for _, cols in want.blocks]
+
+
+def test_relations_suite_forms_only_products_of_grown_monomials(monkeypatch):
+    # each degree's monomials are products of the lower degree's that grew
+    # its span; forming every n^d monomial took 1,430 products here
+    calls = []
+    real = PWAlgebra.multiply
+
+    def counted(self, a, b):
+        calls.append(None)
+        return real(self, a, b)
+
+    monkeypatch.setattr(PWAlgebra, "multiply", counted)
+    flag = FlagSpec.parse("A4/2")
+    rep = verify.verify_suite(flag, ["relations"], depth=2,
+                              algebra=PWAlgebra(flag.lie, guard=400))
+    assert rep["ok"]
+    assert len(calls) <= 930
