@@ -281,7 +281,8 @@ def gamma_crosscheck(algebra: PWAlgebra, flag: FlagSpec, trunc: int = 2,
     all_words = words_up_to(trunc)
     degree = {w: sum(1 if kind == "z" else -1 for kind, _ in w)
               for w in all_words}
-    realized = {w: realize(w) for w in all_words}
+    # only the slices of ks are read, so only their words are multiplied
+    realized = {w: realize(w) for w in all_words if degree[w] in ks}
     # one-form symbols of every word: relation modules are assembled from
     # the formal images of ALL words, not only one slice's
     nsyms = sorted({sym for w in all_words for sym in _formal_dbar(w)})

@@ -65,14 +65,6 @@ def _non_negative(text: str) -> int:
     return int(text)
 
 
-def _within_depth(name: str, degree: int, depth: int) -> None:
-    """Refuse a degree whose predicted module lies outside the truncation
-    sum(lam) <= depth (the block k w_x has sum k)."""
-    if degree > depth:
-        raise QflagError(f"{name} = {degree} exceeds the depth {depth}: the "
-                         "truncation cannot hold the predicted module")
-
-
 def _parse_krange(text: str):
     if ":" in text:
         a, _, b = text.partition(":")
@@ -113,9 +105,7 @@ def _word_check(rep, flag: FlagSpec, dims, rerun, key=None) -> None:
 
 def cmd_catalog(args) -> int:
     doc = {
-        "schema": "qflag-report",
-        "schema_version": verify.SCHEMA_VERSION,
-        "kind": "catalog",
+        **verify.report_header("catalog"),
         "max_rank": args.max_rank,
         "entries": cartan.catalog(args.max_rank),
     }
@@ -129,13 +119,8 @@ def cmd_rep(args) -> int:
     ctx = _context(args, lie)
     m = build_irreducible(ctx, lie, lam, guard=args.guard)
     doc = {
-        "schema": "qflag-report",
-        "schema_version": verify.SCHEMA_VERSION,
-        "kind": "module",
+        **verify.report_header("module", ctx),
         "type": str(lie),
-        "L": ctx.L,
-        "s_meaning": f"s = q^(1/{ctx.L})",
-        "mode": ctx.describe()["mode"],
         "lambda": list(lam),
         "dim": m.dim,
         "weights": [list(w) for w in m.weights],
@@ -159,13 +144,8 @@ def cmd_rmatrix(args) -> int:
     br = braiding(v, v)
     ok = ybe_check(v, br)
     doc = {
-        "schema": "qflag-report",
-        "schema_version": verify.SCHEMA_VERSION,
-        "kind": "rmatrix",
+        **verify.report_header("rmatrix", alg.ctx),
         "flag": str(flag),
-        "L": alg.ctx.L,
-        "s_meaning": f"s = q^(1/{alg.ctx.L})",
-        "mode": alg.ctx.describe()["mode"],
         "lambda": list(lam),
         "dim": v.dim,
         "convention": "R(e_i (x) f_j) = sum R^kl_ij f_k (x) e_l; "
@@ -212,9 +192,9 @@ def cmd_borel_weil(args) -> int:
     depth = args.depth if args.depth is not None else verify.default_depth(flag)
     kmin, kmax = _parse_krange(args.k)
     if args.opposite:
-        _within_depth("-k", -kmin, depth)
+        verify.within_depth("-k", -kmin, depth)
     else:
-        _within_depth("k", kmax, depth)
+        verify.within_depth("k", kmax, depth)
     alg = _algebra(args, flag.lie)
     _progress(f"borel-weil {flag} depth {depth} k {kmin}..{kmax}")
     rep = verify.borel_weil_report(alg, flag, kmax=kmax, depth=depth,
@@ -235,7 +215,7 @@ def cmd_borel_weil(args) -> int:
 def cmd_coordring(args) -> int:
     flag = FlagSpec.parse(args.flag)
     depth = args.depth if args.depth is not None else verify.default_depth(flag)
-    _within_depth("maxdeg", args.maxdeg, depth)
+    verify.within_depth("maxdeg", args.maxdeg, depth)
     alg = _algebra(args, flag.lie)
     rep = verify.coordinate_ring_equality(alg, flag, dmax=args.maxdeg,
                                           depth=depth)
@@ -287,24 +267,21 @@ def cmd_verify(args) -> int:
     flag = FlagSpec.parse(args.flag)
     alg = _algebra(args, flag.lie)
     depth = args.depth
-    if "audit" in suites:
-        # the audit tests degree 1, whose blocks k w_x have sum 1
-        _within_depth("the audit degree", 1, verify.default_depth(flag)
-                      if depth is None else depth)
+    _progress(f"verify {flag}: suites {suites}")
+    # the library's suites run first, so that verify_suite refuses a request
+    # it cannot answer before the CLI's own suites do any work
+    rep = verify.verify_suite(
+        flag, [s for s in suites if s not in ("properties", "gamma-operator")],
+        depth=depth, algebra=alg)
     extra = []
-    core = []
     for s in suites:
         if s == "properties":
             extra.append(_property_samples(alg, flag, args.seed))
         elif s == "gamma-operator":
-            rep = gamma_relation_operator(alg, flag)
-            rep.pop("operator")
-            rep["ok"] = True
-            extra.append(rep)
-        else:
-            core.append(s)
-    _progress(f"verify {flag}: suites {suites}")
-    rep = verify.verify_suite(flag, core, depth=depth, algebra=alg)
+            op = gamma_relation_operator(alg, flag)
+            op.pop("operator")
+            op["ok"] = True
+            extra.append(op)
     rep["reports"].extend(extra)
     rep["ok"] = rep["ok"] and all(r.get("ok") for r in extra)
     rep["seed"] = args.seed

@@ -6,7 +6,9 @@ span of the rows of (R - q^((w_x, w_x)) id) on the tensor square, realized
 products annihilate exactly that space, and the graded dimensions of the
 abstract quadratic algebra match the realized ones (flatness at generic q)
 through degree ABSTRACT_DMAX.  :func:`monomial_spans` is the one span of
-z-monomials, each degree grown from the products that grew the one below.
+z-monomials, each degree grown from the products that grew the one below;
+the flatness report reads every realized dimension, and the dimension of the
+degree-2 kernel, off one call.
 
 The mixed commutation rule exchanging zbar_i z_j into z_k zbar_l uses the
 braiding V (x) W -> W (x) V (W the dual-weight block) with its W-slots
@@ -72,6 +74,8 @@ def relations_annihilate_realized(algebra: PWAlgebra, flag: FlagSpec,
     return True
 
 
+# realized_degree2_kernel and realized_graded_dimension stay for perfbench's
+# tracer, which binds them by name, and as the tests' independent reference.
 def realized_degree2_kernel(algebra: PWAlgebra, flag: FlagSpec) -> SpanBasis:
     """Exact kernel of the realization map on degree-2 monomials."""
     one = algebra.ctx.one

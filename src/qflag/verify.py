@@ -1,10 +1,12 @@
 """Theorem-level verification reports.
 
 Each report is a plain dict (JSON-ready, deterministically ordered) that
-embeds the convention metadata needed to reproduce it: the exponent lattice
-denominator L, the reduced word used for the quantum root vectors, and the
-arithmetic mode.  All comparisons are exact; "pass" always means subspace
-equality or integer equality, never a tolerance.
+opens with :func:`report_header` and embeds the convention metadata needed
+to reproduce it: the exponent lattice denominator L, the reduced word used
+for the quantum root vectors, and the arithmetic mode.  All comparisons are
+exact; "pass" always means subspace equality or integer equality, never a
+tolerance.  :func:`verify_suite` refuses a request it cannot answer before
+any exact work.
 
 Highest weight labels: the functional slot of a block V_lam carries the dual
 module, so an act_f-highest vector in that block is reported with the weight
@@ -21,9 +23,8 @@ from .cartan import FlagSpec
 from .coordring import (QuadraticAlgebraSpec, abstract_graded_dimension,
                         central_element_checks, mixed_commutation_check,
                         monomial_spans, quadratic_relations,
-                        realized_degree2_kernel, realized_graded_dimension,
                         relations_annihilate_realized)
-from .errors import ConventionError, TruncationError
+from .errors import ConventionError, QflagError, TruncationError
 from .linalg import SpanBasis
 from .peterweyl import PWAlgebra, element_doc
 from .reps import lowest_index
@@ -45,18 +46,32 @@ def default_depth(flag: FlagSpec) -> int:
     return DEFAULT_DEPTH.get(str(flag), 3)
 
 
-def _meta(algebra: PWAlgebra, flag: FlagSpec, word) -> dict:
-    d = algebra.ctx.describe()
-    return {
-        "schema": "qflag-report",
-        "schema_version": SCHEMA_VERSION,
-        "flag": str(flag),
-        "name": flag.name(),
-        "L": d["L"],
-        "s_meaning": f"s = q^(1/{d['L']})",
-        "mode": d["mode"],
-        "word": list(word),
-    }
+def within_depth(name: str, degree: int, depth: int) -> None:
+    """Refuse a degree whose predicted module lies outside the truncation
+    sum(lam) <= depth (the block k w_x has sum k)."""
+    if degree > depth:
+        raise QflagError(f"{name} = {degree} exceeds the depth {depth}: the "
+                         "truncation cannot hold the predicted module")
+
+
+def report_header(kind: str, ctx=None) -> dict:
+    """The schema fields of a report of this kind and, given a context, its
+    arithmetic conventions."""
+    out = {"schema": "qflag-report", "schema_version": SCHEMA_VERSION,
+           "kind": kind}
+    if ctx is not None:
+        d = ctx.describe()
+        out.update({"L": d["L"], "s_meaning": f"s = q^(1/{d['L']})",
+                    "mode": d["mode"]})
+    return out
+
+
+def _meta(algebra: PWAlgebra, flag: FlagSpec, kind: str, word=None) -> dict:
+    """The header of a flag's report; the word defaults to the longest."""
+    if word is None:
+        word = cartan.longest_word(algebra.lie)
+    return {**report_header(kind, algebra.ctx), "flag": str(flag),
+            "name": flag.name(), "word": list(word)}
 
 
 def borel_weil_report(algebra: PWAlgebra, flag: FlagSpec, kmax: int,
@@ -119,8 +134,8 @@ def borel_weil_report(algebra: PWAlgebra, flag: FlagSpec, kmax: int,
         row["ok"] = row_ok
         ok = ok and row_ok
         rows.append(row)
-    out = _meta(algebra, flag, calc.word)
-    out.update({"kind": "borel_weil", "opposite": opposite, "depth": depth,
+    out = _meta(algebra, flag, "borel_weil", calc.word)
+    out.update({"opposite": opposite, "depth": depth,
                 "zbar_normalization": normalization, "rows": rows, "ok": ok})
     return out
 
@@ -129,7 +144,7 @@ def liouville_report(algebra: PWAlgebra, flag: FlagSpec, depth: int,
                      word=None) -> dict:
     calc = Calculus(algebra, flag, word=word)
     rep = calc.liouville_check(depth)
-    out = _meta(algebra, flag, calc.word)
+    out = _meta(algebra, flag, rep["kind"], calc.word)
     out.update(rep)
     return out
 
@@ -162,9 +177,8 @@ def coordinate_ring_equality(algebra: PWAlgebra, flag: FlagSpec, dmax: int,
                      "h0_dim": h0_span.dim, "equal": both,
                      **({"witness": witness} if witness else {})})
         ok = ok and both
-    out = _meta(algebra, flag, calc.word)
-    out.update({"kind": "coordinate_ring_equality", "depth": depth,
-                "dmax": dmax, "rows": rows, "ok": ok})
+    out = _meta(algebra, flag, "coordinate_ring_equality", calc.word)
+    out.update({"depth": depth, "dmax": dmax, "rows": rows, "ok": ok})
     return out
 
 
@@ -177,9 +191,8 @@ def spherical_report(algebra: PWAlgebra, flag: FlagSpec, depth: int) -> dict:
     gens = cartan.spherical_weights(flag)
     monoid = cartan.monoid_truncation(gens, depth)
     set_ok = [w for w, _ in found] == monoid
-    out = _meta(algebra, flag, cartan.longest_word(algebra.lie))
+    out = _meta(algebra, flag, "spherical_decomposition")
     out.update({
-        "kind": "spherical_decomposition",
         "depth": depth,
         "spherical_weights": [list(w) for w in gens],
         "found": [{"weight": list(w), "multiplicity": m} for w, m in found],
@@ -203,25 +216,26 @@ def flatness_report(algebra: PWAlgebra, flag: FlagSpec,
     """The quadratic_flatness report for the flag's relation space spec."""
     lam = flag.crossed_weight
     annihilates = relations_annihilate_realized(algebra, flag, spec)
-    kernel_match = False
-    if annihilates:
-        k2 = realized_degree2_kernel(algebra, flag)
-        relspan = SpanBasis()
-        for r in spec.relations:
-            relspan.insert(r)
-        kernel_match = relspan.equals(k2)
+    # One span of z-monomials gives every realized dimension.  The relations
+    # are independent (spec holds their RREF, as the d = 2 count of
+    # abstract_graded_dimension assumes); once they annihilate the realized
+    # products they lie in the degree-2 kernel, of dimension n^2 -
+    # realized(2); so they span it exactly when the two counts agree.
+    spans = monomial_spans(algebra, flag, max(dmax, 2))
+    kernel_match = (annihilates and
+                    len(spec.relations) == spec.n ** 2 - spans[2].dim)
     rows = []
-    ok = annihilates and kernel_match
+    ok = kernel_match
     for d in range(0, dmax + 1):
         ad = abstract_graded_dimension(algebra.ctx, spec, d)
-        rd = realized_graded_dimension(algebra, flag, d)
+        rd = spans[d].dim
         wd = cartan.weyl_dim(algebra.lie, tuple(d * x for x in lam))
         good = ad == rd == wd
         rows.append({"d": d, "abstract": ad, "realized": rd, "weyl": wd,
                      "equal": good})
         ok = ok and good
-    out = _meta(algebra, flag, cartan.longest_word(algebra.lie))
-    out.update({"kind": "quadratic_flatness", "generators": spec.n,
+    out = _meta(algebra, flag, "quadratic_flatness")
+    out.update({"generators": spec.n,
                 "relation_dim": len(spec.relations),
                 "relations_annihilate": annihilates,
                 "realized_kernel_matches": kernel_match,
@@ -283,9 +297,9 @@ def highest_weight_audit(algebra: PWAlgebra, flag: FlagSpec, k: int,
                 "dual_label": list(cartan.minus_w0(algebra.lie, bl)),
                 "factors_through_z_power": member,
             })
-    out = _meta(algebra, flag, cartan.longest_word(algebra.lie))
+    out = _meta(algebra, flag, "highest_weight_audit")
     out.update({
-        "kind": "highest_weight_audit", "k": k, "depth": depth,
+        "k": k, "depth": depth,
         "block_shift_law": shift_ok,
         "blocks_expected": sorted([list(b) for b in shift]),
         "blocks_found": sorted([list(b) for b in blocks_k]),
@@ -301,12 +315,19 @@ SUITES = ("liouville", "borel-weil", "coordring", "spherical", "relations",
 
 def verify_suite(flag: FlagSpec, suites, depth: int | None = None,
                  algebra: PWAlgebra | None = None, word=None) -> dict:
-    """Run the named suites against one flag; ok iff every report passes."""
+    """Run the named suites against one flag; ok iff every report passes.
+    An unknown suite, or an audit below depth 1, is refused before any runs."""
+    for suite in suites:
+        if suite not in SUITES:
+            raise ValueError(f"unknown suite {suite!r}")
+    if depth is None:
+        depth = default_depth(flag)
+    if "audit" in suites:
+        # the audit tests degree 1, whose blocks k w_x have sum 1
+        within_depth("the audit degree", 1, depth)
     if algebra is None:
         algebra = PWAlgebra(flag.lie)
     name = str(flag)
-    if depth is None:
-        depth = default_depth(flag)
     # the predicted module of the top degree must fit inside the truncation
     kmax = min(DEFAULT_KMAX.get(name, 1), depth)
     kmin = DEFAULT_KMIN.get(name, -1)
@@ -326,11 +347,11 @@ def verify_suite(flag: FlagSpec, suites, depth: int | None = None,
             reports.append(quadratic_flatness(algebra, flag))
         elif suite == "mixed":
             rep = mixed_commutation_check(algebra, flag)
-            rep.update(_meta(algebra, flag, cartan.longest_word(algebra.lie)))
+            rep.update(_meta(algebra, flag, rep["kind"]))
             reports.append(rep)
         elif suite == "central":
             rep = central_element_checks(algebra, flag)
-            rep.update(_meta(algebra, flag, cartan.longest_word(algebra.lie)))
+            rep.update(_meta(algebra, flag, rep["kind"]))
             reports.append(rep)
         elif suite == "gamma":
             try:
@@ -339,15 +360,11 @@ def verify_suite(flag: FlagSpec, suites, depth: int | None = None,
                 rep = {"kind": "gamma_crosscheck", "flag": name, "ok": False,
                        "error": str(exc)}
             reports.append(rep)
-        elif suite == "audit":
+        else:  # "audit", the one name left
             reports.append(highest_weight_audit(algebra, flag, 1, depth))
-        else:
-            raise ValueError(f"unknown suite {suite!r}")
     ok = all(r.get("ok") for r in reports)
     return {
-        "schema": "qflag-report",
-        "schema_version": SCHEMA_VERSION,
-        "kind": "verify",
+        **report_header("verify"),
         "flag": name,
         "depth": depth,
         "suites": list(suites),

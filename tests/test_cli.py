@@ -204,7 +204,7 @@ def test_command_options_refused_elsewhere(capsys):
     assert code == 0 and json.loads(out)["ok"]
 
 
-def test_verify_cli_and_exit_codes(capsys):
+def test_verify_cli_and_exit_codes(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--flag", "A1/1", "--suite",
                            "liouville,borel-weil,coordring,spherical,"
                            "relations,mixed,central,gamma,audit,properties,"
@@ -216,6 +216,17 @@ def test_verify_cli_and_exit_codes(capsys):
     code, _, err = run_cli(capsys, "verify", "--flag", "A1/1", "--suite",
                            "nonsense")
     assert code == 2
+
+    # refused before the CLI's own suites run
+    from qflag import cli
+
+    def ran(*args):
+        raise AssertionError("the properties suite ran")
+
+    monkeypatch.setattr(cli, "_property_samples", ran)
+    code, out, err = run_cli(capsys, "verify", "--flag", "A1/1", "--suite",
+                             "properties,nonsense")
+    assert code == 2 and out == "" and "unknown suite 'nonsense'" in err
 
 
 def test_verify_without_a_suite_is_usage_error(capsys):

@@ -10,8 +10,10 @@ from qflag.coordring import (abstract_graded_dimension, central_element_checks,
                              realized_graded_dimension,
                              relations_annihilate_realized)
 from qflag.linalg import SpanBasis, SparseMatrix, dv_add_scaled
+from qflag.peterweyl import PWAlgebra
 from qflag.rmatrix import braiding
 from qflag.scalars import Scalar
+from qflag.verify import DEFAULT_FLAGS, flatness_report
 
 FLAT_CASES = [("A1/1", 3), ("A2/1", 3), ("A2/2", 3), ("B2/1", 3),
               ("C2/2", 3), ("A3/2", 3)]
@@ -53,6 +55,31 @@ def test_realized_annihilation_both_directions(name, dmax, algebras, flag_of):
     for r in spec.relations:
         relspan.insert(r)
     assert relspan.equals(realized_degree2_kernel(alg, flag))
+
+
+def _spans_the_kernel(alg, flag, spec):
+    """The kernel route: the relations span the realized degree-2 kernel."""
+    relspan = SpanBasis()
+    for r in spec.relations:
+        relspan.insert(r)
+    return relspan.equals(realized_degree2_kernel(alg, flag))
+
+
+@pytest.mark.parametrize("name,guard", [(name, 64) for name in DEFAULT_FLAGS]
+                         + [("A4/2", 400), ("D4/1", 400)])
+def test_kernel_match_by_counting_equals_the_kernel_route(name, guard,
+                                                          flag_of):
+    # the flatness report counts relations against n^2 - realized(2); with
+    # one relation dropped the rest still annihilate but span less
+    flag = flag_of(name)
+    alg = PWAlgebra(flag.lie, guard=guard)
+    spec = quadratic_relations(alg, flag)
+    dropped = dataclasses.replace(spec, relations=spec.relations[:-1])
+    for relations, spans in ((spec, True), (dropped, False)):
+        rep = flatness_report(alg, flag, relations, 2)
+        assert rep["relations_annihilate"]
+        assert rep["realized_kernel_matches"] is spans
+        assert _spans_the_kernel(alg, flag, relations) is spans
 
 
 @pytest.mark.parametrize("name,dmax", FLAT_CASES)

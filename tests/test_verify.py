@@ -6,7 +6,7 @@ import pytest
 from oracles import graded_component_stacked, stacked_joint_kernel
 from qflag import reps, verify
 from qflag.cartan import FlagSpec
-from qflag.errors import ConventionError, DimensionGuardError
+from qflag.errors import ConventionError, DimensionGuardError, QflagError
 from qflag.peterweyl import PWAlgebra
 
 # (flag, depth, guard): the default six at their default depths, and the
@@ -118,10 +118,27 @@ def test_verify_suite_depth_clamps(algebras, flag_of):
     assert max(r["k"] for r in bw["rows"]) == 2
 
 
-def test_verify_suite_unknown_name(algebras, flag_of):
+def test_verify_suite_unknown_name(algebras, flag_of, monkeypatch):
     with pytest.raises(ValueError):
         verify.verify_suite(flag_of("A1/1"), ["bogus"],
                             algebra=algebras("A1"))
+
+    # refused before the suites named ahead of it run
+    def ran(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verify, "liouville_report", ran)
+    with pytest.raises(ValueError, match="unknown suite 'nonsense'"):
+        verify.verify_suite(flag_of("A1/1"), ["liouville", "nonsense"],
+                            algebra=algebras("A1"))
+
+
+def test_verify_suite_refuses_the_audit_below_depth_one(flag_of):
+    # the degree-1 blocks lie outside a depth-0 truncation: the audit
+    # passed there on empty blocks
+    with pytest.raises(QflagError, match="the audit degree = 1 exceeds the "
+                                         "depth 0"):
+        verify.verify_suite(flag_of("A1/1"), ["audit"], depth=0)
 
 
 def test_second_word_spans_via_report(algebras, flag_of):
@@ -228,9 +245,12 @@ def test_graded_component_equals_the_stacked_kernel(name, depth, guard,
             == [[list(c.items()) for c in cols] for _, cols in want.blocks]
 
 
-def test_relations_suite_forms_only_products_of_grown_monomials(monkeypatch):
-    # each degree's monomials are products of the lower degree's that grew
-    # its span; forming every n^d monomial took 1,430 products here
+def _a4_2_products(monkeypatch, suite):
+    """The number of products one suite forms on a fresh A4/2 algebra, past
+    the 10 that normalize the generators."""
+    flag = FlagSpec.parse("A4/2")
+    alg = PWAlgebra(flag.lie, guard=400)
+    alg.generators(flag)
     calls = []
     real = PWAlgebra.multiply
 
@@ -239,8 +259,20 @@ def test_relations_suite_forms_only_products_of_grown_monomials(monkeypatch):
         return real(self, a, b)
 
     monkeypatch.setattr(PWAlgebra, "multiply", counted)
-    flag = FlagSpec.parse("A4/2")
-    rep = verify.verify_suite(flag, ["relations"], depth=2,
-                              algebra=PWAlgebra(flag.lie, guard=400))
+    rep = verify.verify_suite(flag, [suite], depth=2, algebra=alg)
     assert rep["ok"]
-    assert len(calls) <= 930
+    return len(calls)
+
+
+def test_relations_suite_forms_only_products_of_grown_monomials(monkeypatch):
+    # each degree's monomials are products of the lower degree's that grew
+    # its span, and one span serves every degree and the degree-2 kernel's
+    # dimension: growing the spans again for each degree, and solving the
+    # kernel besides, took 920 products here
+    assert _a4_2_products(monkeypatch, "relations") <= 700
+
+
+def test_gamma_suite_forms_only_the_words_it_reads(monkeypatch):
+    # the slices k = -1, 0, 1 read the generators and the 2n^2 mixed
+    # products; building the z z and zbar zbar words too took 820 products
+    assert _a4_2_products(monkeypatch, "gamma") <= 420
