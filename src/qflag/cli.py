@@ -65,6 +65,14 @@ def _non_negative(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    """The argparse type of --guard: every module has dimension >= 1."""
+    if not text.isdecimal() or not int(text):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_krange(text: str):
     if ":" in text:
         a, _, b = text.partition(":")
@@ -308,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "rational L-th root)")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the JSON report to PATH")
-    p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
+    p.add_argument("--guard", type=_positive, default=DEFAULT_GUARD,
                    help="module dimension guard")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -23,8 +23,10 @@ pivot choices are deterministic: leftmost column, then cheapest entry
 swapped into place.
 
 :func:`mod_row_profile` chooses independent rows in Z/p at a fixed point of
-s; it needs an image in Z/p: a ``mod_image(p, s)`` method (Scalar) or
-``numerator``/``denominator`` (Fraction, int).
+s, in one pass that also names, for each row it keeps, a key on which the
+kept rows are independent; it needs an image in Z/p: a ``mod_image(p, s)``
+method (Scalar, memoized there) or ``numerator``/``denominator`` (Fraction,
+int).
 """
 
 from __future__ import annotations
@@ -131,21 +133,27 @@ def mod_image(v):
     return v.numerator * pow(den, -1, MOD_PRIME) % MOD_PRIME
 
 
-def mod_row_profile(rows, limit=None):
+def mod_row_profile(rows, leads=None):
     """Indices of the lowest-index dict rows independent in Z/p, p = MOD_PRIME.
 
     Rows are taken in order and kept when independent of the kept ones, so
-    on the transpose this is the column rank profile.  Stops once ``limit``
-    rows are kept.  Returns None when an entry of a row it reads has no
-    image (see :func:`mod_image`).  Rows independent mod p are independent
-    over the field, so the count is a lower bound of the exact rank.
+    on the transpose this is the column rank profile.  Returns None when an
+    entry of a row it reads has no image (see :func:`mod_image`).  Rows
+    independent mod p are independent over the field, so the count is a
+    lower bound of the exact rank.
+
+    When ``leads`` is a list, it receives the leading (least) key of each
+    kept row once reduced against the rows kept before it, in the order
+    kept.  These keys are distinct, and a reduced row is zero at every key
+    below its own lead, so on the leading keys, in increasing order, the
+    reduced rows are triangular with a nonzero diagonal.  The reduction adds
+    to each kept row multiples of the rows kept before it, so the kept rows
+    themselves are independent mod p on the leading keys alone.
     """
     p = MOD_PRIME
-    basis = {}   # leading column -> kept row reduced mod p, leading entry 1
+    basis = {}   # leading key -> kept row reduced mod p, leading entry 1
     kept = []
     for idx, row in enumerate(rows):
-        if len(kept) == limit:
-            break
         vec = {}
         for c, x in row.items():
             y = mod_image(x)
@@ -160,6 +168,8 @@ def mod_row_profile(rows, limit=None):
                 inv = pow(vec[lead], -1, p)
                 basis[lead] = {c: y * inv % p for c, y in vec.items()}
                 kept.append(idx)
+                if leads is not None:
+                    leads.append(lead)
                 break
             f = vec[lead]
             for c, y in base.items():

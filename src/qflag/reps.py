@@ -14,17 +14,18 @@ the column rank profile of the raising matrix, and expands the others in
 them.
 
 The target rank of each weight space is its multiplicity, from Freudenthal's
-formula in integers.  The profile is first found mod a fixed prime at
-a fixed point of s: when it has exactly the target size, those columns are
-independent over Q(s) and the rank cannot exceed the multiplicity, so one
-exact reduced row echelon form of rows independent mod p confirms it (its
-pivots must be the profile) and gives every expansion of a dropped
-candidate in the kept ones.  Otherwise, or when an entry has no image mod
-the prime, every row of the raising matrix is reduced exactly; the module
-comes out the same either way.  In symbolic mode a rank other than the
-multiplicity raises ConventionError at that weight space; the total
-dimension is also checked against the Weyl dimension formula, which doubles
-as the degeneration guard in specialized mode.
+formula in integers.  The profile is first found mod a fixed prime at a
+fixed point of s, in one modular pass over the weight space: when it has
+exactly the target size, those columns are independent over Q(s) and the
+rank cannot exceed the multiplicity, so one exact reduced row echelon form
+of the rows the kept columns led with mod p confirms it (its pivots must be
+the profile) and gives every expansion of a dropped candidate in the kept
+ones.  Otherwise, or when an entry has no image mod the prime, every row of
+the raising matrix is reduced exactly; the module comes out the same either
+way.  In symbolic mode a rank other than the multiplicity raises
+ConventionError at that weight space; the total dimension is also checked
+against the Weyl dimension formula, which doubles as the degeneration guard
+in specialized mode.
 
 Every basis vector remembers the F-word that produced it; braid operators and
 Clebsch-Gordan embeddings both ride on that: an intertwiner from V_lam into
@@ -105,28 +106,29 @@ def _select_candidates(cols, want: int):
     L(lam)_nu, and the rank is the weight's multiplicity ``want``.
 
     Returns the profile and rows whose column t expands candidate t in the
-    kept ones: the RREF of rows spanning the row space.  The profile is
-    first taken in Z/p at a fixed point, as the modular row profile of the
-    columns: when it has ``want`` columns, they are independent over Q(s),
-    the first ``want`` rows independent mod p on them span the row space,
-    and the pivots of their exact RREF over all candidates are the exact
-    profile, which is checked.  Otherwise, or when an entry has no image
-    mod p, every row is reduced exactly.
+    kept ones: the RREF of rows spanning the row space, which is unique.
+    The profile is first taken in Z/p at a fixed point, as the modular row
+    profile of the columns, in one pass that also gives each kept column's
+    leading row once reduced (:func:`qflag.linalg.mod_row_profile`).  When
+    it has ``want`` columns, they are independent over Q(s), so the rank is
+    ``want``; the kept columns are independent mod p on their ``want``
+    leading rows, so those rows are independent over Q(s) and span the row
+    space, and the pivots of their exact RREF over all candidates are the
+    exact profile, which is checked.  Otherwise, or when an entry has no
+    image mod p, every row is reduced exactly.
     """
     m = len(cols)
-    rows = rows_from_columns(cols)
-    profile = mod_row_profile(cols)
+    leads = []
+    profile = mod_row_profile(cols, leads)
     if profile is not None and len(profile) == want:
         if want == m:
             return profile, []
-        kept = set(profile)
-        chosen = mod_row_profile(
-            [{t: v for t, v in row.items() if t in kept} for row in rows],
-            want)
-        pivots, red = eliminate([rows[r] for r in chosen], m)
+        pivots, red = eliminate(
+            [{t: col[g] for t, col in enumerate(cols) if g in col}
+             for g in sorted(leads)], m)
         if pivots == profile:
             return profile, red
-    pivots, red = eliminate(rows, m)
+    pivots, red = eliminate(rows_from_columns(cols), m)
     return pivots, red[:len(pivots)]
 
 

@@ -18,6 +18,13 @@ pure, so a hit returns exactly what the kernel would; an exception (division
 by zero) is never stored and is raised again on every call.  Each memo calls
 the kernel through ``qflag._kernel`` at call time, so a wrapper bound there
 sees every operation the kernel performs and no memo hit.
+
+:meth:`Scalar.mod_image` goes through a fifth memo of the same size, keyed
+by the canonical fraction, the prime and the point: a module build and the
+block checks of :class:`qflag.linalg.BlockInverse` ask for the images of a
+few hundred distinct scalars tens of thousands of times.  The image is a
+pure function of its key, and a pole's ``None`` is a value like any other,
+so it is stored too.
 """
 
 from __future__ import annotations
@@ -53,6 +60,14 @@ def _fmul(x, y):
 @lru_cache(maxsize=MEMO_SIZE)
 def _fdiv(x, y):
     return K.fdiv(x, y)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _mod_image(f, p, s0):
+    den = _poly_mod(f[1], p, s0)
+    if not den:
+        return None
+    return _poly_mod(f[0], p, s0) * pow(den, -1, p) % p
 
 
 class Scalar:
@@ -191,10 +206,7 @@ class Scalar:
 
     def mod_image(self, p: int, s0: int):
         """Image in Z/p at s = s0, or None when the denominator vanishes."""
-        den = _poly_mod(self._f[1], p, s0)
-        if not den:
-            return None
-        return _poly_mod(self._f[0], p, s0) * pow(den, -1, p) % p
+        return _mod_image(self._f, p, s0)
 
     def __str__(self):
         num, den = self._f

@@ -148,6 +148,28 @@ def test_borel_weil_word_check_and_crosscheck(capsys, monkeypatch):
     assert len(lams) == len(set(lams))
 
 
+def test_guard_below_one_is_usage_error(capsys, monkeypatch):
+    # every module has dimension >= 1, so such a guard would refuse V_0
+    # itself: the option is refused by name before any module is built
+    from qflag import cli, peterweyl
+
+    def build(*args, **kwargs):
+        raise AssertionError("a module was built")
+
+    monkeypatch.setattr(peterweyl, "build_irreducible", build)
+    monkeypatch.setattr(cli, "build_irreducible", build)
+    for guard in ("0", "00", "-1"):
+        for argv in (["verify", "--flag", "A1/1"],
+                     ["rep", "--type", "A1", "--weight", "0"]):
+            code, out, err = run_cli(capsys, "--guard", guard, *argv)
+            assert code == 2 and out == "", (guard, argv)
+            assert "argument --guard: expected a positive integer" in err
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "--guard", "1", "rep", "--type", "A1",
+                           "--weight", "0")
+    assert code == 0 and json.loads(out)["dim"] == 1
+
+
 def test_borel_weil_opposite(capsys):
     code, out, _ = run_cli(capsys, "borel-weil", "--flag", "A1/1",
                            "--k", "-2:1", "--depth", "3", "--opposite")

@@ -87,10 +87,15 @@ def test_engine_matches_dense_reference(one, entry):
                     acc[key] = acc.get(key, zero) + xt * v
             want.append({key: v for key, v in acc.items() if v})
         assert list(kernel_combinations(sparse(dense), vectors, one)) == want
-        # the transpose's row profile mod p is the column profile here
+        # the transpose's row profile mod p is the column profile here, and
+        # the kept columns are independent on the rows they lead with mod p
         cols = [{r: row[c] for r, row in enumerate(dense) if row[c]}
                 for c in range(ncols)]
-        assert mod_row_profile(cols) == want_piv
+        leads = []
+        assert mod_row_profile(cols, leads) == want_piv
+        assert rank([{a: dense[r][c] for a, c in enumerate(want_piv)
+                      if dense[r][c]} for r in leads],
+                    len(want_piv)) == len(want_piv)
 
 
 @pytest.mark.parametrize("one,entry", FIELDS, ids=["fraction", "scalar"])

@@ -779,6 +779,36 @@ def test_modular_path_needs_no_exact_profile(monkeypatch):
             [] if want == m else [(want, m)])
 
 
+def test_one_modular_pass_per_weight_space(monkeypatch):
+    # each weight space with candidates is reduced mod p once, and the one
+    # exact RREF takes the raising matrix's rows that the kept candidates
+    # led with in that pass, in increasing key order
+    spaces = []
+    profiles = counting(monkeypatch, "mod_row_profile")
+    calls = counting(monkeypatch, "eliminate")
+    select = reps._select_candidates
+
+    def record(cols, want):
+        starts = len(profiles), len(calls)
+        out = select(cols, want)
+        spaces.append((cols, want, profiles[starts[0]:], calls[starts[1]:]))
+        return out
+
+    monkeypatch.setattr(reps, "_select_candidates", record)
+    build_irreducible(context_for(B2), B2, (2, 2), guard=100)
+    # every weight below the highest has candidates
+    assert len(spaces) == len(cartan.weight_multiplicities(B2, (2, 2))) - 1
+    assert any(want < len(cols) for cols, want, _, _ in spaces)
+    for cols, want, passes, elims in spaces:
+        assert [args[0] for args in passes] == [cols]
+        leads = []
+        mod_row_profile(cols, leads)
+        m = len(cols)
+        led = [{t: col[g] for t, col in enumerate(cols) if g in col}
+               for g in sorted(leads)]
+        assert elims == ([] if want == m else [(led, m)])
+
+
 def test_fallback_on_vanishing_denominator(monkeypatch):
     ctx = context_for(A1)
     pole = ctx.one / (ctx.s_power(1) - MOD_POINT)
@@ -799,7 +829,7 @@ def test_fallback_on_vanishing_denominator(monkeypatch):
 def test_exact_fallback_builds_the_same_module(monkeypatch, lie, lam):
     ctx = context_for(lie)
     want = module_digest(build_irreducible(ctx, lie, lam))
-    monkeypatch.setattr(reps, "mod_row_profile", lambda rows, limit=None: None)
+    monkeypatch.setattr(reps, "mod_row_profile", lambda rows, leads=None: None)
     calls = counting(monkeypatch, "eliminate")
     assert module_digest(build_irreducible(ctx, lie, lam)) == want
     assert reduces_every_row(calls)

@@ -169,6 +169,55 @@ def test_mod_image_is_evaluation_mod_p():
     assert (Scalar.one() / (Scalar.s_power(1) - s0)).mod_image(p, s0) is None
 
 
+def test_mod_image_memo_equals_direct_evaluation():
+    # the memoized image against Horner's rule in exact rationals, reduced
+    # mod p at the end, at two points; a pole's None is stored and returned
+    # on every call, and the memo keeps at most MEMO_SIZE images
+    p = 1000003
+    memo = scalars._mod_image
+    memo.cache_clear()
+    rng = random.Random(5)
+
+    def poly():
+        return _kernel.pcanon(rng.randint(0, 4), rng.choice([1, 2, 3]), [
+            rng.randint(-6, 6) for _ in range(rng.randint(1, 5))])
+
+    def image(v):
+        return v.numerator * pow(v.denominator, -1, p) % p
+
+    def direct(x, s0):
+        values = []
+        for off, step, coeffs in (x.numerator, x.denominator):
+            acc = Fraction(0)
+            for c in reversed(coeffs):
+                acc = acc * Fraction(s0) ** step + c
+            values.append(acc * Fraction(s0) ** off)
+        den = image(values[1])
+        return image(values[0]) * pow(den, -1, p) % p if den else None
+
+    pool = []
+    while len(pool) < 16:
+        den = poly()
+        if den[2]:
+            pool.append(Scalar(_kernel.fmake(poly(), den)))
+    # [m] has positive coefficients, so no root at s0 cancels the pole
+    poles = {qint(m) / (Scalar.s_power(1) - s0): s0
+             for m in (2, 3) for s0 in (7, 8)}
+    pool += poles
+    for _ in range(400):
+        x, s0 = rng.choice(pool), rng.choice([7, 8])
+        assert x.mod_image(p, s0) == direct(x, s0)
+    assert memo.cache_info().hits
+    for x, s0 in poles.items():
+        for _ in range(3):
+            assert x.mod_image(p, s0) is None
+    for k in range(scalars.MEMO_SIZE + 50):
+        assert Scalar.from_int(k).mod_image(p, 7) == k
+    assert memo.cache_info().currsize == scalars.MEMO_SIZE
+    assert all(x.mod_image(p, 7) == direct(x, 7) for x in pool)
+    memo.cache_clear()
+
+
 # -- the per-operation memo ------------------------------------------------
 
 
@@ -248,6 +297,7 @@ def test_int_and_fraction_operands_hit_the_memo(empty_memos):
 
 
 def test_memos_stay_bounded_over_a_verify_run(empty_memos):
+    scalars._mod_image.cache_clear()
     rep = verify_suite(FlagSpec.parse("A3/2"),
                        ["liouville", "borel-weil", "gamma"])
     assert rep["ok"]
@@ -256,3 +306,9 @@ def test_memos_stay_bounded_over_a_verify_run(empty_memos):
     assert all(i.currsize <= i.maxsize for i in infos.values()), infos
     # the run evicts, so the bound was reached, not merely respected
     assert infos["fmul"].currsize == scalars.MEMO_SIZE, infos
+    # the mod-p images of the build and block checks share one bound, and
+    # most of them are asked for again
+    images = scalars._mod_image.cache_info()
+    assert images.maxsize == scalars.MEMO_SIZE
+    assert images.currsize <= images.maxsize, images
+    assert images.hits > images.misses, images
