@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -73,12 +74,24 @@ def _positive(text: str) -> int:
     return int(text)
 
 
+def _writable(path: str) -> str:
+    """The argparse type of --json: a path that a file can be written to."""
+    if os.path.isdir(path) or not os.access(
+            path if os.path.exists(path) else os.path.dirname(path) or ".",
+            os.W_OK):
+        raise argparse.ArgumentTypeError(f"cannot write {path!r}")
+    return path
+
+
 def _parse_krange(text: str):
-    if ":" in text:
-        a, _, b = text.partition(":")
-        lo, hi = int(a), int(b)
-    else:
-        lo = hi = int(text)
+    try:
+        if ":" in text:
+            a, _, b = text.partition(":")
+            lo, hi = int(a), int(b)
+        else:
+            lo = hi = int(text)
+    except ValueError:
+        raise QflagError(f"--k {text!r} is not an integer range a:b") from None
     if lo > hi:
         raise QflagError(f"empty k range {text!r}")
     return lo, hi
@@ -314,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arithmetic mode: fully symbolic over Q(s), or "
                         "specialized at an exact rational q (must have a "
                         "rational L-th root)")
-    p.add_argument("--json", default=None, metavar="PATH",
+    p.add_argument("--json", type=_writable, default=None, metavar="PATH",
                    help="also write the JSON report to PATH")
     p.add_argument("--guard", type=_positive, default=DEFAULT_GUARD,
                    help="module dimension guard")

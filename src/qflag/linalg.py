@@ -16,11 +16,14 @@ mod a prime when it is built, factored when a column of it is first read, and
 solved only for the columns read.  Every joint kernel of several linear
 maps is taken by :func:`staged_kernel`, one map at a time.
 
-:func:`eliminate` is the one exact elimination engine.  It keeps each row as
-a dict and a column -> rows index, so it touches nonzero entries only.  All
-pivot choices are deterministic: leftmost column, then cheapest entry
-(term-count proxy), then lowest current row position, the pivot row being
-swapped into place.
+:class:`SpanBasis` holds the one exact echelon loop.  :func:`eliminate`, and
+so every wrapper of it, inserts its rows into one, the cheapest row first,
+and takes one upward pass for the RREF.  Every result is unique, so the row
+order decides the speed only: on B3/1, all nine suites at depth 2, pure-Python
+kernel, one Intel Xeon core, the :class:`BlockInverse` factors took
+1.95-2.02 s with the rows in input order, 10.1-10.6 s by leading key then
+cost, 0.48-0.53 s cheapest row first, and 0.57-0.88 s with the former
+Gauss-Jordan loop and its per-column pivot search.
 
 :func:`mod_row_profile` chooses independent rows in Z/p at a fixed point of
 s, in one pass that also names, for each row it keeps, a key on which the
@@ -52,62 +55,31 @@ def _cost(v) -> int:
 def eliminate(rows, ncols, reduce_up=True):
     """Row-reduce copies of the dict rows; returns (pivot columns, rows).
 
-    Pivots are sought in columns 0..ncols-1 (scanned left to right, so the
-    pivot list is the column rank profile); row operations act on every key,
-    so augmented columns (keys >= ncols) are transformed along.  The returned
-    rows are in their final positions: row r carries pivot r.  With
-    ``reduce_up`` the pivot rows are the RREF.
+    The rows, zero entries dropped, are inserted into one :class:`SpanBasis`
+    in a stable sort by the sum of :func:`_cost` over their entries, cheapest
+    first.  The pivots are its leads below ncols, in increasing order (the
+    column rank profile); reduction acts on every key, so augmented columns
+    (keys >= ncols) are transformed along.  Row r has entry 1 at pivot r and
+    no key below it; ``reduce_up`` clears each pivot column from the rows
+    above it, giving the RREF.  Rows led by a key >= ncols come next, then
+    empty rows, len(rows) rows in all.
     """
-    work = [{c: v for c, v in row.items() if v} for row in rows]
-    nrows = len(work)
-    order = list(range(nrows))    # position -> row id
-    where = list(range(nrows))    # row id -> position
-    at = {}                       # column -> ids of the rows with an entry
-    for rid, row in enumerate(work):
-        for c in row:
-            at.setdefault(c, set()).add(rid)
-    pivots = []
-    r0 = 0
-    for col in range(ncols):
-        best = None
-        for rid in at.get(col, ()):
-            pos = where[rid]
-            if pos >= r0:
-                key = (_cost(work[rid][col]), pos)
-                if best is None or key < best_key:
-                    best, best_key = rid, key
-        if best is None:
-            continue
-        moved = order[r0]
-        order[r0], order[best_key[1]] = best, moved
-        where[best], where[moved] = r0, best_key[1]
-        row = work[best]
-        inv = row[col]
-        if not (inv == 1):
-            for c, x in row.items():
-                row[c] = x / inv
-        items = list(row.items())
-        for rid in [rid for rid in at[col]
-                    if rid != best and (reduce_up or where[rid] > r0)]:
-            other = work[rid]
-            f = other[col]
-            for c, x in items:
-                y = other.get(c)
-                if y is None:
-                    other[c] = -(f * x)
-                    at.setdefault(c, set()).add(rid)
-                else:
-                    y = y - f * x
-                    if y:
-                        other[c] = y
-                    else:
-                        del other[c]
-                        at[c].discard(rid)
-        pivots.append(col)
-        r0 += 1
-        if r0 == nrows:
-            break
-    return pivots, [work[rid] for rid in order]
+    span = SpanBasis()
+    for row in sorted(rows, key=lambda row: sum(
+            _cost(v) for v in row.values() if v)):
+        span.insert({c: v for c, v in row.items() if v})
+    stored = span._rows
+    leads = sorted(stored)
+    pivots = [p for p in leads if p < ncols]
+    out = [stored[p] for p in leads]
+    if reduce_up:
+        for r in range(len(pivots) - 1, 0, -1):
+            p, row = pivots[r], out[r]
+            for above in out[:r]:
+                f = above.get(p)
+                if f is not None:
+                    dv_add_scaled(above, row, -f)
+    return pivots, out + [{} for _ in range(len(rows) - len(out))]
 
 
 def rank(rows, ncols) -> int:

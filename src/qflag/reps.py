@@ -27,10 +27,11 @@ ConventionError at that weight space; the total dimension is also checked
 against the Weyl dimension formula, which doubles as the degeneration guard
 in specialized mode.
 
-Every basis vector remembers the F-word that produced it; braid operators and
-Clebsch-Gordan embeddings both ride on that: an intertwiner from V_lam into
-any module is determined by the image of the highest weight vector, and is
-evaluated by transporting that image along the stored F-words.
+Every basis vector remembers its parent, e_t = F_j e_u, so the F-word that
+produced it; braid operators and Clebsch-Gordan embeddings both ride on that:
+an intertwiner from V_lam into any module is determined by the image of the
+highest weight vector, and is evaluated by transporting that image along the
+parents.
 """
 
 from __future__ import annotations
@@ -65,8 +66,18 @@ class ModuleData:
     f_mats: tuple
     k_exps: tuple          # k_exps[i][t] = (alpha_i, weights[t]), an integer
     highest_index: int | None = None
-    fwords: tuple | None = None     # F-word per basis vector (canonical builds)
     parents: tuple | None = None    # (node, parent index) per basis vector
+
+    @property
+    def fwords(self):
+        """F-word per basis vector, outermost node first, read off
+        ``parents``; None for a module without parents."""
+        if self.parents is None:
+            return None
+        words = [()]
+        for j, u in self.parents[1:]:
+            words.append((j,) + words[u])
+        return tuple(words)
 
     def k_values(self, i: int, sign: int = 1):
         ctx = self.ctx
@@ -151,7 +162,6 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
     alpha_fw = [tuple(amat[k][j] for k in range(n)) for j in range(n)]
 
     weights = [tuple(lam)]
-    fwords = [()]
     parents = [None]
     eimg = [[{} for _ in range(n)]]           # per global, per node: dict-vec
     fimg = [[None] * n]                       # filled as weights are processed
@@ -191,7 +201,6 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
         for t in profile:
             j, u = cands[t]
             weights.append(nu)
-            fwords.append((j + 1,) + fwords[u])
             parents.append((j + 1, u))
             eimg.append(cand_eimg[t])
             fimg.append([None] * n)
@@ -219,8 +228,7 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
     return ModuleData(
         lie=lie, ctx=ctx, highest=tuple(lam), dim=total, weights=tuple(weights),
         e_mats=gen_mats(eimg), f_mats=gen_mats(fimg),
-        k_exps=k_exps, highest_index=0, fwords=tuple(fwords),
-        parents=tuple(parents))
+        k_exps=k_exps, highest_index=0, parents=tuple(parents))
 
 
 def trivial_module(ctx: QContext, lie: LieType) -> ModuleData:

@@ -131,7 +131,8 @@ class Scalar:
         return self._f == K.F_ONE
 
     def complexity(self) -> int:
-        """Term-count proxy used for pivot selection."""
+        """Term-count proxy; :func:`qflag.linalg.eliminate` orders rows by
+        its sum over their entries, cheapest first."""
         return len(self._f[0][2]) + len(self._f[1][2])
 
     def __bool__(self):

@@ -289,9 +289,31 @@ def test_guard_flag_unlocks_deeper_truncations(capsys):
 
 
 def test_empty_k_range_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "borel-weil", "--flag", "A1/1",
-                           "--k", "3:1", "--depth", "3")
-    assert code == 2 and "range" in err
+    for k, named in (("3:1", "empty k range"), ("a:b", "--k 'a:b'")):
+        code, out, err = run_cli(capsys, "borel-weil", "--flag", "A1/1",
+                                 "--k", k, "--depth", "3")
+        assert code == 2 and out == "" and named in err, k
+
+
+def test_unwritable_json_path_is_usage_error(capsys, monkeypatch, tmp_path):
+    # exit 1 means a verification failed; a path that cannot be written is
+    # refused by name before any work, and stdout stays empty
+    from qflag import cli
+
+    def catalog(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli.cartan, "catalog", catalog)
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run_cli(capsys, "--json", str(path), "catalog",
+                                 "--max-rank", "1")
+        assert code == 2 and out == "", path
+        assert "argument --json: cannot write" in err, path
+    monkeypatch.undo()
+    path = tmp_path / "x.json"
+    code, out, _ = run_cli(capsys, "--json", str(path), "catalog",
+                           "--max-rank", "1")
+    assert code == 0 and path.read_text() == out
 
 
 def test_q_that_is_not_rational_is_usage_error(capsys):

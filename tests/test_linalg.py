@@ -72,7 +72,29 @@ def test_engine_matches_dense_reference(one, entry):
         assert pivots == want_piv
         assert [to_dense(r, ncols, zero) for r in red[:len(pivots)]] == \
             [tuple(r) for r in want_red[:len(want_piv)]]
+        assert len(red) == len(dense)
         assert all(not r for r in red[len(pivots):])
+        # the pivots and the RREF are unique: the same for the rows shuffled
+        # and each scaled by a nonzero factor
+        moved = [[x * f for x in row]
+                 for row, f in zip(dense, [entry(rng) or one for _ in dense])]
+        rng.shuffle(moved)
+        assert eliminate(sparse(moved), ncols) == (pivots, red)
+        # without the upward pass row r has a 1 at pivot r, no key below it
+        echelon_piv, echelon = eliminate(sparse(dense), ncols, reduce_up=False)
+        assert echelon_piv == want_piv
+        for p, row in zip(echelon_piv, echelon):
+            assert row[p] == one and min(row) == p
+        # augmented and inconsistent (a row repeated with another right-hand
+        # side): past the pivots, rows are nonzero only at keys >= ncols
+        aug = [{**row, ncols: entry(rng), ncols + 1: entry(rng)}
+               for row in sparse(dense)]
+        aug.append({**aug[0], ncols: aug[0].get(ncols, zero) + one})
+        rng.shuffle(aug)
+        aug_piv, aug_red = eliminate(aug, ncols)
+        assert aug_piv == want_piv and len(aug_red) == len(aug)
+        residue = [r for r in aug_red[len(aug_piv):] if r]
+        assert residue and all(min(r) >= ncols for r in residue)
         assert column_rank_profile(sparse(dense), ncols) == want_piv
         assert [to_dense(v, ncols, zero)
                 for v in nullspace(sparse(dense), ncols, one)] == \
