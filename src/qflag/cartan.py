@@ -315,12 +315,21 @@ def weight_multiplicities(lie: LieType, lam: Weight) -> dict:
         (2 sum_j c_j d_j (lam_j + 1) - sum_ij c_i c_j d_i a_ij) m(nu)
             = 2 sum_{alpha > 0, k >= 1} (nu + k alpha, alpha) m(nu + k alpha)
 
-    with (nu, alpha) = sum_j alpha_j d_j nu_j.  Depths are visited level by
-    level from the highest weight through one simple-root step below a
-    weight, so only the weights of V_lam and their neighbours are touched.
-    The left factor is positive at every weight other than lam, so a
-    non-positive factor means multiplicity 0.  Returns {nu: m(nu)} for the
-    weights with m(nu) > 0; a non-integral quotient raises ConventionError.
+    with (nu, alpha) = sum_j alpha_j d_j nu_j.  It is evaluated at the
+    dominant weights mu <= lam only.  Those are reached from lam by
+    subtracting positive roots while staying dominant: any two dominant
+    weights mu < mu' are joined by such a chain (Stembridge, "The partial
+    order of dominant weights", Adv. Math. 136, 1998).  Multiplicities are
+    W-invariant, so the orbit of each mu gets m(mu); it is filled by simple
+    reflections s_i at the weights with a positive coordinate i, which
+    reach every weight of the orbit from its dominant one (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, sections 13.2,
+    21.2 and 22.3; Moody and Patera, "Fast recursion formula for weight
+    multiplicities", Bull. AMS 7, 1982).  The dominant weights are taken
+    by depth sum_j c_j, and the dominant conjugate of each nu + k alpha on
+    the right lies above nu + k alpha, so its orbit is already filled.
+    Returns {nu: m(nu)} for the weights with m(nu) > 0; a non-integral
+    quotient raises ConventionError.
 
     The dict's order is a contract: lam first, then by depth sum_j c_j, and
     within one depth by the depth vector c.  So every weight nu + alpha_j
@@ -330,6 +339,7 @@ def weight_multiplicities(lie: LieType, lam: Weight) -> dict:
     if len(lam) != lie.rank or any(x < 0 for x in lam):
         raise DomainError(f"{lam} is not a dominant weight for {lie}")
     n = lie.rank
+    lam = tuple(lam)
     a = cartan_matrix(lie)
     d = symmetrizers(lie)
     form = [[d[i] * a[i][j] for j in range(n)] for i in range(n)]
@@ -340,40 +350,43 @@ def weight_multiplicities(lie: LieType, lam: Weight) -> dict:
     radix = [1] * n
     for j in range(1, n):
         radix[j] = radix[j - 1] * (dvec[j - 1] + 1)
-    # per positive root: support, key step, (lam, alpha), (alpha_i, alpha)
-    # for each i, and (alpha, alpha)
+    # per positive root: itself in weight coordinates, support, key step,
+    # (lam, alpha), (alpha_i, alpha) for each i, and (alpha, alpha)
     roots = []
     for alpha in positive_roots(lie):
         cols = [sum(form[i][j] * alpha[j] for j in range(n)) for i in range(n)]
-        roots.append(([(i, x) for i, x in enumerate(alpha) if x],
+        roots.append((alpha, root_to_weight(lie, alpha),
+                      [(i, x) for i, x in enumerate(alpha) if x],
                       sum(x * r for x, r in zip(alpha, radix)),
                       sum(alpha[j] * d[j] * lam[j] for j in range(n)),
                       cols, sum(alpha[i] * cols[i] for i in range(n))))
-    zero = tuple([0] * n)
-    mult = {0: 1}
-    found = {zero: 1}
-    level = [zero]
-    while level:
-        targets = set()
-        for c in level:
-            for j in range(n):
-                if c[j] < dvec[j]:
-                    targets.add(c[:j] + (c[j] + 1,) + c[j + 1:])
-        level = []
-        for c in sorted(targets):
+    # the dominant weights <= lam, with their depth vectors
+    dominant = {lam: tuple([0] * n)}
+    todo = [lam]
+    for mu in todo:
+        c = dominant[mu]
+        for alpha, wt, *_ in roots:
+            nu = tuple(x - y for x, y in zip(mu, wt))
+            if min(nu) >= 0 and nu not in dominant:
+                dominant[nu] = tuple(x + y for x, y in zip(c, alpha))
+                todo.append(nu)
+    mult = {}        # key of c -> m, over every weight found so far
+    found = []       # (c, nu, m)
+    for mu, c in sorted(dominant.items(), key=lambda e: (sum(e[1]), e[1])):
+        if mu == lam:
+            m = 1
+        else:
             denom = 2 * sum(c[j] * top[j] for j in range(n)) - sum(
                 c[i] * c[j] * form[i][j] for i in range(n) for j in range(n))
-            if denom <= 0:
-                continue
             key = sum(x * r for x, r in zip(c, radix))
             acc = 0
-            for supp, step, lam_pair, cols, norm in roots:
+            for _, _, supp, step, lam_pair, cols, norm in roots:
                 kmax = min(c[i] // x for i, x in supp)
                 pair = None
                 for k in range(1, kmax + 1):
                     m_up = mult.get(key - k * step)
                     if m_up:
-                        if pair is None:     # (nu, alpha)
+                        if pair is None:     # (mu, alpha)
                             pair = lam_pair - sum(
                                 c[i] * cols[i] for i in range(n))
                         acc += m_up * (pair + k * norm)
@@ -381,12 +394,24 @@ def weight_multiplicities(lie: LieType, lam: Weight) -> dict:
             if rem or m < 0:
                 raise ConventionError(
                     f"Freudenthal: non-integral multiplicity at depth {c}")
-            if m:
-                mult[key] = m
-                found[c] = m
-                level.append(c)
-    return {tuple(lam[k] - sum(c[j] * a[k][j] for j in range(n))
-                  for k in range(n)): m for c, m in found.items()}
+            if not m:
+                continue
+        # s_i nu = nu - nu_i alpha_i adds nu_i to depth i
+        orbit = [(c, mu)]
+        seen = {c}
+        for cw, w in orbit:
+            for i, x in enumerate(w):
+                if x > 0:
+                    ci = cw[:i] + (cw[i] + x,) + cw[i + 1:]
+                    if ci not in seen:
+                        seen.add(ci)
+                        orbit.append((ci, tuple(w[k] - x * a[k][i]
+                                                for k in range(n))))
+        for cw, w in orbit:
+            mult[sum(x * r for x, r in zip(cw, radix))] = m
+            found.append((cw, w, m))
+    found.sort(key=lambda e: (sum(e[0]), e[0]))
+    return {nu: m for _, nu, m in found}
 
 
 def dominant_weights_up_to(lie: LieType, depth: int):

@@ -99,8 +99,12 @@ def _parse_krange(text: str):
 
 def _parse_weight(text: str, rank: int):
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != rank or not all(p.lstrip("-").isdigit() for p in parts):
-        raise QflagError(f"weight {text!r} does not match rank {rank}")
+    if not all(p.isdecimal() for p in parts):
+        raise QflagError(f"--weight {text!r}: needs {rank} non-negative "
+                         f"integers separated by commas")
+    if len(parts) != rank:
+        raise QflagError(f"--weight {text!r}: needs {rank} integers, one "
+                         f"per node, got {len(parts)}")
     return tuple(int(p) for p in parts)
 
 

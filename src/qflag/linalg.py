@@ -96,6 +96,8 @@ def mod_image(v):
     None when the denominator of v vanishes there.  Values with a
     ``mod_image(p, s)`` method use it; ints and Fractions have no s.
     """
+    if type(v) is int:
+        return v % MOD_PRIME
     image = getattr(v, "mod_image", None)
     if image is not None:
         return image(MOD_PRIME, MOD_POINT)

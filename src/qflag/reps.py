@@ -14,18 +14,23 @@ the column rank profile of the raising matrix, and expands the others in
 them.
 
 The target rank of each weight space is its multiplicity, from Freudenthal's
-formula in integers.  The profile is first found mod a fixed prime at a
-fixed point of s, in one modular pass over the weight space: when it has
-exactly the target size, those columns are independent over Q(s) and the
-rank cannot exceed the multiplicity, so one exact reduced row echelon form
-of the rows the kept columns led with mod p confirms it (its pivots must be
-the profile) and gives every expansion of a dropped candidate in the kept
-ones.  Otherwise, or when an entry has no image mod the prime, every row of
-the raising matrix is reduced exactly; the module comes out the same either
-way.  In symbolic mode a rank other than the multiplicity raises
-ConventionError at that weight space; the total dimension is also checked
-against the Weyl dimension formula, which doubles as the degeneration guard
-in specialized mode.
+formula in integers at the dominant weights, spread over their Weyl orbits.
+The profile is first found mod a fixed prime at a fixed point of s, in one
+modular pass over the weight space: when it has exactly the target size,
+those columns are independent over Q(s) and the rank cannot exceed the
+multiplicity, so one exact reduced row echelon form of the rows the kept
+columns led with mod p confirms it (its pivots must be the profile) and
+gives every expansion of a dropped candidate in the kept ones.  Otherwise,
+or when an entry has no image mod the prime, every row of the raising
+matrix is reduced exactly; the module comes out the same either way.  The
+pass reduces exact columns until it has kept as many as the multiplicity;
+it reads every later column off the images mod p of the module's own E-
+and F-entries, kept beside them while every entry has one, so a later
+candidate is computed exactly only at the rows that RREF reads.  In
+symbolic mode a rank other than the multiplicity raises ConventionError at
+that weight space; the total dimension is also checked against the Weyl
+dimension formula, which doubles as the degeneration guard in specialized
+mode.
 
 Every basis vector remembers its parent, e_t = F_j e_u, so the F-word that
 produced it; braid operators and Clebsch-Gordan embeddings both ride on that:
@@ -42,8 +47,9 @@ from . import cartan
 from .cartan import LieType, Weight
 from .errors import (ConventionError, DimensionGuardError, DomainError,
                      ReducibleModuleError, SpecializationError)
-from .linalg import (BlockInverse, SparseMatrix, dv_add_scaled, eliminate,
-                     mod_row_profile, rows_from_columns, staged_kernel)
+from .linalg import (MOD_PRIME, BlockInverse, SparseMatrix, dv_add_scaled,
+                     eliminate, mod_image, mod_row_profile, rows_from_columns,
+                     staged_kernel)
 from .scalars import QContext
 
 DEFAULT_GUARD = 64
@@ -104,17 +110,54 @@ class ModuleData:
         return out
 
 
-def _select_candidates(cols, want: int):
+class _RaisingColumns:
+    """The raising matrix of one weight space, each column computed when read.
+
+    Column t is candidate t's E_i-images for every node i, merged (E_i lands
+    in weight nu + alpha_i, so the keys of different nodes never meet).
+    ``images(j, u, keys)`` gives the exact images of candidate F_j.u per
+    node, at ``keys`` only unless that is None.  Columns read in full are
+    kept per node in ``full``, by candidate.
+    """
+
+    def __init__(self, cands, images):
+        self.cands = cands
+        self._images = images
+        self.full = {}
+
+    def __len__(self):
+        return len(self.cands)
+
+    def node_images(self, t):
+        per_node = self.full.get(t)
+        if per_node is None:
+            per_node = self.full[t] = self._images(*self.cands[t], None)
+        return per_node
+
+    def __getitem__(self, t):
+        return {g: v for img in self.node_images(t) for g, v in img.items()}
+
+    def __iter__(self):
+        return (self[t] for t in range(len(self)))
+
+    def lead_columns(self, keys):
+        """Every column: in full when it was read so, else at ``keys`` only."""
+        keys = set(keys)
+        return [self[t] if t in self.full else {
+            g: v for img in self._images(*self.cands[t], keys)
+            for g, v in img.items()} for t in range(len(self))]
+
+
+def _select_candidates(cols, want: int, mod_column=None):
     """Column rank profile of a weight space's raising matrix, with the RREF.
 
-    ``cols`` are the raising matrix's columns, one dict-vector per candidate
-    F_j.u: its E_i-images for every node i, merged (E_i lands in weight
-    nu + alpha_i, so the keys of different nodes never meet).  On L(lam)_nu,
-    nu != lam, the map x -> (E_1 x, ..., E_n x) is injective: a nonzero
-    vector every E_i kills would be a highest weight vector of a proper
-    submodule.  So the candidates are dependent exactly when their columns
-    are, the profile is the lowest-index set of candidates independent in
-    L(lam)_nu, and the rank is the weight's multiplicity ``want``.
+    ``cols[t]`` is the raising matrix's column for candidate F_j.u: its
+    E_i-images for every node i, merged.  On L(lam)_nu, nu != lam, the map
+    x -> (E_1 x, ..., E_n x) is injective: a nonzero vector every E_i kills
+    would be a highest weight vector of a proper submodule.  So the
+    candidates are dependent exactly when their columns are, the profile is
+    the lowest-index set of candidates independent in L(lam)_nu, and the
+    rank is the weight's multiplicity ``want``.
 
     Returns the profile and rows whose column t expands candidate t in the
     kept ones: the RREF of rows spanning the row space, which is unique.
@@ -127,20 +170,44 @@ def _select_candidates(cols, want: int):
     space, and the pivots of their exact RREF over all candidates are the
     exact profile, which is checked.  Otherwise, or when an entry has no
     image mod p, every row is reduced exactly.
+
+    ``mod_column(t)``, when given, is column t mod p, read off the module's
+    own entries mod p, and ``cols`` is a :class:`_RaisingColumns`.  Once the
+    pass has kept ``want`` columns (``mod_row_profile`` reads one row at a
+    time and reports each lead before it reads the next), it reads every
+    later column through ``mod_column``, and the exact RREF reads the later
+    columns at the leading rows only.
     """
     m = len(cols)
     leads = []
-    profile = mod_row_profile(cols, leads)
+    profile = mod_row_profile(cols if mod_column is None else (
+        cols[t] if len(leads) < want else mod_column(t) for t in range(m)),
+        leads)
     if profile is not None and len(profile) == want:
         if want == m:
             return profile, []
+        keys = sorted(leads)
+        read = list(cols) if mod_column is None else cols.lead_columns(keys)
         pivots, red = eliminate(
-            [{t: col[g] for t, col in enumerate(cols) if g in col}
-             for g in sorted(leads)], m)
+            [{t: col[g] for t, col in enumerate(read) if g in col}
+             for g in keys], m)
         if pivots == profile:
             return profile, red
-    pivots, red = eliminate(rows_from_columns(cols), m)
+    pivots, red = eliminate(rows_from_columns(list(cols)), m)
     return pivots, red[:len(pivots)]
+
+
+def _mod_images(vec):
+    """The images mod p of a dict-vector's entries, zeros dropped, or None
+    when an entry has none."""
+    out = {}
+    for g, v in vec.items():
+        y = mod_image(v)
+        if y is None:
+            return None
+        if y:
+            out[g] = y
+    return out
 
 
 def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
@@ -165,7 +232,41 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
     parents = [None]
     eimg = [[{} for _ in range(n)]]           # per global, per node: dict-vec
     fimg = [[None] * n]                       # filled as weights are processed
+    # the images of eimg and fimg mod p, kept while every entry has one;
+    # a candidate reads them one and two simple roots above its weight
+    emod, fmod = [[{} for _ in range(n)]], [[None] * n]
     spaces = {tuple(lam): range(1)}           # weight -> its basis indices
+    depths = {tuple(lam): 0}                  # weight -> simple roots below lam
+    starts = [0]                              # depth -> its first basis index
+
+    def raising(e_tab, f_tab, qint, j, u, keys):
+        # E_i(F_j u) = F_j(E_i u) + d_ij [mu_i] u for every node i, zeros
+        # kept; with keys, at those keys only
+        wu = weights[u]
+        per_node = []
+        for i in range(n):
+            acc = {}
+            for g, cf in e_tab[u][i].items():
+                for k, v in (f_tab[g][j] or {}).items():
+                    if keys is None or k in keys:
+                        acc[k] = acc[k] + cf * v if k in acc else cf * v
+            if i == j and wu[i] and (keys is None or u in keys):
+                x = qint(wu[i], d[i])
+                acc[u] = acc[u] + x if u in acc else x
+            per_node.append(acc)
+        return per_node
+
+    def exact_images(j, u, keys):
+        return [{k: v for k, v in acc.items() if v}
+                for acc in raising(eimg, fimg, ctx.qint, j, u, keys)]
+
+    qmod = {}                # (m, d) -> image of the quantum integer [m]_d
+
+    def mod_column(j, u):
+        p = MOD_PRIME
+        return {k: r for acc in raising(emod, fmod, lambda *key: qmod[key],
+                                        j, u, None)
+                for k, y in acc.items() if (r := y % p)}
 
     # parents before children: the order of weight_multiplicities, lam first
     mults = iter(cartan.weight_multiplicities(lie, lam).items())
@@ -173,24 +274,24 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
     for nu, want in mults:
         cands = [(j, u) for j in range(n) for u in spaces.get(
             tuple(a + b for a, b in zip(nu, alpha_fw[j])), ())]
-        # E-action on candidates: E_i(F_j u) = F_j(E_i u) + d_ij [mu_i] u
-        cand_eimg = []
-        for (j, u) in cands:
-            per_node = []
-            wu = weights[u]
-            for i in range(n):
-                acc = {}
-                for g, cf in eimg[u][i].items():
-                    fg = fimg[g][j]
-                    if fg:
-                        dv_add_scaled(acc, fg, cf)
-                if i == j and wu[i]:
-                    dv_add_scaled(acc, {u: one}, ctx.qint(wu[i], d[i]))
-                per_node.append(acc)
-            cand_eimg.append(per_node)
-        profile, red = (_select_candidates(
-            [{g: v for img in per_node for g, v in img.items()}
-             for per_node in cand_eimg], want) if cands else ([], []))
+        cols = _RaisingColumns(cands, exact_images)
+        profile, red = [], []
+        if cands:
+            depth = depths[nu] = depths[weights[cands[0][1]]] + 1
+            if depth == len(starts):     # the first weight of a new depth
+                starts.append(len(weights))
+                if emod is not None and depth >= 3:
+                    for g in range(starts[depth - 3], starts[depth - 2]):
+                        emod[g] = fmod[g] = None
+            if emod is not None:
+                for key in {(weights[u][j], d[j]) for j, u in cands
+                            if weights[u][j]} - qmod.keys():
+                    qmod[key] = mod_image(ctx.qint(*key))
+                if None in qmod.values():
+                    emod = fmod = None
+            profile, red = _select_candidates(
+                cols, want, None if emod is None else (
+                    lambda t: mod_column(*cands[t])))
         if ctx.symbolic and len(profile) != want:
             raise ConventionError(
                 f"weight {nu}: rank {len(profile)}, multiplicity {want}")
@@ -202,14 +303,25 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
             j, u = cands[t]
             weights.append(nu)
             parents.append((j + 1, u))
-            eimg.append(cand_eimg[t])
+            eimg.append(cols.node_images(t))
             fimg.append([None] * n)
+            if emod is not None:
+                imgs = [_mod_images(img) for img in eimg[-1]]
+                if None in imgs:
+                    emod = fmod = None
+                else:
+                    emod.append(imgs)
+                    fmod.append([None] * n)
         for t, (j, u) in enumerate(cands):
             if t in sel:
                 fimg[u][j] = {sel[t]: one}
             else:
                 fimg[u][j] = {base + k: row[t] for k, row in enumerate(red)
                               if t in row}
+            if emod is not None:
+                fmod[u][j] = _mod_images(fimg[u][j])
+                if fmod[u][j] is None:
+                    emod = fmod = None
         spaces[nu] = range(base, len(weights))
 
     total = len(weights)

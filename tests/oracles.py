@@ -1,7 +1,9 @@
 """Independent oracles used to freeze expected values in the tests.
 
 These deliberately avoid the code paths they check: weight multiplicities
-come from Freudenthal's recursion (not the basis construction), dimensions
+come from Freudenthal's recursion (not the basis construction), and from
+it at every weight, level by level (not at the dominant weights with
+their orbits filled by W-invariance), dimensions
 from summing them (not the Weyl product formula), graded-slice sizes
 from counting weights with the invariance conditions (not from kernels of
 generator matrices), reduced row echelon forms from plain dense
@@ -94,6 +96,71 @@ def freudenthal_multiplicities(lie, lam):
             assert m.denominator == 1
             mults[mu] = int(m)
     return {k: v for k, v in mults.items() if v}
+
+
+def weight_multiplicities_by_levels(lie, lam) -> dict:
+    """Freudenthal's formula at every weight, level by level from lam.
+
+    The same integer recursion as :func:`qflag.cartan.weight_multiplicities`
+    in root-depth coordinates c (nu = lam - sum_j c_j alpha_j), evaluated at
+    every weight one simple-root step below a weight found (not at the
+    dominant weights alone, with orbits filled by W-invariance), returned in
+    the same order: lam first, then by depth sum_j c_j, then by c.
+    """
+    if len(lam) != lie.rank or any(x < 0 for x in lam):
+        raise DomainError(f"{lam} is not a dominant weight for {lie}")
+    n = lie.rank
+    a = cartan_matrix(lie)
+    d = symmetrizers(lie)
+    form = [[d[i] * a[i][j] for j in range(n)] for i in range(n)]
+    top = [d[j] * (lam[j] + 1) for j in range(n)]
+    dvec = weight_to_root_int(
+        lie, tuple(x - y for x, y in zip(lam, w0_on_weight(lie, lam))))
+    radix = [1] * n
+    for j in range(1, n):
+        radix[j] = radix[j - 1] * (dvec[j - 1] + 1)
+    roots = []
+    for alpha in positive_roots(lie):
+        cols = [sum(form[i][j] * alpha[j] for j in range(n)) for i in range(n)]
+        roots.append(([(i, x) for i, x in enumerate(alpha) if x],
+                      sum(x * r for x, r in zip(alpha, radix)),
+                      sum(alpha[j] * d[j] * lam[j] for j in range(n)),
+                      cols, sum(alpha[i] * cols[i] for i in range(n))))
+    zero = tuple([0] * n)
+    mult = {0: 1}
+    found = {zero: 1}
+    level = [zero]
+    while level:
+        targets = set()
+        for c in level:
+            for j in range(n):
+                if c[j] < dvec[j]:
+                    targets.add(c[:j] + (c[j] + 1,) + c[j + 1:])
+        level = []
+        for c in sorted(targets):
+            denom = 2 * sum(c[j] * top[j] for j in range(n)) - sum(
+                c[i] * c[j] * form[i][j] for i in range(n) for j in range(n))
+            if denom <= 0:
+                continue
+            key = sum(x * r for x, r in zip(c, radix))
+            acc = 0
+            for supp, step, lam_pair, cols, norm in roots:
+                kmax = min(c[i] // x for i, x in supp)
+                for k in range(1, kmax + 1):
+                    m_up = mult.get(key - k * step)
+                    if m_up:
+                        pair = lam_pair - sum(c[i] * cols[i] for i in range(n))
+                        acc += m_up * (pair + k * norm)
+            m, rem = divmod(2 * acc, denom)
+            if rem or m < 0:
+                raise ConventionError(
+                    f"Freudenthal: non-integral multiplicity at depth {c}")
+            if m:
+                mult[key] = m
+                found[c] = m
+                level.append(c)
+    return {tuple(lam[k] - sum(c[j] * a[k][j] for j in range(n))
+                  for k in range(n)): m for c, m in found.items()}
 
 
 def dim_by_weights(lie, lam) -> int:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (dim_by_weights, freudenthal_multiplicities,
-                     weyl_dim_by_forms)
+                     weight_multiplicities_by_levels, weyl_dim_by_forms)
 from qflag.cartan import (FlagSpec, LieType, bilinear_form, cartan_matrix,
                           catalog, dominant_weights_up_to, is_reduced_for_w0,
                           lattice_denominator, longest_word, minus_w0,
@@ -176,6 +176,33 @@ def test_weight_multiplicities_values():
             freudenthal_multiplicities(lie, lam)
     with pytest.raises(DomainError):
         weight_multiplicities(A2, (-1, 0))
+
+
+@pytest.mark.parametrize("name,depth", [
+    (name, 3) for name in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2",
+                           "C3", "C4", "D4")] + [("D5", 2)])
+def test_dominant_recursion_equals_the_recursion_at_every_weight(name, depth):
+    # same multiplicities in the same order, from Freudenthal at the
+    # dominant weights only as from Freudenthal at every weight
+    lie = LieType.parse(name)
+    for lam in dominant_weights_up_to(lie, depth):
+        assert list(weight_multiplicities(lie, lam).items()) == \
+            list(weight_multiplicities_by_levels(lie, lam).items()), lam
+    with pytest.raises(DomainError):
+        weight_multiplicities(lie, (-1,) + (1,) * (lie.rank - 1))
+
+
+@pytest.mark.parametrize("name,lam", [
+    ("E6", (1, 0, 0, 0, 0, 0)), ("E6", (0, 1, 0, 0, 0, 0)),
+    ("E6", (0, 0, 0, 1, 0, 0)), ("E6", (1, 0, 0, 0, 0, 1)),
+    ("E6", (2, 0, 0, 0, 0, 0)), ("E7", (1, 0, 0, 0, 0, 0, 0)),
+    ("E7", (0, 0, 0, 0, 0, 0, 1)), ("E7", (0, 0, 0, 0, 0, 0, 2))])
+def test_dominant_recursion_on_the_exceptional_types(name, lam):
+    lie = LieType.parse(name)
+    mults = weight_multiplicities(lie, lam)
+    assert list(mults.items()) == \
+        list(weight_multiplicities_by_levels(lie, lam).items())
+    assert sum(mults.values()) == weyl_dim(lie, lam)
 
 
 def test_weyl_dim_dual_symmetry():

@@ -57,7 +57,13 @@ def test_rep_dump(capsys):
 
 def test_rep_usage_errors(capsys):
     code, _, err = run_cli(capsys, "rep", "--type", "A2", "--weight", "1")
-    assert code == 2 and "weight" in err
+    assert code == 2
+    assert "--weight '1': needs 2 integers, one per node, got 1" in err
+    for text in ("1,x", "1.5,0", "1,,0", "-1,0"):
+        code, _, err = run_cli(capsys, "rep", "--type", "A2",
+                               f"--weight={text}")
+        assert code == 2, text
+        assert f"--weight {text!r}: needs 2 non-negative integers" in err
     code, _, err = run_cli(capsys, "rep", "--type", "Z9", "--weight", "1")
     assert code == 2
     code, _, err = run_cli(capsys, "rep", "--type", "A3", "--weight",

@@ -17,7 +17,7 @@ from qflag import cartan, linalg, reps
 from qflag.errors import (ConventionError, DimensionGuardError, DomainError,
                           ReducibleModuleError)
 from qflag.linalg import (MOD_POINT, SpanBasis, SparseMatrix,
-                          column_rank_profile, eliminate, mod_row_profile,
+                          column_rank_profile, mod_row_profile,
                           rows_from_columns)
 from qflag.peterweyl import PWAlgebra
 from qflag.reps import (BraidOperators, LusztigOperators, braid_image,
@@ -709,22 +709,73 @@ def test_basis_follows_weight_multiplicities_order(lie, lam):
         list(dict.fromkeys(m.weights))
 
 
+def raising_columns(m):
+    """Per weight space below the highest, in build order: the weight, its
+    multiplicity and the exact raising column of each candidate F_j.u,
+    recomputed from the finished module as E_i(F_j e_u) for every node i,
+    merged."""
+    n = m.lie.rank
+    amat = cartan.cartan_matrix(m.lie)
+    idx = m.weight_indices()
+    out = []
+    for nu in list(idx)[1:]:
+        cols = []
+        for j in range(n):
+            above = tuple(x + amat[k][j] for k, x in enumerate(nu))
+            for u in idx.get(above, ()):
+                v = m.f_mats[j].column(u)
+                col = {}
+                for i in range(n):
+                    col.update(m.e_mats[i].matvec(v))
+                cols.append(col)
+        out.append((nu, len(idx[nu]), cols))
+    return out
+
+
+def images_mod_p(cols):
+    out = []
+    for col in cols:
+        img = {g: linalg.mod_image(v) for g, v in col.items()}
+        out.append({g: y for g, y in img.items() if y})
+    return out
+
+
+def modular_passes(monkeypatch):
+    """Each modular pass of the build: the rows it reduced, as it read them,
+    and the profile it returned."""
+    passes = []
+    original = reps.mod_row_profile
+
+    def wrapper(rows, leads=None):
+        read = []
+
+        def reading():
+            for row in rows:
+                read.append(row)
+                yield row
+
+        profile = original(reading(), leads)
+        passes.append((read, profile))
+        return profile
+
+    monkeypatch.setattr(reps, "mod_row_profile", wrapper)
+    return passes
+
+
 def test_modular_profile_matches_exact_on_real_raising_matrices(monkeypatch):
-    # reps takes the raising matrix's column rank profile as the modular row
-    # profile of its columns
-    mats = []
-    select = reps._select_candidates
-
-    def record(cols, want):
-        mats.append(cols)
-        return select(cols, want)
-
-    monkeypatch.setattr(reps, "_select_candidates", record)
-    build_irreducible(context_for(B2), B2, (2, 2), guard=100)
-    assert len(mats) > 30 and any(len(c) > 4 for c in mats)
-    for cols in mats:
-        assert mod_row_profile(cols) == column_rank_profile(
-            rows_from_columns(cols), len(cols))
+    # every column the build reduces mod p is the image of the exact
+    # raising column, and on these raising matrices the modular profile is
+    # the exact column rank profile
+    passes = modular_passes(monkeypatch)
+    m = build_irreducible(context_for(B2), B2, (2, 2), guard=100)
+    spaces = raising_columns(m)
+    assert len(spaces) > 30 and any(len(c) > 4 for _, _, c in spaces)
+    assert [images_mod_p(rows) for rows, _ in passes] == [
+        images_mod_p(cols) for _, _, cols in spaces]
+    for (_, want, cols), (_, profile) in zip(spaces, passes):
+        exact = column_rank_profile(rows_from_columns(cols), len(cols))
+        assert mod_row_profile(cols) == profile == exact
+        assert len(profile) == want
 
 
 def counting(monkeypatch, name):
@@ -739,30 +790,23 @@ def counting(monkeypatch, name):
     return calls
 
 
-def reduces_every_row(calls):
-    """Whether some exact elimination took more rows than its rank.
-
-    The modular path eliminates only rows independent mod p; the exact path
-    eliminates every row of a raising matrix.
-    """
-    return any(len(rows) > len(eliminate(rows, ncols)[0])
-               for rows, ncols in calls)
-
-
 def test_modular_path_needs_no_exact_profile(monkeypatch):
-    # every weight space takes the modular path: the modular profile has the
-    # multiplicity's size, and one exact RREF of that many rows confirms it
-    # (none when every candidate is kept); a fallback adds an elimination
-    # of every row
+    # every weight space takes the modular path, reading the columns after
+    # the multiplicity is reached off the module's own images mod p: the
+    # modular profile has the multiplicity's size, and one exact RREF of
+    # that many rows confirms it (none when every candidate is kept); a
+    # fallback adds an elimination of every row
     spaces = []
+    passes = modular_passes(monkeypatch)
     calls = counting(monkeypatch, "eliminate")
     inverses = counting(monkeypatch, "BlockInverse")
     select = reps._select_candidates
 
-    def record(cols, want):
-        start = len(calls)
-        out = select(cols, want)
-        spaces.append((cols, want, calls[start:]))
+    def record(cols, want, mod_column=None):
+        starts = len(passes), len(calls)
+        out = select(cols, want, mod_column)
+        spaces.append((len(cols), want, mod_column, passes[starts[0]:],
+                       calls[starts[1]:]))
         return out
 
     monkeypatch.setattr(reps, "_select_candidates", record)
@@ -770,43 +814,80 @@ def test_modular_path_needs_no_exact_profile(monkeypatch):
     # specialized mode: Fractions take the same path
     build_irreducible(context_for(C2, s0=Fraction(3, 2)), C2, (2, 1))
     assert inverses == []
-    assert any(want < len(cols) for cols, want, _ in spaces)
-    for cols, want, elims in spaces:
-        profile = mod_row_profile(cols)
-        assert profile is not None and len(profile) == want
-        m = len(cols)
+    assert any(want < m for m, want, _, _, _ in spaces)
+    for m, want, mod_column, space_passes, elims in spaces:
+        assert mod_column is not None
+        [(rows, profile)] = space_passes
+        assert len(rows) == m and profile is not None
+        assert len(profile) == want
         assert [(len(rows), ncols) for rows, ncols in elims] == (
             [] if want == m else [(want, m)])
 
 
 def test_one_modular_pass_per_weight_space(monkeypatch):
     # each weight space with candidates is reduced mod p once, and the one
-    # exact RREF takes the raising matrix's rows that the kept candidates
-    # led with in that pass, in increasing key order
-    spaces = []
-    profiles = counting(monkeypatch, "mod_row_profile")
+    # exact RREF takes the exact raising matrix's rows that the kept
+    # candidates led with in that pass, in increasing key order
+    passes = modular_passes(monkeypatch)
     calls = counting(monkeypatch, "eliminate")
+    selected = []
     select = reps._select_candidates
 
-    def record(cols, want):
-        starts = len(profiles), len(calls)
-        out = select(cols, want)
-        spaces.append((cols, want, profiles[starts[0]:], calls[starts[1]:]))
+    def record(cols, want, mod_column=None):
+        starts = len(passes), len(calls)
+        out = select(cols, want, mod_column)
+        selected.append((passes[starts[0]:], calls[starts[1]:]))
         return out
 
     monkeypatch.setattr(reps, "_select_candidates", record)
-    build_irreducible(context_for(B2), B2, (2, 2), guard=100)
+    m = build_irreducible(context_for(B2), B2, (2, 2), guard=100)
+    spaces = raising_columns(m)
     # every weight below the highest has candidates
-    assert len(spaces) == len(cartan.weight_multiplicities(B2, (2, 2))) - 1
-    assert any(want < len(cols) for cols, want, _, _ in spaces)
-    for cols, want, passes, elims in spaces:
-        assert [args[0] for args in passes] == [cols]
+    assert len(selected) == len(spaces) == len(
+        cartan.weight_multiplicities(B2, (2, 2))) - 1
+    assert any(want < len(cols) for _, want, cols in spaces)
+    for (_, want, cols), (space_passes, elims) in zip(spaces, selected):
+        [(rows, profile)] = space_passes
+        images = images_mod_p(cols)
+        assert images_mod_p(rows) == images
         leads = []
-        mod_row_profile(cols, leads)
+        assert mod_row_profile(images, leads) == profile
         m = len(cols)
         led = [{t: col[g] for t, col in enumerate(cols) if g in col}
                for g in sorted(leads)]
         assert elims == ([] if want == m else [(led, m)])
+
+
+@pytest.mark.parametrize("lie,lam", [(B2, (2, 2)), (C3, (0, 0, 2))])
+def test_later_candidates_are_exact_at_lead_rows_only(monkeypatch, lie, lam):
+    # once the modular pass has kept the multiplicity's count, a later
+    # candidate's raising column is never computed exactly in full: the
+    # exact RREF reads it at the kept columns' leading rows only
+    selected = []
+    select = reps._select_candidates
+
+    def record(cols, want, mod_column=None):
+        out = select(cols, want, mod_column)
+        selected.append((cols, out[0]))
+        return out
+
+    monkeypatch.setattr(reps, "_select_candidates", record)
+    m = build_irreducible(context_for(lie), lie, lam, guard=100)
+    later = 0
+    for (cols, profile), (_, want, exact) in zip(selected,
+                                                 raising_columns(m)):
+        assert len(profile) == want
+        point = profile[-1]        # where the pass has kept want columns
+        assert sorted(cols.full) == list(range(point + 1))
+        assert [cols[t] for t in range(point + 1)] == exact[:point + 1]
+        leads = []
+        mod_row_profile(exact, leads)
+        at_leads = cols.lead_columns(leads)
+        for t in range(point + 1, len(cols)):
+            later += 1
+            assert at_leads[t] == {g: v for g, v in exact[t].items()
+                                   if g in leads}
+    assert later > 50
 
 
 def test_fallback_on_vanishing_denominator(monkeypatch):
@@ -827,12 +908,46 @@ def test_fallback_on_vanishing_denominator(monkeypatch):
 
 @pytest.mark.parametrize("lie,lam", [(B2, (1, 1)), (A3, (1, 0, 1))])
 def test_exact_fallback_builds_the_same_module(monkeypatch, lie, lam):
+    # with no image mod p anywhere, every weight space reduces every row of
+    # its exact raising matrix, and the module comes out the same
     ctx = context_for(lie)
-    want = module_digest(build_irreducible(ctx, lie, lam))
-    monkeypatch.setattr(reps, "mod_row_profile", lambda rows, leads=None: None)
+    ref = build_irreducible(ctx, lie, lam)
+    spaces = raising_columns(ref)
+    assert any(want < len(cols) for _, want, cols in spaces)
+    for mod in (linalg, reps):
+        monkeypatch.setattr(mod, "mod_image", lambda v: None)
     calls = counting(monkeypatch, "eliminate")
-    assert module_digest(build_irreducible(ctx, lie, lam)) == want
-    assert reduces_every_row(calls)
+    assert module_digest(build_irreducible(ctx, lie, lam)) == \
+        module_digest(ref)
+    assert calls == [(rows_from_columns(cols), len(cols))
+                     for _, _, cols in spaces]
+
+
+def test_images_that_stop_mid_build_give_the_same_module(monkeypatch):
+    # once an entry has no image mod p, the later weight spaces reduce
+    # their exact columns mod p instead, and the module is the same
+    ctx = context_for(B2)
+    ref = module_digest(build_irreducible(ctx, B2, (2, 2), guard=100))
+    asked = []
+    image = reps.mod_image
+
+    def failing(v):
+        asked.append(v)
+        return None if len(asked) > 200 else image(v)
+
+    monkeypatch.setattr(reps, "mod_image", failing)
+    paths = []
+    select = reps._select_candidates
+
+    def record(cols, want, mod_column=None):
+        paths.append(mod_column is not None)
+        return select(cols, want, mod_column)
+
+    monkeypatch.setattr(reps, "_select_candidates", record)
+    m = build_irreducible(ctx, B2, (2, 2), guard=100)
+    assert module_digest(m) == ref
+    assert paths[0] and not paths[-1]
+    assert paths == sorted(paths, reverse=True)
 
 
 def test_rank_against_multiplicity_checked_per_weight(monkeypatch):
