@@ -118,11 +118,13 @@ def mod_row_profile(rows, leads=None):
 
     When ``leads`` is a list, it receives the leading (least) key of each
     kept row once reduced against the rows kept before it, in the order
-    kept.  These keys are distinct, and a reduced row is zero at every key
-    below its own lead, so on the leading keys, in increasing order, the
-    reduced rows are triangular with a nonzero diagonal.  The reduction adds
-    to each kept row multiples of the rows kept before it, so the kept rows
-    themselves are independent mod p on the leading keys alone.
+    kept, each before the next row is read (``rows`` may be a generator that
+    looks at ``leads``).  These keys are distinct, and a reduced row is zero
+    at every key below its own lead, so on the leading keys, in increasing
+    order, the reduced rows are triangular with a nonzero diagonal.  The
+    reduction adds to each kept row multiples of the rows kept before it, so
+    the kept rows themselves are independent mod p on the leading keys
+    alone.
     """
     p = MOD_PRIME
     basis = {}   # leading key -> kept row reduced mod p, leading entry 1

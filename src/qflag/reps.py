@@ -25,12 +25,11 @@ or when an entry has no image mod the prime, every row of the raising
 matrix is reduced exactly; the module comes out the same either way.  The
 pass reduces exact columns until it has kept as many as the multiplicity;
 it reads every later column off the images mod p of the module's own E-
-and F-entries, kept beside them while every entry has one, so a later
-candidate is computed exactly only at the rows that RREF reads.  In
-symbolic mode a rank other than the multiplicity raises ConventionError at
-that weight space; the total dimension is also checked against the Weyl
-dimension formula, which doubles as the degeneration guard in specialized
-mode.
+and F-entries, each made when first read, so a later candidate is computed
+exactly only at the rows that RREF reads.  In symbolic mode a rank other
+than the multiplicity raises ConventionError at that weight space; the
+total dimension is also checked against the Weyl dimension formula, which
+doubles as the degeneration guard in specialized mode.
 
 Every basis vector remembers its parent, e_t = F_j e_u, so the F-word that
 produced it; braid operators and Clebsch-Gordan embeddings both ride on that:
@@ -115,14 +114,15 @@ class _RaisingColumns:
 
     Column t is candidate t's E_i-images for every node i, merged (E_i lands
     in weight nu + alpha_i, so the keys of different nodes never meet).
-    ``images(j, u, keys)`` gives the exact images of candidate F_j.u per
-    node, at ``keys`` only unless that is None.  Columns read in full are
-    kept per node in ``full``, by candidate.
+    ``images(j, u)`` gives the exact images of candidate F_j.u per node, and
+    ``images_at(j, u, keys)`` its merged column at ``keys`` only.  Columns
+    read in full are kept per node in ``full``, by candidate.
     """
 
-    def __init__(self, cands, images):
+    def __init__(self, cands, images, images_at):
         self.cands = cands
         self._images = images
+        self._images_at = images_at
         self.full = {}
 
     def __len__(self):
@@ -131,7 +131,7 @@ class _RaisingColumns:
     def node_images(self, t):
         per_node = self.full.get(t)
         if per_node is None:
-            per_node = self.full[t] = self._images(*self.cands[t], None)
+            per_node = self.full[t] = self._images(*self.cands[t])
         return per_node
 
     def __getitem__(self, t):
@@ -142,10 +142,8 @@ class _RaisingColumns:
 
     def lead_columns(self, keys):
         """Every column: in full when it was read so, else at ``keys`` only."""
-        keys = set(keys)
-        return [self[t] if t in self.full else {
-            g: v for img in self._images(*self.cands[t], keys)
-            for g, v in img.items()} for t in range(len(self))]
+        return [self[t] if t in self.full else self._images_at(
+            *self.cands[t], keys) for t in range(len(self))]
 
 
 def _select_candidates(cols, want: int, mod_column=None):
@@ -172,17 +170,22 @@ def _select_candidates(cols, want: int, mod_column=None):
     image mod p, every row is reduced exactly.
 
     ``mod_column(t)``, when given, is column t mod p, read off the module's
-    own entries mod p, and ``cols`` is a :class:`_RaisingColumns`.  Once the
-    pass has kept ``want`` columns (``mod_row_profile`` reads one row at a
-    time and reports each lead before it reads the next), it reads every
-    later column through ``mod_column``, and the exact RREF reads the later
-    columns at the leading rows only.
+    own entries mod p, or None when one of those has no image; ``cols`` is
+    then a :class:`_RaisingColumns`.  Once the pass has kept ``want``
+    columns (``mod_row_profile`` reads one row at a time and reports each
+    lead before it reads the next), it reads every later column through
+    ``mod_column``, or exactly where that gives None, and the exact RREF
+    reads the columns not read exactly at the leading rows only.
     """
     m = len(cols)
     leads = []
-    profile = mod_row_profile(cols if mod_column is None else (
-        cols[t] if len(leads) < want else mod_column(t) for t in range(m)),
-        leads)
+
+    def rows():
+        for t in range(m):
+            col = None if len(leads) < want else mod_column(t)
+            yield cols[t] if col is None else col
+
+    profile = mod_row_profile(cols if mod_column is None else rows(), leads)
     if profile is not None and len(profile) == want:
         if want == m:
             return profile, []
@@ -232,41 +235,71 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
     parents = [None]
     eimg = [[{} for _ in range(n)]]           # per global, per node: dict-vec
     fimg = [[None] * n]                       # filled as weights are processed
-    # the images of eimg and fimg mod p, kept while every entry has one;
-    # a candidate reads them one and two simple roots above its weight
-    emod, fmod = [[{} for _ in range(n)]], [[None] * n]
     spaces = {tuple(lam): range(1)}           # weight -> its basis indices
-    depths = {tuple(lam): 0}                  # weight -> simple roots below lam
-    starts = [0]                              # depth -> its first basis index
+    # images mod p of eimg[u] and fimg[g][j], made when a later candidate
+    # first reads them, for u one level and g two levels above the weights
+    # being built; None when an entry has no image
+    emod, fmod, qmod = {}, {}, {}
+    level_start = 0                 # first basis index of the current level
 
-    def raising(e_tab, f_tab, qint, j, u, keys):
-        # E_i(F_j u) = F_j(E_i u) + d_ij [mu_i] u for every node i, zeros
-        # kept; with keys, at those keys only
+    def exact_images(j, u):
+        # E_i(F_j u) = F_j(E_i u) + d_ij [mu_i] u for every node i
         wu = weights[u]
         per_node = []
         for i in range(n):
             acc = {}
-            for g, cf in e_tab[u][i].items():
-                for k, v in (f_tab[g][j] or {}).items():
-                    if keys is None or k in keys:
-                        acc[k] = acc[k] + cf * v if k in acc else cf * v
-            if i == j and wu[i] and (keys is None or u in keys):
-                x = qint(wu[i], d[i])
-                acc[u] = acc[u] + x if u in acc else x
+            for g, cf in eimg[u][i].items():
+                fg = fimg[g][j]
+                if fg:
+                    dv_add_scaled(acc, fg, cf)
+            if i == j and wu[i]:
+                dv_add_scaled(acc, {u: one}, ctx.qint(wu[i], d[i]))
             per_node.append(acc)
         return per_node
 
-    def exact_images(j, u, keys):
-        return [{k: v for k, v in acc.items() if v}
-                for acc in raising(eimg, fimg, ctx.qint, j, u, keys)]
-
-    qmod = {}                # (m, d) -> image of the quantum integer [m]_d
+    def exact_at(j, u, keys):
+        # the same sum at keys only, merged over the nodes
+        col = {}
+        for img in eimg[u]:
+            for g, cf in img.items():
+                fg = fimg[g][j]
+                if fg:
+                    for k in keys:
+                        if k in fg:
+                            x = cf * fg[k]
+                            col[k] = col[k] + x if k in col else x
+        if weights[u][j] and u in keys:
+            x = ctx.qint(weights[u][j], d[j])
+            col[u] = col[u] + x if u in col else x
+        return {k: v for k, v in col.items() if v}
 
     def mod_column(j, u):
-        p = MOD_PRIME
-        return {k: r for acc in raising(emod, fmod, lambda *key: qmod[key],
-                                        j, u, None)
-                for k, y in acc.items() if (r := y % p)}
+        # the same sum mod p, merged over the nodes; None when an entry it
+        # reads has no image
+        if u not in emod:
+            imgs = [_mod_images(img) for img in eimg[u]]
+            emod[u] = None if None in imgs else imgs
+        if emod[u] is None:
+            return None
+        col = {}
+        for i, img in enumerate(emod[u]):
+            for g, cf in img.items():
+                key = (g, j)
+                if key not in fmod:
+                    fmod[key] = _mod_images(fimg[g][j] or {})
+                fg = fmod[key]
+                if fg is None:
+                    return None
+                for k, v in fg.items():
+                    col[k] = col.get(k, 0) + cf * v
+            if i == j and weights[u][i]:
+                key = (weights[u][i], d[i])
+                if key not in qmod:
+                    qmod[key] = mod_image(ctx.qint(*key))
+                if qmod[key] is None:
+                    return None
+                col[u] = col.get(u, 0) + qmod[key]
+        return {k: r for k, y in col.items() if (r := y % MOD_PRIME)}
 
     # parents before children: the order of weight_multiplicities, lam first
     mults = iter(cartan.weight_multiplicities(lie, lam).items())
@@ -274,24 +307,13 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
     for nu, want in mults:
         cands = [(j, u) for j in range(n) for u in spaces.get(
             tuple(a + b for a, b in zip(nu, alpha_fw[j])), ())]
-        cols = _RaisingColumns(cands, exact_images)
-        profile, red = [], []
-        if cands:
-            depth = depths[nu] = depths[weights[cands[0][1]]] + 1
-            if depth == len(starts):     # the first weight of a new depth
-                starts.append(len(weights))
-                if emod is not None and depth >= 3:
-                    for g in range(starts[depth - 3], starts[depth - 2]):
-                        emod[g] = fmod[g] = None
-            if emod is not None:
-                for key in {(weights[u][j], d[j]) for j, u in cands
-                            if weights[u][j]} - qmod.keys():
-                    qmod[key] = mod_image(ctx.qint(*key))
-                if None in qmod.values():
-                    emod = fmod = None
-            profile, red = _select_candidates(
-                cols, want, None if emod is None else (
-                    lambda t: mod_column(*cands[t])))
+        if cands and cands[0][1] >= level_start:    # one level further down
+            level_start = len(weights)
+            emod.clear()
+            fmod.clear()
+        cols = _RaisingColumns(cands, exact_images, exact_at)
+        profile, red = _select_candidates(
+            cols, want, lambda t: mod_column(*cands[t])) if cands else ([], [])
         if ctx.symbolic and len(profile) != want:
             raise ConventionError(
                 f"weight {nu}: rank {len(profile)}, multiplicity {want}")
@@ -305,23 +327,12 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
             parents.append((j + 1, u))
             eimg.append(cols.node_images(t))
             fimg.append([None] * n)
-            if emod is not None:
-                imgs = [_mod_images(img) for img in eimg[-1]]
-                if None in imgs:
-                    emod = fmod = None
-                else:
-                    emod.append(imgs)
-                    fmod.append([None] * n)
         for t, (j, u) in enumerate(cands):
             if t in sel:
                 fimg[u][j] = {sel[t]: one}
             else:
                 fimg[u][j] = {base + k: row[t] for k, row in enumerate(red)
                               if t in row}
-            if emod is not None:
-                fmod[u][j] = _mod_images(fimg[u][j])
-                if fmod[u][j] is None:
-                    emod = fmod = None
         spaces[nu] = range(base, len(weights))
 
     total = len(weights)

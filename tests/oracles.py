@@ -1,12 +1,12 @@
 """Independent oracles used to freeze expected values in the tests.
 
 These deliberately avoid the code paths they check: weight multiplicities
-come from Freudenthal's recursion (not the basis construction), and from
-it at every weight, level by level (not at the dominant weights with
-their orbits filled by W-invariance), dimensions
-from summing them (not the Weyl product formula), graded-slice sizes
-from counting weights with the invariance conditions (not from kernels of
-generator matrices), reduced row echelon forms from plain dense
+come from Freudenthal's recursion (not the basis construction), taken at
+every weight level by level (not at the dominant weights with W-invariance
+filling their orbits), dimensions from summing them (not the Weyl product
+formula), graded-slice sizes from counting weights with the invariance
+conditions (not from kernels of generator matrices), reduced row echelon
+forms from plain dense
 Gauss-Jordan elimination on lists (not the sparse engine), the
 Yang-Baxter identity from full products of Kronecker matrices on
 V (x) V (x) V (not the reduced set of columns), braid operators from

@@ -923,9 +923,10 @@ def test_exact_fallback_builds_the_same_module(monkeypatch, lie, lam):
                      for _, _, cols in spaces]
 
 
-def test_images_that_stop_mid_build_give_the_same_module(monkeypatch):
-    # once an entry has no image mod p, the later weight spaces reduce
-    # their exact columns mod p instead, and the module is the same
+def test_later_candidates_without_images_are_read_exactly(monkeypatch):
+    # once the module's entries have no image mod p, a later candidate that
+    # reads one is reduced from its exact column instead, and the module is
+    # the same
     ctx = context_for(B2)
     ref = module_digest(build_irreducible(ctx, B2, (2, 2), guard=100))
     asked = []
@@ -936,18 +937,26 @@ def test_images_that_stop_mid_build_give_the_same_module(monkeypatch):
         return None if len(asked) > 200 else image(v)
 
     monkeypatch.setattr(reps, "mod_image", failing)
-    paths = []
+    read = []      # per later candidate: (has an image mod p, read in full)
     select = reps._select_candidates
 
-    def record(cols, want, mod_column=None):
-        paths.append(mod_column is not None)
-        return select(cols, want, mod_column)
+    def record(cols, want, mod_column):
+        got = {}
+
+        def recording(t):
+            got[t] = mod_column(t)
+            return got[t]
+
+        out = select(cols, want, recording)
+        read.extend((col is not None, t in cols.full)
+                    for t, col in got.items())
+        return out
 
     monkeypatch.setattr(reps, "_select_candidates", record)
     m = build_irreducible(ctx, B2, (2, 2), guard=100)
     assert module_digest(m) == ref
-    assert paths[0] and not paths[-1]
-    assert paths == sorted(paths, reverse=True)
+    assert (True, False) in read and (False, True) in read
+    assert all(imaged != full for imaged, full in read)
 
 
 def test_rank_against_multiplicity_checked_per_weight(monkeypatch):
