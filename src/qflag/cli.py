@@ -33,7 +33,7 @@ from .scalars import QContext, exact_root
 def _emit(doc, args) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
-    if getattr(args, "json", None):
+    if getattr(args, "json", None) is not None:
         with open(args.json, "w") as fh:
             fh.write(text)
 
@@ -76,7 +76,7 @@ def _positive(text: str) -> int:
 
 def _writable(path: str) -> str:
     """The argparse type of --json: a path that a file can be written to."""
-    if os.path.isdir(path) or not os.access(
+    if not path or os.path.isdir(path) or not os.access(
             path if os.path.exists(path) else os.path.dirname(path) or ".",
             os.W_OK):
         raise argparse.ArgumentTypeError(f"cannot write {path!r}")
@@ -93,7 +93,7 @@ def _parse_krange(text: str):
     except ValueError:
         raise QflagError(f"--k {text!r} is not an integer range a:b") from None
     if lo > hi:
-        raise QflagError(f"empty k range {text!r}")
+        raise QflagError(f"--k {text!r}: empty range")
     return lo, hi
 
 

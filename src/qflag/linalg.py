@@ -260,17 +260,20 @@ class BlockInverse:
 
     ``blocks`` lists (row indices, column indices) pairs; each block is read
     from ``mat`` in that row and column order (entries outside the blocks
-    are not read).  Block (rows, cols) of mat inverts to block (cols, rows)
-    of the inverse, which has shape mat.ncols x mat.nrows.  Building checks
-    every block: one that is not square raises ConventionError, and one
-    whose rank mod a fixed prime at a fixed point of s
-    (:func:`mod_row_profile`) is not full is factored exactly at once, which
-    raises ConventionError when it is singular.  Another block is factored
-    when :meth:`column` first reads a column of it, by one :func:`eliminate`
-    of [B | I] without reduction upwards; each column read is solved from
-    those echelon rows by back-substitution, and the factor is dropped once
-    every column of its block is solved.  The columns returned are shared:
-    callers must not change them.
+    are not read).  The column order is the elimination order, since each
+    echelon row pivots on its least column position: it decides the fill-in
+    and the growth of the entries, not the inverse, and a solved column
+    lists its keys in that order.  Block (rows, cols) of mat inverts to
+    block (cols, rows) of the inverse, which has shape mat.ncols x
+    mat.nrows.  Building checks every block: one that is not square raises
+    ConventionError, and one whose rank mod a fixed prime at a fixed point
+    of s (:func:`mod_row_profile`) is not full is factored exactly at once,
+    which raises ConventionError when it is singular.  Another block is
+    factored when :meth:`column` first reads a column of it, by one
+    :func:`eliminate` of [B | I] without reduction upwards; each column read
+    is solved from those echelon rows by back-substitution, and the factor
+    is dropped once every column of its block is solved.  The columns
+    returned are shared: callers must not change them.
     """
 
     def __init__(self, mat, blocks, one):

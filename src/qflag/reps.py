@@ -41,6 +41,7 @@ parents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import cartan
 from .cartan import LieType, Weight
@@ -529,12 +530,15 @@ class CGDecomposition:
     k's embedding on demand.  U, the change of
     basis, is the embeddings side by side in summand order; it is block
     diagonal by weight, and the projections T -> V_nu are the rows of U^-1,
-    a :class:`qflag.linalg.BlockInverse`: construction checks every block
-    mod a prime (raising ConventionError for a block that is not square or
-    is singular), a block is factored when a projection column of its
-    weight is first read, and only the columns read are solved
-    (:meth:`proj_columns`).  Construction also checks that the summand dims
-    add up to dim T.
+    a :class:`qflag.linalg.BlockInverse`.  Each weight block is handed to it
+    summand by summand, the summands with the fewest nonzeros per column
+    first (ties by summand index), each summand's columns in their order, so
+    the sparse columns are eliminated first; the inverse does not depend on
+    that order.  Construction checks every block mod a prime (raising
+    ConventionError for a block that is not square or is singular), a block
+    is factored when a projection column of its weight is first read, and
+    only the columns read are solved (:meth:`proj_columns`).  Construction
+    also checks that the summand dims add up to dim T.
     """
 
     def __init__(self, t_mod: ModuleData, seeds):
@@ -559,8 +563,8 @@ class CGDecomposition:
             g: summands[k].emb.cols.get(c, {}) for g, (k, c) in enumerate(owner)})
         by_weight = t_mod.weight_indices()
         self.u_inv = BlockInverse(
-            u, [(by_weight.get(w, ()), g) for w, g in cols_by_weight.items()],
-            t_mod.ctx.one)
+            u, [(by_weight.get(w, ()), _sparse_summands_first(g, owner, u))
+                for w, g in cols_by_weight.items()], t_mod.ctx.one)
 
     def emb_row(self, k, tr) -> dict:
         """Row tr of summand k's embedding, {column of V_nu: value}.
@@ -581,10 +585,10 @@ class CGDecomposition:
         """Column tc of the projections, {summand index: dict-vector}.
 
         Summands whose projection column tc is zero are left out; the others
-        come in summand order.
+        come in summand order, each with its columns in increasing order.
         """
         out = {}
-        for g, v in self.u_inv.column(tc).items():
+        for g, v in sorted(self.u_inv.column(tc).items()):
             k, c = self._owner[g]
             out.setdefault(k, {})[c] = v
         return out
@@ -599,6 +603,22 @@ class CGDecomposition:
         # the embeddings determine the projections
         return (isinstance(other, CGDecomposition)
                 and self.summands == other.summands)
+
+
+def _sparse_summands_first(cols, owner, u):
+    """The columns ``cols`` of U in one weight block, summand by summand.
+
+    The summands with the fewest nonzeros per column come first, ties by
+    summand index, and each summand's columns keep their order.  An
+    embedding preserves weight, so a column's nonzeros all lie in the block.
+    """
+    runs = {}
+    for g in cols:
+        runs.setdefault(owner[g][0], []).append(g)
+    order = sorted(runs, key=lambda k: (
+        Fraction(sum(len(u.cols.get(g, ())) for g in runs[k]), len(runs[k])),
+        k))
+    return [g for k in order for g in runs[k]]
 
 
 def decompose(v: ModuleData, w: ModuleData, module_store) -> CGDecomposition:

@@ -17,7 +17,11 @@ operand pairs.  The canonical form is unique and the kernel operations are
 pure, so a hit returns exactly what the kernel would; an exception (division
 by zero) is never stored and is raised again on every call.  Each memo calls
 the kernel through ``qflag._kernel`` at call time, so a wrapper bound there
-sees every operation the kernel performs and no memo hit.
+sees every operation the kernel performs and no memo hit.  A product with a
+unit operand and a sum with a zero operand skip the memo and the kernel:
+they return the other operand itself.  Such operands are common (over half
+the products and a fifth of the sums of a verify run), and each would
+otherwise pay a memo-key hash and, the first time, a memo slot.
 
 :meth:`Scalar.mod_image` goes through a fifth memo of the same size, keyed
 by the canonical fraction, the prime and the point: a module build and the
@@ -136,7 +140,7 @@ class Scalar:
         return len(self._f[0][2]) + len(self._f[1][2])
 
     def __bool__(self):
-        return not K.fis_zero(self._f)
+        return bool(self._f[0][2])      # the numerator's coefficients
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
@@ -152,6 +156,10 @@ class Scalar:
 
     def __add__(self, other):
         if isinstance(other, Scalar):
+            if not self._f[0][2]:
+                return other
+            if not other._f[0][2]:
+                return self
             return Scalar(_fadd(self._f, other._f))
         if isinstance(other, (int, Fraction)):
             return Scalar(_fadd(self._f, Scalar.coerce(other)._f))
@@ -176,6 +184,10 @@ class Scalar:
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
+            if self._f == K.F_ONE:
+                return other
+            if other._f == K.F_ONE:
+                return self
             return Scalar(_fmul(self._f, other._f))
         if isinstance(other, (int, Fraction)):
             return Scalar(_fmul(self._f, Scalar.coerce(other)._f))

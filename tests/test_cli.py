@@ -295,7 +295,7 @@ def test_guard_flag_unlocks_deeper_truncations(capsys):
 
 
 def test_empty_k_range_is_usage_error(capsys):
-    for k, named in (("3:1", "empty k range"), ("a:b", "--k 'a:b'")):
+    for k, named in (("3:1", "--k '3:1'"), ("a:b", "--k 'a:b'")):
         code, out, err = run_cli(capsys, "borel-weil", "--flag", "A1/1",
                                  "--k", k, "--depth", "3")
         assert code == 2 and out == "" and named in err, k
@@ -310,7 +310,7 @@ def test_unwritable_json_path_is_usage_error(capsys, monkeypatch, tmp_path):
         raise AssertionError("the command ran")
 
     monkeypatch.setattr(cli.cartan, "catalog", catalog)
-    for path in (tmp_path / "missing" / "x.json", tmp_path):
+    for path in (tmp_path / "missing" / "x.json", tmp_path, ""):
         code, out, err = run_cli(capsys, "--json", str(path), "catalog",
                                  "--max-rank", "1")
         assert code == 2 and out == "", path

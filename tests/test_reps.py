@@ -206,6 +206,73 @@ def test_lazy_projections_equal_eager_inverse(lie, lam, mu):
         assert cg.proj(k).entries_sorted() == proj.entries_sorted()
 
 
+# A4 V_(0,1,1,0) (x) V_(0,1,0,0): its weight-(0,1,0,0) block has 20 columns
+# from five summands, the first of them dense (its highest weight)
+A4_PAIR = (LieType.parse("A4"), (0, 1, 1, 0), (0, 1, 0, 0))
+A4_BLOCK = (0, 1, 0, 0)
+
+
+def a4_block_decomposition():
+    """A fresh decomposition of A4_PAIR, its module store and the rows of T
+    of weight A4_BLOCK."""
+    lie, lam, mu = A4_PAIR
+    get = store_for(lie, context_for(lie), guard=1000)
+    v, w = get(lam), get(mu)
+    rows = [a * w.dim + b for a in range(v.dim) for b in range(w.dim)
+            if tuple(x + y for x, y in zip(v.weights[a], w.weights[b]))
+            == A4_BLOCK]
+    return decompose(v, w, get), get, rows
+
+
+def test_sparse_summands_are_factored_first(monkeypatch):
+    # the first projection column read on the block factors it with the
+    # sparsest summands' columns first: 540 products (1,730 in summand order)
+    from qflag.scalars import Scalar
+    cg, _, rows = a4_block_decomposition()
+    assert len(rows) == 20
+    count = [0]
+    mul = Scalar.__mul__
+
+    def counted(x, y):
+        count[0] += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    monkeypatch.setattr(Scalar, "__rmul__", counted)
+    assert len(cg.proj_columns(rows[0])) == 5
+    assert count[0] <= 700, count[0]
+
+
+def test_projection_columns_keep_summand_order():
+    # the block is factored out of summand order, and every projection
+    # column still lists its summands, and each summand its columns, in
+    # increasing order
+    cg, _, rows = a4_block_decomposition()
+    (order,) = [cols for r, cols in cg.u_inv._blocks if list(r) == rows]
+    assert len(order) == 20 and order != sorted(order)
+    for tc in rows:
+        col = cg.proj_columns(tc)
+        assert list(col) == sorted(col)
+        for vec in col.values():
+            assert list(vec) == sorted(vec)
+
+
+def test_block_projections_equal_eager_inverse():
+    # the block's projection columns, solved from the reordered factor,
+    # against one inverse of every block in summand order
+    cg, get, rows = a4_block_decomposition()
+    lie, lam, mu = A4_PAIR
+    eager = decompose_eager(get(lam), get(mu), get)
+    assert [s.nu for s in cg.summands] == [nu for nu, _, _ in eager]
+    for tc in rows:
+        want = {k: proj.cols[tc] for k, (_, _, proj) in enumerate(eager)
+                if tc in proj.cols}
+        got = cg.proj_columns(tc)
+        assert list(got) == list(want)
+        for k, vec in got.items():
+            assert sorted(vec.items()) == sorted(want[k].items())
+
+
 @pytest.mark.parametrize("lie,lam,mu", CG_PAIRS)
 def test_embedding_rows_equal_the_transposed_embeddings(lie, lam, mu):
     # each row read on demand from the columns of its weight equals the

@@ -296,6 +296,29 @@ def test_int_and_fraction_operands_hit_the_memo(empty_memos):
             assert MEMOS[name].cache_info().hits == before + 1, name
 
 
+def test_unit_and_zero_operands_skip_the_memo(empty_memos, monkeypatch):
+    # x * 1 and x + 0 return the other operand itself, with no memo slot
+    # and no kernel call, for the constants and for equal fresh scalars
+    x = qint(5) / qint(3)
+    ones = (Scalar.one(), Scalar.from_int(1))
+    zeros = (Scalar.zero(), Scalar.from_int(0))
+    sizes = {name: memo.cache_info().currsize for name, memo in MEMOS.items()}
+    calls = []
+    for name in ("fmul", "fadd"):
+        op = getattr(_kernel, name)
+        monkeypatch.setattr(_kernel, name, lambda a, b, op=op, name=name:
+                            calls.append(name) or op(a, b))
+    for one in ones:
+        assert x * one is x and one * x is x
+    for zero in zeros:
+        assert x + zero is x and zero + x is x
+    assert calls == []
+    assert sizes == {name: memo.cache_info().currsize
+                     for name, memo in MEMOS.items()}
+    assert x * x == qint(5) * qint(5) / (qint(3) * qint(3))
+    assert calls
+
+
 def test_memos_stay_bounded_over_a_verify_run(empty_memos):
     scalars._mod_image.cache_clear()
     rep = verify_suite(FlagSpec.parse("A3/2"),
