@@ -25,11 +25,12 @@ kernel, one Intel Xeon core, the :class:`BlockInverse` factors took
 cost, 0.48-0.53 s cheapest row first, and 0.57-0.88 s with the former
 Gauss-Jordan loop and its per-column pivot search.
 
-:func:`mod_row_profile` chooses independent rows in Z/p at a fixed point of
-s, in one pass that also names, for each row it keeps, a key on which the
-kept rows are independent; it needs an image in Z/p: a ``mod_image(p, s)``
-method (Scalar, memoized there) or ``numerator``/``denominator`` (Fraction,
-int).
+:func:`mod_vector` is the one routine that images a dict-vector in Z/p at a
+fixed point of s (:func:`mod_image`: a ``mod_image(p, s)`` method on Scalar,
+memoized there, or ``numerator``/``denominator`` on Fraction).
+:func:`mod_row_profile` takes rows already imaged so and chooses independent
+ones, in one pass that also names, for each row it keeps, a key on which the
+kept rows are independent.
 """
 
 from __future__ import annotations
@@ -96,8 +97,6 @@ def mod_image(v):
     None when the denominator of v vanishes there.  Values with a
     ``mod_image(p, s)`` method use it; ints and Fractions have no s.
     """
-    if type(v) is int:
-        return v % MOD_PRIME
     image = getattr(v, "mod_image", None)
     if image is not None:
         return image(MOD_PRIME, MOD_POINT)
@@ -107,36 +106,41 @@ def mod_image(v):
     return v.numerator * pow(den, -1, MOD_PRIME) % MOD_PRIME
 
 
-def mod_row_profile(rows, leads=None):
-    """Indices of the lowest-index dict rows independent in Z/p, p = MOD_PRIME.
+def mod_vector(vec):
+    """The images mod p of a dict-vector's entries (:func:`mod_image`),
+    zeros dropped, or None when an entry has none."""
+    out = {}
+    for g, v in vec.items():
+        y = mod_image(v)
+        if y is None:
+            return None
+        if y:
+            out[g] = y
+    return out
 
-    Rows are taken in order and kept when independent of the kept ones, so
-    on the transpose this is the column rank profile.  Returns None when an
-    entry of a row it reads has no image (see :func:`mod_image`).  Rows
-    independent mod p are independent over the field, so the count is a
-    lower bound of the exact rank.
+
+def mod_row_profile(rows, leads=None):
+    """Indices of the lowest-index rows independent in Z/p, p = MOD_PRIME.
+
+    The rows are dict-vectors of nonzero residues mod p, as
+    :func:`mod_vector` gives them.  Rows are taken in order and kept when
+    independent of the kept ones, so on the transpose this is the column
+    rank profile.  Rows independent mod p at a point are independent over
+    the field, so the count is a lower bound of the exact rank.
 
     When ``leads`` is a list, it receives the leading (least) key of each
     kept row once reduced against the rows kept before it, in the order
-    kept, each before the next row is read (``rows`` may be a generator that
-    looks at ``leads``).  These keys are distinct, and a reduced row is zero
-    at every key below its own lead, so on the leading keys, in increasing
-    order, the reduced rows are triangular with a nonzero diagonal.  The
-    reduction adds to each kept row multiples of the rows kept before it, so
-    the kept rows themselves are independent mod p on the leading keys
-    alone.
+    kept.  These keys are distinct, and a reduced row is zero at every key
+    below its own lead, so on the leading keys, in increasing order, the
+    reduced rows are triangular with a nonzero diagonal.  The reduction adds
+    to each kept row multiples of the rows kept before it, so the kept rows
+    themselves are independent mod p on the leading keys alone.
     """
     p = MOD_PRIME
     basis = {}   # leading key -> kept row reduced mod p, leading entry 1
     kept = []
     for idx, row in enumerate(rows):
-        vec = {}
-        for c, x in row.items():
-            y = mod_image(x)
-            if y is None:
-                return None
-            if y:
-                vec[c] = y
+        vec = dict(row)
         while vec:
             lead = min(vec)
             base = basis.get(lead)
@@ -266,8 +270,9 @@ class BlockInverse:
     lists its keys in that order.  Block (rows, cols) of mat inverts to
     block (cols, rows) of the inverse, which has shape mat.ncols x
     mat.nrows.  Building checks every block: one that is not square raises
-    ConventionError, and one whose rank mod a fixed prime at a fixed point
-    of s (:func:`mod_row_profile`) is not full is factored exactly at once,
+    ConventionError, and one with an entry that has no image mod a fixed
+    prime at a fixed point of s (:func:`mod_vector`), or whose rank there
+    (:func:`mod_row_profile`) is not full, is factored exactly at once,
     which raises ConventionError when it is singular.  Another block is
     factored when :meth:`column` first reads a column of it, by one
     :func:`eliminate` of [B | I] without reduction upwards; each column read
@@ -289,8 +294,8 @@ class BlockInverse:
             k = len(self._blocks)
             self._blocks.append((rows, cols))
             self._pending.update((r, (k, b)) for b, r in enumerate(rows))
-            profile = mod_row_profile(self._read(k))
-            if profile is None or len(profile) < len(cols):
+            images = [mod_vector(row) for row in self._read(k)]
+            if None in images or len(mod_row_profile(images)) < len(cols):
                 self._factor(k)
 
     def column(self, r) -> dict:

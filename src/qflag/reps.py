@@ -16,20 +16,20 @@ them.
 The target rank of each weight space is its multiplicity, from Freudenthal's
 formula in integers at the dominant weights, spread over their Weyl orbits.
 The profile is first found mod a fixed prime at a fixed point of s, in one
-modular pass over the weight space: when it has exactly the target size,
-those columns are independent over Q(s) and the rank cannot exceed the
+modular pass over the weight space, which reads every candidate's raising
+column off the images mod p of the module's own E- and F-entries, each made
+when first read.  When the profile has exactly the target size, those
+columns are independent over Q(s) and the rank cannot exceed the
 multiplicity, so one exact reduced row echelon form of the rows the kept
 columns led with mod p confirms it (its pivots must be the profile) and
-gives every expansion of a dropped candidate in the kept ones.  Otherwise,
-or when an entry has no image mod the prime, every row of the raising
-matrix is reduced exactly; the module comes out the same either way.  The
-pass reduces exact columns until it has kept as many as the multiplicity;
-it reads every later column off the images mod p of the module's own E-
-and F-entries, each made when first read, so a later candidate is computed
-exactly only at the rows that RREF reads.  In symbolic mode a rank other
-than the multiplicity raises ConventionError at that weight space; the
-total dimension is also checked against the Weyl dimension formula, which
-doubles as the degeneration guard in specialized mode.
+gives every expansion of a dropped candidate in the kept ones: a kept
+candidate is computed exactly in full, any other only at those rows.
+Otherwise, or when an entry has no image mod the prime, every row of the
+raising matrix is reduced exactly; the module comes out the same either
+way.  In symbolic mode a rank other than the multiplicity raises
+ConventionError at that weight space; the total dimension is also checked
+against the Weyl dimension formula, which doubles as the degeneration guard
+in specialized mode.
 
 Every basis vector remembers its parent, e_t = F_j e_u, so the F-word that
 produced it; braid operators and Clebsch-Gordan embeddings both ride on that:
@@ -48,8 +48,8 @@ from .cartan import LieType, Weight
 from .errors import (ConventionError, DimensionGuardError, DomainError,
                      ReducibleModuleError, SpecializationError)
 from .linalg import (MOD_PRIME, BlockInverse, SparseMatrix, dv_add_scaled,
-                     eliminate, mod_image, mod_row_profile, rows_from_columns,
-                     staged_kernel)
+                     eliminate, mod_image, mod_row_profile, mod_vector,
+                     rows_from_columns, staged_kernel)
 from .scalars import QContext
 
 DEFAULT_GUARD = 64
@@ -110,108 +110,53 @@ class ModuleData:
         return out
 
 
-class _RaisingColumns:
-    """The raising matrix of one weight space, each column computed when read.
-
-    Column t is candidate t's E_i-images for every node i, merged (E_i lands
-    in weight nu + alpha_i, so the keys of different nodes never meet).
-    ``images(j, u)`` gives the exact images of candidate F_j.u per node, and
-    ``images_at(j, u, keys)`` its merged column at ``keys`` only.  Columns
-    read in full are kept per node in ``full``, by candidate.
-    """
-
-    def __init__(self, cands, images, images_at):
-        self.cands = cands
-        self._images = images
-        self._images_at = images_at
-        self.full = {}
-
-    def __len__(self):
-        return len(self.cands)
-
-    def node_images(self, t):
-        per_node = self.full.get(t)
-        if per_node is None:
-            per_node = self.full[t] = self._images(*self.cands[t])
-        return per_node
-
-    def __getitem__(self, t):
-        return {g: v for img in self.node_images(t) for g, v in img.items()}
-
-    def __iter__(self):
-        return (self[t] for t in range(len(self)))
-
-    def lead_columns(self, keys):
-        """Every column: in full when it was read so, else at ``keys`` only."""
-        return [self[t] if t in self.full else self._images_at(
-            *self.cands[t], keys) for t in range(len(self))]
-
-
-def _select_candidates(cols, want: int, mod_column=None):
+def _select_candidates(mods, want: int, column, column_at):
     """Column rank profile of a weight space's raising matrix, with the RREF.
 
-    ``cols[t]`` is the raising matrix's column for candidate F_j.u: its
-    E_i-images for every node i, merged.  On L(lam)_nu, nu != lam, the map
+    Column t of the raising matrix is candidate F_j.u's E_i-images for every
+    node i, merged (E_i lands in weight nu + alpha_i, so the keys of
+    different nodes never meet).  On L(lam)_nu, nu != lam, the map
     x -> (E_1 x, ..., E_n x) is injective: a nonzero vector every E_i kills
     would be a highest weight vector of a proper submodule.  So the
     candidates are dependent exactly when their columns are, the profile is
     the lowest-index set of candidates independent in L(lam)_nu, and the
     rank is the weight's multiplicity ``want``.
 
-    Returns the profile and rows whose column t expands candidate t in the
-    kept ones: the RREF of rows spanning the row space, which is unique.
-    The profile is first taken in Z/p at a fixed point, as the modular row
-    profile of the columns, in one pass that also gives each kept column's
-    leading row once reduced (:func:`qflag.linalg.mod_row_profile`).  When
-    it has ``want`` columns, they are independent over Q(s), so the rank is
-    ``want``; the kept columns are independent mod p on their ``want``
-    leading rows, so those rows are independent over Q(s) and span the row
-    space, and the pivots of their exact RREF over all candidates are the
-    exact profile, which is checked.  Otherwise, or when an entry has no
-    image mod p, every row is reduced exactly.
-
-    ``mod_column(t)``, when given, is column t mod p, read off the module's
-    own entries mod p, or None when one of those has no image; ``cols`` is
-    then a :class:`_RaisingColumns`.  Once the pass has kept ``want``
-    columns (``mod_row_profile`` reads one row at a time and reports each
-    lead before it reads the next), it reads every later column through
-    ``mod_column``, or exactly where that gives None, and the exact RREF
-    reads the columns not read exactly at the leading rows only.
+    ``mods[t]`` is column t mod p (:func:`qflag.linalg.mod_vector`), or None
+    when an entry has no image; ``column(t)`` is column t, exact, and
+    ``column_at(t, keys)`` the same at ``keys`` only.  Returns the profile
+    and rows whose column t expands candidate t in the kept ones: the RREF
+    of rows spanning the row space, which is unique.  The profile is first
+    taken in Z/p, as the modular row profile of ``mods``, which also gives
+    each kept column's leading row once reduced
+    (:func:`qflag.linalg.mod_row_profile`).  When it has ``want`` columns,
+    they are independent over Q(s), so the rank is ``want``; the kept
+    columns are independent mod p on their ``want`` leading rows, so those
+    rows are independent over Q(s) and span the row space.  The kept
+    columns are then read in full and the others at those rows only, and
+    the pivots of the rows' exact RREF over all candidates are the exact
+    profile, which is checked.  Otherwise, or when a column has no image
+    mod p, every column is read in full and every row is reduced exactly.
     """
-    m = len(cols)
-    leads = []
-
-    def rows():
-        for t in range(m):
-            col = None if len(leads) < want else mod_column(t)
-            yield cols[t] if col is None else col
-
-    profile = mod_row_profile(cols if mod_column is None else rows(), leads)
-    if profile is not None and len(profile) == want:
-        if want == m:
-            return profile, []
-        keys = sorted(leads)
-        read = list(cols) if mod_column is None else cols.lead_columns(keys)
-        pivots, red = eliminate(
-            [{t: col[g] for t, col in enumerate(read) if g in col}
-             for g in keys], m)
-        if pivots == profile:
-            return profile, red
-    pivots, red = eliminate(rows_from_columns(list(cols)), m)
+    m = len(mods)
+    if None not in mods:
+        leads = []
+        profile = mod_row_profile(mods, leads)
+        if len(profile) == want:
+            kept = set(profile)
+            keys = sorted(leads)
+            read = [column(t) if t in kept else column_at(t, keys)
+                    for t in range(m)]
+            if want == m:
+                return profile, []
+            pivots, red = eliminate(
+                [{t: col[g] for t, col in enumerate(read) if g in col}
+                 for g in keys], m)
+            if pivots == profile:
+                return profile, red
+    pivots, red = eliminate(rows_from_columns(
+        [column(t) for t in range(m)]), m)
     return pivots, red[:len(pivots)]
-
-
-def _mod_images(vec):
-    """The images mod p of a dict-vector's entries, zeros dropped, or None
-    when an entry has none."""
-    out = {}
-    for g, v in vec.items():
-        y = mod_image(v)
-        if y is None:
-            return None
-        if y:
-            out[g] = y
-    return out
 
 
 def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
@@ -278,7 +223,7 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
         # the same sum mod p, merged over the nodes; None when an entry it
         # reads has no image
         if u not in emod:
-            imgs = [_mod_images(img) for img in eimg[u]]
+            imgs = [mod_vector(img) for img in eimg[u]]
             emod[u] = None if None in imgs else imgs
         if emod[u] is None:
             return None
@@ -287,7 +232,7 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
             for g, cf in img.items():
                 key = (g, j)
                 if key not in fmod:
-                    fmod[key] = _mod_images(fimg[g][j] or {})
+                    fmod[key] = mod_vector(fimg[g][j] or {})
                 fg = fmod[key]
                 if fg is None:
                     return None
@@ -312,9 +257,15 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
             level_start = len(weights)
             emod.clear()
             fmod.clear()
-        cols = _RaisingColumns(cands, exact_images, exact_at)
+        full = {}       # candidate read in full -> its images per node
+
+        def column(t):
+            full[t] = exact_images(*cands[t])
+            return {g: v for img in full[t] for g, v in img.items()}
+
         profile, red = _select_candidates(
-            cols, want, lambda t: mod_column(*cands[t])) if cands else ([], [])
+            [mod_column(j, u) for j, u in cands], want, column,
+            lambda t, keys: exact_at(*cands[t], keys))
         if ctx.symbolic and len(profile) != want:
             raise ConventionError(
                 f"weight {nu}: rank {len(profile)}, multiplicity {want}")
@@ -326,7 +277,7 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
             j, u = cands[t]
             weights.append(nu)
             parents.append((j + 1, u))
-            eimg.append(cols.node_images(t))
+            eimg.append(full[t])
             fimg.append([None] * n)
         for t, (j, u) in enumerate(cands):
             if t in sel:

@@ -8,11 +8,11 @@ import pytest
 from oracles import dense_nullspace, dense_rref, dense_solve, invert_blocks
 from qflag.cartan import LieType
 from qflag.errors import ConventionError
-from qflag.linalg import (BlockInverse, SpanBasis, SparseMatrix,
+from qflag.linalg import (MOD_POINT, BlockInverse, SpanBasis, SparseMatrix,
                           column_rank_profile, dv_add_scaled, eliminate,
                           invert_dense, kernel_combinations, mod_row_profile,
-                          nullspace, rank, rows_from_columns, solve_unique,
-                          staged_kernel)
+                          mod_vector, nullspace, rank, rows_from_columns,
+                          solve_unique, staged_kernel)
 from qflag.reps import (LusztigOperators, build_irreducible, context_for,
                         decompose, dual_module, tensor)
 from qflag.rmatrix import braiding
@@ -114,7 +114,8 @@ def test_engine_matches_dense_reference(one, entry):
         cols = [{r: row[c] for r, row in enumerate(dense) if row[c]}
                 for c in range(ncols)]
         leads = []
-        assert mod_row_profile(cols, leads) == want_piv
+        assert mod_row_profile([mod_vector(c) for c in cols],
+                               leads) == want_piv
         assert rank([{a: dense[r][c] for a, c in enumerate(want_piv)
                       if dense[r][c]} for r in leads],
                     len(want_piv)) == len(want_piv)
@@ -356,6 +357,27 @@ def test_block_inverse_checks_a_block_no_one_reads(factored):
     assert inv.matvec({3: one, 1: one}) == {3: Fraction(1, 2), 1: one}
     assert inv.column(3) == {3: Fraction(1, 2)}
     assert calls == [1, 1]
+
+
+def test_block_inverse_factors_a_block_with_a_pole_at_once(factored):
+    # an entry with a pole at the modular point has no image mod p, so its
+    # block is factored exactly when the inverse is built; the other block
+    # waits for its first read, and every column equals the dense inverse
+    one, zero, s = CTX.one, CTX.zero, CTX.s_power(1)
+    pole = one / (s - MOD_POINT)
+    assert mod_vector({1: pole}) is None
+    dense = [[s, zero, zero], [zero, pole, s], [zero, one, s + one]]
+    mat = SparseMatrix.from_entries(3, 3, (
+        ((r, c), v) for r, row in enumerate(dense) for c, v in enumerate(row)))
+    inv = BlockInverse(mat, [([0], [0]), ([1, 2], [1, 2])], one)
+    assert factored == [2]
+    pivots, red = dense_rref(
+        [row + [one if i == j else zero for j in range(3)]
+         for i, row in enumerate(dense)], 3)
+    assert pivots == [0, 1, 2]
+    assert [[inv.column(j).get(i, zero) for j in range(3)]
+            for i in range(3)] == [row[3:] for row in red]
+    assert factored == [2, 1]
 
 
 def from_dense(dense, ncols):

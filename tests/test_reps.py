@@ -800,11 +800,7 @@ def raising_columns(m):
 
 
 def images_mod_p(cols):
-    out = []
-    for col in cols:
-        img = {g: linalg.mod_image(v) for g, v in col.items()}
-        out.append({g: y for g, y in img.items() if y})
-    return out
+    return [linalg.mod_vector(col) for col in cols]
 
 
 def modular_passes(monkeypatch):
@@ -829,6 +825,32 @@ def modular_passes(monkeypatch):
     return passes
 
 
+def recorded_reads(monkeypatch):
+    """Per weight space, in build order: its columns mod p, its profile,
+    the (candidate, column) pairs read in full, in order, and the columns
+    read at the lead rows only, by candidate."""
+    spaces = []
+    select = reps._select_candidates
+
+    def record(mods, want, column, column_at):
+        full, at = [], {}
+
+        def reading(t):
+            full.append((t, column(t)))
+            return full[-1][1]
+
+        def reading_at(t, keys):
+            at[t] = column_at(t, keys)
+            return at[t]
+
+        out = select(mods, want, reading, reading_at)
+        spaces.append((mods, out[0], full, at))
+        return out
+
+    monkeypatch.setattr(reps, "_select_candidates", record)
+    return spaces
+
+
 def test_modular_profile_matches_exact_on_real_raising_matrices(monkeypatch):
     # every column the build reduces mod p is the image of the exact
     # raising column, and on these raising matrices the modular profile is
@@ -837,11 +859,11 @@ def test_modular_profile_matches_exact_on_real_raising_matrices(monkeypatch):
     m = build_irreducible(context_for(B2), B2, (2, 2), guard=100)
     spaces = raising_columns(m)
     assert len(spaces) > 30 and any(len(c) > 4 for _, _, c in spaces)
-    assert [images_mod_p(rows) for rows, _ in passes] == [
+    assert [rows for rows, _ in passes] == [
         images_mod_p(cols) for _, _, cols in spaces]
     for (_, want, cols), (_, profile) in zip(spaces, passes):
         exact = column_rank_profile(rows_from_columns(cols), len(cols))
-        assert mod_row_profile(cols) == profile == exact
+        assert mod_row_profile(images_mod_p(cols)) == profile == exact
         assert len(profile) == want
 
 
@@ -858,22 +880,21 @@ def counting(monkeypatch, name):
 
 
 def test_modular_path_needs_no_exact_profile(monkeypatch):
-    # every weight space takes the modular path, reading the columns after
-    # the multiplicity is reached off the module's own images mod p: the
-    # modular profile has the multiplicity's size, and one exact RREF of
-    # that many rows confirms it (none when every candidate is kept); a
-    # fallback adds an elimination of every row
+    # every weight space takes the modular path, every candidate read mod p
+    # off the module's own images: the modular profile has the
+    # multiplicity's size, and one exact RREF of that many rows confirms it
+    # (none when every candidate is kept); a fallback adds an elimination
+    # of every row
     spaces = []
     passes = modular_passes(monkeypatch)
     calls = counting(monkeypatch, "eliminate")
     inverses = counting(monkeypatch, "BlockInverse")
     select = reps._select_candidates
 
-    def record(cols, want, mod_column=None):
+    def record(mods, want, column, column_at):
         starts = len(passes), len(calls)
-        out = select(cols, want, mod_column)
-        spaces.append((len(cols), want, mod_column, passes[starts[0]:],
-                       calls[starts[1]:]))
+        out = select(mods, want, column, column_at)
+        spaces.append((mods, want, passes[starts[0]:], calls[starts[1]:]))
         return out
 
     monkeypatch.setattr(reps, "_select_candidates", record)
@@ -881,9 +902,10 @@ def test_modular_path_needs_no_exact_profile(monkeypatch):
     # specialized mode: Fractions take the same path
     build_irreducible(context_for(C2, s0=Fraction(3, 2)), C2, (2, 1))
     assert inverses == []
-    assert any(want < m for m, want, _, _, _ in spaces)
-    for m, want, mod_column, space_passes, elims in spaces:
-        assert mod_column is not None
+    assert any(want < len(mods) for mods, want, _, _ in spaces)
+    for mods, want, space_passes, elims in spaces:
+        assert None not in mods
+        m = len(mods)
         [(rows, profile)] = space_passes
         assert len(rows) == m and profile is not None
         assert len(profile) == want
@@ -900,9 +922,9 @@ def test_one_modular_pass_per_weight_space(monkeypatch):
     selected = []
     select = reps._select_candidates
 
-    def record(cols, want, mod_column=None):
+    def record(mods, want, column, column_at):
         starts = len(passes), len(calls)
-        out = select(cols, want, mod_column)
+        out = select(mods, want, column, column_at)
         selected.append((passes[starts[0]:], calls[starts[1]:]))
         return out
 
@@ -916,7 +938,7 @@ def test_one_modular_pass_per_weight_space(monkeypatch):
     for (_, want, cols), (space_passes, elims) in zip(spaces, selected):
         [(rows, profile)] = space_passes
         images = images_mod_p(cols)
-        assert images_mod_p(rows) == images
+        assert rows == images
         leads = []
         assert mod_row_profile(images, leads) == profile
         m = len(cols)
@@ -927,34 +949,58 @@ def test_one_modular_pass_per_weight_space(monkeypatch):
 
 @pytest.mark.parametrize("lie,lam", [(B2, (2, 2)), (C3, (0, 0, 2))])
 def test_later_candidates_are_exact_at_lead_rows_only(monkeypatch, lie, lam):
-    # once the modular pass has kept the multiplicity's count, a later
-    # candidate's raising column is never computed exactly in full: the
-    # exact RREF reads it at the kept columns' leading rows only
-    selected = []
-    select = reps._select_candidates
-
-    def record(cols, want, mod_column=None):
-        out = select(cols, want, mod_column)
-        selected.append((cols, out[0]))
-        return out
-
-    monkeypatch.setattr(reps, "_select_candidates", record)
+    # a candidate the modular pass drops is never computed exactly in full:
+    # the exact RREF reads it at the kept columns' leading rows only, and
+    # each kept candidate is read in full once
+    spaces = recorded_reads(monkeypatch)
     m = build_irreducible(context_for(lie), lie, lam, guard=100)
-    later = 0
-    for (cols, profile), (_, want, exact) in zip(selected,
-                                                 raising_columns(m)):
+    dropped = 0
+    for (mods, profile, full, at), (_, want, exact) in zip(
+            spaces, raising_columns(m)):
         assert len(profile) == want
-        point = profile[-1]        # where the pass has kept want columns
-        assert sorted(cols.full) == list(range(point + 1))
-        assert [cols[t] for t in range(point + 1)] == exact[:point + 1]
+        assert full == [(t, exact[t]) for t in profile]
         leads = []
-        mod_row_profile(exact, leads)
-        at_leads = cols.lead_columns(leads)
-        for t in range(point + 1, len(cols)):
-            later += 1
-            assert at_leads[t] == {g: v for g, v in exact[t].items()
-                                   if g in leads}
-    assert later > 50
+        mod_row_profile(mods, leads)
+        assert sorted(at) == [t for t in range(len(exact))
+                              if t not in profile]
+        for t, col in at.items():
+            dropped += 1
+            assert col == {g: v for g, v in exact[t].items() if g in leads}
+    assert dropped > 50
+
+
+@pytest.mark.parametrize("lie,lam,dim", [(B2, (2, 2), 81),
+                                         (C3, (0, 0, 2), 84)])
+def test_a_build_reads_one_full_column_per_kept_candidate(monkeypatch, lie,
+                                                          lam, dim):
+    # every basis vector below the highest is a kept candidate, and no
+    # other candidate's raising column is computed in full
+    spaces = recorded_reads(monkeypatch)
+    m = build_irreducible(context_for(lie), lie, lam, guard=100)
+    assert m.dim == dim
+    assert sum(len(full) for _, _, full, _ in spaces) == dim - 1
+
+
+def test_no_int_is_imaged_mod_p(monkeypatch):
+    # the build's columns mod p are residues already and reach the modular
+    # profile as they are: neither a build (with dropped candidates, in
+    # both modes) nor a Clebsch-Gordan decomposition images an int
+    imaged = []
+    image = linalg.mod_image
+
+    def recording(v):
+        imaged.append(type(v))
+        return image(v)
+
+    for mod in (linalg, reps):
+        monkeypatch.setattr(mod, "mod_image", recording)
+    ctx = context_for(B2)
+    v = build_irreducible(ctx, B2, (1, 1))
+    build_irreducible(context_for(B2, s0=Fraction(3, 2)), B2, (1, 1))
+    built = len(imaged)
+    decompose(v, build_irreducible(ctx, B2, (1, 0)), store_for(B2, ctx))
+    assert 0 < built < len(imaged)
+    assert int not in imaged
 
 
 def test_fallback_on_vanishing_denominator(monkeypatch):
@@ -965,9 +1011,12 @@ def test_fallback_on_vanishing_denominator(monkeypatch):
     # three candidates, the second equal to the first
     cols = [{0: pole, 1: one, 2: one}, {0: pole, 1: one, 2: one},
             {0: one, 1: two, 2: one}]
-    assert mod_row_profile(cols) is None
+    mods = images_mod_p(cols)
+    assert mods[:2] == [None, None]
     calls = counting(monkeypatch, "eliminate")
-    profile, red = reps._select_candidates(cols, 2)
+    profile, red = reps._select_candidates(
+        mods, 2, cols.__getitem__,
+        lambda t, keys: {g: v for g, v in cols[t].items() if g in keys})
     assert calls == [(rows_from_columns(cols), 3)]    # every row, exactly
     assert profile == [0, 2]
     assert [row.get(1, zero) for row in red] == [one, zero]
@@ -990,40 +1039,38 @@ def test_exact_fallback_builds_the_same_module(monkeypatch, lie, lam):
                      for _, _, cols in spaces]
 
 
-def test_later_candidates_without_images_are_read_exactly(monkeypatch):
-    # once the module's entries have no image mod p, a later candidate that
-    # reads one is reduced from its exact column instead, and the module is
-    # the same
+def test_a_candidate_without_an_image_reduces_its_space_exactly(monkeypatch):
+    # one candidate of a weight space that drops candidates has no image
+    # mod p: that space reduces every row of its exact raising matrix, the
+    # others keep the modular path, and the module is the same
     ctx = context_for(B2)
-    ref = module_digest(build_irreducible(ctx, B2, (2, 2), guard=100))
-    asked = []
-    image = reps.mod_image
-
-    def failing(v):
-        asked.append(v)
-        return None if len(asked) > 200 else image(v)
-
-    monkeypatch.setattr(reps, "mod_image", failing)
-    read = []      # per later candidate: (has an image mod p, read in full)
+    ref = build_irreducible(ctx, B2, (2, 2), guard=100)
+    spaces = raising_columns(ref)
+    target = next(k for k, (_, want, cols) in enumerate(spaces)
+                  if 1 < want < len(cols))
+    calls = counting(monkeypatch, "eliminate")
+    elims = []
     select = reps._select_candidates
 
-    def record(cols, want, mod_column):
-        got = {}
-
-        def recording(t):
-            got[t] = mod_column(t)
-            return got[t]
-
-        out = select(cols, want, recording)
-        read.extend((col is not None, t in cols.full)
-                    for t, col in got.items())
+    def record(mods, want, column, column_at):
+        if len(elims) == target:
+            mods = mods[:-1] + [None]
+        start = len(calls)
+        out = select(mods, want, column, column_at)
+        elims.append(calls[start:])
         return out
 
     monkeypatch.setattr(reps, "_select_candidates", record)
-    m = build_irreducible(ctx, B2, (2, 2), guard=100)
-    assert module_digest(m) == ref
-    assert (True, False) in read and (False, True) in read
-    assert all(imaged != full for imaged, full in read)
+    assert module_digest(build_irreducible(ctx, B2, (2, 2), guard=100)) == \
+        module_digest(ref)
+    assert len(elims) == len(spaces)
+    for k, ((_, want, cols), space_elims) in enumerate(zip(spaces, elims)):
+        m = len(cols)
+        if k == target:
+            assert space_elims == [(rows_from_columns(cols), m)]
+        else:
+            assert [(len(rows), ncols) for rows, ncols in space_elims] == (
+                [] if want == m else [(want, m)])
 
 
 def test_rank_against_multiplicity_checked_per_weight(monkeypatch):
