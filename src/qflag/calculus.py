@@ -35,7 +35,7 @@ from functools import partial
 
 from . import cartan
 from .cartan import FlagSpec
-from .errors import DomainError, TruncationError
+from .errors import DomainError
 from .linalg import (SpanBasis, SparseMatrix, dv_add_scaled,
                      kernel_combinations, rank, rows_from_columns,
                      staged_kernel)
@@ -53,8 +53,6 @@ class Calculus:
         self.flag = flag
         self.word = tuple(word) if word is not None else \
             cartan.longest_word(algebra.lie)
-        if not cartan.is_reduced_for_w0(algebra.lie, self.word):
-            raise DomainError("word is not reduced for the longest element")
         seq = cartan.root_sequence(algebra.lie, self.word)
         x = flag.crossed
         self.positions = tuple((r + 1, beta) for r, beta in enumerate(seq)
@@ -253,7 +251,8 @@ def gamma_crosscheck(algebra: PWAlgebra, flag: FlagSpec, trunc: int = 2,
     Both kernels are computed inside the realized span of words of length at
     most ``trunc`` in the generators.  The quotient route's relation module is
     the Leibniz image of the full realization kernel (all algebra relations
-    at this truncation); disagreement is reported loudly.
+    at this truncation).  A slice where the kernels disagree has ``agree``
+    false and makes the report's ``ok`` false; it is not an error.
     """
     gens = algebra.generators(flag)
     calc = Calculus(algebra, flag)
@@ -331,8 +330,4 @@ def gamma_crosscheck(algebra: PWAlgebra, flag: FlagSpec, trunc: int = 2,
         })
         if not agree:
             report["ok"] = False
-    if not report["ok"]:
-        raise TruncationError(
-            "quotient-route and tangent-route kernels disagree: " +
-            repr(report["slices"]))
     return report

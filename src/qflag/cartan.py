@@ -220,16 +220,15 @@ def longest_word(lie: LieType):
 
 
 def is_reduced_for_w0(lie: LieType, word) -> bool:
-    if len(word) != len(positive_roots(lie)):
-        return False
+    """Whether :func:`root_sequence` accepts word."""
     try:
-        seq = root_sequence(lie, word, _check=False)
+        root_sequence(lie, word)
     except DomainError:
         return False
-    return set(seq) == set(positive_roots(lie))
+    return True
 
 
-def root_sequence(lie: LieType, word, _check=True):
+def root_sequence(lie: LieType, word):
     """beta_r = s_{i_1}...s_{i_{r-1}}(alpha_{i_r}) for a reduced word of w0."""
     n = lie.rank
     seq = []
@@ -238,7 +237,7 @@ def root_sequence(lie: LieType, word, _check=True):
         for t in range(r - 1, -1, -1):
             beta = reflect_root(lie, word[t], beta)
         seq.append(beta)
-    if _check and set(seq) != set(positive_roots(lie)):
+    if set(seq) != set(positive_roots(lie)):
         raise DomainError("word is not a reduced decomposition of w0")
     return tuple(seq)
 

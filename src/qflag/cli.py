@@ -423,10 +423,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except QflagError as exc:
-        print(f"qflag: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (QflagError, ValueError) as exc:
         print(f"qflag: error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,19 +17,23 @@ The target rank of each weight space is its multiplicity, from Freudenthal's
 formula in integers at the dominant weights, spread over their Weyl orbits.
 The profile is first found mod a fixed prime at a fixed point of s, in one
 modular pass over the weight space, which reads every candidate's raising
-column off the images mod p of the module's own E- and F-entries, each made
-when first read.  When the profile has exactly the target size, those
-columns are independent over Q(s) and the rank cannot exceed the
-multiplicity, so one exact reduced row echelon form of the rows the kept
-columns led with mod p confirms it (its pivots must be the profile) and
-gives every expansion of a dropped candidate in the kept ones: a kept
-candidate is computed exactly in full, any other only at those rows.
-Otherwise, or when an entry has no image mod the prime, every row of the
-raising matrix is reduced exactly; the module comes out the same either
-way.  In symbolic mode a rank other than the multiplicity raises
-ConventionError at that weight space; the total dimension is also checked
-against the Weyl dimension formula, which doubles as the degeneration guard
-in specialized mode.
+column off the images mod p of the module's own E- and F-entries.  Each
+image is made once, with its entry: a kept candidate's E-image is its
+raising column mod p from that pass, a kept candidate's F-column is a unit
+vector, and a dropped candidate's F-column (its expansion) is imaged entry
+by entry.  When the profile has exactly the target size, those columns are
+independent over Q(s) and the rank cannot exceed the multiplicity, so one
+exact reduced row echelon form of the rows the kept columns led with mod p
+confirms it (its pivots must be the profile) and gives every expansion of a
+dropped candidate in the kept ones: a kept candidate is computed exactly in
+full, any other only at those rows.  Otherwise, or when an entry has no
+image mod the prime, every row of the raising matrix is reduced exactly;
+the module comes out the same either way.  In symbolic mode a rank other
+than the multiplicity raises ConventionError at that weight space; the
+total dimension is also checked against the Weyl dimension formula, which
+doubles as the degeneration guard in specialized mode.  A basis vector
+keeps its E-images merged over the nodes until the last weight space is
+built, and E_i is then split out by weight.
 
 Every basis vector remembers its parent, e_t = F_j e_u, so the F-word that
 produced it; braid operators and Clebsch-Gordan embeddings both ride on that:
@@ -179,72 +183,46 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
 
     weights = [tuple(lam)]
     parents = [None]
-    eimg = [[{} for _ in range(n)]]           # per global, per node: dict-vec
-    fimg = [[None] * n]                       # filled as weights are processed
+    eimg = [{}]         # per basis vector: its E-images, merged over the nodes
+    fimg = [[{}] * n]                         # filled as weights are processed
     spaces = {tuple(lam): range(1)}           # weight -> its basis indices
-    # images mod p of eimg[u] and fimg[g][j], made when a later candidate
-    # first reads them, for u one level and g two levels above the weights
-    # being built; None when an entry has no image
-    emod, fmod, qmod = {}, {}, {}
-    level_start = 0                 # first basis index of the current level
+    # the images mod p of eimg[g] and of every fimg[g][j], each made with its
+    # entry; None when an entry has no image
+    emod, fmod, qmod = [{}], [[{}] * n], {}
 
-    def exact_images(j, u):
-        # E_i(F_j u) = F_j(E_i u) + d_ij [mu_i] u for every node i
-        wu = weights[u]
-        per_node = []
-        for i in range(n):
-            acc = {}
-            for g, cf in eimg[u][i].items():
-                fg = fimg[g][j]
-                if fg:
-                    dv_add_scaled(acc, fg, cf)
-            if i == j and wu[i]:
-                dv_add_scaled(acc, {u: one}, ctx.qint(wu[i], d[i]))
-            per_node.append(acc)
-        return per_node
-
-    def exact_at(j, u, keys):
-        # the same sum at keys only, merged over the nodes
+    def raising(j, u, keys=None):
+        # E(F_j u) = F_j(E u) + [mu_j] u, merged over the nodes: E_i lands in
+        # weight wt(u) - alpha_j + alpha_i, so their keys never meet; at keys
+        # only when given
         col = {}
-        for img in eimg[u]:
-            for g, cf in img.items():
-                fg = fimg[g][j]
-                if fg:
-                    for k in keys:
-                        if k in fg:
-                            x = cf * fg[k]
-                            col[k] = col[k] + x if k in col else x
-        if weights[u][j] and u in keys:
-            x = ctx.qint(weights[u][j], d[j])
-            col[u] = col[u] + x if u in col else x
-        return {k: v for k, v in col.items() if v}
+        for g, cf in eimg[u].items():
+            fg = fimg[g][j]
+            if fg:
+                dv_add_scaled(col, fg if keys is None else
+                              {k: fg[k] for k in keys if k in fg}, cf)
+        mu = weights[u][j]
+        if mu and (keys is None or u in keys):
+            dv_add_scaled(col, {u: one}, ctx.qint(mu, d[j]))
+        return col
 
-    def mod_column(j, u):
-        # the same sum mod p, merged over the nodes; None when an entry it
-        # reads has no image
-        if u not in emod:
-            imgs = [mod_vector(img) for img in eimg[u]]
-            emod[u] = None if None in imgs else imgs
+    def raising_mod(j, u):
+        # the same column mod p, off the images; None when one is missing
         if emod[u] is None:
             return None
         col = {}
-        for i, img in enumerate(emod[u]):
-            for g, cf in img.items():
-                key = (g, j)
-                if key not in fmod:
-                    fmod[key] = mod_vector(fimg[g][j] or {})
-                fg = fmod[key]
-                if fg is None:
-                    return None
-                for k, v in fg.items():
-                    col[k] = col.get(k, 0) + cf * v
-            if i == j and weights[u][i]:
-                key = (weights[u][i], d[i])
-                if key not in qmod:
-                    qmod[key] = mod_image(ctx.qint(*key))
-                if qmod[key] is None:
-                    return None
-                col[u] = col.get(u, 0) + qmod[key]
+        for g, cf in emod[u].items():
+            fg = fmod[g][j]
+            if fg is None:
+                return None
+            for k, v in fg.items():
+                col[k] = col.get(k, 0) + cf * v
+        key = (weights[u][j], d[j])
+        if key[0]:
+            if key not in qmod:
+                qmod[key] = mod_image(ctx.qint(*key))
+            if qmod[key] is None:
+                return None
+            col[u] = col.get(u, 0) + qmod[key]
         return {k: r for k, y in col.items() if (r := y % MOD_PRIME)}
 
     # parents before children: the order of weight_multiplicities, lam first
@@ -253,19 +231,15 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
     for nu, want in mults:
         cands = [(j, u) for j in range(n) for u in spaces.get(
             tuple(a + b for a, b in zip(nu, alpha_fw[j])), ())]
-        if cands and cands[0][1] >= level_start:    # one level further down
-            level_start = len(weights)
-            emod.clear()
-            fmod.clear()
-        full = {}       # candidate read in full -> its images per node
+        mods = [raising_mod(j, u) for j, u in cands]
+        full = {}       # candidate read in full -> its raising column
 
         def column(t):
-            full[t] = exact_images(*cands[t])
-            return {g: v for img in full[t] for g, v in img.items()}
+            full[t] = raising(*cands[t])
+            return full[t]
 
         profile, red = _select_candidates(
-            [mod_column(j, u) for j, u in cands], want, column,
-            lambda t, keys: exact_at(*cands[t], keys))
+            mods, want, column, lambda t, keys: raising(*cands[t], keys))
         if ctx.symbolic and len(profile) != want:
             raise ConventionError(
                 f"weight {nu}: rank {len(profile)}, multiplicity {want}")
@@ -278,13 +252,17 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
             weights.append(nu)
             parents.append((j + 1, u))
             eimg.append(full[t])
-            fimg.append([None] * n)
+            emod.append(mods[t])    # the image of a sum is the sum of images
+            fimg.append([{}] * n)
+            fmod.append([{}] * n)
         for t, (j, u) in enumerate(cands):
             if t in sel:
                 fimg[u][j] = {sel[t]: one}
+                fmod[u][j] = {sel[t]: 1}
             else:
                 fimg[u][j] = {base + k: row[t] for k, row in enumerate(red)
                               if t in row}
+                fmod[u][j] = mod_vector(fimg[u][j])
         spaces[nu] = range(base, len(weights))
 
     total = len(weights)
@@ -295,14 +273,21 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
         raise ConventionError(
             f"construction produced dim {total}, Weyl dimension is {dim}")
 
-    def gen_mats(imgs):    # column g of node i's matrix is imgs[g][i]
-        return tuple(SparseMatrix(total, total, {
-            g: img[i] or {} for g, img in enumerate(imgs)}) for i in range(n))
-
+    emod.clear()        # read no more: freed before the split below
+    fmod.clear()
+    # E_i is the part of eimg[g] one simple root alpha_i above weights[g]
+    node = {a: i for i, a in enumerate(alpha_fw)}
+    e_cols = [{} for _ in range(n)]
+    for g, img in enumerate(eimg):
+        for r, v in img.items():
+            i = node[tuple(a - b for a, b in zip(weights[r], weights[g]))]
+            e_cols[i].setdefault(g, {})[r] = v
     k_exps = tuple(tuple(d[i] * w[i] for w in weights) for i in range(n))
     return ModuleData(
         lie=lie, ctx=ctx, highest=tuple(lam), dim=total, weights=tuple(weights),
-        e_mats=gen_mats(eimg), f_mats=gen_mats(fimg),
+        e_mats=tuple(SparseMatrix(total, total, cols) for cols in e_cols),
+        f_mats=tuple(SparseMatrix(total, total, {
+            g: img[j] for g, img in enumerate(fimg)}) for j in range(n)),
         k_exps=k_exps, highest_index=0, parents=tuple(parents))
 
 
@@ -323,12 +308,11 @@ def tensor(m1: ModuleData, m2: ModuleData) -> ModuleData:
     e_mats = []
     f_mats = []
     for i in range(n):
-        kq = [ctx.q_power(e) for e in m2.k_exps[i]]
+        kq, kinv = m2.k_values(i + 1), m1.k_values(i + 1, -1)
         e1, e2 = m1.e_mats[i].cols, m2.e_mats[i].cols
         f1, f2 = m1.f_mats[i].cols, m2.f_mats[i].cols
         ee, ff = {}, {}
         for a in range(m1.dim):
-            kinv = ctx.q_power(-m1.k_exps[i][a])
             for b in range(d2):
                 # Delta(E) = E (x) K + 1 (x) E, Delta(F) = F (x) 1 + K^-1 (x) F
                 e_col = {a * d2 + r: v for r, v in e2.get(b, {}).items()}
@@ -337,7 +321,7 @@ def tensor(m1: ModuleData, m2: ModuleData) -> ModuleData:
                 ee[a * d2 + b] = e_col
                 f_col = {r * d2 + b: v for r, v in f1.get(a, {}).items()}
                 dv_add_scaled(f_col, {a * d2 + r: v for r, v in
-                                      f2.get(b, {}).items()}, kinv)
+                                      f2.get(b, {}).items()}, kinv[a])
                 ff[a * d2 + b] = f_col
         e_mats.append(SparseMatrix(dim, dim, ee))
         f_mats.append(SparseMatrix(dim, dim, ff))
@@ -354,12 +338,12 @@ def dual_module(m: ModuleData) -> ModuleData:
     e_mats = []
     f_mats = []
     for i in range(n):
-        k = m.k_exps[i]
+        k, kinv = m.k_values(i + 1), m.k_values(i + 1, -1)
         e_mats.append(SparseMatrix(m.dim, m.dim, {
-            r: {c: -(v * ctx.q_power(-k[c])) for c, v in col.items()}
+            r: {c: -(v * kinv[c]) for c, v in col.items()}
             for r, col in m.e_mats[i].transpose().cols.items()}))
         f_mats.append(SparseMatrix(m.dim, m.dim, {
-            r: {c: -(ctx.q_power(k[r]) * v) for c, v in col.items()}
+            r: {c: -(k[r] * v) for c, v in col.items()}
             for r, col in m.f_mats[i].transpose().cols.items()}))
     weights = tuple(tuple(-x for x in w) for w in m.weights)
     k_exps = tuple(tuple(-e for e in m.k_exps[i]) for i in range(n))

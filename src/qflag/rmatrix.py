@@ -8,9 +8,11 @@ F-words from its values there, one matrix-vector product per column and no
 linear solve:
     R(e_0 (x) f_j) = q^((lam, wt f_j)) f_j (x) e_0,
 since a term f_k (x) e_l with wt f_k < wt f_j would need wt e_l above lam;
-and for e_i = F_a e_p, with Delta(F_a) = F_a (x) 1 + K_a^-1 (x) F_a,
-    R(e_i (x) f_j) = F_a R(e_p (x) f_j)
-                     - q^(-(alpha_a, wt e_p)) sum_r (F_a)_rj R(e_p (x) f_r).
+and for e_i = F_a e_p, Delta(F_a)(e_p (x) f_j) = e_i (x) f_j
++ K_a^-1 e_p (x) F_a f_j, so
+    R(e_i (x) f_j) = Delta(F_a) R(e_p (x) f_j) - R(K_a^-1 e_p (x) F_a f_j),
+the last term a combination of the known R(e_p (x) f_r).  Both Delta(F_a)
+are read off the tensor modules V (x) W and W (x) V (:func:`qflag.reps.tensor`).
 :func:`qflag.reps.check_intertwines` then certifies the result exactly; an
 intertwiner is fixed by its values on a generating set, so it is the unique
 braiding with those leading terms.
@@ -59,19 +61,20 @@ def braiding(v: ModuleData, w: ModuleData) -> Braiding:
     ctx = v.ctx
     dv, dw = v.dim, w.dim
     wv = tensor(w, v)
+    vw = wv if v is w else tensor(v, w)
     cols = [{j * dv: ctx.q_power(cartan.bilinear(v.lie, v.highest, wt))}
             for j, wt in enumerate(w.weights)]
-    for a, p in v.parents[1:]:
-        f_wv, f_w = wv.f_mats[a - 1], w.f_mats[a - 1].cols
-        minus_kinv = -ctx.q_power(-v.k_exps[a - 1][p])
-        prev = cols[p * dw:(p + 1) * dw]
+    for t, (a, p) in enumerate(v.parents[1:], 1):
+        f_wv, f_vw = wv.f_mats[a - 1], vw.f_mats[a - 1].cols
         for j in range(dw):
-            col = f_wv.matvec(prev[j])
-            for r, x in f_w.get(j, {}).items():
-                dv_add_scaled(col, prev[r], minus_kinv * x)
+            # Delta(F_a)(e_p (x) f_j) is e_t (x) f_j, entry 1, plus known terms
+            col = f_wv.matvec(cols[p * dw + j])
+            for r, x in f_vw.get(p * dw + j, {}).items():
+                if r != t * dw + j:
+                    dv_add_scaled(col, cols[r], -x)
             cols.append(col)
     mat = SparseMatrix(dv * dw, dv * dw, dict(enumerate(cols)))
-    if not check_intertwines(mat, wv if v is w else tensor(v, w), wv):
+    if not check_intertwines(mat, vw, wv):
         raise ConventionError("the transported braiding does not intertwine")
     br = Braiding(v, w, mat)
     object.__setattr__(br, "certified", True)

@@ -4,6 +4,7 @@ from oracles import h0_one_shot
 from qflag.calculus import (Calculus, act_f_orbit_rows, z_power,
                             zbar_power)
 from qflag.cartan import FlagSpec, LieType, longest_word, weyl_dim
+from qflag.errors import DomainError
 from qflag.linalg import SpanBasis, SparseMatrix
 from qflag.peterweyl import GradedSlice, PWAlgebra
 from qflag.reps import BraidOperators, LusztigOperators, RootVector
@@ -29,6 +30,11 @@ def test_dbar_on_generators(algebras, flag_of):
     for zb in gens.zbar:
         assert calc.del_(zb) == {}
     assert any(calc.del_(z) for z in gens.z)
+
+
+def test_calculus_refuses_a_word_that_is_not_reduced(algebras, flag_of):
+    with pytest.raises(DomainError, match="reduced"):
+        Calculus(algebras("A2"), flag_of("A2/1"), word=(1, 1, 2))
 
 
 def test_h0_podles_tower(algebras, flag_of):

@@ -154,6 +154,27 @@ def test_borel_weil_word_check_and_crosscheck(capsys, monkeypatch):
     assert len(lams) == len(set(lams))
 
 
+def test_a_failed_crosscheck_is_a_report(capsys, monkeypatch):
+    # with a broken tangent route the two kernels disagree: the command
+    # still prints its reports, the cross-check's slices with ok false, and
+    # exits 1 (a failed check), not 2 (an error)
+    from qflag.calculus import Calculus
+    monkeypatch.setattr(Calculus, "dbar_at", lambda self, *args, **kw: {})
+    code, out, _ = run_cli(capsys, "borel-weil", "--flag", "A1/1", "--k",
+                           "0:1", "--depth", "3", "--crosscheck")
+    assert code == 1
+    doc = json.loads(out)
+    validate(doc)
+    cross = doc["gamma_crosscheck"]
+    assert cross["ok"] is False and not doc["ok"]
+    assert cross["slices"] and not all(s["agree"] for s in cross["slices"])
+    code, out, _ = run_cli(capsys, "verify", "--flag", "A1/1", "--suite",
+                           "gamma")
+    assert code == 1
+    [rep] = json.loads(out)["reports"]
+    assert rep["ok"] is False and rep["slices"] and "error" not in rep
+
+
 def test_guard_below_one_is_usage_error(capsys, monkeypatch):
     # every module has dimension >= 1, so such a guard would refuse V_0
     # itself: the option is refused by name before any module is built

@@ -981,6 +981,29 @@ def test_a_build_reads_one_full_column_per_kept_candidate(monkeypatch, lie,
     assert sum(len(full) for _, _, full, _ in spaces) == dim - 1
 
 
+@pytest.mark.parametrize("lie,lam,dropped", [(B2, (2, 2), 64),
+                                             (C3, (0, 0, 2), 89)])
+def test_a_build_images_each_dropped_f_column_once(monkeypatch, lie, lam,
+                                                   dropped):
+    # the images mod p of a kept candidate's entries come from the modular
+    # pass itself (its raising column, and a unit F-column), so a build
+    # images only the F-columns of its dropped candidates, once each, in
+    # build order, and never an E-image
+    calls = counting(monkeypatch, "mod_vector")
+    m = build_irreducible(context_for(lie), lie, lam, guard=100)
+    n = lie.rank
+    amat = cartan.cartan_matrix(lie)
+    idx = m.weight_indices()
+    kept = set(m.parents[1:])
+    expected = [m.f_mats[j].cols.get(u, {})
+                for nu in list(idx)[1:] for j in range(n)
+                for u in idx.get(tuple(x + amat[k][j]
+                                       for k, x in enumerate(nu)), ())
+                if (j + 1, u) not in kept]
+    assert len(expected) == dropped
+    assert calls == [(col,) for col in expected]
+
+
 def test_no_int_is_imaged_mod_p(monkeypatch):
     # the build's columns mod p are residues already and reach the modular
     # profile as they are: neither a build (with dropped candidates, in
