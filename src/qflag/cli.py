@@ -22,7 +22,7 @@ from . import cartan, verify
 from .calculus import gamma_crosscheck, gamma_relation_operator
 from .cartan import FlagSpec, LieType
 from .coordring import ABSTRACT_DMAX, quadratic_relations
-from .errors import QflagError
+from .errors import DomainError, QflagError, SpecializationError
 from .linalg import dv_add_scaled
 from .peterweyl import PWAlgebra
 from .reps import DEFAULT_GUARD, build_irreducible
@@ -50,8 +50,13 @@ def _context(args, lie: LieType) -> QContext:
         q0 = Fraction(args.q)
     except (ValueError, ZeroDivisionError):
         raise QflagError(f"--q {args.q!r} is not a rational number") from None
-    s0 = exact_root(q0, L)  # raises SpecializationError without an exact root
-    return QContext(L, s0=s0)
+    try:
+        return QContext(L, s0=exact_root(q0, L))
+    except SpecializationError:
+        raise QflagError(f"--q {args.q}: {lie} needs the exact rational root "
+                         f"s = q^(1/{L}), and {q0} has none") from None
+    except DomainError:
+        raise QflagError(f"--q {args.q}: q must avoid -1, 0 and 1") from None
 
 
 def _algebra(args, lie: LieType) -> PWAlgebra:
@@ -293,22 +298,12 @@ def cmd_verify(args) -> int:
     alg = _algebra(args, flag.lie)
     depth = args.depth
     _progress(f"verify {flag}: suites {suites}")
-    # the library's suites run first, so that verify_suite refuses a request
-    # it cannot answer before the CLI's own suites do any work
-    rep = verify.verify_suite(
-        flag, [s for s in suites if s not in ("properties", "gamma-operator")],
-        depth=depth, algebra=alg)
-    extra = []
-    for s in suites:
-        if s == "properties":
-            extra.append(_property_samples(alg, flag, args.seed))
-        elif s == "gamma-operator":
-            op = gamma_relation_operator(alg, flag)
-            op.pop("operator")
-            op["ok"] = True
-            extra.append(op)
-    rep["reports"].extend(extra)
-    rep["ok"] = rep["ok"] and all(r.get("ok") for r in extra)
+    rep = verify.verify_suite(flag, suites, depth=depth, algebra=alg, extra={
+        "properties": lambda a, f: _property_samples(a, f, args.seed),
+        # the bracket's rank and block scalars, without the operator itself
+        "gamma-operator": lambda a, f: {**{
+            k: v for k, v in gamma_relation_operator(a, f).items()
+            if k != "operator"}, "ok": True}})
     rep["seed"] = args.seed
     if args.word_check:
         def borel_weil(word=None):

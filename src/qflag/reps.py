@@ -40,6 +40,9 @@ produced it; braid operators and Clebsch-Gordan embeddings both ride on that:
 an intertwiner from V_lam into any module is determined by the image of the
 highest weight vector, and is evaluated by transporting that image along the
 parents.
+
+K_i acts on weight w by q^(d_i w_i), and q is not a root of unity, so every
+K-identity (intertwiner, braid operator, defining relation) is a weight scan.
 """
 
 from __future__ import annotations
@@ -66,17 +69,28 @@ def context_for(lie: LieType, s0=None) -> QContext:
 
 @dataclass(frozen=True)
 class ModuleData:
-    """A type-1 module: weight-labelled basis plus generator matrices."""
+    """A type-1 module: weight-labelled basis plus generator matrices; the
+    weights are its one torus datum (K_i is :meth:`k_values`)."""
     lie: LieType
     ctx: QContext
-    highest: Weight | None
     dim: int
     weights: tuple
     e_mats: tuple          # per node (0-based), SparseMatrix
     f_mats: tuple
-    k_exps: tuple          # k_exps[i][t] = (alpha_i, weights[t]), an integer
     highest_index: int | None = None
     parents: tuple | None = None    # (node, parent index) per basis vector
+
+    @property
+    def highest(self) -> Weight | None:
+        i = self.highest_index
+        return None if i is None else self.weights[i]
+
+    @property
+    def k_exps(self) -> tuple:
+        """k_exps[i][t] = (alpha_i, weights[t]) = d_i weights[t][i]."""
+        d = cartan.symmetrizers(self.lie)
+        return tuple(tuple(d[i] * w[i] for w in self.weights)
+                     for i in range(self.lie.rank))
 
     @property
     def fwords(self):
@@ -90,8 +104,9 @@ class ModuleData:
         return tuple(words)
 
     def k_values(self, i: int, sign: int = 1):
-        ctx = self.ctx
-        return [ctx.q_power(sign * e) for e in self.k_exps[i - 1]]
+        """The diagonal of K_i^sign: q^(sign d_i w_i) on weight w."""
+        e = sign * cartan.symmetrizers(self.lie)[i - 1]
+        return [self.ctx.q_power(e * w[i - 1]) for w in self.weights]
 
     def k_matrix(self, i: int, sign: int = 1) -> SparseMatrix:
         return SparseMatrix.diagonal(self.k_values(i, sign))
@@ -282,13 +297,12 @@ def build_irreducible(ctx: QContext, lie: LieType, lam: Weight,
         for r, v in img.items():
             i = node[tuple(a - b for a, b in zip(weights[r], weights[g]))]
             e_cols[i].setdefault(g, {})[r] = v
-    k_exps = tuple(tuple(d[i] * w[i] for w in weights) for i in range(n))
     return ModuleData(
-        lie=lie, ctx=ctx, highest=tuple(lam), dim=total, weights=tuple(weights),
+        lie=lie, ctx=ctx, dim=total, weights=tuple(weights),
         e_mats=tuple(SparseMatrix(total, total, cols) for cols in e_cols),
         f_mats=tuple(SparseMatrix(total, total, {
             g: img[j] for g, img in enumerate(fimg)}) for j in range(n)),
-        k_exps=k_exps, highest_index=0, parents=tuple(parents))
+        highest_index=0, parents=tuple(parents))
 
 
 def trivial_module(ctx: QContext, lie: LieType) -> ModuleData:
@@ -325,19 +339,15 @@ def tensor(m1: ModuleData, m2: ModuleData) -> ModuleData:
                 ff[a * d2 + b] = f_col
         e_mats.append(SparseMatrix(dim, dim, ee))
         f_mats.append(SparseMatrix(dim, dim, ff))
-    k_exps = tuple(tuple(m1.k_exps[i][t // d2] + m2.k_exps[i][t % d2]
-                         for t in range(dim)) for i in range(n))
-    return ModuleData(lie=lie, ctx=ctx, highest=None, dim=dim, weights=weights,
-                      e_mats=tuple(e_mats), f_mats=tuple(f_mats), k_exps=k_exps)
+    return ModuleData(lie=lie, ctx=ctx, dim=dim, weights=weights,
+                      e_mats=tuple(e_mats), f_mats=tuple(f_mats))
 
 
 def dual_module(m: ModuleData) -> ModuleData:
     """Dual with action (x.f)(v) = f(S(x)v), in the dual basis."""
-    lie, ctx = m.lie, m.ctx
-    n = lie.rank
     e_mats = []
     f_mats = []
-    for i in range(n):
+    for i in range(m.lie.rank):
         k, kinv = m.k_values(i + 1), m.k_values(i + 1, -1)
         e_mats.append(SparseMatrix(m.dim, m.dim, {
             r: {c: -(v * kinv[c]) for c, v in col.items()}
@@ -345,16 +355,11 @@ def dual_module(m: ModuleData) -> ModuleData:
         f_mats.append(SparseMatrix(m.dim, m.dim, {
             r: {c: -(k[r] * v) for c, v in col.items()}
             for r, col in m.f_mats[i].transpose().cols.items()}))
-    weights = tuple(tuple(-x for x in w) for w in m.weights)
-    k_exps = tuple(tuple(-e for e in m.k_exps[i]) for i in range(n))
-    hw = None
-    hi = None
-    if m.highest is not None:
-        hw = cartan.minus_w0(lie, m.highest)
-        hi = lowest_index(m)
-    return ModuleData(lie=lie, ctx=ctx, highest=hw, dim=m.dim,
-                      weights=weights, e_mats=tuple(e_mats),
-                      f_mats=tuple(f_mats), k_exps=k_exps, highest_index=hi)
+    return ModuleData(lie=m.lie, ctx=m.ctx, dim=m.dim,
+                      weights=tuple(tuple(-x for x in w) for w in m.weights),
+                      e_mats=tuple(e_mats), f_mats=tuple(f_mats),
+                      highest_index=None if m.highest is None
+                      else lowest_index(m))
 
 
 def lowest_index(m: ModuleData) -> int | None:
@@ -400,15 +405,15 @@ def transport(src: ModuleData, f_mats, seed: dict) -> SparseMatrix:
     return SparseMatrix(f_mats[0].nrows, src.dim, dict(enumerate(cols)))
 
 
-def k_scan(phi: SparseMatrix, row_exps, col_exps) -> bool:
-    """Every entry (r, c) of phi joins row_exps[r] == col_exps[c].
+def k_scan(phi: SparseMatrix, row_weights, col_weights) -> bool:
+    """Every entry (r, c) of phi joins row_weights[r] == col_weights[c].
 
-    row_exps and col_exps hold a tuple of K-exponents per basis index.  For
-    the diagonal K-actions with those exponents this is exactly
-    phi K_col = K_row phi, a scan, not a product, because q is not a root
-    of unity (QContext refuses q0 in {-1, 0, 1}).
+    K_i acts on weight w by q^(d_i w_i), so this is exactly phi K = K phi for
+    the K-actions of those weights, every K_i at once: a scan, not a
+    product, because q is not a root of unity (QContext refuses q0 in
+    {-1, 0, 1}).
     """
-    return all(row_exps[r] == col_exps[c]
+    return all(row_weights[r] == col_weights[c]
                for c, col in phi.cols.items() for r in col)
 
 
@@ -416,9 +421,9 @@ def check_intertwines(phi: SparseMatrix, src: ModuleData, dst: ModuleData) -> bo
     """phi rho_src(x) = rho_dst(x) phi for every generator x, exactly.
 
     The K_i are checked by :func:`k_scan` (every entry joins basis vectors
-    of equal K-exponents), E and F by products.
+    of equal weights), E and F by products.
     """
-    if not k_scan(phi, list(zip(*dst.k_exps)), list(zip(*src.k_exps))):
+    if not k_scan(phi, dst.weights, src.weights):
         return False
     for i in range(1, src.lie.rank + 1):
         for kind in ("E", "F"):
@@ -623,19 +628,11 @@ class WordSum:
             j: self.matvec(col) for j, col in other.cols.items()})
 
 
-def braid_k_exps(m: ModuleData, i: int) -> tuple:
-    """K-exponents of T_i(K_j) = K_j K_i^(-a_ij): entry [j-1][t] on basis t."""
-    a = cartan.cartan_matrix(m.lie)[i - 1]
-    ki = m.k_exps[i - 1]
-    return tuple(tuple(e - a[j] * k for e, k in zip(m.k_exps[j], ki))
-                 for j in range(m.lie.rank))
-
-
 def braid_image(m: ModuleData, i: int, kind: str, j: int) -> WordSum:
     """T_i(x) on m, for x = E_j, F_j, K_j, as scaled words in the generators.
 
-    T_i(E_i) = -F_i K_i, T_i(F_i) = -K_i^-1 E_i, T_i(K_j) = K_j K_i^(-a_ij)
-    (:func:`braid_k_exps`), and for j != i, with a = a_ij and t = 0..-a,
+    T_i(E_i) = -F_i K_i, T_i(F_i) = -K_i^-1 E_i, T_i(K_j) = K_j K_i^(-a_ij),
+    and for j != i, with a = a_ij and t = 0..-a,
     T_i(E_j) = sum_t (-1)^(t-a) q_i^-t E_i^(-a-t) E_j E_i^(t),
     T_i(F_j) = sum_t (-1)^(t-a) q_i^t F_i^(t) F_j F_i^(-a-t),
     where X^(n) = X^n / [n]_{q_i}! is the divided power (Lusztig,
@@ -644,9 +641,9 @@ def braid_image(m: ModuleData, i: int, kind: str, j: int) -> WordSum:
     ctx = m.ctx
     one = ctx.one
     if kind == "K":
-        exps = braid_k_exps(m, i)[j - 1]
+        a = cartan.cartan_matrix(m.lie)[i - 1][j - 1]
         return WordSum(m.dim, [(one, (SparseMatrix.diagonal(
-            [ctx.q_power(e) for e in exps]),))])
+            [x * y for x, y in zip(m.k_values(j), m.k_values(i, -a))]),))])
     if kind not in ("E", "F"):
         raise DomainError(f"unknown generator kind {kind!r}")
     if i == j:
@@ -734,7 +731,9 @@ class BraidOperators:
     image of the highest weight vector, and columns follow the stored
     F-words through the twisted F-action T_i(F_j), applied as the words of
     :func:`braid_image`.  The K-family of identities is checked as a scan
-    that every entry joins K-exponents matching under T_i (:func:`k_scan`);
+    (:func:`k_scan`): T_i(K_j) acts on weight w as K_j on s_i(w), because
+    d_j a_ji = d_i a_ij, so every entry must join a row of weight w to a
+    column of weight s_i(w);
     on modules of dim <= FULL_VERIFY_LIMIT the E- and F-identities are also
     checked as exact matrix identities, and above it the kernel
     certificates downstream re-check every consequence.  Each Theta_i is
@@ -780,7 +779,8 @@ class BraidOperators:
     def _check(self, i, th, twisted):
         """Check the conjugation identities; twisted[j-1] is T_i(F_j)."""
         m = self.m
-        if not k_scan(th, list(zip(*braid_k_exps(m, i))), list(zip(*m.k_exps))):
+        if not k_scan(th, [cartan.reflect_weight(m.lie, i, w)
+                           for w in m.weights], m.weights):
             raise ConventionError(
                 f"braid conjugation identity failed for T_{i}(K_j)")
         if m.dim > self.FULL_VERIFY_LIMIT:
@@ -856,16 +856,16 @@ def check_defining_relations(m: ModuleData) -> None:
         kinv = m.k_matrix(i, -1)
         if ki.mul(kinv) != SparseMatrix.identity(m.dim, ctx.one):
             raise ConventionError("K K^{-1} != 1")
-        for j in range(1, n + 1):
-            qiaij = ctx.q_power(d[i - 1] * a[i - 1][j - 1])
-            lhs = ki.mul(m.e_mats[j - 1])
-            rhs = m.e_mats[j - 1].mul(ki).scale(qiaij)
-            if lhs != rhs:
-                raise ConventionError(f"K_{i} E_{j} relation failed")
-            lhs = ki.mul(m.f_mats[j - 1])
-            rhs = m.f_mats[j - 1].mul(ki).scale(ctx.one / qiaij)
-            if lhs != rhs:
-                raise ConventionError(f"K_{i} F_{j} relation failed")
+    # K_i E_j K_i^-1 = q^(d_i a_ij) E_j for every i, q not a root of unity:
+    # E_j raises every weight by alpha_j, column j of the Cartan matrix in
+    # fundamental coordinates, and F_j lowers it by alpha_j
+    for j in range(n):
+        alpha = [a[k][j] for k in range(n)]
+        for kind, mat, sign in (("E", m.e_mats[j], 1), ("F", m.f_mats[j], -1)):
+            if not k_scan(mat, m.weights, [
+                    tuple(x + sign * y for x, y in zip(w, alpha))
+                    for w in m.weights]):
+                raise ConventionError(f"K {kind}_{j + 1} relation failed")
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             comm = m.e_mats[i - 1].mul(m.f_mats[j - 1]).sub(

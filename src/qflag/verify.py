@@ -314,11 +314,15 @@ SUITES = ("liouville", "borel-weil", "coordring", "spherical", "relations",
 
 
 def verify_suite(flag: FlagSpec, suites, depth: int | None = None,
-                 algebra: PWAlgebra | None = None, word=None) -> dict:
+                 algebra: PWAlgebra | None = None, word=None,
+                 extra=None) -> dict:
     """Run the named suites against one flag; ok iff every report passes.
+    ``extra`` maps more suite names to functions (algebra, flag) -> report.
     An unknown suite, or an audit below depth 1, is refused before any runs."""
+    flag_checks = {"mixed": mixed_commutation_check,
+                   "central": central_element_checks, **(extra or {})}
     for suite in suites:
-        if suite not in SUITES:
+        if suite not in SUITES and suite not in flag_checks:
             raise ValueError(f"unknown suite {suite!r}")
     if depth is None:
         depth = default_depth(flag)
@@ -345,12 +349,8 @@ def verify_suite(flag: FlagSpec, suites, depth: int | None = None,
             reports.append(spherical_report(algebra, flag, depth))
         elif suite == "relations":
             reports.append(quadratic_flatness(algebra, flag))
-        elif suite == "mixed":
-            rep = mixed_commutation_check(algebra, flag)
-            rep.update(_meta(algebra, flag, rep["kind"]))
-            reports.append(rep)
-        elif suite == "central":
-            rep = central_element_checks(algebra, flag)
+        elif suite in flag_checks:
+            rep = flag_checks[suite](algebra, flag)
             rep.update(_meta(algebra, flag, rep["kind"]))
             reports.append(rep)
         elif suite == "gamma":

@@ -278,6 +278,26 @@ def test_verify_cli_and_exit_codes(capsys, monkeypatch):
     assert code == 2 and out == "" and "unknown suite 'nonsense'" in err
 
 
+def test_verify_lists_every_suite_in_the_order_named(capsys):
+    # the CLI's own suites are suites like the others: listed, run in their
+    # place and given a flag report's header
+    header = ("schema", "schema_version", "L", "mode", "word", "name")
+    for suite, kinds in (("properties,liouville", ["properties", "liouville"]),
+                         ("gamma-operator,mixed",
+                          ["gamma_relation_operator", "mixed_commutation"])):
+        code, out, _ = run_cli(capsys, "verify", "--flag", "A1/1", "--suite",
+                               suite, "--depth", "2")
+        assert code == 0
+        doc = json.loads(out)
+        validate(doc)
+        assert doc["suites"] == suite.split(",")
+        assert [r["kind"] for r in doc["reports"]] == kinds
+        for rep in doc["reports"]:
+            validate(rep)
+            assert all(k in rep for k in header), rep["kind"]
+            assert rep["flag"] == "A1/1" and rep["mode"] == "symbolic"
+
+
 def test_verify_without_a_suite_is_usage_error(capsys):
     # a pass that checked nothing must not read as "ok": true
     for suite in (",", "", " , "):
@@ -296,7 +316,22 @@ def test_specialized_mode_cli(capsys):
     # no exact root: usage error
     code, _, err = run_cli(capsys, "--q", "2", "liouville", "--flag", "A1/1",
                            "--depth", "2")
-    assert code == 2 and "power" in err
+    assert code == 2 and "--q 2" in err and "q^(1/2)" in err
+
+
+@pytest.mark.parametrize("q,typ,weight,named", [
+    ("2", "A2", "1,0", "s = q^(1/3)"),
+    ("-4", "A1", "1", "s = q^(1/2)"),
+    ("-1", "A1", "1", "s = q^(1/2)"),
+    ("-1", "A2", "1,0", "avoid -1, 0 and 1"),
+    ("1", "A2", "1,0", "avoid -1, 0 and 1"),
+    ("0", "A1", "1", "avoid -1, 0 and 1"),
+])
+def test_q_refusals_name_the_option(capsys, q, typ, weight, named):
+    code, out, err = run_cli(capsys, "--q", q, "rep", "--type", typ,
+                             "--weight", weight)
+    assert code == 2 and out == ""
+    assert f"--q {q}" in err and named in err and "-th" not in err
 
 
 def test_guard_flag_unlocks_deeper_truncations(capsys):

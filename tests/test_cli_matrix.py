@@ -34,8 +34,12 @@ def test_full_suite_matrix(name, capsys):
             schema = json.load(fh)
         jsonschema.validate(doc, schema)
         for rep in doc["reports"]:
-            if "schema" in rep:
-                jsonschema.validate(rep, schema)
+            if rep["kind"] == "gamma_crosscheck":
+                # the one report without a header: its bytes are pinned by
+                # the CI digests and perfbench's reference as they are
+                assert "schema" not in rep
+                continue
+            jsonschema.validate(rep, schema)
 
 
 def test_specialized_full_suite(capsys):

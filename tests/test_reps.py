@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -121,6 +122,52 @@ def test_tensor_weights_and_highest():
     t2 = tensor(v, triv)
     assert t2.dim == v.dim and t2.weights == v.weights
     assert t2.e_mats[0].entries_sorted() == v.e_mats[0].entries_sorted()
+
+
+def test_k_exponents_and_highest_are_read_off_the_weights():
+    # the weights are a module's one torus datum: k_exps and highest restate
+    # them with the values the build, the coproduct and the dual gave
+    ctx = context_for(B2)
+    v = build_irreducible(ctx, B2, (1, 1))
+    w = build_irreducible(ctx, B2, (1, 0))
+    t, dv = tensor(v, w), dual_module(v)
+    d = cartan.symmetrizers(B2)
+    for m in (v, t, dv):
+        assert m.k_exps == tuple(tuple(d[i] * x[i] for x in m.weights)
+                                 for i in range(2))
+        assert m.highest == (None if m.highest_index is None
+                             else m.weights[m.highest_index])
+    assert t.k_exps == tuple(tuple(a + b for a in v.k_exps[i]
+                                   for b in w.k_exps[i]) for i in range(2))
+    assert dv.k_exps == tuple(tuple(-e for e in k) for k in v.k_exps)
+    assert v.highest == (1, 1) and t.highest is None
+    assert dv.highest == minus_w0(B2, (1, 1))
+    assert not {"k_exps", "highest"} & {
+        f.name for f in dataclasses.fields(reps.ModuleData)}
+
+
+@pytest.mark.parametrize("lie,lam", [(B2, (1, 1)), (C3, (0, 1, 0))])
+@pytest.mark.parametrize("kind", ["E", "F"])
+def test_defining_relations_refuse_an_entry_moved_across_weights(lie, lam,
+                                                                 kind):
+    # alpha_j is column j of the Cartan matrix, not row j, so the valid
+    # module passes; one entry of X_j moved to a row of another weight breaks
+    # the K_i X_j relations, which the weight scan refuses before any product
+    m = build_irreducible(context_for(lie), lie, lam)
+    check_defining_relations(m)
+    field = "e_mats" if kind == "E" else "f_mats"
+    for j, mat in enumerate(getattr(m, field)):
+        c = min(mat.cols)
+        col = mat.cols[c]
+        r = min(col)
+        r2 = next(t for t in range(m.dim)
+                  if m.weights[t] != m.weights[r] and t not in col)
+        cols = dict(mat.cols)
+        cols[c] = {**{t: x for t, x in col.items() if t != r}, r2: col[r]}
+        mats = list(getattr(m, field))
+        mats[j] = SparseMatrix(m.dim, m.dim, cols)
+        with pytest.raises(ConventionError, match=f"K {kind}_{j + 1} "):
+            check_defining_relations(replace(m, **{field: tuple(mats)}))
 
 
 def test_dual_module():

@@ -261,10 +261,9 @@ def test_inconsistent_system_detected():
     # report the convention failure instead of returning it
     ctx = context_for(A1)
     v = build_irreducible(ctx, A1, (1,))
-    bad = ModuleData(lie=A1, ctx=ctx, highest=(1,), dim=2, weights=v.weights,
+    bad = ModuleData(lie=A1, ctx=ctx, dim=2, weights=v.weights,
                      e_mats=(v.e_mats[0].scale(ctx.from_fraction(2)),),
-                     f_mats=v.f_mats, k_exps=v.k_exps, highest_index=0,
-                     parents=v.parents)
+                     f_mats=v.f_mats, highest_index=0, parents=v.parents)
     with pytest.raises(ConventionError, match="does not intertwine"):
         braiding(bad, v)
     with pytest.raises(ConventionError):
@@ -293,9 +292,8 @@ def test_check_intertwines_refuses_an_entry_across_k_exponents(s0):
     # product K phi != phi K in either mode
     ctx = context_for(A1, s0)
     zero = SparseMatrix.zero(2, 2)
-    m = ModuleData(lie=A1, ctx=ctx, highest=None, dim=2,
-                   weights=((1,), (-1,)), e_mats=(zero,), f_mats=(zero,),
-                   k_exps=((1, -1),))
+    m = ModuleData(lie=A1, ctx=ctx, dim=2, weights=((1,), (-1,)),
+                   e_mats=(zero,), f_mats=(zero,))
     phi = SparseMatrix(2, 2, {0: {1: ctx.one}})
     k = m.gen_matrix("K", 1)
     assert phi.mul(k) != k.mul(phi)
